@@ -277,8 +277,6 @@ def cmd_chunk_stats(args) -> int:
         raise ValueError(
             f"tau={args.tau} exceeds the number of chunks k={partition.k}"
         )
-    if args.tau > dataset.n:
-        raise ValueError(f"tau={args.tau} exceeds n={dataset.n}")
 
     standard = tau_nice(dataset.norms, args.tau)
     chunked = chunked_sampling(dataset.norms, partition, args.tau)

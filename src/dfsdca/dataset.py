@@ -1,8 +1,10 @@
 """Sparse datasets: LIBSVM ingestion, normalization, synthetic generators.
 
-Examples are stored column-wise (one sparse vector per example) because the
-solver touches the data one example at a time. A CSR view is built lazily
-for bulk operations (objective values, full gradients).
+Examples are built as ``SparseExample`` rows, and a CSR copy of them is
+built lazily on first use. Every numerical kernel reads that CSR copy: full
+margins and combinations for objective values and gradients, and
+:meth:`Dataset.gather` for the solver's mini-batch step, which pulls the
+drawn rows' nonzeros in one pass.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ def _norm_sq(values: np.ndarray) -> float:
     for v in values:
         acc += float(v) * float(v)
     return acc
+
+
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[k], starts[k] + counts[k]) laid end to end."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -108,6 +117,25 @@ class Dataset:
     def margins(self, w: np.ndarray) -> np.ndarray:
         """All inner products A_i^T w at once (CSR matvec)."""
         return self.csr() @ w
+
+    def gather(self, subset: np.ndarray):
+        """Nonzeros of the rows in ``subset``, row after row, as
+        ``(seg, cols, vals)``: entry k lies in row ``subset[seg[k]]`` at
+        column ``cols[k]``. Each row keeps its CSR order, so
+        ``np.bincount(seg, vals * w[cols], minlength=len(subset))`` sums
+        every row left to right, like the CSR matvec of :meth:`margins`, and
+        equals ``margins(w)[subset]`` bitwise."""
+        A = self.csr()
+        if subset.size == 1:
+            # serial draws: slice views of one row, no index arithmetic
+            i = int(subset[0])
+            lo, hi = A.indptr[i], A.indptr[i + 1]
+            return np.zeros(hi - lo, dtype=np.intp), A.indices[lo:hi], A.data[lo:hi]
+        starts = A.indptr[subset]
+        counts = A.indptr[1:][subset] - starts
+        pos = concat_ranges(starts, counts)
+        seg = np.repeat(np.arange(subset.size), counts)
+        return seg, A.indices[pos], A.data[pos]
 
     def csr(self) -> sp.csr_matrix:
         if self._csr is None:

@@ -82,11 +82,10 @@ class ReferenceSolution:
 
 
 def _matched_alpha(problem: ProblemSpec, w: np.ndarray) -> np.ndarray:
-    # Margins via the same per-example dot products the solver step uses,
-    # so the fixed point is exact in floating point, not just to rounding.
+    # The solver step's margins equal ds.margins(w)[subset] bitwise, so the
+    # fixed point is exact in floating point, not just to rounding.
     ds = problem.dataset
-    margins = np.array([ds.margin(i, w) for i in range(ds.n)])
-    return -problem.loss.gradients(np.arange(ds.n), margins)
+    return -problem.loss.gradients(np.arange(ds.n), ds.margins(w))
 
 
 def _exact_quadratic_solve(problem: ProblemSpec) -> np.ndarray:

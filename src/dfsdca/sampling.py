@@ -8,7 +8,9 @@ which is tight for singleton (serial) schemes.
 
 Draw methods consume a caller-owned numpy Generator. A scheme instance keeps
 a small internal permutation buffer, so concurrent draws need one scheme
-instance per thread.
+instance per thread. The tau-subset schemes take all tau swap targets of
+their partial Fisher-Yates shuffle from one bounded-integer call per draw,
+which consumes the generator exactly as tau scalar calls would.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, concat_ranges
 
 #: enumeration cutoff for exact expectations over a scheme's support
 ATOM_LIMIT = 10_000
@@ -84,6 +86,16 @@ class SerialSampling(SamplingScheme):
         return [((i,), float(self.p[i])) for i in range(self.n)]
 
 
+def _partial_shuffle(perm: np.ndarray, tau: int, rng) -> np.ndarray:
+    """Partial Fisher-Yates on a persistent permutation, in place: swap
+    position j with a uniform k in [j, len(perm)) for j < tau, and return
+    the first tau entries sorted. O(tau) per draw."""
+    targets = rng.integers(np.arange(tau), perm.size).tolist()
+    for j, k in enumerate(targets):
+        perm[j], perm[k] = perm[k], perm[j]
+    return np.sort(perm[:tau])
+
+
 class TauNiceSampling(SamplingScheme):
     """Uniformly random subsets of a fixed size tau."""
 
@@ -97,12 +109,7 @@ class TauNiceSampling(SamplingScheme):
         self._perm = np.arange(n, dtype=np.int64)
 
     def draw(self, rng):
-        # Partial Fisher-Yates on a persistent permutation: O(tau) per draw.
-        perm, tau = self._perm, self.tau
-        for j in range(tau):
-            k = int(rng.integers(j, self.n))
-            perm[j], perm[k] = perm[k], perm[j]
-        return np.sort(perm[:tau])
+        return _partial_shuffle(self._perm, self.tau, rng)
 
     def atoms(self, limit: int = ATOM_LIMIT):
         total = math.comb(self.n, self.tau)
@@ -202,15 +209,12 @@ class ChunkedSampling(SamplingScheme):
         self._perm = np.arange(k, dtype=np.int64)
 
     def draw_chunks(self, rng) -> np.ndarray:
-        perm, tau, k = self._perm, self.tau, self.partition.k
-        for j in range(tau):
-            i = int(rng.integers(j, k))
-            perm[j], perm[i] = perm[i], perm[j]
-        return np.sort(perm[:tau])
+        return _partial_shuffle(self._perm, self.tau, rng)
 
     def draw(self, rng):
         ids = self.draw_chunks(rng)
-        return np.concatenate([self.partition.coords(j) for j in ids])
+        part = self.partition
+        return concat_ranges(part.boundaries[ids], part.g[ids])
 
     def atoms(self, limit: int = ATOM_LIMIT):
         k = self.partition.k

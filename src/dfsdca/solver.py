@@ -129,6 +129,42 @@ def resync(problem: ProblemSpec, state: SolverState) -> None:
     state.w = problem.dataset.combine(state.alpha) / (problem.lam * problem.dataset.n)
 
 
+def _check_guard(theta: float, p: np.ndarray, subset: np.ndarray) -> None:
+    """Reject a stepsize whose weight theta/p_i would take alpha_i past the
+    convex combination for some i in ``subset``."""
+    q = theta / p[subset]
+    if np.any(q > 1.0 + _GUARD_TOL):
+        bad = int(subset[int(np.argmax(q))])
+        raise ValueError(
+            f"theta={theta} exceeds p_{bad}={p[bad]}: alpha update would "
+            "leave the convex combination"
+        )
+
+
+def _update(
+    problem: ProblemSpec,
+    state: SolverState,
+    subset: np.ndarray,
+    p: np.ndarray,
+    theta: float,
+) -> SolverState:
+    # The step kernel without the guard; ``run`` checks the guard once for
+    # every i, so its loop and ``step`` compute bitwise the same iterates.
+    ds = problem.dataset
+    w, alpha = state.w, state.alpha
+    seg, cols, vals = ds.gather(subset)
+    margins = np.bincount(seg, vals * w[cols], minlength=subset.size)
+    delta = problem.loss.gradients(subset, margins) + alpha[subset]
+    p_s = p[subset]
+    alpha[subset] -= theta / p_s * delta
+    coef = delta * theta / (ds.n * problem.lam * p_s)
+    # unbuffered, so each coordinate takes its rows' corrections in order
+    np.subtract.at(w, cols, coef[seg] * vals)
+    state.t += 1
+    state.grad_evals += int(subset.size)
+    return state
+
+
 def step(
     problem: ProblemSpec,
     state: SolverState,
@@ -138,30 +174,15 @@ def step(
 ) -> SolverState:
     """One iteration on the given subset, in place.
 
-    All gradients are evaluated against the pre-update w; the w correction
-    touches only the union of the drawn examples' supports.
+    Checks theta/p_i <= 1 for the drawn i, then runs one vectorized kernel
+    over the drawn rows' CSR nonzeros: all margins against the pre-update w
+    (summed like :meth:`Dataset.margins`, so they equal ``margins(w)[subset]``
+    bitwise), the alpha moves, and one scatter of the w correction, which
+    touches only the union of the drawn rows' supports.
     """
     subset = np.asarray(subset, dtype=np.int64)
-    q = theta / p[subset]
-    if np.any(q > 1.0 + _GUARD_TOL):
-        bad = int(subset[int(np.argmax(q))])
-        raise ValueError(
-            f"theta={theta} exceeds p_{bad}={p[bad]}: alpha update would "
-            "leave the convex combination"
-        )
-    ds, loss = problem.dataset, problem.loss
-    w, alpha = state.w, state.alpha
-    margins = np.array([ds.margin(i, w) for i in subset])
-    grads = loss.gradients(subset, margins)
-    delta = grads + alpha[subset]
-    alpha[subset] -= q * delta
-    coef = delta * theta / (ds.n * problem.lam * p[subset])
-    for j, i in enumerate(subset):
-        ex = ds.examples[i]
-        w[ex.indices] -= coef[j] * ex.values
-    state.t += 1
-    state.grad_evals += int(subset.size)
-    return state
+    _check_guard(theta, p, subset)
+    return _update(problem, state, subset, p, theta)
 
 
 @dataclass
@@ -256,10 +277,11 @@ def run(
         trace.records.append(rec)
         return primal
 
+    p = scheme.p
+    _check_guard(theta, p, np.arange(n))
     runaway = 1e6 * abs(record()) + 1e6
     for t in range(1, total + 1):
-        subset = scheme.draw(rng)
-        step(problem, state, subset, scheme.p, theta)
+        _update(problem, state, scheme.draw(rng), p, theta)
         if t % resync_every == 0:
             resync(problem, state)
         if t % trace_every == 0 or t == total:
@@ -274,9 +296,10 @@ def run(
 
 
 def save_state(state: SolverState, path) -> None:
-    """Snapshot (w, alpha, t) as JSON for later resumption."""
+    """Snapshot (w, alpha, t, grad_evals) as JSON for later resumption."""
     payload = {
         "t": state.t,
+        "grad_evals": state.grad_evals,
         "w": state.w.tolist(),
         "alpha": state.alpha.tolist(),
     }
@@ -285,10 +308,15 @@ def save_state(state: SolverState, path) -> None:
 
 
 def load_state(path) -> SolverState:
+    """Read a :func:`save_state` snapshot; files without ``grad_evals``
+    load with a zero count."""
     with open(path) as fh:
         payload = json.load(fh)
-    return SolverState(
-        np.array(payload["w"], dtype=np.float64),
-        np.array(payload["alpha"], dtype=np.float64),
-        int(payload["t"]),
-    )
+    w = np.array(payload["w"], dtype=np.float64)
+    alpha = np.array(payload["alpha"], dtype=np.float64)
+    if w.ndim != 1 or alpha.ndim != 1:
+        raise ValueError(
+            f"state file {path}: w and alpha must be 1-d, got shapes "
+            f"{w.shape} and {alpha.shape}"
+        )
+    return SolverState(w, alpha, int(payload["t"]), int(payload.get("grad_evals", 0)))

@@ -346,3 +346,50 @@ class TestDeterminism:
                 rng = np.random.default_rng(31)
                 seqs.append([sc.draw(rng).tolist() for _ in range(50)])
             assert seqs[0] == seqs[1]
+
+
+def scalar_partial_shuffle(perm, tau, rng):
+    """Reference draw: one scalar bounded-integer call per swap."""
+    for j in range(tau):
+        k = int(rng.integers(j, perm.size))
+        perm[j], perm[k] = perm[k], perm[j]
+    return np.sort(perm[:tau])
+
+
+class TestDrawStream:
+    """Each draw takes its tau swap targets from one vectorized call; the
+    subsets and the generator's stream match the scalar loop exactly."""
+
+    DRAWS = 120
+
+    @pytest.mark.parametrize("tau", [1, 9, 23])
+    def test_nice_matches_scalar_loop(self, tau):
+        n = 23
+        u = np.arange(1, n + 1) ** 2
+        sc = tau_nice(np.ones(n), tau)
+        got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+        perm = np.arange(n)
+        for _ in range(self.DRAWS):
+            want = scalar_partial_shuffle(perm, tau, want_rng)
+            assert np.array_equal(sc.draw(got_rng), want)
+        for _ in range(self.DRAWS):
+            want = u[scalar_partial_shuffle(perm, tau, want_rng)]
+            assert np.array_equal(sc.sample_core_loads(got_rng, u), want)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("tau", [1, 3, None])
+    def test_chunked_matches_scalar_loop(self, tau):
+        ds = gen_synthetic(60, 20, 0.2, "skewed-nnz", 8)
+        part = naive_chunks(ds.nnz.tolist())
+        tau = tau or part.k
+        sc = chunked_sampling(ds.norms, part, tau)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        perm = np.arange(part.k)
+        for _ in range(self.DRAWS):
+            ids = scalar_partial_shuffle(perm, tau, want_rng)
+            want = np.concatenate([part.coords(j) for j in ids])
+            assert np.array_equal(sc.draw(got_rng), want)
+        for _ in range(self.DRAWS):
+            want = part.s[scalar_partial_shuffle(perm, tau, want_rng)]
+            assert np.array_equal(sc.sample_core_loads(got_rng, ds.nnz), want)
+        assert got_rng.random() == want_rng.random()

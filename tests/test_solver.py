@@ -285,5 +285,20 @@ class TestConfigAndState:
         save_state(st, path)
         back = load_state(path)
         assert back.t == st.t
+        assert back.grad_evals == st.grad_evals == 2 * prob.dataset.n
         assert np.array_equal(back.w, st.w)
         assert np.array_equal(back.alpha, st.alpha)
+
+    def test_snapshot_without_grad_evals_and_bad_shapes(self, tmp_path):
+        import json
+
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"t": 3, "w": [1.0], "alpha": [2.0, 3.0]}))
+        back = load_state(path)
+        assert (back.t, back.grad_evals) == (3, 0)
+        path.write_text(json.dumps({"t": 3, "w": [[1.0]], "alpha": [2.0]}))
+        with pytest.raises(ValueError, match="1-d"):
+            load_state(path)
+        path.write_text(json.dumps({"t": 3, "w": [1.0], "alpha": 2.0}))
+        with pytest.raises(ValueError, match="1-d"):
+            load_state(path)
