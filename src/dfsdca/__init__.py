@@ -6,8 +6,6 @@ from .dataset import (
     Dataset,
     ParseError,
     SparseExample,
-    example_nnz,
-    example_norms,
     gen_synthetic,
     normalize_max_norm,
     parse_libsvm,

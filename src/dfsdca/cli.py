@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -78,28 +78,30 @@ def _parse_synthetic(spec: str):
         raise UsageError(f"bad --synthetic value: {exc}")
 
 
-def _build_problem(args) -> ProblemSpec:
-    """Resolve data source, loss, normalization and lambda into a problem."""
+def _load_dataset(args):
+    """The dataset named by --data or --synthetic, and the loss that the
+    synthetic model 'nonconvex' comes with (None for every other source)."""
     if args.data:
         try:
             with open(args.data) as fh:
-                dataset = parse_libsvm(fh)
+                return parse_libsvm(fh), None
         except OSError as exc:
             raise DataError(f"cannot read {args.data}: {exc}")
         except ParseError as exc:
             raise DataError(str(exc))
-        loss = None
-    elif args.synthetic:
+    if args.synthetic:
         n, d, density, model = _parse_synthetic(args.synthetic)
         if model == "nonconvex":
-            if args.loss != "quadfam":
-                raise UsageError("model 'nonconvex' requires --loss quadfam")
-            dataset, loss = build_nonconvex_instance(n, d, args.seed)
-        else:
-            dataset = gen_synthetic(n, d, density, model, args.seed)
-            loss = None
-    else:
-        raise UsageError("provide --data FILE or --synthetic n,d,density,model")
+            return build_nonconvex_instance(n, d, args.seed)
+        return gen_synthetic(n, d, density, model, args.seed), None
+    raise UsageError("provide --data FILE or --synthetic n,d,density,model")
+
+
+def _build_problem(args) -> ProblemSpec:
+    """Resolve data source, loss, normalization and lambda into a problem."""
+    dataset, loss = _load_dataset(args)
+    if loss is not None and args.loss != "quadfam":
+        raise UsageError("model 'nonconvex' requires --loss quadfam")
 
     if args.normalize:
         # Rescaling preserves quadfam average-curvature positivity, so a
@@ -170,11 +172,17 @@ def _metadata_lines(args, problem, scheme, theta) -> list[str]:
     ]
 
 
-def _trace_csv(trace: Trace, t0_D, t0_E) -> list[str]:
+def _envelope(x0, theta, t):
+    """The rate envelope x0 * exp(-theta t); None without a reference."""
+    return None if x0 is None else x0 * np.exp(-theta * t)
+
+
+def _trace_csv(trace: Trace) -> list[str]:
     lines = [TRACE_COLUMNS]
+    rec0 = trace.records[0]
     for r in trace.records:
-        env_D = t0_D * np.exp(-trace.theta * r.t) if t0_D is not None else None
-        env_E = t0_E * np.exp(-trace.theta * r.t) if t0_E is not None else None
+        env_D = _envelope(rec0.D, trace.theta, r.t)
+        env_E = _envelope(rec0.E, trace.theta, r.t)
         lines.append(",".join([
             str(r.t), _fmt(r.epoch), _fmt(r.primal), _fmt(r.subopt),
             _fmt(r.B), _fmt(r.D), _fmt(r.E), _fmt(env_D), _fmt(env_E),
@@ -205,9 +213,8 @@ def _aggregate_csv(traces: list[Trace]) -> list[str]:
                 row += [_fmt(m), _fmt(se)]
             else:
                 row += ["", ""]
-        env_D = t0_D * np.exp(-theta * rec.t) if have_ref else None
-        env_E = t0_E * np.exp(-theta * rec.t) if have_ref else None
-        row += [_fmt(env_D), _fmt(env_E), _fmt(theta)]
+        row += [_fmt(_envelope(t0_D, theta, rec.t)),
+                _fmt(_envelope(t0_E, theta, rec.t)), _fmt(theta)]
         lines.append(",".join(row))
     return lines
 
@@ -218,24 +225,14 @@ def cmd_run(args) -> int:
     scheme = _build_scheme(args.sampling, problem, args.seed)
     config = SolverConfig(theta=_theta_arg(args.theta), epochs=args.epochs,
                           seed=args.seed)
-    if args.seeds and args.seeds > 1:
-        def one(s):
-            sc = _build_scheme(args.sampling, problem, s)
-            cfg = SolverConfig(theta=config.theta, epochs=args.epochs, seed=s)
-            return run(problem, sc, cfg, reference=reference)[1]
+    traces = [run(problem, scheme, config, reference=reference)[1]]
+    # later seeds, one after another, each with a scheme of its own
+    for s in range(args.seed + 1, args.seed + (args.seeds or 1)):
+        sc = _build_scheme(args.sampling, problem, s)
+        traces.append(run(problem, sc, replace(config, seed=s), reference=reference)[1])
+    body = _aggregate_csv(traces) if len(traces) > 1 else _trace_csv(traces[0])
 
-        seeds = range(args.seed, args.seed + args.seeds)
-        with ThreadPoolExecutor(max_workers=min(args.seeds, 8)) as pool:
-            traces = list(pool.map(one, seeds))
-        body = _aggregate_csv(traces)
-        theta = traces[0].theta
-    else:
-        _, trace = run(problem, scheme, config, reference=reference)
-        rec0 = trace.records[0]
-        body = _trace_csv(trace, rec0.D, rec0.E)
-        theta = trace.theta
-
-    lines = _metadata_lines(args, problem, scheme, theta) + body
+    lines = _metadata_lines(args, problem, scheme, traces[0].theta) + body
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -257,20 +254,7 @@ def _theta_arg(raw: str):
 
 
 def cmd_chunk_stats(args) -> int:
-    if args.data:
-        try:
-            with open(args.data) as fh:
-                dataset = parse_libsvm(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read {args.data}: {exc}")
-        except ParseError as exc:
-            raise DataError(str(exc))
-    elif args.synthetic:
-        n, d, density, model = _parse_synthetic(args.synthetic)
-        dataset = gen_synthetic(n, d, density, model, args.seed)
-    else:
-        raise UsageError("provide --data FILE or --synthetic n,d,density,model")
-
+    dataset, _ = _load_dataset(args)
     u = dataset.nnz
     partition = naive_chunks(u.tolist())
     if args.tau > partition.k:
@@ -392,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "serial-random:<c> | nice:<tau> | chunked:<tau>")
     p_run.add_argument("--epochs", type=int, default=10)
     p_run.add_argument("--seeds", type=int, default=None,
-                       help="fan out over this many consecutive seeds and "
-                            "aggregate mean/stderr columns")
+                       help="run this many consecutive seeds one after "
+                            "another and aggregate mean/stderr columns")
     p_run.add_argument("--theta", default="auto-convex",
                        help="auto-convex | auto-nonconvex | explicit value")
     p_run.add_argument("--reference", help="reference-solution JSON file")

@@ -1,15 +1,20 @@
 """Sparse datasets: LIBSVM ingestion, normalization, synthetic generators.
 
-Examples are built as ``SparseExample`` rows, and a CSR copy of them is
-built lazily on first use. Every numerical kernel reads that CSR copy: full
-margins and combinations for objective values and gradients, and
-:meth:`Dataset.gather` for the solver's mini-batch step, which pulls the
-drawn rows' nonzeros in one pass.
+A :class:`Dataset` stores its rows once, as frozen CSR arrays
+(``indptr``/``indices``/``data``), with the labels, the dimension d, and
+the per-row norms and nonzero counts derived from them. Every numerical
+kernel reads those arrays: full margins and combinations for objective
+values and gradients, and :meth:`Dataset.gather` for the solver's
+mini-batch step, which pulls the drawn rows' nonzeros in one pass.
+
+:class:`SparseExample` is the row type for building a dataset by hand;
+``Dataset(examples, labels)`` concatenates the rows into CSR, and
+``Dataset.examples`` rebuilds them from CSR slices on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,15 +22,6 @@ import scipy.sparse as sp
 
 class ParseError(ValueError):
     """Malformed LIBSVM input; message names the offending line."""
-
-
-def _norm_sq(values: np.ndarray) -> float:
-    # Left-to-right accumulation, kept distinct from numpy's pairwise sum
-    # so the stored norms are reproducible sums of squares.
-    acc = 0.0
-    for v in values:
-        acc += float(v) * float(v)
-    return acc
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -65,9 +61,6 @@ class SparseExample:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def norm_sq(self) -> float:
-        return _norm_sq(self.values)
-
     def dot(self, w: np.ndarray) -> float:
         """Inner product with a dense vector, touching only the support."""
         if self.indices.size == 0:
@@ -75,48 +68,75 @@ class SparseExample:
         return float(np.dot(self.values, w[self.indices]))
 
 
-@dataclass(eq=False)
 class Dataset:
-    """n sparse examples of dimension d plus per-example labels.
+    """n sparse rows of dimension d, stored as frozen CSR arrays, plus
+    per-row labels; norms and nnz counts are computed once."""
 
-    Immutable after construction; norms and nnz counts are cached.
-    """
-
-    examples: list[SparseExample]
-    labels: np.ndarray
-    norms: np.ndarray = field(init=False)
-    nnz: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.examples:
+    def __init__(self, examples, labels):
+        examples = list(examples)
+        if not examples:
             raise ValueError("dataset must contain at least one example")
-        self.labels = _freeze(np.asarray(self.labels, dtype=np.float64))
-        if self.labels.shape != (len(self.examples),):
-            raise ValueError("labels length must equal number of examples")
-        d = self.examples[0].dim
-        if any(ex.dim != d for ex in self.examples):
+        d = examples[0].dim
+        if any(ex.dim != d for ex in examples):
             raise ValueError("all examples must share the same dimension")
-        self.norms = _freeze(
-            np.array([np.sqrt(ex.norm_sq()) for ex in self.examples])
+        self._init_csr(
+            np.cumsum([0] + [ex.nnz for ex in examples]),
+            np.concatenate([ex.indices for ex in examples]),
+            np.concatenate([ex.values for ex in examples]),
+            labels, d,
         )
-        self.nnz = _freeze(np.array([ex.nnz for ex in self.examples], dtype=np.int64))
-        self._csr = None
+
+    @classmethod
+    def from_csr(cls, indptr, indices, data, labels, d: int) -> "Dataset":
+        """A dataset over canonical CSR arrays: strictly increasing column
+        indices in [0, d) within each row and no explicit zeros."""
+        ds = cls.__new__(cls)
+        ds._init_csr(indptr, indices, data, labels, d)
+        return ds
+
+    def _init_csr(self, indptr, indices, data, labels, d):
+        n = len(indptr) - 1
+        self.labels = _freeze(np.asarray(labels, dtype=np.float64))
+        if self.labels.shape != (n,):
+            raise ValueError("labels length must equal number of examples")
+        self.d = int(d)
+        self._csr = A = sp.csr_matrix((data, indices, indptr), shape=(n, self.d))
+        if not A.has_canonical_format:
+            raise ValueError("indices must be strictly increasing within each row")
+        if A.nnz and (A.indices.min() < 0 or A.indices.max() >= self.d):
+            raise ValueError("index out of range for dim=%d" % self.d)
+        if np.any(A.data == 0.0):
+            raise ValueError("explicit zero values are not canonical")
+        self.indptr = _freeze(A.indptr)
+        self.indices = _freeze(A.indices)
+        self.data = _freeze(A.data)
+        self.nnz = _freeze(np.diff(self.indptr).astype(np.int64))
+        # bincount adds each row's squares left to right, starting from 0.0
+        rows = np.repeat(np.arange(n), self.nnz)
+        self.norms = _freeze(
+            np.sqrt(np.bincount(rows, self.data * self.data, minlength=n))
+        )
         self._csr_t = None
 
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return self.labels.size
 
     @property
-    def d(self) -> int:
-        return self.examples[0].dim
+    def examples(self) -> list[SparseExample]:
+        """The rows as :class:`SparseExample` objects, built from CSR."""
+        return [
+            SparseExample(self.indices[lo:hi], self.data[lo:hi], self.d)
+            for lo, hi in zip(self.indptr[:-1], self.indptr[1:])
+        ]
 
     def margin(self, i: int, w: np.ndarray) -> float:
-        return self.examples[i].dot(w)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return float(np.dot(self.data[lo:hi], w[self.indices[lo:hi]]))
 
     def margins(self, w: np.ndarray) -> np.ndarray:
         """All inner products A_i^T w at once (CSR matvec)."""
-        return self.csr() @ w
+        return self._csr @ w
 
     def gather(self, subset: np.ndarray):
         """Nonzeros of the rows in ``subset``, row after row, as
@@ -125,27 +145,18 @@ class Dataset:
         ``np.bincount(seg, vals * w[cols], minlength=len(subset))`` sums
         every row left to right, like the CSR matvec of :meth:`margins`, and
         equals ``margins(w)[subset]`` bitwise."""
-        A = self.csr()
         if subset.size == 1:
             # serial draws: slice views of one row, no index arithmetic
             i = int(subset[0])
-            lo, hi = A.indptr[i], A.indptr[i + 1]
-            return np.zeros(hi - lo, dtype=np.intp), A.indices[lo:hi], A.data[lo:hi]
-        starts = A.indptr[subset]
-        counts = A.indptr[1:][subset] - starts
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            return np.zeros(hi - lo, dtype=np.intp), self.indices[lo:hi], self.data[lo:hi]
+        starts = self.indptr[subset]
+        counts = self.indptr[1:][subset] - starts
         pos = concat_ranges(starts, counts)
         seg = np.repeat(np.arange(subset.size), counts)
-        return seg, A.indices[pos], A.data[pos]
+        return seg, self.indices[pos], self.data[pos]
 
     def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum(self.nnz)
-            idx = np.concatenate([ex.indices for ex in self.examples]) \
-                if self.n else np.empty(0, dtype=np.int64)
-            val = np.concatenate([ex.values for ex in self.examples]) \
-                if self.n else np.empty(0)
-            self._csr = sp.csr_matrix((val, idx, indptr), shape=(self.n, self.d))
         return self._csr
 
     def csr_t(self) -> sp.csr_matrix:
@@ -174,7 +185,9 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
         lines = list(source)
 
     labels: list[float] = []
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    indptr: list[int] = [0]
+    idx: list[int] = []
+    val: list[float] = []
     max_index = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,8 +198,6 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
             label = float(parts[0])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric label {parts[0]!r}")
-        idx: list[int] = []
-        val: list[float] = []
         prev = 0
         for tok in parts[1:]:
             head, sep, tail = tok.partition(":")
@@ -208,9 +219,9 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
         if prev > max_index:
             max_index = prev
         labels.append(label)
-        rows.append((np.array(idx, dtype=np.int64), np.array(val)))
+        indptr.append(len(idx))
 
-    if not rows:
+    if not labels:
         raise ParseError("empty input: no data lines")
     d = max_index if n_features is None else int(n_features)
     if d < max_index:
@@ -218,29 +229,24 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
             f"n_features={n_features} smaller than max index {max_index}"
         )
     d = max(d, 1)
-    examples = [SparseExample(i, v, d) for i, v in rows]
-    return Dataset(examples, np.array(labels))
+    return Dataset.from_csr(
+        np.array(indptr, dtype=np.int64), np.array(idx, dtype=np.int64),
+        np.array(val, dtype=np.float64), labels, d,
+    )
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
     """Canonical text form (1-based indices, shortest round-trip floats)."""
+    ptr, cols, vals = dataset.indptr, dataset.indices, dataset.data
     out = []
-    for ex, y in zip(dataset.examples, dataset.labels):
+    for y, lo, hi in zip(dataset.labels, ptr[:-1], ptr[1:]):
         toks = [repr(float(y))]
         toks += [
             "%d:%s" % (j + 1, repr(float(v)))
-            for j, v in zip(ex.indices, ex.values)
+            for j, v in zip(cols[lo:hi], vals[lo:hi])
         ]
         out.append(" ".join(toks))
     return "\n".join(out) + "\n"
-
-
-def example_norms(dataset: Dataset) -> np.ndarray:
-    return dataset.norms
-
-
-def example_nnz(dataset: Dataset) -> np.ndarray:
-    return dataset.nnz
 
 
 def normalize_max_norm(dataset: Dataset) -> tuple[Dataset, float]:
@@ -253,11 +259,7 @@ def normalize_max_norm(dataset: Dataset) -> tuple[Dataset, float]:
     scale = float(np.max(dataset.norms))
     if scale == 0.0:
         raise ValueError("cannot normalize: all examples have zero norm")
-    examples = [
-        SparseExample(ex.indices, ex.values / scale, ex.dim)
-        for ex in dataset.examples
-    ]
-    return Dataset(examples, dataset.labels), scale
+    return _rescaled(dataset, dataset.data / scale), scale
 
 
 def normalize_per_example(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
@@ -265,12 +267,15 @@ def normalize_per_example(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
     scales = dataset.norms.copy()
     if np.all(scales == 0.0):
         raise ValueError("cannot normalize: all examples have zero norm")
-    examples = []
-    for ex, s in zip(dataset.examples, scales):
-        examples.append(
-            SparseExample(ex.indices, ex.values / s if s > 0 else ex.values, ex.dim)
-        )
-    return Dataset(examples, dataset.labels), scales
+    # a zero-norm row has no nonzeros, so it repeats no scale
+    data = dataset.data / np.repeat(scales, dataset.nnz)
+    return _rescaled(dataset, data), scales
+
+
+def _rescaled(dataset: Dataset, data: np.ndarray) -> Dataset:
+    return Dataset.from_csr(
+        dataset.indptr, dataset.indices, data, dataset.labels, dataset.d
+    )
 
 
 LABEL_MODELS = ("linear-sign", "linear-noise", "skewed-nnz")
@@ -308,17 +313,24 @@ def gen_synthetic(
     else:
         raise ValueError(f"unknown label_model {label_model!r}")
 
-    examples = []
+    rows = []
     for k in counts:
         idx = np.sort(rng.choice(d, size=int(k), replace=False))
         val = rng.standard_normal(int(k))
         val[val == 0.0] = 1.0
-        examples.append(SparseExample(idx, val, d))
+        rows.append((idx, val))
 
     w_true = rng.standard_normal(d)
-    margins = np.array([ex.dot(w_true) for ex in examples])
+    # per-row dot products: the label margins are part of the data, and a
+    # CSR matvec would round them differently
+    margins = np.array([np.dot(val, w_true[idx]) for idx, val in rows])
     if label_model == "linear-noise":
         labels = margins + 0.1 * rng.standard_normal(n)
     else:
         labels = np.where(margins >= 0.0, 1.0, -1.0)
-    return Dataset(examples, labels)
+    return Dataset.from_csr(
+        np.concatenate(([0], np.cumsum(counts))),
+        np.concatenate([idx for idx, _ in rows]),
+        np.concatenate([val for _, val in rows]),
+        labels, d,
+    )

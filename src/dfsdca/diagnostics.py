@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, SparseExample, gen_synthetic
+from .dataset import Dataset, gen_synthetic
 from .losses import (
     LOGISTIC,
     QUADFAM,
     SQUARED,
     LossSpec,
+    average_curvature_matrix,
     build_nonconvex_instance,
     logistic_loss,
     squared_loss,
@@ -90,16 +91,11 @@ def _matched_alpha(problem: ProblemSpec, w: np.ndarray) -> np.ndarray:
 
 def _exact_quadratic_solve(problem: ProblemSpec) -> np.ndarray:
     ds, loss = problem.dataset, problem.loss
-    d = ds.d
     if loss.kind == SQUARED:
         curv, lin = np.ones(ds.n), -loss.y
     else:
         curv, lin = loss.c, loss.b
-    H = np.zeros((d, d))
-    for ci, ex in zip(curv, ds.examples):
-        if ex.nnz:
-            H[np.ix_(ex.indices, ex.indices)] += ci * np.outer(ex.values, ex.values)
-    H = H / ds.n + problem.lam * np.eye(d)
+    H = average_curvature_matrix(ds, curv) + problem.lam * np.eye(ds.d)
     rhs = -ds.combine(lin) / ds.n
     return np.linalg.solve(H, rhs)
 
@@ -484,8 +480,8 @@ def suite_eso(seed: int, datasets: int = 10, trials: int = 5) -> dict:
             count += trials
     # An undersized v must be flagged. With identical examples the batch
     # aggregates add coherently, so v_i = |A_i|^2 / tau forces ratio >= 1.8.
-    base = SparseExample(np.arange(4), np.ones(4), 4)
-    ds = Dataset([base] * 6, np.ones(6))
+    ds = Dataset.from_csr(np.arange(0, 25, 4), np.tile(np.arange(4), 6),
+                          np.ones(24), np.ones(6), 4)
     sc = tau_nice(ds.norms, 3)
     sc.v = ds.norms**2 / 3.0
     bad = validate_eso(sc, ds, trials, seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dataset import Dataset, SparseExample
+from .dataset import Dataset
 
 LOGISTIC = "logistic"
 SQUARED = "squared"
@@ -130,12 +130,8 @@ def smoothness_constants(loss: LossSpec, dataset: Dataset) -> SmoothnessConstant
 def average_curvature_matrix(dataset: Dataset, c: np.ndarray) -> np.ndarray:
     """Dense Hessian of w -> (1/n) sum_i c_i/2 (A_i^T w)^2, i.e.
     (1/n) sum_i c_i A_i A_i^T."""
-    d = dataset.d
-    H = np.zeros((d, d))
-    for ci, ex in zip(c, dataset.examples):
-        if ex.nnz:
-            H[np.ix_(ex.indices, ex.indices)] += ci * np.outer(ex.values, ex.values)
-    return H / dataset.n
+    A = dataset.csr()
+    return (A.T @ A.multiply(np.asarray(c)[:, None])).toarray() / dataset.n
 
 
 def min_curvature_eig(dataset: Dataset, c: np.ndarray) -> float:
@@ -169,9 +165,5 @@ def build_nonconvex_instance(n: int, d: int, seed: int) -> tuple[Dataset, LossSp
         axes[-1] = (n // 2) % d
         c[-1] = rng.uniform(0.5, 1.5)
     b = rng.standard_normal(n)
-    examples = [
-        SparseExample(np.array([axes[i]]), np.array([scales[i]]), d)
-        for i in range(n)
-    ]
-    dataset = Dataset(examples, np.zeros(n))
+    dataset = Dataset.from_csr(np.arange(n + 1), axes, scales, np.zeros(n), d)
     return dataset, quadratic_family(c, b)

@@ -66,8 +66,8 @@ def theta_convex(p, v, l, lam: float, n: int) -> float:
     """Largest stepsize admitted for convex losses:
     min_i p_i * n * lam / (l_i v_i + n lam)."""
     p, v, l = (np.asarray(x, dtype=np.float64) for x in (p, v, l))
-    if lam <= 0 or n <= 0 or np.any(p <= 0) or np.any(v <= 0) or np.any(l <= 0):
-        raise ValueError("all stepsize inputs must be positive")
+    if lam <= 0 or n <= 0 or np.any(p <= 0) or np.any(v < 0) or np.any(l <= 0):
+        raise ValueError("p, l, lam and n must be positive and v nonnegative")
     return float(np.min(p * n * lam / (l * v + n * lam)))
 
 
@@ -75,8 +75,8 @@ def theta_nonconvex(p, v, L_per, lam: float, n: int) -> float:
     """Largest stepsize admitted when only the average loss is convex:
     min_i p_i * n * lam^2 / (L_i^2 v_i + n lam^2)."""
     p, v, L_per = (np.asarray(x, dtype=np.float64) for x in (p, v, L_per))
-    if lam <= 0 or n <= 0 or np.any(p <= 0) or np.any(v <= 0) or np.any(L_per <= 0):
-        raise ValueError("all stepsize inputs must be positive")
+    if lam <= 0 or n <= 0 or np.any(p <= 0) or np.any(v < 0) or np.any(L_per < 0):
+        raise ValueError("p, lam and n must be positive and v, L_i nonnegative")
     lam2 = lam * lam
     return float(np.min(p * n * lam2 / (L_per**2 * v + n * lam2)))
 

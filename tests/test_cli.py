@@ -111,6 +111,13 @@ class TestRun:
         # validation: explicit theta above min p_i
         assert main(["run", "--data", ridge_file, "--loss", "squared",
                      "--lambda", "1", "--theta", "0.9"]) == 3
+        # success: a label-only row parses, so it must also run (v_i = 0)
+        empty_row = tmp_path / "empty_row.libsvm"
+        empty_row.write_text("+1 1:1 2:0.5\n-1\n+1 2:2\n-1 1:-1.5\n")
+        for extra in (["--sampling", "serial-uniform"], ["--sampling", "nice:2"],
+                      ["--sampling", "chunked:1"], ["--theta", "auto-nonconvex"]):
+            assert main(["run", "--data", str(empty_row), "--epochs", "2",
+                         *extra, "--out", str(tmp_path / "e.csv")]) == 0
         capsys.readouterr()
 
     def test_divergent_instance_exits_3(self, tmp_path, capsys):

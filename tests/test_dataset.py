@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -7,8 +8,6 @@ from dfsdca.dataset import (
     Dataset,
     ParseError,
     SparseExample,
-    example_nnz,
-    example_norms,
     gen_synthetic,
     normalize_max_norm,
     normalize_per_example,
@@ -89,8 +88,8 @@ class TestNorms:
     def test_three_four_five(self):
         ex = SparseExample(np.array([0, 2]), np.array([3.0, 4.0]), 3)
         ds = Dataset([ex], np.array([1.0]))
-        assert example_norms(ds)[0] == 5.0
-        assert example_nnz(ds)[0] == 2
+        assert ds.norms[0] == 5.0
+        assert ds.nnz[0] == 2
 
     def test_empty_example(self):
         ds = Dataset([SparseExample(np.array([]), np.array([]), 2)], [0.0])
@@ -103,7 +102,7 @@ class TestNorms:
         acc = 0.0
         for v in vals:
             acc += float(v) * float(v)
-        assert ex.norm_sq() == acc
+        assert Dataset([ex], [0.0]).norms[0] == math.sqrt(acc)
 
     @pytest.mark.skipif(
         not os.path.exists(os.environ.get("DFSDCA_W8A", "/nonexistent")),
@@ -210,3 +209,29 @@ class TestInvariants:
         b = SparseExample(np.array([0]), np.array([1.0]), 3)
         with pytest.raises(ValueError, match="dimension"):
             Dataset([a, b], np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("indptr,indices,data,match", [
+        ([0, 2], [1, 1], [1.0, 2.0], "increasing"),
+        ([0, 2], [1, 0], [1.0, 2.0], "increasing"),
+        ([0, 2, 1], [0, 1], [1.0, 1.0], "increasing"),
+        ([0, 1], [3], [1.0], "range"),
+        ([0, 1], [-1], [1.0], "range"),
+        ([0, 1], [0], [0.0], "zero"),
+    ])
+    def test_from_csr_rejects_non_canonical(self, indptr, indices, data, match):
+        labels = np.zeros(len(indptr) - 1)
+        with pytest.raises(ValueError, match=match):
+            Dataset.from_csr(np.array(indptr), np.array(indices), np.array(data),
+                             labels, 3)
+
+    def test_from_csr_equals_rows(self):
+        rows = Dataset(
+            [SparseExample([0, 2], [1.0, -2.0], 3), SparseExample([], [], 3),
+             SparseExample([1], [0.5], 3)],
+            [1.0, -1.0, 1.0],
+        )
+        arrays = Dataset.from_csr([0, 2, 2, 3], [0, 2, 1], [1.0, -2.0, 0.5],
+                                  [1.0, -1.0, 1.0], 3)
+        assert datasets_equal(rows, arrays)
+        assert np.array_equal(rows.norms, arrays.norms)
+        assert np.array_equal(rows.nnz, arrays.nnz)

@@ -1,0 +1,114 @@
+"""Bitwise regression digests for datasets, norms and CLI outputs.
+
+Each digest is a sha256 over arrays in a canonical dtype (int64 for index
+arrays, float64 for values), so the storage dtype may change but no value
+may. The expected digests were recorded before the dataset layer stored CSR
+as its only representation; a mismatch means some bits moved.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dfsdca.cli import main
+from dfsdca.dataset import (
+    gen_synthetic,
+    normalize_max_norm,
+    normalize_per_example,
+    parse_libsvm,
+    serialize_libsvm,
+)
+from dfsdca.losses import build_nonconvex_instance
+
+# a label-only row and explicit zeros, which the parser drops
+TEXT = (
+    "+1 1:0.5 3:-2.25 7:1e-3\n"
+    "-1\n"
+    "+1 2:0 4:3.5\n"
+    "-1 1:1.25 2:-0.75 5:0 6:2  # comment\n"
+    "+1 3:0.1 4:0.2 6:0.3 7:0.4\n"
+)
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        a = a.astype(np.int64 if a.dtype.kind in "iu" else np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def build(name):
+    """The dataset named ``name`` plus any extra outputs of its builder."""
+    if name in ("linear-sign", "linear-noise", "skewed-nnz"):
+        return gen_synthetic(300, 40, 0.1, name, 11), ()
+    if name == "nonconvex":
+        ds, loss = build_nonconvex_instance(9, 4, 3)
+        return ds, (loss.c, loss.b)
+    source, _, normalizer = name.partition(":")
+    base = parse_libsvm(TEXT) if source == "parsed" \
+        else gen_synthetic(200, 30, 0.2, "linear-noise", 5)
+    if normalizer == "max-norm":
+        ds, scale = normalize_max_norm(base)
+        return ds, ([scale],)
+    if normalizer == "per-example":
+        ds, scales = normalize_per_example(base)
+        return ds, (scales,)
+    return base, ()
+
+
+GOLDEN_DATASETS = {
+    "linear-sign": "ff6953f755d82b83",
+    "linear-noise": "373603166c63d4d2",
+    "skewed-nnz": "99543f8e502b2d0b",
+    "nonconvex": "ab674d478845d757",
+    "parsed": "67354b71eab3e1a5",
+    "parsed:max-norm": "1d301448dc0f5a6c",
+    "parsed:per-example": "37ba339bc2bf5fb9",
+    "synthetic:max-norm": "d3c451b61ad5a024",
+    "synthetic:per-example": "e6a80f5161e07a5f",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DATASETS))
+def test_dataset_digest(name):
+    ds, extra = build(name)
+    A = ds.csr()
+    got = digest(A.indptr, A.indices, A.data, ds.labels, ds.norms, [ds.d], *extra)
+    assert got == GOLDEN_DATASETS[name]
+
+
+def test_serialize_digest():
+    text = serialize_libsvm(parse_libsvm(TEXT)) \
+        + serialize_libsvm(gen_synthetic(50, 12, 0.3, "linear-noise", 2))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e544e36e427471e9"
+
+
+PROBLEM = ["--synthetic", "300,40,0.1,linear-sign", "--loss", "logistic"]
+
+GOLDEN_RUNS = {
+    "serial-uniform": "32e85e3a88e62bb2",
+    "nice:8": "efcbc80ab99a88a2",
+    "chunked:4": "40e51cca795619a7",
+    "serial-uniform --seeds 3": "6b225d83c4989d6f",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_RUNS))
+def test_run_csv_digest(case, tmp_path):
+    out = tmp_path / "trace.csv"
+    sampling, *more = case.split()
+    assert main(["run", *PROBLEM, "--sampling", sampling, "--epochs", "3",
+                 "--seed", "2", *more, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == GOLDEN_RUNS[case]
+
+
+def test_exact_reference_digest(tmp_path):
+    # squared loss: the exact solve through the average curvature matrix
+    out = tmp_path / "ref.json"
+    assert main(["reference", "--synthetic", "200,30,0.2,linear-noise",
+                 "--loss", "squared", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "9b863422dc3425e1"

@@ -52,16 +52,15 @@ def awkward_dataset():
 
 
 def schemes(ds):
-    # unit norms: an empty row has v_i = 0, which the schemes reject
-    ones = np.ones(ds.n)
+    # the empty row has v_i = 0
     part = naive_chunks(ds.nnz.tolist())
     return [
-        serial_uniform(ones),
-        tau_nice(ones, 1),
-        tau_nice(ones, 7),
-        tau_nice(ones, ds.n),
-        chunked_sampling(ones, part, 1),
-        chunked_sampling(ones, part, 3),
+        serial_uniform(ds.norms),
+        tau_nice(ds.norms, 1),
+        tau_nice(ds.norms, 7),
+        tau_nice(ds.norms, ds.n),
+        chunked_sampling(ds.norms, part, 1),
+        chunked_sampling(ds.norms, part, 3),
     ]
 
 

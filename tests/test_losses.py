@@ -133,6 +133,25 @@ class TestNonconvexInstance:
         H = average_curvature_matrix(ds, np.array([-1.0, 3.0]))
         assert H.shape == (1, 1) and abs(H[0, 0] - 1.0) < 1e-15
 
+    def test_matches_outer_product_loop(self):
+        ds = gen_synthetic(300, 25, 0.2, "skewed-nnz", 6)
+
+        def loop(c):
+            H = np.zeros((ds.d, ds.d))
+            for ci, ex in zip(c, ds.examples):
+                H[np.ix_(ex.indices, ex.indices)] += ci * np.outer(ex.values, ex.values)
+            return H / ds.n
+
+        # unit curvatures: the same products summed in the same order
+        ones = np.ones(ds.n)
+        assert np.array_equal(average_curvature_matrix(ds, ones), loop(ones))
+        # other curvatures: c_i (a b) becomes a (c_i b), one rounding apart
+        # per term, so the sums differ by a few ulps of the largest entry
+        c = np.random.default_rng(1).uniform(-1.0, 2.0, ds.n)
+        atol = 4 * np.finfo(float).eps * loop(np.abs(c)).max()
+        np.testing.assert_allclose(average_curvature_matrix(ds, c), loop(c),
+                                   rtol=0, atol=atol)
+
     def test_orthogonal_layout_not_psd(self):
         # A_1 = e_1, A_2 = e_2 with c = (-1, 3): Hessian diag(-1/2, 3/2)
         ds = Dataset(

@@ -279,6 +279,25 @@ class TestEso:
         assert np.all(rep.stderrs > 0)
         assert np.all(rep.ratios <= 1.0 + 3.0 * rep.stderrs + 1e-12)
 
+    @pytest.mark.parametrize("kind,atom_limit", [
+        ("nice", 10_000), ("nice", 10), ("chunked", 10_000), ("chunked", 2),
+    ])
+    def test_matches_per_subset_loop(self, kind, atom_limit):
+        # d = 600 splits the 1000 Monte Carlo draws into three blocks
+        ds = gen_synthetic(12, 600, 0.01, "skewed-nnz", 11)
+        part = naive_chunks(ds.nnz.tolist())
+
+        def scheme():
+            if kind == "nice":
+                return tau_nice(ds.norms, 3)
+            return chunked_sampling(ds.norms, part, 2)
+
+        rep = validate_eso(scheme(), ds, 3, 12, mc_draws=1000, atom_limit=atom_limit)
+        ratios, stderrs = reference_eso(scheme(), ds, 3, 12, 1000, atom_limit)
+        assert rep.exact == (atom_limit == 10_000)
+        assert np.array_equal(rep.ratios, ratios)
+        assert np.array_equal(rep.stderrs, stderrs)
+
     def test_undersized_v_detected(self):
         base = SparseExample(np.arange(4), np.ones(4), 4)
         ds = Dataset([base] * 6, np.ones(6))
@@ -286,6 +305,33 @@ class TestEso:
         sc.v = ds.norms**2 / 3.0
         rep = validate_eso(sc, ds, trials=5, seed=9)
         assert rep.max_ratio > 1.0
+
+
+def reference_eso(scheme, ds, trials, seed, mc_draws, atom_limit):
+    """validate_eso's ratios and standard errors from a per-subset,
+    per-example loop."""
+    rng = np.random.default_rng(seed)
+    atoms = scheme.atoms(atom_limit)
+    examples = ds.examples
+
+    def agg(subset, h):
+        z = np.zeros(ds.d)
+        for i in subset:
+            z[examples[i].indices] += examples[i].values * h[i]
+        return float(np.dot(z, z))
+
+    ratios, stderrs = np.empty(trials), np.zeros(trials)
+    for t in range(trials):
+        h = rng.standard_normal(scheme.n)
+        rhs = float(np.sum(scheme.p * scheme.v * h**2))
+        if atoms is not None:
+            lhs = sum(prob * agg(subset, h) for subset, prob in atoms)
+        else:
+            vals = np.array([agg(scheme.draw(rng), h) for _ in range(mc_draws)])
+            lhs = float(vals.mean())
+            stderrs[t] = float(vals.std(ddof=1) / np.sqrt(mc_draws)) / rhs
+        ratios[t] = lhs / rhs
+    return ratios, stderrs
 
 
 class TestWaitingTime:
