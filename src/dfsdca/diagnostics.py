@@ -47,7 +47,7 @@ from .solver import (
 
 
 class ReferenceError(RuntimeError):
-    """Oracle hit its iteration cap; carries the best gradient norm."""
+    """Oracle stopped short of its target; carries the gradient norm reached."""
 
     def __init__(self, message: str, grad_norm: float):
         super().__init__(message)
@@ -89,93 +89,84 @@ def _matched_alpha(problem: ProblemSpec, w: np.ndarray) -> np.ndarray:
     return -problem.loss.gradients(np.arange(ds.n), ds.margins(w))
 
 
-def _exact_quadratic_solve(problem: ProblemSpec) -> np.ndarray:
-    ds, loss = problem.dataset, problem.loss
-    if loss.kind == SQUARED:
-        curv, lin = np.ones(ds.n), -loss.y
-    else:
-        curv, lin = loss.c, loss.b
-    H = average_curvature_matrix(ds, curv) + problem.lam * np.eye(ds.d)
-    rhs = -ds.combine(lin) / ds.n
-    return np.linalg.solve(H, rhs)
-
-
 def reference_solution(
-    problem: ProblemSpec,
-    tol: float | None = None,
-    method: str = "auto",
-    max_iter: int = 500_000,
+    problem: ProblemSpec, tol: float | None = None
 ) -> ReferenceSolution:
     """Deterministic oracle for the regularized optimum.
 
-    Quadratic objectives (squared and quadratic-family losses) admit an
-    exact linear solve; otherwise backtracking gradient descent runs until
-    ||grad P|| <= tol. The default tolerance is 1e-12 * (1 + |P(0)|),
-    additionally tightened so the recovered relation
-    w* = (1/(lam n)) sum_i alpha_i* A_i holds to 1e-11 even for small lam.
+    Damped Newton from w = 0 on the dense Hessian
+    ``average_curvature_matrix(ds, phi''(A w)) + lam I`` runs until
+    ||grad P|| <= min(tol, lam * 1e-11); on quadratic losses the first step
+    is the exact linear solve and the loop stops there. The default
+    tolerance is 1e-12 * (1 + |P(0)|); the lam * 1e-11 cap keeps the
+    recovered relation w* = (1/(lam n)) sum_i alpha_i* A_i to 1e-11 even
+    for small lam. Raises ReferenceError, carrying the gradient norm
+    reached, when the norm stops improving before the target.
     """
-    d = problem.dataset.d
-    p0 = primal_value(problem, np.zeros(d))
     if tol is None:
+        p0 = primal_value(problem, np.zeros(problem.dataset.d))
         tol = 1e-12 * (1.0 + abs(p0))
-    target = min(tol, problem.lam * 1e-11)
-
-    quadratic = problem.loss.kind in (SQUARED, QUADFAM)
-    if method == "exact" or (method == "auto" and quadratic):
-        if not quadratic:
-            raise ValueError("exact solve only applies to quadratic losses")
-        w = _exact_quadratic_solve(problem)
-    elif method in ("gd", "auto"):
-        w = _gradient_descent(problem, target, max_iter)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    grad_norm = float(np.linalg.norm(primal_gradient(problem, w)))
-    if grad_norm > tol:
-        raise ReferenceError(
-            f"oracle reached ||grad|| = {grad_norm:.3e} > tol = {tol:.3e}",
-            grad_norm,
-        )
-    alpha = _matched_alpha(problem, w)
-    return ReferenceSolution(w, alpha, primal_value(problem, w), grad_norm)
+    elif not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    return _newton(problem, min(tol, problem.lam * 1e-11))
 
 
-def _gradient_descent(problem: ProblemSpec, target: float, max_iter: int) -> np.ndarray:
-    ds = problem.dataset
-    # Certified objective smoothness (trace bound on the loss Hessian plus
-    # the regularizer): steps of 1/L_up always decrease the objective and
-    # contract the gradient norm by (1 - lam/L_up) per iteration.
-    L_up = float(np.sum(problem.loss.l * ds.norms**2)) / ds.n + problem.lam
-    s_safe = 1.0 / L_up
+#: Newton iterations before giving up; quadratics need one, logistic ~10
+_MAX_NEWTON = 100
+#: consecutive iterations without a smaller gradient norm that count as a stall
+_STALL = 3
+#: step halvings before the line search gives up
+_MAX_HALVINGS = 60
+#: Armijo sufficient-decrease fraction
+_ARMIJO = 1e-4
+#: ulps of |P| the Armijo test forgives, so that full steps near the optimum,
+#: whose decrease P cannot resolve, are still taken
+_SLACK_ULPS = 4
+
+
+def _newton(problem: ProblemSpec, target: float) -> ReferenceSolution:
+    ds, loss, lam = problem.dataset, problem.loss, problem.lam
+    idx = np.arange(ds.n)
+
+    # One margins pass per iterate serves P, grad P and alpha*, each written
+    # as in primal_value, primal_gradient and _matched_alpha, so P*,
+    # grad_norm and alpha* keep the bits those functions would give.
+    def objective(w):
+        m = ds.margins(w)
+        return m, float(loss.values(idx, m).mean() + 0.5 * lam * np.dot(w, w))
+
     w = np.zeros(ds.d)
-    f = primal_value(problem, w)
-    s = s_safe
-    eps_f = 8.0 * np.finfo(float).eps
-    polish = False
-    for _ in range(max_iter):
-        g = primal_gradient(problem, w)
-        gnorm_sq = float(np.dot(g, g))
-        if math.sqrt(gnorm_sq) <= target:
-            return w
-        # Armijo can only certify a decrease while it is resolvable in
-        # float; past that point adaptive steps at 2/L_up can oscillate, so
-        # finish with plain steps at the safe size.
-        if not polish and 0.5 * s_safe * gnorm_sq < eps_f * max(1.0, abs(f)):
-            polish = True
-        if polish:
-            w = w - s_safe * g
-            continue
-        s = max(2.0 * s, s_safe)
-        while True:
-            w_new = w - s * g
-            f_new = primal_value(problem, w_new)
-            if f_new <= f - 0.5 * s * gnorm_sq or s <= s_safe:
+    m, f = objective(w)
+    best, stalled = math.inf, 0
+    for _ in range(_MAX_NEWTON):
+        g = loss.gradients(idx, m)
+        grad = ds.combine(g) / ds.n + lam * w
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= target:
+            return ReferenceSolution(w, -g, f, gnorm)
+        if gnorm < best:
+            best, stalled = gnorm, 0
+        else:
+            stalled += 1
+            if stalled == _STALL:
                 break
-            s = max(0.5 * s, s_safe)
-        w, f = w_new, f_new
+        H = average_curvature_matrix(ds, loss.curvatures(idx, m))
+        H.flat[:: ds.d + 1] += lam  # + lam I without a second d x d array
+        delta = np.linalg.solve(H, -grad)
+        slope = float(np.dot(grad, delta))
+        slack = _SLACK_ULPS * np.spacing(abs(f))
+        s = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_new = w + s * delta
+            m_new, f_new = objective(w_new)
+            if f_new <= f + _ARMIJO * s * slope + slack:
+                break
+            s *= 0.5
+        else:
+            break
+        w, m, f = w_new, m_new, f_new
     raise ReferenceError(
-        "iteration cap reached",
-        float(np.linalg.norm(primal_gradient(problem, w))),
+        f"oracle stopped at ||grad|| = {gnorm:.3e} > target = {target:.3e}", gnorm
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .dataset import Dataset
@@ -79,6 +80,16 @@ class LossSpec:
             return x - self.y[idx]
         return self.c[idx] * x + self.b[idx]
 
+    def curvatures(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Second derivatives phi_i''(x_i)."""
+        x = np.asarray(x, dtype=np.float64)
+        if self.kind == LOGISTIC:
+            s = expit(-self.y[idx] * x)
+            return s * (1.0 - s)
+        if self.kind == SQUARED:
+            return np.ones_like(x)
+        return self.c[idx]
+
     def value(self, i: int, x: float) -> float:
         return float(self.values(np.array([i]), np.array([x]))[0])
 
@@ -129,9 +140,16 @@ def smoothness_constants(loss: LossSpec, dataset: Dataset) -> SmoothnessConstant
 
 def average_curvature_matrix(dataset: Dataset, c: np.ndarray) -> np.ndarray:
     """Dense Hessian of w -> (1/n) sum_i c_i/2 (A_i^T w)^2, i.e.
-    (1/n) sum_i c_i A_i A_i^T."""
+    (1/n) sum_i c_i A_i A_i^T, as one sparse product A^T (c o A) / n.
+
+    With c = phi''(A w) it is the loss part of the objective's Hessian at w,
+    which the reference oracle builds on every Newton iteration.
+    """
     A = dataset.csr()
-    return (A.T @ A.multiply(np.asarray(c)[:, None])).toarray() / dataset.n
+    scaled = sp.csr_matrix(
+        (A.data * np.repeat(c, dataset.nnz), A.indices, A.indptr), shape=A.shape
+    )
+    return (dataset.csr_t() @ scaled).toarray() / dataset.n
 
 
 def min_curvature_eig(dataset: Dataset, c: np.ndarray) -> float:

@@ -36,8 +36,10 @@ class ProblemSpec:
     smoothness: SmoothnessConstants
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("regularization lam must be positive")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(
+                f"regularization lam must be positive and finite, got {self.lam}"
+            )
         if self.loss.n != self.dataset.n:
             raise ValueError("loss and dataset sizes disagree")
 
@@ -79,18 +81,6 @@ def theta_nonconvex(p, v, L_per, lam: float, n: int) -> float:
         raise ValueError("p, lam and n must be positive and v, L_i nonnegative")
     lam2 = lam * lam
     return float(np.min(p * n * lam2 / (L_per**2 * v + n * lam2)))
-
-
-def convex_rate_bound(p, v, l, lam: float, n: int) -> float:
-    """Iteration-count factor max_i (1/p_i + l_i v_i / (lam p_i n)); equals
-    1/theta at the convex stepsize bound."""
-    p, v, l = (np.asarray(x, dtype=np.float64) for x in (p, v, l))
-    return float(np.max(1.0 / p + l * v / (lam * p * n)))
-
-
-def nonconvex_rate_bound(p, v, L_per, lam: float, n: int) -> float:
-    p, v, L_per = (np.asarray(x, dtype=np.float64) for x in (p, v, L_per))
-    return float(np.max(1.0 / p + L_per**2 * v / (lam * lam * p * n)))
 
 
 @dataclass(eq=False)
@@ -190,7 +180,6 @@ class SolverConfig:
     theta: float | str = "auto-convex"
     epochs: int = 10
     seed: int = 0
-    resync_period: int | None = None  # default: n iterations
     trace_period: int | None = None   # default: one epoch-equivalent
 
     def __post_init__(self):
@@ -253,7 +242,6 @@ def run(
     n = problem.dataset.n
     e_size = scheme.expected_size
     total = math.ceil(config.epochs * n / e_size)
-    resync_every = config.resync_period if config.resync_period else n
     trace_every = (
         config.trace_period if config.trace_period
         else max(1, round(n / e_size))
@@ -282,7 +270,7 @@ def run(
     runaway = 1e6 * abs(record()) + 1e6
     for t in range(1, total + 1):
         _update(problem, state, scheme.draw(rng), p, theta)
-        if t % resync_every == 0:
+        if t % n == 0:
             resync(problem, state)
         if t % trace_every == 0 or t == total:
             primal = record()

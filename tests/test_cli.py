@@ -216,12 +216,24 @@ class TestReference:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unreachable_tol_exits_3(self, capsys):
+        # the gradient norm stalls near 4e-17 here, far above the target
         code = main([
-            "reference", "--synthetic", "10,4,0.8,linear-sign",
+            "reference", "--synthetic", "50,10,0.8,linear-sign",
             "--lambda", "0.5", "--tol", "1e-30",
         ])
         assert code == 3
         assert "grad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value,name", [
+        ("run", "--lambda", "nan", "lam"), ("run", "--lambda", "inf", "lam"),
+        ("reference", "--lambda", "nan", "lam"),
+        ("reference", "--lambda", "inf", "lam"),
+        ("reference", "--tol", "nan", "tol"), ("reference", "--tol", "-1", "tol"),
+    ])
+    def test_invalid_parameter_exits_3(self, command, flag, value, name, capsys):
+        assert main([command, "--synthetic", "10,4,0.8,linear-sign",
+                     flag, value]) == 3
+        assert name in capsys.readouterr().err
 
     def test_reference_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         ref = tmp_path / "ref.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
 from dfsdca.diagnostics import (
@@ -17,7 +18,12 @@ from dfsdca.diagnostics import (
     verify_lemma1_C,
     verify_lemma2,
 )
-from dfsdca.losses import build_nonconvex_instance, logistic_loss, squared_loss
+from dfsdca.losses import (
+    build_nonconvex_instance,
+    logistic_loss,
+    quadratic_family,
+    squared_loss,
+)
 from dfsdca.sampling import (
     chunked_sampling,
     naive_chunks,
@@ -31,6 +37,7 @@ from dfsdca.solver import (
     Trace,
     TraceRecord,
     make_problem,
+    primal_gradient,
     primal_value,
     run,
     theta_convex,
@@ -63,17 +70,29 @@ class TestReferenceSolution:
             tol = 1e-12 * (1.0 + abs(primal_value(prob, np.zeros(prob.dataset.d))))
             assert ref.grad_norm <= tol
 
-    def test_two_oracles_agree(self):
-        ds = gen_synthetic(15, 5, 0.7, "linear-noise", 2)
-        prob = make_problem(ds, squared_loss(ds.labels), 0.5)
-        exact = reference_solution(prob, method="exact")
-        descent = reference_solution(prob, method="gd")
-        assert np.linalg.norm(exact.w - descent.w) <= 1e-8
+    def test_agrees_with_lbfgs(self):
+        # an independent optimizer: quasi-Newton with the analytic gradient
+        prob = logistic_problem(n=40, d=8, lam=0.05, seed=3)
+        ref = reference_solution(prob)
+        res = minimize(
+            lambda w: primal_value(prob, w), np.zeros(prob.dataset.d),
+            jac=lambda w: primal_gradient(prob, w), method="L-BFGS-B",
+            options={"gtol": 1e-12, "ftol": 0.0},
+        )
+        assert np.linalg.norm(res.x - ref.w) <= 1e-6
 
     def test_unreachable_tolerance_reports_progress(self):
         with pytest.raises(ReferenceError) as info:
-            reference_solution(logistic_problem(), tol=1e-30, max_iter=60)
+            reference_solution(logistic_problem(), tol=1e-30)
         assert info.value.grad_norm > 0
+
+    def test_unbounded_objective_raises(self):
+        # curvature -1 outweighs lam = 0.5, so P has no minimum and no step
+        # along the Newton direction decreases it
+        ds = Dataset([SparseExample(np.array([0]), np.array([1.0]), 1)], [0.0])
+        prob = make_problem(ds, quadratic_family([-1.0], [1.0]), 0.5)
+        with pytest.raises(ReferenceError):
+            reference_solution(prob)
 
     def test_deterministic(self):
         a = reference_solution(logistic_problem())

@@ -3,7 +3,8 @@
 Each digest is a sha256 over arrays in a canonical dtype (int64 for index
 arrays, float64 for values), so the storage dtype may change but no value
 may. The expected digests were recorded before the dataset layer stored CSR
-as its only representation; a mismatch means some bits moved.
+as its only representation, and the quadratic-family reference digest before
+one Newton oracle replaced the exact solve; a mismatch means some bits moved.
 """
 
 import hashlib
@@ -112,3 +113,11 @@ def test_exact_reference_digest(tmp_path):
     assert main(["reference", "--synthetic", "200,30,0.2,linear-noise",
                  "--loss", "squared", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "9b863422dc3425e1"
+
+
+def test_quadfam_reference_digest(tmp_path):
+    # quadratic family with some c_i < 0: the Hessian of a non-convex loss
+    out = tmp_path / "ref.json"
+    assert main(["reference", "--synthetic", "9,4,1,nonconvex",
+                 "--loss", "quadfam", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "8b3a7434b1d921fe"

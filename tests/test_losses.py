@@ -57,6 +57,10 @@ class TestValuesAndGradients:
             for spec in specs:
                 g = spec.gradient(0, x)
                 assert abs(g - fd(spec, 0, x)) <= 1e-5 * (1.0 + abs(g))
+                # and the curvature against differences of the gradient
+                k = float(spec.curvatures(np.array([0]), np.array([x]))[0])
+                fd2 = (spec.gradient(0, x + 1e-6) - spec.gradient(0, x - 1e-6)) / 2e-6
+                assert abs(k - fd2) <= 1e-5 * (1.0 + abs(k))
 
     def test_argument_smoothness_bound(self):
         rng = np.random.default_rng(1)
