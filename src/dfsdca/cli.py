@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -222,17 +221,16 @@ def _aggregate_csv(traces: list[Trace]) -> list[str]:
 def cmd_run(args) -> int:
     problem = _build_problem(args)
     reference = _load_reference(args.reference, problem) if args.reference else None
-    scheme = _build_scheme(args.sampling, problem, args.seed)
-    config = SolverConfig(theta=_theta_arg(args.theta), epochs=args.epochs,
-                          seed=args.seed)
-    traces = [run(problem, scheme, config, reference=reference)[1]]
-    # later seeds, one after another, each with a scheme of its own
-    for s in range(args.seed + 1, args.seed + (args.seeds or 1)):
-        sc = _build_scheme(args.sampling, problem, s)
-        traces.append(run(problem, sc, replace(config, seed=s), reference=reference)[1])
+    schemes, traces = [], []
+    for s in range(args.seed, args.seed + (args.seeds or 1)):
+        # serial-random:<c> draws its marginals from the seed
+        schemes.append(_build_scheme(args.sampling, problem, s))
+        config = SolverConfig(theta=_theta_arg(args.theta), epochs=args.epochs,
+                              seed=s)
+        traces.append(run(problem, schemes[-1], config, reference=reference)[1])
     body = _aggregate_csv(traces) if len(traces) > 1 else _trace_csv(traces[0])
 
-    lines = _metadata_lines(args, problem, scheme, traces[0].theta) + body
+    lines = _metadata_lines(args, problem, schemes[0], traces[0].theta) + body
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

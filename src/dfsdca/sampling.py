@@ -6,11 +6,11 @@ E[||sum_{i in S} A_i h_i||^2] <= sum_i p_i v_i h_i^2, and a hard cardinality
 cap. All built-in schemes use the cardinality bound v_i = max_card * ||A_i||^2,
 which is tight for singleton (serial) schemes.
 
-Draw methods consume a caller-owned numpy Generator. A scheme instance keeps
-a small internal permutation buffer, so concurrent draws need one scheme
-instance per thread. The tau-subset schemes take all tau swap targets of
-their partial Fisher-Yates shuffle from one bounded-integer call per draw,
-which consumes the generator exactly as tau scalar calls would.
+A scheme holds no state that a draw changes: every draw is a function of
+the caller-owned numpy Generator alone, so one instance serves any number
+of runs. The tau-subset schemes draw a uniform tau-subset of their units
+(examples or chunks) with one ``rng.choice`` call without replacement and
+return it sorted.
 """
 
 from __future__ import annotations
@@ -86,16 +86,6 @@ class SerialSampling(SamplingScheme):
         return [((i,), float(self.p[i])) for i in range(self.n)]
 
 
-def _partial_shuffle(perm: np.ndarray, tau: int, rng) -> np.ndarray:
-    """Partial Fisher-Yates on a persistent permutation, in place: swap
-    position j with a uniform k in [j, len(perm)) for j < tau, and return
-    the first tau entries sorted. O(tau) per draw."""
-    targets = rng.integers(np.arange(tau), perm.size).tolist()
-    for j, k in enumerate(targets):
-        perm[j], perm[k] = perm[k], perm[j]
-    return np.sort(perm[:tau])
-
-
 class TauNiceSampling(SamplingScheme):
     """Uniformly random subsets of a fixed size tau."""
 
@@ -106,10 +96,9 @@ class TauNiceSampling(SamplingScheme):
             raise ValueError(f"tau must be in [1, {n}], got {tau}")
         super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau * norms**2, tau)
         self.tau = int(tau)
-        self._perm = np.arange(n, dtype=np.int64)
 
     def draw(self, rng):
-        return _partial_shuffle(self._perm, self.tau, rng)
+        return np.sort(rng.choice(self.n, self.tau, replace=False, shuffle=False))
 
     def atoms(self, limit: int = ATOM_LIMIT):
         total = math.comb(self.n, self.tau)
@@ -156,14 +145,12 @@ class ChunkPartition:
         }
 
 
-def naive_chunks(u, literal_guard: bool = False) -> ChunkPartition:
+def naive_chunks(u) -> ChunkPartition:
     """Greedy one-pass partition of [n] into consecutive chunks.
 
     The capacity is m_cap = max(u). A chunk keeps absorbing the next
     coordinate while its running nnz sum stays within capacity, which makes
-    the chunk sums nearly equal. ``literal_guard`` switches the acceptance
-    test to compare the chunk's coordinate COUNT against the nnz capacity (a
-    unit mismatch kept only to demonstrate why the sum-based guard is used).
+    the chunk sums nearly equal.
     """
     n = len(u)
     if n == 0:
@@ -175,8 +162,7 @@ def naive_chunks(u, literal_guard: bool = False) -> ChunkPartition:
     s = [u[0]]
     for t in range(1, n):
         x = u[t]
-        load = g[-1] if literal_guard else s[-1]
-        if load + x <= m_cap:
+        if s[-1] + x <= m_cap:
             g[-1] += 1
             s[-1] += x
         else:
@@ -206,10 +192,10 @@ class ChunkedSampling(SamplingScheme):
         )
         self.tau = int(tau)
         self.partition = partition
-        self._perm = np.arange(k, dtype=np.int64)
 
     def draw_chunks(self, rng) -> np.ndarray:
-        return _partial_shuffle(self._perm, self.tau, rng)
+        k = self.partition.k
+        return np.sort(rng.choice(k, self.tau, replace=False, shuffle=False))
 
     def draw(self, rng):
         ids = self.draw_chunks(rng)

@@ -86,6 +86,23 @@ class TestReferenceSolution:
             reference_solution(logistic_problem(), tol=1e-30)
         assert info.value.grad_norm > 0
 
+    @pytest.mark.parametrize("lam", [1e-8, 1e-9])
+    def test_small_lam_keeps_best_iterate(self, lam):
+        # the lam * 1e-11 cap lies below the float resolution of grad P
+        # here, so the norm stalls above it while meeting the default tol
+        ds = gen_synthetic(1000, 100, 0.1, "linear-sign", 0)
+        prob = make_problem(ds, logistic_loss(ds.labels), lam)
+        ref = reference_solution(prob)
+        tol = 1e-12 * (1.0 + abs(primal_value(prob, np.zeros(ds.d))))
+        assert lam * 1e-11 < ref.grad_norm <= tol
+        assert ref.grad_norm == np.linalg.norm(primal_gradient(prob, ref.w))
+        assert ref.P_star == primal_value(prob, ref.w)
+        explicit = reference_solution(prob, tol=ref.grad_norm)
+        assert np.array_equal(explicit.w, ref.w)
+        with pytest.raises(ReferenceError) as info:
+            reference_solution(prob, tol=0.5 * ref.grad_norm)
+        assert info.value.grad_norm == ref.grad_norm
+
     def test_unbounded_objective_raises(self):
         # curvature -1 outweighs lam = 0.5, so P has no minimum and no step
         # along the Newton direction decreases it

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -175,15 +177,6 @@ class TestNaiveChunks:
             assert np.all(part.s <= part.m_cap)
             # chunks are consecutive and disjoint by construction
             assert np.all(np.diff(part.boundaries) == part.g)
-
-    def test_literal_guard_breaks_balance(self):
-        # counting coordinates against an nnz budget lets sums blow past
-        # the capacity, which is why the sum-based guard is the default
-        u = [10, 9, 9, 9]
-        literal = naive_chunks(u, literal_guard=True)
-        assert np.any(literal.s > literal.m_cap)
-        fixed = naive_chunks(u)
-        assert np.all(fixed.s <= fixed.m_cap)
 
     def test_one_pass_operation_count(self):
         u = CountingList(np.random.default_rng(0).integers(1, 9, 500).tolist())
@@ -386,56 +379,71 @@ class TestDeterminism:
             lambda: random_c_sampling(ds.norms, 3.0, 17),
         ]
         for build in builders:
+            sc = build()  # one instance serves both streams
             seqs = []
             for _ in range(2):
-                sc = build()
                 rng = np.random.default_rng(31)
                 seqs.append([sc.draw(rng).tolist() for _ in range(50)])
             assert seqs[0] == seqs[1]
 
-
-def scalar_partial_shuffle(perm, tau, rng):
-    """Reference draw: one scalar bounded-integer call per swap."""
-    for j in range(tau):
-        k = int(rng.integers(j, perm.size))
-        perm[j], perm[k] = perm[k], perm[j]
-    return np.sort(perm[:tau])
-
-
-class TestDrawStream:
-    """Each draw takes its tau swap targets from one vectorized call; the
-    subsets and the generator's stream match the scalar loop exactly."""
-
-    DRAWS = 120
-
-    @pytest.mark.parametrize("tau", [1, 9, 23])
-    def test_nice_matches_scalar_loop(self, tau):
-        n = 23
-        u = np.arange(1, n + 1) ** 2
-        sc = tau_nice(np.ones(n), tau)
-        got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
-        perm = np.arange(n)
-        for _ in range(self.DRAWS):
-            want = scalar_partial_shuffle(perm, tau, want_rng)
-            assert np.array_equal(sc.draw(got_rng), want)
-        for _ in range(self.DRAWS):
-            want = u[scalar_partial_shuffle(perm, tau, want_rng)]
-            assert np.array_equal(sc.sample_core_loads(got_rng, u), want)
-        assert got_rng.random() == want_rng.random()
-
-    @pytest.mark.parametrize("tau", [1, 3, None])
-    def test_chunked_matches_scalar_loop(self, tau):
-        ds = gen_synthetic(60, 20, 0.2, "skewed-nnz", 8)
+    def test_draws_write_no_attribute(self):
+        ds = gen_synthetic(20, 8, 0.5, "skewed-nnz", 2)
         part = naive_chunks(ds.nnz.tolist())
-        tau = tau or part.k
-        sc = chunked_sampling(ds.norms, part, tau)
-        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-        perm = np.arange(part.k)
-        for _ in range(self.DRAWS):
-            ids = scalar_partial_shuffle(perm, tau, want_rng)
-            want = np.concatenate([part.coords(j) for j in ids])
-            assert np.array_equal(sc.draw(got_rng), want)
-        for _ in range(self.DRAWS):
-            want = part.s[scalar_partial_shuffle(perm, tau, want_rng)]
-            assert np.array_equal(sc.sample_core_loads(got_rng, ds.nnz), want)
-        assert got_rng.random() == want_rng.random()
+        schemes = [
+            serial_uniform(ds.norms),
+            serial_weighted(ds.norms, np.full(20, 0.05)),
+            tau_nice(ds.norms, 4),
+            chunked_sampling(ds.norms, part, 2),
+        ]
+        rng = np.random.default_rng(4)
+        for sc in schemes:
+            before = pickle.dumps(sc)
+            for _ in range(20):
+                sc.draw(rng)
+                sc.sample_core_loads(rng, ds.nnz)
+                if hasattr(sc, "draw_chunks"):
+                    sc.draw_chunks(rng)
+            assert pickle.dumps(sc) == before
+
+
+def co_inclusion(sc, draws, seed):
+    """Empirical P(i in S and j in S) for every pair (i, j)."""
+    rng = np.random.default_rng(seed)
+    hits = np.zeros((draws, sc.n))
+    for r in range(draws):
+        hits[r, sc.draw(rng)] = 1.0
+    return hits.T @ hits / draws
+
+
+def assert_within_4_stderr(freq, q, draws):
+    assert np.all(np.abs(freq - q) <= 4 * np.sqrt(q * (1 - q) / draws))
+
+
+class TestCoInclusion:
+    """Pair frequencies pin the subset distribution that the ESO depends on,
+    which the marginals alone do not (a random contiguous block of tau
+    indices also has marginals tau/n)."""
+
+    DRAWS = 20_000
+
+    def test_tau_nice_pairs(self):
+        n, tau = 7, 3
+        freq = co_inclusion(tau_nice(np.ones(n), tau), self.DRAWS, 12)
+        off = ~np.eye(n, dtype=bool)
+        assert_within_4_stderr(freq[off], tau * (tau - 1) / (n * (n - 1)),
+                               self.DRAWS)
+        assert_within_4_stderr(np.diag(freq), tau / n, self.DRAWS)
+
+    def test_chunked_pairs(self):
+        part = naive_chunks([3, 1, 2, 3, 1, 1, 1, 3])
+        assert part.g.tolist() == [1, 2, 1, 3, 1]
+        k, tau = part.k, 3
+        freq = co_inclusion(chunked_sampling(np.ones(part.n), part, tau),
+                            self.DRAWS, 13)
+        chunk = np.repeat(np.arange(k), part.g)
+        same = chunk[:, None] == chunk[None, :]
+        off = ~np.eye(part.n, dtype=bool)
+        assert_within_4_stderr(freq[same & off], tau / k, self.DRAWS)
+        assert_within_4_stderr(freq[~same], tau * (tau - 1) / (k * (k - 1)),
+                               self.DRAWS)
+        assert_within_4_stderr(np.diag(freq), tau / k, self.DRAWS)

@@ -3,7 +3,12 @@ import pytest
 
 from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
 from dfsdca.losses import logistic_loss, quadratic_family, squared_loss
-from dfsdca.sampling import serial_uniform, tau_nice
+from dfsdca.sampling import (
+    chunked_sampling,
+    naive_chunks,
+    serial_uniform,
+    tau_nice,
+)
 from dfsdca.solver import (
     DivergenceError,
     SolverConfig,
@@ -148,14 +153,20 @@ class TestRun:
         st, _ = run(prob, sc, SolverConfig(theta=theta, epochs=100, seed=0))
         assert abs(st.w[0] - 1.0) <= 1e-6
 
-    def test_bitwise_deterministic(self):
+    @pytest.mark.parametrize("scheme", ["serial-uniform", "nice", "chunked"])
+    def test_bitwise_deterministic(self, scheme):
         prob = logistic_problem()
-        traces = []
-        for _ in range(2):
-            sc = serial_uniform(prob.dataset.norms)
-            _, tr = run(prob, sc, SolverConfig(epochs=5, seed=11))
-            traces.append(tr)
-        a, b = traces
+        norms = prob.dataset.norms
+        sc = {
+            "serial-uniform": lambda: serial_uniform(norms),
+            "nice": lambda: tau_nice(norms, 4),
+            "chunked": lambda: chunked_sampling(
+                norms, naive_chunks(prob.dataset.nnz.tolist()), 3),
+        }[scheme]()
+        # one instance serves both runs
+        sa, a = run(prob, sc, SolverConfig(epochs=5, seed=11))
+        sb, b = run(prob, sc, SolverConfig(epochs=5, seed=11))
+        assert np.array_equal(sa.w, sb.w) and np.array_equal(sa.alpha, sb.alpha)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert (ra.t, ra.epoch, ra.primal, ra.residual) == (
