@@ -5,7 +5,6 @@ that checks the method's convergence guarantees numerically."""
 from .dataset import (
     Dataset,
     ParseError,
-    SparseExample,
     gen_synthetic,
     normalize_max_norm,
     parse_libsvm,

@@ -24,6 +24,7 @@ from .diagnostics import (
     ALL_SUITES,
     ReferenceError,
     ReferenceSolution,
+    decay_envelope,
     reference_solution,
 )
 from .losses import build_nonconvex_instance, loss_from_kind
@@ -172,8 +173,8 @@ def _metadata_lines(args, problem, scheme, theta) -> list[str]:
 
 
 def _envelope(x0, theta, t):
-    """The rate envelope x0 * exp(-theta t); None without a reference."""
-    return None if x0 is None else x0 * np.exp(-theta * t)
+    """:func:`decay_envelope`, or None for a run without a reference."""
+    return None if x0 is None else decay_envelope(x0, theta, t)
 
 
 def _trace_csv(trace: Trace) -> list[str]:

@@ -7,14 +7,12 @@ kernel reads those arrays: full margins and combinations for objective
 values and gradients, and :meth:`Dataset.gather` for the solver's
 mini-batch step, which pulls the drawn rows' nonzeros in one pass.
 
-:class:`SparseExample` is the row type for building a dataset by hand;
-``Dataset(examples, labels)`` concatenates the rows into CSR, and
-``Dataset.examples`` rebuilds them from CSR slices on request.
+``Dataset(indptr, indices, data, labels, d)`` is the one constructor; the
+LIBSVM parser, the synthetic generators and the normalizers all build
+their CSR arrays and pass them in.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,65 +34,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
-class SparseExample:
-    """One sparse feature vector: 0-based strictly increasing indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        self.indices = _freeze(np.asarray(self.indices, dtype=np.int64))
-        self.values = _freeze(np.asarray(self.values, dtype=np.float64))
-        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
-            raise ValueError("indices and values must be 1-d and equally long")
-        if self.indices.size:
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise ValueError("index out of range for dim=%d" % self.dim)
-        if np.any(self.values == 0.0):
-            raise ValueError("explicit zero values are not canonical")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def dot(self, w: np.ndarray) -> float:
-        """Inner product with a dense vector, touching only the support."""
-        if self.indices.size == 0:
-            return 0.0
-        return float(np.dot(self.values, w[self.indices]))
-
-
 class Dataset:
     """n sparse rows of dimension d, stored as frozen CSR arrays, plus
-    per-row labels; norms and nnz counts are computed once."""
+    per-row labels; norms and nnz counts are computed once.
 
-    def __init__(self, examples, labels):
-        examples = list(examples)
-        if not examples:
-            raise ValueError("dataset must contain at least one example")
-        d = examples[0].dim
-        if any(ex.dim != d for ex in examples):
-            raise ValueError("all examples must share the same dimension")
-        self._init_csr(
-            np.cumsum([0] + [ex.nnz for ex in examples]),
-            np.concatenate([ex.indices for ex in examples]),
-            np.concatenate([ex.values for ex in examples]),
-            labels, d,
-        )
+    The arrays must be canonical: strictly increasing column indices in
+    [0, d) within each row and no explicit zeros."""
 
-    @classmethod
-    def from_csr(cls, indptr, indices, data, labels, d: int) -> "Dataset":
-        """A dataset over canonical CSR arrays: strictly increasing column
-        indices in [0, d) within each row and no explicit zeros."""
-        ds = cls.__new__(cls)
-        ds._init_csr(indptr, indices, data, labels, d)
-        return ds
-
-    def _init_csr(self, indptr, indices, data, labels, d):
+    def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
         self.labels = _freeze(np.asarray(labels, dtype=np.float64))
         if self.labels.shape != (n,):
@@ -121,18 +68,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.labels.size
-
-    @property
-    def examples(self) -> list[SparseExample]:
-        """The rows as :class:`SparseExample` objects, built from CSR."""
-        return [
-            SparseExample(self.indices[lo:hi], self.data[lo:hi], self.d)
-            for lo, hi in zip(self.indptr[:-1], self.indptr[1:])
-        ]
-
-    def margin(self, i: int, w: np.ndarray) -> float:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return float(np.dot(self.data[lo:hi], w[self.indices[lo:hi]]))
 
     def margins(self, w: np.ndarray) -> np.ndarray:
         """All inner products A_i^T w at once (CSR matvec)."""
@@ -229,7 +164,7 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
             f"n_features={n_features} smaller than max index {max_index}"
         )
     d = max(d, 1)
-    return Dataset.from_csr(
+    return Dataset(
         np.array(indptr, dtype=np.int64), np.array(idx, dtype=np.int64),
         np.array(val, dtype=np.float64), labels, d,
     )
@@ -273,7 +208,7 @@ def normalize_per_example(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
 
 
 def _rescaled(dataset: Dataset, data: np.ndarray) -> Dataset:
-    return Dataset.from_csr(
+    return Dataset(
         dataset.indptr, dataset.indices, data, dataset.labels, dataset.d
     )
 
@@ -328,7 +263,7 @@ def gen_synthetic(
         labels = margins + 0.1 * rng.standard_normal(n)
     else:
         labels = np.where(margins >= 0.0, 1.0, -1.0)
-    return Dataset.from_csr(
+    return Dataset(
         np.concatenate(([0], np.cumsum(counts))),
         np.concatenate([idx for idx, _ in rows]),
         np.concatenate([val for _, val in rows]),

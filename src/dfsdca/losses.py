@@ -183,5 +183,5 @@ def build_nonconvex_instance(n: int, d: int, seed: int) -> tuple[Dataset, LossSp
         axes[-1] = (n // 2) % d
         c[-1] = rng.uniform(0.5, 1.5)
     b = rng.standard_normal(n)
-    dataset = Dataset.from_csr(np.arange(n + 1), axes, scales, np.zeros(n), d)
+    dataset = Dataset(np.arange(n + 1), axes, scales, np.zeros(n), d)
     return dataset, quadratic_family(c, b)

@@ -294,10 +294,6 @@ class EsoReport:
     def max_ratio(self) -> float:
         return float(np.max(self.ratios))
 
-    @property
-    def stderr_at_max(self) -> float:
-        return float(self.stderrs[int(np.argmax(self.ratios))])
-
 
 def validate_eso(
     scheme: SamplingScheme,

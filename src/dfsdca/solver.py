@@ -9,7 +9,6 @@ matching sparse correction to w so the tie-in survives the update.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -228,7 +227,6 @@ def run(
     scheme: SamplingScheme,
     config: SolverConfig,
     reference=None,
-    alpha0=None,
 ) -> tuple[SolverState, Trace]:
     """Run for epochs * n / E|S| iterations, tracing periodically.
 
@@ -247,7 +245,7 @@ def run(
         else max(1, round(n / e_size))
     )
     rng = np.random.default_rng(config.seed)
-    state = init_state(problem, alpha0)
+    state = init_state(problem)
     trace = Trace(theta=theta, expected_size=e_size, records=[])
 
     def record():
@@ -281,30 +279,3 @@ def run(
                     "or average loss not convex"
                 )
     return state, trace
-
-
-def save_state(state: SolverState, path) -> None:
-    """Snapshot (w, alpha, t, grad_evals) as JSON for later resumption."""
-    payload = {
-        "t": state.t,
-        "grad_evals": state.grad_evals,
-        "w": state.w.tolist(),
-        "alpha": state.alpha.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_state(path) -> SolverState:
-    """Read a :func:`save_state` snapshot; files without ``grad_evals``
-    load with a zero count."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    w = np.array(payload["w"], dtype=np.float64)
-    alpha = np.array(payload["alpha"], dtype=np.float64)
-    if w.ndim != 1 or alpha.ndim != 1:
-        raise ValueError(
-            f"state file {path}: w and alpha must be 1-d, got shapes "
-            f"{w.shape} and {alpha.shape}"
-        )
-    return SolverState(w, alpha, int(payload["t"]), int(payload.get("grad_evals", 0)))

@@ -1,0 +1,20 @@
+"""Hand-written rows for tests: build a CSR dataset from ``(indices,
+values)`` pairs, and read a row back as its CSR slices."""
+
+import numpy as np
+
+from dfsdca.dataset import Dataset
+
+
+def from_rows(rows, labels, d: int) -> Dataset:
+    """The dataset whose row i has nonzeros ``values`` at ``indices``."""
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
+    indices = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in rows])
+    data = np.concatenate([np.asarray(val, dtype=np.float64) for _, val in rows])
+    return Dataset(indptr, indices, data, labels, d)
+
+
+def row(ds: Dataset, i: int):
+    """Row i as ``(indices, values)`` views into the CSR arrays."""
+    lo, hi = ds.indptr[i], ds.indptr[i + 1]
+    return ds.indices[lo:hi], ds.data[lo:hi]

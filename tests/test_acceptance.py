@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
+from dfsdca.dataset import gen_synthetic
 from dfsdca.diagnostics import (
     convergence_report,
     random_relation_state,
@@ -50,6 +50,8 @@ from dfsdca.solver import (
     theta_nonconvex,
 )
 
+from csr_rows import from_rows
+
 
 @contextmanager
 def criterion(num, desc):
@@ -62,10 +64,7 @@ def criterion(num, desc):
 
 
 def ridge_problem():
-    ds = Dataset(
-        [SparseExample(np.array([0]), np.array([1.0]), 1) for _ in range(2)],
-        np.array([1.0, 3.0]),
-    )
+    ds = from_rows([([0], [1.0])] * 2, [1.0, 3.0], 1)
     return make_problem(ds, squared_loss(ds.labels), 1.0)
 
 
@@ -255,8 +254,7 @@ def test_criterion_07_eso_certificate():
                 rep = validate_eso(sc, ds, trials=3,
                                    seed=int(rng.integers(0, 2**31)))
                 assert np.all(rep.ratios <= 1.0 + 3.0 * rep.stderrs + 1e-12), sc.name
-        base = SparseExample(np.arange(4), np.ones(4), 4)
-        corr = Dataset([base] * 6, np.ones(6))
+        corr = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
         sc = tau_nice(corr.norms, 3)
         sc.v = corr.norms**2 / 3.0
         assert validate_eso(sc, corr, trials=5, seed=0).max_ratio > 1.0

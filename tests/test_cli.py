@@ -124,8 +124,26 @@ class TestRun:
         assert main([
             "run", "--synthetic", "20,4,0.5,linear-sign", "--loss", "logistic",
             "--lambda", "1e-9", "--theta", "0.05", "--epochs", "2000",
-        ]) in (0, 3)  # tiny lam may or may not diverge; just must not crash
-        capsys.readouterr()
+        ]) == 3
+        assert "at iteration 20:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["auto-convex", "1", "1.0000000000001"])
+    def test_unit_theta_envelope(self, tmp_path, theta):
+        # one label-only row: v_1 = 0 and p_1 = 1, so auto-convex gives
+        # theta = 1; the guard's rounding slack admits a little more
+        data, ref, out = (tmp_path / f for f in ("one.libsvm", "ref.json", "t.csv"))
+        data.write_text("+1\n")
+        assert main(["reference", "--data", str(data), "--out", str(ref)]) == 0
+        assert main(["run", "--data", str(data), "--theta", theta, "--epochs", "3",
+                     "--reference", str(ref), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        e0 = float(rows[0]["E"])
+        assert e0 > 0.0
+        expect = 1.0 if theta == "auto-convex" else float(theta)
+        for row in rows:
+            assert float(row["theta"]) == expect
+            assert float(row["envelope_E"]) == pytest.approx(
+                e0 * np.exp(-expect * int(row["t"])), rel=1e-15)
 
     @pytest.mark.parametrize("descriptor", [
         "serial-importance", "serial-random:3", "nice:5", "chunked:2",

@@ -7,7 +7,6 @@ import pytest
 from dfsdca.dataset import (
     Dataset,
     ParseError,
-    SparseExample,
     gen_synthetic,
     normalize_max_norm,
     normalize_per_example,
@@ -15,13 +14,13 @@ from dfsdca.dataset import (
     serialize_libsvm,
 )
 
+from csr_rows import from_rows, row
+
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if a.n != b.n or a.d != b.d or not np.array_equal(a.labels, b.labels):
-        return False
-    return all(
-        np.array_equal(x.indices, y.indices) and np.array_equal(x.values, y.values)
-        for x, y in zip(a.examples, b.examples)
+    return a.d == b.d and all(
+        np.array_equal(getattr(a, k), getattr(b, k))
+        for k in ("labels", "indptr", "indices", "data")
     )
 
 
@@ -31,8 +30,8 @@ class TestParse:
         assert ds.n == 2 and ds.d == 3
         assert ds.nnz.tolist() == [2, 1]
         assert ds.labels.tolist() == [1.0, -1.0]
-        assert ds.examples[0].indices.tolist() == [0, 2]
-        assert ds.examples[1].values.tolist() == [1.0]
+        assert row(ds, 0)[0].tolist() == [0, 2]
+        assert row(ds, 1)[1].tolist() == [1.0]
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="empty"):
@@ -55,11 +54,11 @@ class TestParse:
     def test_comments_and_whitespace(self):
         ds = parse_libsvm("  +1   1:0.5 \t 2:1  # trailing\n# full comment\n\n-1 1:2")
         assert ds.n == 2
-        assert ds.examples[0].values.tolist() == [0.5, 1.0]
+        assert row(ds, 0)[1].tolist() == [0.5, 1.0]
 
     def test_explicit_zero_dropped(self):
         ds = parse_libsvm("+1 1:0 2:3")
-        assert ds.examples[0].indices.tolist() == [1]
+        assert row(ds, 0)[0].tolist() == [1]
         assert ds.d == 2
 
     def test_dimension_override(self):
@@ -86,23 +85,21 @@ class TestParse:
 
 class TestNorms:
     def test_three_four_five(self):
-        ex = SparseExample(np.array([0, 2]), np.array([3.0, 4.0]), 3)
-        ds = Dataset([ex], np.array([1.0]))
+        ds = from_rows([([0, 2], [3.0, 4.0])], [1.0], 3)
         assert ds.norms[0] == 5.0
         assert ds.nnz[0] == 2
 
     def test_empty_example(self):
-        ds = Dataset([SparseExample(np.array([]), np.array([]), 2)], [0.0])
+        ds = from_rows([([], [])], [0.0], 2)
         assert ds.norms[0] == 0.0 and ds.nnz[0] == 0
 
     def test_left_to_right_sum(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(257)
-        ex = SparseExample(np.arange(257), vals, 257)
         acc = 0.0
         for v in vals:
             acc += float(v) * float(v)
-        assert Dataset([ex], [0.0]).norms[0] == math.sqrt(acc)
+        assert from_rows([(np.arange(257), vals)], [0.0], 257).norms[0] == math.sqrt(acc)
 
     @pytest.mark.skipif(
         not os.path.exists(os.environ.get("DFSDCA_W8A", "/nonexistent")),
@@ -116,13 +113,7 @@ class TestNorms:
 
 class TestNormalize:
     def _two(self, n1, n2):
-        return Dataset(
-            [
-                SparseExample(np.array([0]), np.array([n1]), 2),
-                SparseExample(np.array([1]), np.array([n2]), 2),
-            ],
-            np.array([1.0, -1.0]),
-        )
+        return from_rows([([0], [n1]), ([1], [n2])], [1.0, -1.0], 2)
 
     def test_scales_by_max(self):
         scaled, scale = normalize_max_norm(self._two(2.0, 1.0))
@@ -135,10 +126,7 @@ class TestNormalize:
         assert np.array_equal(scaled.norms, [1.0, 1.0])
 
     def test_all_zero_errors(self):
-        ds = Dataset(
-            [SparseExample(np.array([]), np.array([]), 2)] * 2,
-            np.array([1.0, 1.0]),
-        )
+        ds = from_rows([([], [])] * 2, [1.0, 1.0], 2)
         with pytest.raises(ValueError, match="zero norm"):
             normalize_max_norm(ds)
         with pytest.raises(ValueError, match="zero norm"):
@@ -191,24 +179,17 @@ class TestSynthetic:
 class TestInvariants:
     def test_strictly_increasing_enforced(self):
         with pytest.raises(ValueError, match="increasing"):
-            SparseExample(np.array([1, 1]), np.array([1.0, 2.0]), 3)
+            Dataset([0, 2], [1, 1], [1.0, 2.0], [0.0], 3)
         with pytest.raises(ValueError, match="range"):
-            SparseExample(np.array([3]), np.array([1.0]), 3)
+            Dataset([0, 1], [3], [1.0], [0.0], 3)
 
     def test_no_explicit_zeros(self):
         with pytest.raises(ValueError, match="zero"):
-            SparseExample(np.array([0]), np.array([0.0]), 1)
+            Dataset([0, 1], [0], [0.0], [0.0], 3)
 
     def test_labels_length(self):
-        ex = SparseExample(np.array([0]), np.array([1.0]), 1)
         with pytest.raises(ValueError, match="labels"):
-            Dataset([ex], np.array([1.0, 2.0]))
-
-    def test_mixed_dims_rejected(self):
-        a = SparseExample(np.array([0]), np.array([1.0]), 2)
-        b = SparseExample(np.array([0]), np.array([1.0]), 3)
-        with pytest.raises(ValueError, match="dimension"):
-            Dataset([a, b], np.array([1.0, 1.0]))
+            Dataset([0, 1], [0], [1.0], [1.0, 2.0], 1)
 
     @pytest.mark.parametrize("indptr,indices,data,match", [
         ([0, 2], [1, 1], [1.0, 2.0], "increasing"),
@@ -221,17 +202,4 @@ class TestInvariants:
     def test_from_csr_rejects_non_canonical(self, indptr, indices, data, match):
         labels = np.zeros(len(indptr) - 1)
         with pytest.raises(ValueError, match=match):
-            Dataset.from_csr(np.array(indptr), np.array(indices), np.array(data),
-                             labels, 3)
-
-    def test_from_csr_equals_rows(self):
-        rows = Dataset(
-            [SparseExample([0, 2], [1.0, -2.0], 3), SparseExample([], [], 3),
-             SparseExample([1], [0.5], 3)],
-            [1.0, -1.0, 1.0],
-        )
-        arrays = Dataset.from_csr([0, 2, 2, 3], [0, 2, 1], [1.0, -2.0, 0.5],
-                                  [1.0, -1.0, 1.0], 3)
-        assert datasets_equal(rows, arrays)
-        assert np.array_equal(rows.norms, arrays.norms)
-        assert np.array_equal(rows.nnz, arrays.nnz)
+            Dataset(np.array(indptr), np.array(indices), np.array(data), labels, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
+from dfsdca.dataset import gen_synthetic
 from dfsdca.diagnostics import (
     ReferenceError,
     convergence_report,
@@ -43,12 +43,11 @@ from dfsdca.solver import (
     theta_convex,
 )
 
+from csr_rows import from_rows
+
 
 def ridge_problem():
-    ds = Dataset(
-        [SparseExample(np.array([0]), np.array([1.0]), 1) for _ in range(2)],
-        np.array([1.0, 3.0]),
-    )
+    ds = from_rows([([0], [1.0])] * 2, [1.0, 3.0], 1)
     return make_problem(ds, squared_loss(ds.labels), 1.0)
 
 
@@ -106,7 +105,7 @@ class TestReferenceSolution:
     def test_unbounded_objective_raises(self):
         # curvature -1 outweighs lam = 0.5, so P has no minimum and no step
         # along the Newton direction decreases it
-        ds = Dataset([SparseExample(np.array([0]), np.array([1.0]), 1)], [0.0])
+        ds = from_rows([([0], [1.0])], [0.0], 1)
         prob = make_problem(ds, quadratic_family([-1.0], [1.0]), 0.5)
         with pytest.raises(ReferenceError):
             reference_solution(prob)
@@ -138,7 +137,7 @@ class TestPotentials:
     def test_unit_offsets_hand_value(self):
         # n=1, lam=1, l=1, L=1, w-w* = 1, alpha-alpha* = 1:
         # B=1, C=[1], D = 1/2 + 1/2 = 1, E = 1
-        ds = Dataset([SparseExample(np.array([0]), np.array([1.0]), 1)], [0.5])
+        ds = from_rows([([0], [1.0])], [0.5], 1)
         prob = make_problem(ds, squared_loss(ds.labels), 1.0)
         ref = reference_solution(prob)
         st = SolverState(ref.w + 1.0, ref.alpha + 1.0)
@@ -168,6 +167,7 @@ class TestEnvelope:
         assert decay_envelope(2.0, 1 / 3, 3) == pytest.approx(2.0 / math.e, rel=1e-15)
 
     def test_validation(self):
+        assert decay_envelope(2.0, 1.0, 3) == pytest.approx(2.0 * math.exp(-3.0), rel=1e-15)
         with pytest.raises(ValueError):
             decay_envelope(1.0, 1.5, 2)
         with pytest.raises(ValueError):
@@ -224,10 +224,7 @@ class TestLemma1:
     def test_primal_bound_serial_is_tight(self):
         # singleton schemes make the overapproximation an equality, so the
         # slack collapses to rounding noise
-        ds = Dataset(
-            [SparseExample(np.array([0]), np.array([1.0]), 1) for _ in range(3)],
-            np.array([1.0, -1.0, 1.0]),
-        )
+        ds = from_rows([([0], [1.0])] * 3, [1.0, -1.0, 1.0], 1)
         prob = make_problem(ds, logistic_loss(ds.labels), 1.0)
         ref = reference_solution(prob)
         rng = np.random.default_rng(2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
+from dfsdca.dataset import gen_synthetic
 from dfsdca.diagnostics import reference_solution
 from dfsdca.losses import logistic_loss, squared_loss
 from dfsdca.sampling import chunked_sampling, naive_chunks, serial_uniform, tau_nice
@@ -18,6 +18,8 @@ from dfsdca.solver import (
     step,
 )
 
+from csr_rows import from_rows, row
+
 # Only the margins' summation order differs from the reference loop, so
 # the iterates agree to a few float64 roundings.
 RTOL = 1e-13
@@ -29,13 +31,13 @@ def reference_step(problem, state, subset, p, theta):
     drawn example, in subset order."""
     ds, loss = problem.dataset, problem.loss
     w, alpha = state.w, state.alpha
-    margins = np.array([ds.examples[i].dot(w) for i in subset])
+    rows = [row(ds, i) for i in subset]
+    margins = np.array([np.dot(val, w[idx]) for idx, val in rows])
     delta = loss.gradients(subset, margins) + alpha[subset]
     alpha[subset] -= theta / p[subset] * delta
     coef = delta * theta / (ds.n * problem.lam * p[subset])
-    for j, i in enumerate(subset):
-        ex = ds.examples[i]
-        w[ex.indices] -= coef[j] * ex.values
+    for j, (idx, val) in enumerate(rows):
+        w[idx] -= coef[j] * val
     state.t += 1
     state.grad_evals += len(subset)
     return state
@@ -44,11 +46,10 @@ def reference_step(problem, state, subset, p, theta):
 def awkward_dataset():
     """Skewed rows plus an empty (label-only) row and two duplicated rows."""
     base = gen_synthetic(30, 12, 0.3, "skewed-nnz", 4)
-    dup = base.examples[3]
-    examples = base.examples[:10] + [SparseExample([], [], 12), dup, dup] \
-        + base.examples[10:]
+    rows = [row(base, i) for i in range(base.n)]
+    rows[10:10] = [([], []), rows[3], rows[3]]
     labels = np.concatenate([base.labels[:10], [1.0, -1.0, 1.0], base.labels[10:]])
-    return Dataset(examples, labels)
+    return from_rows(rows, labels, 12)
 
 
 def schemes(ds):

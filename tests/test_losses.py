@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
+from dfsdca.dataset import gen_synthetic
 from dfsdca.losses import (
     average_curvature_matrix,
     build_nonconvex_instance,
@@ -13,6 +13,8 @@ from dfsdca.losses import (
     smoothness_constants,
     squared_loss,
 )
+
+from csr_rows import from_rows, row
 
 
 def fd(spec, i, x, h=1e-6):
@@ -78,25 +80,17 @@ class TestValuesAndGradients:
 
 class TestSmoothnessConstants:
     def test_logistic_norm_two(self):
-        ds = Dataset(
-            [SparseExample(np.array([0]), np.array([2.0]), 1)], [1.0]
-        )
+        ds = from_rows([([0], [2.0])], [1.0], 1)
         sm = smoothness_constants(logistic_loss(ds.labels), ds)
         assert sm.l[0] == 0.25 and sm.L_per[0] == 0.5 and sm.L == 0.5
 
     def test_squared_unit_norms(self):
-        ds = Dataset(
-            [SparseExample(np.array([i]), np.array([1.0]), 3) for i in range(3)],
-            [0.0, 0.0, 0.0],
-        )
+        ds = from_rows([([i], [1.0]) for i in range(3)], [0.0, 0.0, 0.0], 3)
         sm = smoothness_constants(squared_loss(ds.labels), ds)
         assert sm.L == 1.0
 
     def test_quadfam_absolute_curvature(self):
-        ds = Dataset(
-            [SparseExample(np.array([i]), np.array([1.0]), 2) for i in range(2)],
-            [0.0, 0.0],
-        )
+        ds = from_rows([([i], [1.0]) for i in range(2)], [0.0, 0.0], 2)
         sm = smoothness_constants(quadratic_family([-1.0, 3.0], [0.0, 0.0]), ds)
         assert sm.l.tolist() == [1.0, 3.0]
         assert sm.L == 3.0
@@ -120,9 +114,10 @@ class TestSmoothnessConstants:
         for _ in range(100):
             w, z = rng.standard_normal((2, ds.d))
             for i in range(ds.n):
+                idx, val = row(ds, i)
                 lhs = abs(
-                    loss.gradient(i, ds.margin(i, w))
-                    - loss.gradient(i, ds.margin(i, z))
+                    loss.gradient(i, np.dot(val, w[idx]))
+                    - loss.gradient(i, np.dot(val, z[idx]))
                 )
                 assert lhs <= sm.L_per[i] * np.linalg.norm(w - z) + 1e-12
 
@@ -130,10 +125,7 @@ class TestSmoothnessConstants:
 class TestNonconvexInstance:
     def test_one_dimensional_average(self):
         # two collinear examples, curvatures -1 and 3: average is 1 > 0
-        ds = Dataset(
-            [SparseExample(np.array([0]), np.array([1.0]), 1) for _ in range(2)],
-            [0.0, 0.0],
-        )
+        ds = from_rows([([0], [1.0])] * 2, [0.0, 0.0], 1)
         H = average_curvature_matrix(ds, np.array([-1.0, 3.0]))
         assert H.shape == (1, 1) and abs(H[0, 0] - 1.0) < 1e-15
 
@@ -142,8 +134,9 @@ class TestNonconvexInstance:
 
         def loop(c):
             H = np.zeros((ds.d, ds.d))
-            for ci, ex in zip(c, ds.examples):
-                H[np.ix_(ex.indices, ex.indices)] += ci * np.outer(ex.values, ex.values)
+            for i, ci in enumerate(c):
+                idx, val = row(ds, i)
+                H[np.ix_(idx, idx)] += ci * np.outer(val, val)
             return H / ds.n
 
         # unit curvatures: the same products summed in the same order
@@ -158,13 +151,7 @@ class TestNonconvexInstance:
 
     def test_orthogonal_layout_not_psd(self):
         # A_1 = e_1, A_2 = e_2 with c = (-1, 3): Hessian diag(-1/2, 3/2)
-        ds = Dataset(
-            [
-                SparseExample(np.array([0]), np.array([1.0]), 2),
-                SparseExample(np.array([1]), np.array([1.0]), 2),
-            ],
-            [0.0, 0.0],
-        )
+        ds = from_rows([([0], [1.0]), ([1], [1.0])], [0.0, 0.0], 2)
         assert min_curvature_eig(ds, np.array([-1.0, 3.0])) < -1e-6
 
     @pytest.mark.parametrize("n,d", [(2, 1), (5, 3), (100, 20), (7, 10)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
+from dfsdca.dataset import gen_synthetic
 from dfsdca.sampling import (
     chunked_sampling,
     importance_probabilities,
@@ -16,6 +16,8 @@ from dfsdca.sampling import (
     validate_eso,
     waiting_time,
 )
+
+from csr_rows import from_rows, row
 
 DRAWS = 100_000
 
@@ -292,8 +294,7 @@ class TestEso:
         assert np.array_equal(rep.stderrs, stderrs)
 
     def test_undersized_v_detected(self):
-        base = SparseExample(np.arange(4), np.ones(4), 4)
-        ds = Dataset([base] * 6, np.ones(6))
+        ds = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
         sc = tau_nice(ds.norms, 3)
         sc.v = ds.norms**2 / 3.0
         rep = validate_eso(sc, ds, trials=5, seed=9)
@@ -305,12 +306,12 @@ def reference_eso(scheme, ds, trials, seed, mc_draws, atom_limit):
     per-example loop."""
     rng = np.random.default_rng(seed)
     atoms = scheme.atoms(atom_limit)
-    examples = ds.examples
 
     def agg(subset, h):
         z = np.zeros(ds.d)
         for i in subset:
-            z[examples[i].indices] += examples[i].values * h[i]
+            idx, val = row(ds, i)
+            z[idx] += val * h[i]
         return float(np.dot(z, z))
 
     ratios, stderrs = np.empty(trials), np.zeros(trials)

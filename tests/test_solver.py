@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfsdca.dataset import Dataset, SparseExample, gen_synthetic
+from dfsdca.dataset import gen_synthetic
 from dfsdca.losses import logistic_loss, quadratic_family, squared_loss
 from dfsdca.sampling import (
     chunked_sampling,
@@ -14,18 +14,18 @@ from dfsdca.solver import (
     SolverConfig,
     SolverState,
     init_state,
-    load_state,
     make_problem,
     primal_gradient,
     primal_value,
     relation_residual,
     resolve_theta,
     run,
-    save_state,
     step,
     theta_convex,
     theta_nonconvex,
 )
+
+from csr_rows import from_rows, row
 
 
 def ridge_problem():
@@ -33,10 +33,7 @@ def ridge_problem():
 
     Normal equations give w* = (sum a_i b_i / n) / (sum a_i^2 / n + lam) = 1.
     """
-    ds = Dataset(
-        [SparseExample(np.array([0]), np.array([1.0]), 1) for _ in range(2)],
-        np.array([1.0, 3.0]),
-    )
+    ds = from_rows([([0], [1.0])] * 2, [1.0, 3.0], 1)
     return make_problem(ds, squared_loss(ds.labels), 1.0)
 
 
@@ -90,7 +87,7 @@ class TestInitState:
 
     def test_single_example_identity(self):
         lam = 0.7
-        ds = Dataset([SparseExample(np.array([0]), np.array([1.0]), 3)], [0.0])
+        ds = from_rows([([0], [1.0])], [0.0], 3)
         prob = make_problem(ds, squared_loss(ds.labels), lam)
         st = init_state(prob, [lam])
         assert np.allclose(st.w, [1.0, 0.0, 0.0], atol=1e-15)
@@ -130,9 +127,9 @@ class TestStep:
         g0 = prob.loss.gradient(i, 0.0)
         expect_alpha = -theta / sc.p[i] * g0
         assert st.alpha[i] == pytest.approx(expect_alpha, rel=1e-15)
-        ex = prob.dataset.examples[i]
+        idx, val = row(prob.dataset, i)
         expect_w = np.zeros(prob.dataset.d)
-        expect_w[ex.indices] = -theta / (5 * prob.lam * sc.p[i]) * g0 * ex.values
+        expect_w[idx] = -theta / (5 * prob.lam * sc.p[i]) * g0 * val
         assert np.allclose(st.w, expect_w, rtol=1e-15, atol=0)
         assert st.t == 1 and st.grad_evals == 1
 
@@ -192,14 +189,11 @@ class TestRun:
 
     def test_divergence_guard(self):
         # concave composed loss: the average-convexity precondition fails
-        ds = Dataset(
-            [SparseExample(np.array([0]), np.array([1.0]), 1) for _ in range(2)],
-            np.zeros(2),
-        )
+        ds = from_rows([([0], [1.0])] * 2, np.zeros(2), 1)
         loss = quadratic_family([-5.0, -5.0], [1.0, -2.0])
         prob = make_problem(ds, loss, 0.1)
         sc = serial_uniform(ds.norms)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="at iteration"):
             run(prob, sc, SolverConfig(theta="auto-convex", epochs=400, seed=0))
 
     @staticmethod
@@ -287,29 +281,3 @@ class TestConfigAndState:
     def test_epochs_validated(self):
         with pytest.raises(ValueError):
             SolverConfig(epochs=0)
-
-    def test_snapshot_round_trip(self, tmp_path):
-        prob = logistic_problem()
-        sc = serial_uniform(prob.dataset.norms)
-        st, _ = run(prob, sc, SolverConfig(epochs=2, seed=1))
-        path = tmp_path / "state.json"
-        save_state(st, path)
-        back = load_state(path)
-        assert back.t == st.t
-        assert back.grad_evals == st.grad_evals == 2 * prob.dataset.n
-        assert np.array_equal(back.w, st.w)
-        assert np.array_equal(back.alpha, st.alpha)
-
-    def test_snapshot_without_grad_evals_and_bad_shapes(self, tmp_path):
-        import json
-
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"t": 3, "w": [1.0], "alpha": [2.0, 3.0]}))
-        back = load_state(path)
-        assert (back.t, back.grad_evals) == (3, 0)
-        path.write_text(json.dumps({"t": 3, "w": [[1.0]], "alpha": [2.0]}))
-        with pytest.raises(ValueError, match="1-d"):
-            load_state(path)
-        path.write_text(json.dumps({"t": 3, "w": [1.0], "alpha": 2.0}))
-        with pytest.raises(ValueError, match="1-d"):
-            load_state(path)
