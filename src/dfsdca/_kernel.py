@@ -1,0 +1,214 @@
+"""Build, load and call the compiled step kernel in ``_kernel.c``.
+
+The shared library is built on first use with gcc and cached as
+``_kernel-<key>.so``, where the key is the sha256 of the C source and the
+compiler flags. So an edited source gets a new cache entry, and a stale
+library is never loaded. The cache is this package's ``__pycache__``
+directory or, where that cannot be written (an install into a read-only
+site-packages), ``~/.cache/dfsdca``. The library is written
+to a temporary file first and moved into place, so a concurrent or
+interrupted build never leaves a partial file under the final name.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .losses import KINDS, QUADFAM
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE = Path(__file__).with_name("__pycache__")
+#: no fused multiply-adds: they would change the iterates' rounding
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# return codes of dfsdca_steps
+OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 1, 2, 3, 4, 5
+
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
+
+#: the loaded ``dfsdca_steps`` function, once the first Kernel needs it
+_steps_c = None
+
+
+class KernelBuildError(RuntimeError):
+    """The step kernel could not be compiled or loaded."""
+
+
+def _compiler() -> str | None:
+    return shutil.which("gcc")
+
+
+def _user_cache() -> Path:
+    """The per-user cache directory, used when the package's own cannot
+    be written."""
+    return Path(os.path.expanduser("~/.cache/dfsdca"))
+
+
+def build(source: Path, *caches: Path) -> Path:
+    """Path of the compiled kernel for ``source``: the entry for the same
+    source and flags in the first of ``caches`` that holds one, or else a
+    new one compiled into the first of them that can be written."""
+    text = Path(source).read_bytes()
+    key = hashlib.sha256(text + "\0".join(FLAGS).encode()).hexdigest()[:20]
+    name = f"_kernel-{key}.so"
+    for cache in caches:
+        if (Path(cache) / name).is_file():
+            return Path(cache) / name
+    gcc = _compiler()
+    if gcc is None:
+        raise KernelBuildError(
+            "the dfsdca step kernel is compiled on first use and needs gcc, "
+            "but no gcc was found on PATH"
+        )
+    errors = []
+    for cache in caches:
+        target = Path(cache) / name
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".", suffix=".so")
+            break
+        except OSError as exc:
+            errors.append(f"{cache}: {exc}")
+    else:
+        raise KernelBuildError(
+            "cannot write the step kernel to any cache directory: " + "; ".join(errors)
+        )
+    os.close(fd)
+    try:
+        # compile the bytes that were hashed, not whatever the file holds now
+        proc = subprocess.run(
+            [gcc, *FLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+            input=text, capture_output=True,
+        )
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"gcc failed to build {source}:\n"
+                + proc.stderr.decode(errors="replace")
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load():
+    global _steps_c
+    if _steps_c is None:
+        path = build(SOURCE, CACHE, _user_cache())
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError as exc:
+            raise KernelBuildError(f"cannot load {path}: {exc}") from exc
+        fn = lib.dfsdca_steps
+        vp, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        fn.argtypes = [
+            ctypes.c_int, vp, vp, vp, i64, ctypes.c_int, vp, vp, vp, vp,
+            dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, ctypes.POINTER(i64),
+        ]
+        fn.restype = ctypes.c_int
+        _steps_c = fn
+    return _steps_c
+
+
+def _check(name: str, a, dtype, size: int | None = None, write: bool = False):
+    if (
+        not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != 1
+        or not a.flags.c_contiguous or (size is not None and a.size != size)
+        or (write and not a.flags.writeable)
+    ):
+        want = f"{'writeable ' if write else ''}C-contiguous 1-d {dtype}"
+        if size is not None:
+            want += f" array of length {size}"
+        got = (f"{a.dtype} shape {a.shape}" if isinstance(a, np.ndarray)
+               else type(a).__name__)
+        raise ValueError(f"step kernel: {name} must be a {want}, got {got}")
+
+
+class Kernel:
+    """The compiled step kernel bound to one problem's CSR arrays and loss
+    parameters, which it keeps alive and points at for every call.
+
+    The CSR index arrays may be int32 or int64, but both the same width.
+    Every array is checked for dtype, shape and C-contiguity before its
+    pointer reaches C.
+    """
+
+    def __init__(self, dataset, loss):
+        indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
+        width = getattr(indptr, "dtype", None)
+        if width not in (_I32, _I64):
+            raise ValueError(
+                f"step kernel: CSR index arrays must be int32 or int64, got {width}"
+            )
+        n = indptr.size - 1
+        _check("indptr", indptr, width)
+        _check("indices", indices, width)
+        _check("data", data, _F64, indices.size)
+        if (indptr[0] != 0 or indptr[-1] != indices.size
+                or np.any(indptr[1:] < indptr[:-1])):
+            raise ValueError("step kernel: indptr does not delimit the rows")
+        if indices.size and (indices.min() < 0 or indices.max() >= dataset.d):
+            raise ValueError(f"step kernel: CSR index outside [0, d={dataset.d})")
+        params = {"y": loss.y} if loss.kind != QUADFAM else {"c": loss.c, "b": loss.b}
+        for name, arr in params.items():
+            _check(name, arr, _F64, n)
+        self.n, self.d = n, int(dataset.d)
+        # held so that the pointers below stay valid
+        self._arrays = (indptr, indices, data, *params.values())
+        ptr = {name: arr.ctypes.data for name, arr in params.items()}
+        self._fixed = (
+            int(width == _I64), indptr.ctypes.data, indices.ctypes.data,
+            data.ctypes.data, n, KINDS.index(loss.kind),  # the C enum's order
+            ptr.get("y"), ptr.get("c"), ptr.get("b"),
+        )
+        self._fn = _load()
+
+    def steps(self, w, alpha, p, theta: float, guard: float, n_lam: float,
+              idx, offsets) -> None:
+        """Run one iteration per subset ``idx[offsets[s]:offsets[s + 1]]``,
+        updating ``w`` and ``alpha`` in place. Raises ValueError, before
+        anything changes, if a subset holds an index outside [0, n) or an
+        index twice, or if theta / p_i exceeds ``guard`` for a drawn i."""
+        _check("p", p, _F64, self.n)
+        _check("w", w, _F64, self.d, write=True)
+        _check("alpha", alpha, _F64, self.n, write=True)
+        _check("subset indices", idx, _I64)
+        _check("subset offsets", offsets, _I64)
+        if offsets.size < 1:
+            raise ValueError("step kernel: offsets must hold at least one entry")
+        bad = ctypes.c_int64(0)
+        code = self._fn(
+            *self._fixed,
+            p.ctypes.data, theta, guard, n_lam,
+            offsets.size - 1, offsets.ctypes.data, idx.ctypes.data, idx.size,
+            w.ctypes.data, alpha.ctypes.data,
+            ctypes.byref(bad),
+        )
+        if code:
+            i = bad.value
+            if code == OUT_OF_RANGE:
+                raise ValueError(f"subset index {i} is outside [0, {self.n})")
+            if code == REPEATED:
+                raise ValueError(f"subset holds index {i} more than once")
+            if code == GUARD:
+                raise ValueError(
+                    f"theta={theta} exceeds p_{i}={p[i]}: alpha update would "
+                    "leave the convex combination"
+                )
+            if code == BAD_OFFSETS:
+                raise ValueError(
+                    f"subset offsets do not partition the {idx.size} indices "
+                    f"(entry {i})"
+                )
+            raise MemoryError("step kernel: out of memory")

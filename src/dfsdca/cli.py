@@ -2,8 +2,9 @@
 drive the validator suites, and compute reference solutions.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 divergence or validation
-failure. All subcommands are deterministic under a fixed seed; CSV and JSON
-outputs carry no timestamps so reruns are byte-identical.
+failure, 4 the compiled step kernel could not be built or loaded. All
+subcommands are deterministic under a fixed seed; CSV and JSON outputs
+carry no timestamps so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ._kernel import KernelBuildError
 from .dataset import (
     ParseError,
     gen_synthetic,
@@ -441,6 +443,9 @@ def main(argv=None) -> int:
     except (DivergenceError, ValueError) as exc:
         print(f"dfsdca: {exc}", file=sys.stderr)
         return 3
+    except KernelBuildError as exc:
+        print(f"dfsdca: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ A :class:`Dataset` stores its rows once, as frozen CSR arrays
 (``indptr``/``indices``/``data``), with the labels, the dimension d, and
 the per-row norms and nonzero counts derived from them. Every numerical
 kernel reads those arrays: full margins and combinations for objective
-values and gradients, and :meth:`Dataset.gather` for the solver's
-mini-batch step, which pulls the drawn rows' nonzeros in one pass.
+values and gradients, :meth:`Dataset.gather` for vectorized work on a
+subset of rows, and the solver's compiled step kernel, which is handed
+pointers to them.
 
 ``Dataset(indptr, indices, data, labels, d)`` is the one constructor; the
 LIBSVM parser, the synthetic generators and the normalizers all build
@@ -79,12 +80,12 @@ class Dataset:
         column ``cols[k]``. Each row keeps its CSR order, so
         ``np.bincount(seg, vals * w[cols], minlength=len(subset))`` sums
         every row left to right, like the CSR matvec of :meth:`margins`, and
-        equals ``margins(w)[subset]`` bitwise."""
-        if subset.size == 1:
-            # serial draws: slice views of one row, no index arithmetic
-            i = int(subset[0])
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            return np.zeros(hi - lo, dtype=np.intp), self.indices[lo:hi], self.data[lo:hi]
+        equals ``margins(w)[subset]`` bitwise.
+
+        The ESO validator builds its aggregated rows from it. The solver
+        does not use it: its compiled kernel reads the CSR arrays directly,
+        in the same order, and the numpy kernel over ``gather`` in
+        ``tests/test_kernel.py`` is its bitwise reference."""
         starts = self.indptr[subset]
         counts = self.indptr[1:][subset] - starts
         pos = concat_ranges(starts, counts)

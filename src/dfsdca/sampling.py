@@ -10,7 +10,9 @@ A scheme holds no state that a draw changes: every draw is a function of
 the caller-owned numpy Generator alone, so one instance serves any number
 of runs. The tau-subset schemes draw a uniform tau-subset of their units
 (examples or chunks) with one ``rng.choice`` call without replacement and
-return it sorted.
+return it sorted. ``draw_block`` makes k draws at once and takes from the
+generator exactly what k ``draw`` calls take, so a solver can draw all the
+iterations between two checkpoints in one call.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ class SamplingScheme:
         """One subset of [n] as a sorted index array."""
         raise NotImplementedError
 
+    def draw_block(self, rng: np.random.Generator, k: int):
+        """k draws laid end to end, as int64 arrays ``(idx, offsets)``: draw
+        j is ``idx[offsets[j]:offsets[j + 1]]``. Equals k calls of
+        :meth:`draw` and leaves the generator in the same state."""
+        raise NotImplementedError
+
     def atoms(self, limit: int = ATOM_LIMIT):
         """All (subset, probability) outcomes, or None if too many."""
         return None
@@ -82,8 +90,26 @@ class SerialSampling(SamplingScheme):
             i = int(np.searchsorted(self._cdf, rng.random(), side="right"))
         return np.array([i], dtype=np.int64)
 
+    def draw_block(self, rng, k):
+        # one vectorized call yields the same values as k scalar calls
+        if self._uniform:
+            idx = rng.integers(0, self.n, size=k)
+        else:
+            idx = np.searchsorted(self._cdf, rng.random(size=k), side="right")
+        return idx.astype(np.int64, copy=False), np.arange(k + 1, dtype=np.int64)
+
     def atoms(self, limit: int = ATOM_LIMIT):
         return [((i,), float(self.p[i])) for i in range(self.n)]
+
+
+def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
+    """k uniform tau-subsets of range(units), one ``rng.choice`` each, as
+    the sorted rows of a (k, tau) array."""
+    out = np.empty((k, tau), dtype=np.int64)
+    for j in range(k):
+        out[j] = rng.choice(units, tau, replace=False, shuffle=False)
+    out.sort(axis=1)
+    return out
 
 
 class TauNiceSampling(SamplingScheme):
@@ -99,6 +125,10 @@ class TauNiceSampling(SamplingScheme):
 
     def draw(self, rng):
         return np.sort(rng.choice(self.n, self.tau, replace=False, shuffle=False))
+
+    def draw_block(self, rng, k):
+        ids = _tau_subsets(rng, self.n, self.tau, k)
+        return ids.ravel(), np.arange(0, (k + 1) * self.tau, self.tau, dtype=np.int64)
 
     def atoms(self, limit: int = ATOM_LIMIT):
         total = math.comb(self.n, self.tau)
@@ -201,6 +231,15 @@ class ChunkedSampling(SamplingScheme):
         ids = self.draw_chunks(rng)
         part = self.partition
         return concat_ranges(part.boundaries[ids], part.g[ids])
+
+    def draw_block(self, rng, k):
+        part = self.partition
+        ids = _tau_subsets(rng, part.k, self.tau, k)
+        sizes = part.g[ids]
+        idx = concat_ranges(part.boundaries[ids].ravel(), sizes.ravel())
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(sizes.sum(axis=1), out=offsets[1:])
+        return idx, offsets
 
     def atoms(self, limit: int = ATOM_LIMIT):
         k = self.partition.k

@@ -5,21 +5,29 @@ vector w tied together by w = (1/(lam*n)) sum_i alpha_i A_i. Each iteration
 draws a subset S of examples, moves every alpha_i (i in S) toward
 -phi_i'(A_i^T w) by the convex-combination weight theta/p_i, and applies the
 matching sparse correction to w so the tie-in survives the update.
+
+The iterations run in one compiled kernel (``_kernel.c``, built with gcc on
+first use): :func:`run` makes one call per stretch of iterations between
+two checkpoints or resyncs, and :func:`step` makes one call for one subset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._kernel import Kernel
 from .dataset import Dataset
 from .losses import LossSpec, SmoothnessConstants, smoothness_constants
 from .sampling import SamplingScheme
 
 #: slack on the convex-combination guard theta/p_i <= 1
 _GUARD_TOL = 1e-12
+#: drawn indices per kernel call in ``run``, at most (unless one draw is larger)
+_BLOCK_EXAMPLES = 1 << 20
 
 
 class DivergenceError(RuntimeError):
@@ -41,6 +49,12 @@ class ProblemSpec:
             )
         if self.loss.n != self.dataset.n:
             raise ValueError("loss and dataset sizes disagree")
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The compiled step kernel bound to this problem's arrays; the
+        first use in a process builds or loads the shared library."""
+        return Kernel(self.dataset, self.loss)
 
 
 def make_problem(dataset: Dataset, loss: LossSpec, lam: float) -> ProblemSpec:
@@ -118,39 +132,22 @@ def resync(problem: ProblemSpec, state: SolverState) -> None:
     state.w = problem.dataset.combine(state.alpha) / (problem.lam * problem.dataset.n)
 
 
-def _check_guard(theta: float, p: np.ndarray, subset: np.ndarray) -> None:
-    """Reject a stepsize whose weight theta/p_i would take alpha_i past the
-    convex combination for some i in ``subset``."""
-    q = theta / p[subset]
-    if np.any(q > 1.0 + _GUARD_TOL):
-        bad = int(subset[int(np.argmax(q))])
-        raise ValueError(
-            f"theta={theta} exceeds p_{bad}={p[bad]}: alpha update would "
-            "leave the convex combination"
-        )
-
-
-def _update(
+def _steps(
     problem: ProblemSpec,
     state: SolverState,
-    subset: np.ndarray,
+    idx: np.ndarray,
+    offsets: np.ndarray,
     p: np.ndarray,
     theta: float,
 ) -> SolverState:
-    # The step kernel without the guard; ``run`` checks the guard once for
-    # every i, so its loop and ``step`` compute bitwise the same iterates.
-    ds = problem.dataset
-    w, alpha = state.w, state.alpha
-    seg, cols, vals = ds.gather(subset)
-    margins = np.bincount(seg, vals * w[cols], minlength=subset.size)
-    delta = problem.loss.gradients(subset, margins) + alpha[subset]
-    p_s = p[subset]
-    alpha[subset] -= theta / p_s * delta
-    coef = delta * theta / (ds.n * problem.lam * p_s)
-    # unbuffered, so each coordinate takes its rows' corrections in order
-    np.subtract.at(w, cols, coef[seg] * vals)
-    state.t += 1
-    state.grad_evals += int(subset.size)
+    """One iteration per subset ``idx[offsets[s]:offsets[s + 1]]``, in
+    order, through one call of the compiled kernel."""
+    problem.kernel.steps(
+        state.w, state.alpha, p, theta, 1.0 + _GUARD_TOL,
+        problem.dataset.n * problem.lam, idx, offsets,
+    )
+    state.t += offsets.size - 1
+    state.grad_evals += int(idx.size)
     return state
 
 
@@ -163,15 +160,18 @@ def step(
 ) -> SolverState:
     """One iteration on the given subset, in place.
 
-    Checks theta/p_i <= 1 for the drawn i, then runs one vectorized kernel
-    over the drawn rows' CSR nonzeros: all margins against the pre-update w
-    (summed like :meth:`Dataset.margins`, so they equal ``margins(w)[subset]``
-    bitwise), the alpha moves, and one scatter of the w correction, which
-    touches only the union of the drawn rows' supports.
+    Runs the compiled kernel of :func:`run` on one subset: all margins
+    against the pre-update w, each summed over its row's CSR nonzeros left
+    to right like :meth:`Dataset.margins`, then the alpha moves and the w
+    correction, which touches only the drawn rows' supports. Raises
+    ValueError, and changes nothing, if the subset holds an index outside
+    [0, n) or an index twice, or if theta/p_i > 1 for a drawn i.
     """
-    subset = np.asarray(subset, dtype=np.int64)
-    _check_guard(theta, p, subset)
-    return _update(problem, state, subset, p, theta)
+    subset = np.ascontiguousarray(subset, dtype=np.int64)
+    if subset.ndim != 1:
+        raise ValueError("subset must be a 1-d array of example indices")
+    offsets = np.array([0, subset.size], dtype=np.int64)
+    return _steps(problem, state, subset, offsets, p, theta)
 
 
 @dataclass
@@ -230,7 +230,11 @@ def run(
 ) -> tuple[SolverState, Trace]:
     """Run for epochs * n / E|S| iterations, tracing periodically.
 
-    With a reference solution attached each trace record carries the
+    The iterations between two resyncs or checkpoints are drawn as one
+    block (:meth:`SamplingScheme.draw_block`, the same generator stream as
+    one ``draw`` per iteration) and run by one call of the compiled kernel,
+    so the iterates equal a loop of :func:`step` over ``draw`` bitwise. With
+    a reference solution attached each trace record carries the
     suboptimality and the primal/dual distance potentials. Deterministic for
     a fixed seed. Raises DivergenceError if the objective runs away.
     """
@@ -263,11 +267,17 @@ def run(
         trace.records.append(rec)
         return primal
 
-    p = scheme.p
-    _check_guard(theta, p, np.arange(n))
     runaway = 1e6 * abs(record()) + 1e6
-    for t in range(1, total + 1):
-        _update(problem, state, scheme.draw(rng), p, theta)
+    # draws per kernel call, capped so that one block of indices stays small
+    block = max(1, _BLOCK_EXAMPLES // scheme.max_card)
+    t = 0
+    while t < total:
+        # the next resync or checkpoint ends the block
+        stop = min(total, t + block, (t // n + 1) * n,
+                   (t // trace_every + 1) * trace_every)
+        idx, offsets = scheme.draw_block(rng, stop - t)
+        _steps(problem, state, idx, offsets, scheme.p, theta)
+        t = stop
         if t % n == 0:
             resync(problem, state)
         if t % trace_every == 0 or t == total:

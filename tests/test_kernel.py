@@ -1,15 +1,22 @@
-"""The vectorized CSR step kernel against the per-example reference."""
+"""The compiled step kernel: bitwise against the numpy kernel it replaced,
+close to the per-example loop, its input checks at the C boundary, and its
+build cache."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dfsdca import _kernel
+from dfsdca.cli import main
 from dfsdca.dataset import gen_synthetic
 from dfsdca.diagnostics import reference_solution
-from dfsdca.losses import logistic_loss, squared_loss
+from dfsdca.losses import logistic_loss, quadratic_family, squared_loss
 from dfsdca.sampling import chunked_sampling, naive_chunks, serial_uniform, tau_nice
 from dfsdca.solver import (
     SolverConfig,
     SolverState,
+    _steps,
     init_state,
     make_problem,
     resolve_theta,
@@ -24,6 +31,25 @@ from csr_rows import from_rows, row
 # the iterates agree to a few float64 roundings.
 RTOL = 1e-13
 ATOL = 1e-15
+
+
+def numpy_update(problem, state, subset, p, theta):
+    """The numpy step kernel, the bitwise oracle of the compiled one: every
+    margin by one bincount over the gathered nonzeros (CSR order within a
+    row, like ``Dataset.margins``), the alpha moves, then one unbuffered
+    scatter, so each coordinate takes its rows' corrections in subset order."""
+    ds = problem.dataset
+    w, alpha = state.w, state.alpha
+    seg, cols, vals = ds.gather(subset)
+    margins = np.bincount(seg, vals * w[cols], minlength=subset.size)
+    delta = problem.loss.gradients(subset, margins) + alpha[subset]
+    p_s = p[subset]
+    alpha[subset] -= theta / p_s * delta
+    coef = delta * theta / (ds.n * problem.lam * p_s)
+    np.subtract.at(w, cols, coef[seg] * vals)
+    state.t += 1
+    state.grad_evals += int(subset.size)
+    return state
 
 
 def reference_step(problem, state, subset, p, theta):
@@ -50,6 +76,20 @@ def awkward_dataset():
     rows[10:10] = [([], []), rows[3], rows[3]]
     labels = np.concatenate([base.labels[:10], [1.0, -1.0, 1.0], base.labels[10:]])
     return from_rows(rows, labels, 12)
+
+
+def quadfam(ds):
+    """Quadratic family with curvature of both signs."""
+    rng = np.random.default_rng(3)
+    c = rng.uniform(0.2, 1.5, ds.n) * np.where(np.arange(ds.n) % 3 == 0, -1.0, 1.0)
+    return quadratic_family(c, rng.standard_normal(ds.n))
+
+
+LOSSES = {
+    "logistic": lambda ds: logistic_loss(ds.labels),
+    "squared": lambda ds: squared_loss(ds.labels),
+    "quadfam": quadfam,
+}
 
 
 def schemes(ds):
@@ -140,3 +180,272 @@ def test_run_equals_public_step_loop(tau):
     assert np.array_equal(state.w, got.w)
     assert np.array_equal(state.alpha, got.alpha)
     assert state.grad_evals == got.grad_evals
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("k", range(6))
+def test_step_bitwise_equals_numpy_kernel(loss, k):
+    ds = awkward_dataset()
+    problem = make_problem(ds, LOSSES[loss](ds), 0.3)
+    sc = schemes(ds)[k]
+    theta = 0.7 * float(np.min(sc.p))
+    rng = np.random.default_rng(20 + k)
+    got = init_state(problem, rng.standard_normal(ds.n))
+    want = got.copy()
+    for j in range(30):
+        subset = sc.draw(rng)
+        if j % 2:
+            subset = rng.permutation(subset)  # order sets the scatter order
+        step(problem, got, subset, sc.p, theta)
+        numpy_update(problem, want, subset, sc.p, theta)
+        assert np.array_equal(got.w, want.w)
+        assert np.array_equal(got.alpha, want.alpha)
+    assert (got.t, got.grad_evals) == (want.t, want.grad_evals)
+
+
+def test_logistic_saturation_bitwise():
+    # margins of a few hundred to a few thousand: exp overflows to inf in
+    # the sigmoid, which must then give exactly 0 or -y
+    ds = awkward_dataset()
+    problem = make_problem(ds, logistic_loss(ds.labels), 0.3)
+    everyone = np.arange(ds.n)
+    p = np.ones(ds.n)
+    rng = np.random.default_rng(8)
+    for scale in (1e2, 1e3, 1e4):
+        w = scale * rng.standard_normal(ds.d)
+        got = SolverState(w, rng.standard_normal(ds.n))
+        want = got.copy()
+        step(problem, got, everyone, p, 0.5)
+        numpy_update(problem, want, everyone, p, 0.5)
+        assert np.array_equal(got.w, want.w)
+        assert np.array_equal(got.alpha, want.alpha)
+
+
+def test_int64_csr_indices_bitwise():
+    ds = awkward_dataset()
+    assert ds.indptr.dtype == np.int32  # scipy's choice at this size
+    problem = make_problem(ds, logistic_loss(ds.labels), 0.3)
+    wide = SimpleNamespace(
+        indptr=ds.indptr.astype(np.int64), indices=ds.indices.astype(np.int64),
+        data=ds.data, d=ds.d,
+    )
+    problem.kernel = _kernel.Kernel(wide, problem.loss)
+    sc = tau_nice(ds.norms, 7)
+    rng = np.random.default_rng(2)
+    got = init_state(problem, rng.standard_normal(ds.n))
+    want = got.copy()
+    for _ in range(20):
+        subset = sc.draw(rng)
+        step(problem, got, subset, sc.p, 0.1)
+        numpy_update(problem, want, subset, sc.p, 0.1)
+    assert np.array_equal(got.w, want.w)
+    assert np.array_equal(got.alpha, want.alpha)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_block_equals_single_subset_calls(k):
+    ds = awkward_dataset()
+    problem = make_problem(ds, squared_loss(ds.labels), 0.3)
+    sc = schemes(ds)[k]
+    theta = 0.7 * float(np.min(sc.p))
+    start = init_state(problem, np.random.default_rng(k).standard_normal(ds.n))
+    block = start.copy()
+    idx, offsets = sc.draw_block(np.random.default_rng(5), 40)
+    _steps(problem, block, idx, offsets, sc.p, theta)
+    loop = start.copy()
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        step(problem, loop, sc.draw(rng), sc.p, theta)
+    assert np.array_equal(block.w, loop.w)
+    assert np.array_equal(block.alpha, loop.alpha)
+    assert (block.t, block.grad_evals) == (loop.t, loop.grad_evals)
+
+
+# -- the C boundary ----------------------------------------------------------
+
+def small_problem():
+    ds = gen_synthetic(20, 6, 0.5, "linear-sign", 1)
+    problem = make_problem(ds, logistic_loss(ds.labels), 0.5)
+    return problem, serial_uniform(ds.norms)
+
+
+@pytest.mark.parametrize("subset, match", [
+    ([3, 20], "index 20 is outside"),
+    ([-1], "index -1 is outside"),
+    ([4, 2, 4], "index 4 more than once"),
+    ([1, 1], "index 1 more than once"),
+])
+def test_step_rejects_bad_subset_and_changes_nothing(subset, match):
+    problem, sc = small_problem()
+    state = init_state(problem, np.ones(problem.dataset.n))
+    before = state.copy()
+    with pytest.raises(ValueError, match=match):
+        step(problem, state, subset, sc.p, 0.01)
+    assert np.array_equal(state.w, before.w)
+    assert np.array_equal(state.alpha, before.alpha)
+    assert (state.t, state.grad_evals) == (0, 0)
+
+
+def test_guard_rejection_changes_nothing():
+    problem, sc = small_problem()  # p_i = 1/20
+    state = init_state(problem, np.ones(problem.dataset.n))
+    before = state.copy()
+    with pytest.raises(ValueError, match="exceeds p_7"):
+        step(problem, state, [2, 7], sc.p * np.where(np.arange(20) == 7, 0.1, 1.0), 0.04)
+    assert np.array_equal(state.w, before.w)
+    assert np.array_equal(state.alpha, before.alpha)
+
+
+def _call(problem, sc, **override):
+    state = init_state(problem)
+    args = dict(
+        w=state.w, alpha=state.alpha, p=sc.p, theta=0.01, guard=1.0,
+        n_lam=problem.dataset.n * problem.lam,
+        idx=np.array([1, 2], dtype=np.int64),
+        offsets=np.array([0, 1, 2], dtype=np.int64),
+    )
+    args.update(override)
+    problem.kernel.steps(**args)
+
+
+@pytest.mark.parametrize("override, match", [
+    ({"w": np.zeros(6, dtype=np.float32)}, "w must be"),
+    ({"w": np.zeros(7)}, "w must be .* length 6"),
+    ({"alpha": np.zeros(40)[::2]}, "alpha must be .*C-contiguous"),
+    ({"alpha": np.zeros(20).reshape(4, 5)}, "alpha must be"),
+    ({"p": np.full(19, 0.05)}, "p must be"),
+    ({"p": [0.05] * 20}, "p must be"),
+    ({"idx": np.array([1, 2], dtype=np.int32)}, "subset indices must be"),
+    ({"offsets": np.array([0.0, 1.0, 2.0])}, "subset offsets must be"),
+    ({"offsets": np.arange(6, dtype=np.int64)[::2]}, "subset offsets must be"),
+    ({"offsets": np.array([0, 3], dtype=np.int64)}, "offsets do not partition"),
+    ({"offsets": np.array([0, 2, 1, 2], dtype=np.int64)}, "offsets do not partition"),
+    ({"offsets": np.array([], dtype=np.int64)}, "at least one entry"),
+])
+def test_kernel_rejects_bad_arrays(override, match):
+    problem, sc = small_problem()
+    with pytest.raises(ValueError, match=match):
+        _call(problem, sc, **override)
+
+
+def test_kernel_rejects_read_only_state():
+    problem, sc = small_problem()
+    w = np.zeros(6)
+    w.flags.writeable = False
+    with pytest.raises(ValueError, match="w must be a writeable"):
+        _call(problem, sc, w=w)
+
+
+@pytest.mark.parametrize("indptr_t, indices_t", [
+    (np.int16, np.int16), (np.uint32, np.uint32), (np.int64, np.int32),
+    (np.int32, np.int64),
+])
+def test_kernel_rejects_csr_index_width(indptr_t, indices_t):
+    problem, _ = small_problem()
+    ds = problem.dataset
+    fake = SimpleNamespace(indptr=ds.indptr.astype(indptr_t),
+                           indices=ds.indices.astype(indices_t), data=ds.data, d=ds.d)
+    with pytest.raises(ValueError, match="int32 or int64|indices must be"):
+        _kernel.Kernel(fake, problem.loss)
+
+
+def test_kernel_rejects_csr_index_beyond_d():
+    problem, _ = small_problem()
+    ds = problem.dataset
+    fake = SimpleNamespace(indptr=ds.indptr, indices=ds.indices, data=ds.data, d=ds.d - 1)
+    with pytest.raises(ValueError, match="outside"):
+        _kernel.Kernel(fake, problem.loss)
+
+
+# -- build cache -------------------------------------------------------------
+
+def test_source_edit_gets_new_cache_entry(tmp_path, monkeypatch):
+    src = tmp_path / "_kernel.c"
+    src.write_bytes(_kernel.SOURCE.read_bytes())
+    cache = tmp_path / "cache"
+    first = _kernel.build(src, cache)
+    src.write_bytes(src.read_bytes() + b"\n/* edited */\n")
+    second = _kernel.build(src, cache)
+    assert second != first
+    # both entries, no temporary file left behind
+    assert sorted(p.name for p in cache.iterdir()) == sorted([first.name, second.name])
+    # a cached entry is reused without the compiler
+    monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    assert _kernel.build(src, cache) == second
+
+
+def test_missing_compiler_names_gcc(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    with pytest.raises(_kernel.KernelBuildError, match="gcc"):
+        _kernel.build(_kernel.SOURCE, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_cache_is_a_build_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(_kernel.KernelBuildError, match="cannot write"):
+        _kernel.build(_kernel.SOURCE, blocker / "cache", blocker / "user")
+
+
+def test_unwritable_package_cache_falls_back_to_user_cache(tmp_path, monkeypatch):
+    # a path below a regular file cannot be created, whoever runs the test
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(_kernel, "_steps_c", None)
+    monkeypatch.setattr(_kernel, "CACHE", blocker / "cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert _kernel._load() is not None
+    built = list((tmp_path / "home" / ".cache" / "dfsdca").iterdir())
+    assert [p.suffix for p in built] == [".so"]
+    # the user's entry is found again without the compiler
+    monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    assert _kernel.build(_kernel.SOURCE, _kernel.CACHE, _kernel._user_cache()) == built[0]
+
+
+def test_failed_compile_leaves_no_file(tmp_path):
+    src = tmp_path / "broken.c"
+    src.write_text("this is not C\n")
+    cache = tmp_path / "cache"
+    with pytest.raises(_kernel.KernelBuildError, match="gcc failed"):
+        _kernel.build(src, cache)
+    assert list(cache.iterdir()) == []
+
+
+def test_cli_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_kernel, "_steps_c", None)
+    monkeypatch.setattr(_kernel, "CACHE", tmp_path / "cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    code = main(["run", "--synthetic", "20,5,0.5,linear-sign", "--epochs", "1",
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 4
+    assert "gcc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace_period, block", [(None, 1 << 20), (7, 1 << 20), (5, 9)])
+def test_run_blocks_equal_step_loop(monkeypatch, trace_period, block):
+    # run's blocks end at every resync and checkpoint and at the size cap;
+    # wherever they end, the iterates equal one step per draw
+    import dfsdca.solver as solver
+
+    monkeypatch.setattr(solver, "_BLOCK_EXAMPLES", block)
+    ds = gen_synthetic(23, 8, 0.5, "skewed-nnz", 5)
+    problem = make_problem(ds, logistic_loss(ds.labels), 1.0 / ds.n)
+    sc = chunked_sampling(ds.norms, naive_chunks(ds.nnz.tolist()), 2)
+    config = SolverConfig(epochs=12, seed=3, trace_period=trace_period)
+    got, trace = run(problem, sc, config)
+    assert got.t > 2 * ds.n  # two resyncs
+
+    theta = resolve_theta(problem, sc, config.theta)
+    rng = np.random.default_rng(config.seed)
+    state = init_state(problem)
+    for t in range(1, got.t + 1):
+        step(problem, state, sc.draw(rng), sc.p, theta)
+        if t % ds.n == 0:
+            resync(problem, state)
+    assert np.array_equal(state.w, got.w)
+    assert np.array_equal(state.alpha, got.alpha)
+    every = trace_period or max(1, round(ds.n / sc.expected_size))
+    want = list(range(0, got.t + 1, every))
+    assert [r.t for r in trace.records] == want + ([got.t] if want[-1] != got.t else [])

@@ -10,6 +10,7 @@ from dfsdca.sampling import (
     importance_probabilities,
     naive_chunks,
     random_c_sampling,
+    serial_importance,
     serial_uniform,
     serial_weighted,
     tau_nice,
@@ -405,6 +406,42 @@ class TestDeterminism:
                 if hasattr(sc, "draw_chunks"):
                     sc.draw_chunks(rng)
             assert pickle.dumps(sc) == before
+
+
+class TestDrawBlock:
+    """A block of k draws equals k ``draw`` calls, generator state included;
+    ``solver.run`` draws its blocks this way and must match a loop of draws."""
+
+    @staticmethod
+    def scheme(name, ds):
+        part = naive_chunks(ds.nnz.tolist())
+        return {
+            "serial-uniform": lambda: serial_uniform(ds.norms),
+            "serial-weighted": lambda: random_c_sampling(ds.norms, 5.0, 3),
+            "serial-importance": lambda: serial_importance(ds.norms, np.ones(ds.n), 0.01),
+            "nice:1": lambda: tau_nice(ds.norms, 1),
+            "nice:7": lambda: tau_nice(ds.norms, 7),
+            "nice:n": lambda: tau_nice(ds.norms, ds.n),
+            "chunked:1": lambda: chunked_sampling(ds.norms, part, 1),
+            "chunked:3": lambda: chunked_sampling(ds.norms, part, 3),
+        }[name]()
+
+    @pytest.mark.parametrize("name", [
+        "serial-uniform", "serial-weighted", "serial-importance",
+        "nice:1", "nice:7", "nice:n", "chunked:1", "chunked:3",
+    ])
+    def test_block_equals_draws(self, name):
+        ds = gen_synthetic(41, 10, 0.3, "skewed-nnz", 2)
+        sc = self.scheme(name, ds)
+        for k in (1, 2, 97):
+            a, b = np.random.default_rng(11), np.random.default_rng(11)
+            idx, offsets = sc.draw_block(a, k)
+            draws = [sc.draw(b) for _ in range(k)]
+            assert idx.dtype == offsets.dtype == np.int64
+            assert offsets.tolist() == np.cumsum([0] + [x.size for x in draws]).tolist()
+            for j, x in enumerate(draws):
+                assert np.array_equal(idx[offsets[j]:offsets[j + 1]], x)
+            assert a.random() == b.random()
 
 
 def co_inclusion(sc, draws, seed):
