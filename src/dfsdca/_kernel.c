@@ -1,4 +1,5 @@
-/* dfSDCA step kernel: a block of iterations over flat subsets plus offsets.
+/* dfSDCA kernels: a block of iterations over flat subsets plus offsets, and
+ * a block of uniform tau-subset draws.
  *
  * Subset s is idx[off[s]] .. idx[off[s+1] - 1]. Each iteration computes
  * every drawn margin A_i^T w against the pre-update w, summing the row's
@@ -13,6 +14,11 @@
  * index twice within a subset, theta / p_i <= guard, and offsets that
  * partition idx. A failed check returns its code with the offending index
  * (or offset position) in *bad.
+ *
+ * The draws take Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) as
+ * numpy's Generator.choice(replace=False) runs it: slot c of a tau-subset of
+ * range(units) draws t uniform in [0, units - tau + c] and keeps t, or
+ * units - tau + c if t is already in the subset.
  *
  * Build: gcc -O2 -ffp-contract=off -shared -fPIC -x c - -lm
  */
@@ -160,5 +166,52 @@ int dfsdca_steps(int wide, const void *indptr, const void *indices,
         iterate(0, indptr, indices, data, kind, y, c, b, p, theta, n_lam,
                 n_sub, off, idx, w, alpha, margin);
     free(margin);
+    return OK;
+}
+
+/* Resolves, in place, k rows of tau bounded draws t[r * tau + c] in
+ * [0, units - tau + c] into tau-subsets of range(units): entry (r, c)
+ * becomes what slot c keeps. Every entry is checked before any is written;
+ * one out of range returns OUT_OF_RANGE with its flat position in *bad.
+ * The subset so far lives in an open-addressed hash set whose size is the
+ * power of two above 1.2 tau, probed linearly from the value's low bits. */
+int dfsdca_tau_subsets(int64_t units, int64_t tau, int64_t k, int64_t *t,
+                       int64_t *bad)
+{
+    int64_t r, c, base = units - tau;
+    uint64_t size = 1, mask, *set;
+    for (r = 0; r < k; r++) {
+        for (c = 0; c < tau; c++) {
+            int64_t v = t[r * tau + c];
+            if (v < 0 || v > base + c) {
+                *bad = r * tau + c;
+                return OUT_OF_RANGE;
+            }
+        }
+    }
+    while (size <= (uint64_t)(1.2 * (double)tau))
+        size <<= 1;
+    mask = size - 1;
+    set = malloc(size * sizeof(uint64_t));
+    if (set == NULL)
+        return NO_MEMORY;
+    for (r = 0; r < k; r++) {
+        int64_t *row = t + r * tau;
+        memset(set, 0xff, size * sizeof(uint64_t));
+        for (c = 0; c < tau; c++) {
+            uint64_t val = (uint64_t)row[c], loc = val & mask;
+            while (set[loc] != UINT64_MAX && set[loc] != val)
+                loc = (loc + 1) & mask;
+            if (set[loc] == val) {  /* taken: keep the slot's own top value */
+                val = (uint64_t)(base + c);
+                loc = val & mask;
+                while (set[loc] != UINT64_MAX)
+                    loc = (loc + 1) & mask;
+            }
+            set[loc] = val;
+            row[c] = (int64_t)val;
+        }
+    }
+    free(set);
     return OK;
 }

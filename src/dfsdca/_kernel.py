@@ -1,4 +1,5 @@
-"""Build, load and call the compiled step kernel in ``_kernel.c``.
+"""Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
+step kernel and the pass that turns bounded draws into tau-subsets.
 
 The shared library is built on first use with gcc and cached as
 ``_kernel-<key>.so``, where the key is the sha256 of the C source and the
@@ -29,19 +30,19 @@ CACHE = Path(__file__).with_name("__pycache__")
 #: no fused multiply-adds: they would change the iterates' rounding
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-# return codes of dfsdca_steps
+# return codes of dfsdca_steps and dfsdca_tau_subsets
 OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 1, 2, 3, 4, 5
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _I32 = np.dtype(np.int32)
 
-#: the loaded ``dfsdca_steps`` function, once the first Kernel needs it
-_steps_c = None
+#: the loaded library, once the first kernel call needs it
+_lib = None
 
 
 class KernelBuildError(RuntimeError):
-    """The step kernel could not be compiled or loaded."""
+    """The compiled kernels could not be built or loaded."""
 
 
 def _compiler() -> str | None:
@@ -67,7 +68,7 @@ def build(source: Path, *caches: Path) -> Path:
     gcc = _compiler()
     if gcc is None:
         raise KernelBuildError(
-            "the dfsdca step kernel is compiled on first use and needs gcc, "
+            "the dfsdca kernels are compiled on first use and need gcc, "
             "but no gcc was found on PATH"
         )
     errors = []
@@ -81,7 +82,8 @@ def build(source: Path, *caches: Path) -> Path:
             errors.append(f"{cache}: {exc}")
     else:
         raise KernelBuildError(
-            "cannot write the step kernel to any cache directory: " + "; ".join(errors)
+            "cannot write the compiled kernels to any cache directory: "
+            + "; ".join(errors)
         )
     os.close(fd)
     try:
@@ -103,36 +105,65 @@ def build(source: Path, *caches: Path) -> Path:
 
 
 def _load():
-    global _steps_c
-    if _steps_c is None:
+    global _lib
+    if _lib is None:
         path = build(SOURCE, CACHE, _user_cache())
         try:
             lib = ctypes.CDLL(str(path))
         except OSError as exc:
             raise KernelBuildError(f"cannot load {path}: {exc}") from exc
-        fn = lib.dfsdca_steps
         vp, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        fn.argtypes = [
+        lib.dfsdca_steps.argtypes = [
             ctypes.c_int, vp, vp, vp, i64, ctypes.c_int, vp, vp, vp, vp,
             dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, ctypes.POINTER(i64),
         ]
-        fn.restype = ctypes.c_int
-        _steps_c = fn
-    return _steps_c
+        lib.dfsdca_tau_subsets.argtypes = [i64, i64, i64, vp, ctypes.POINTER(i64)]
+        lib.dfsdca_steps.restype = lib.dfsdca_tau_subsets.restype = ctypes.c_int
+        _lib = lib
+    return _lib
 
 
-def _check(name: str, a, dtype, size: int | None = None, write: bool = False):
+def _check(name: str, a, dtype, size: int | None = None, write: bool = False,
+           ndim: int = 1, kernel: str = "step"):
     if (
-        not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != 1
+        not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != ndim
         or not a.flags.c_contiguous or (size is not None and a.size != size)
         or (write and not a.flags.writeable)
     ):
-        want = f"{'writeable ' if write else ''}C-contiguous 1-d {dtype}"
+        want = f"{'writeable ' if write else ''}C-contiguous {ndim}-d {dtype}"
         if size is not None:
             want += f" array of length {size}"
         got = (f"{a.dtype} shape {a.shape}" if isinstance(a, np.ndarray)
                else type(a).__name__)
-        raise ValueError(f"step kernel: {name} must be a {want}, got {got}")
+        raise ValueError(f"{kernel} kernel: {name} must be a {want}, got {got}")
+
+
+def tau_subsets(units: int, draws) -> None:
+    """Resolve Floyd's bounded draws, in place, into tau-subsets of
+    ``range(units)``.
+
+    ``draws`` is a (k, tau) int64 array whose entry (r, c) lies in
+    [0, units - tau + c], as ``rng.integers(0, bounds)`` with bounds
+    ``units - tau + 1 .. units`` gives it. Row r becomes the subset those
+    draws select, in slot order. Raises ValueError, before anything is
+    written, if an entry lies outside its range or ``draws`` is not a
+    writeable C-contiguous 2-d int64 array.
+    """
+    _check("draws", draws, _I64, write=True, ndim=2, kernel="subset")
+    k, tau = draws.shape
+    if not 1 <= tau <= units:
+        raise ValueError(f"subset kernel: tau={tau} is not in [1, units={units}]")
+    bad = ctypes.c_int64(0)
+    code = _load().dfsdca_tau_subsets(units, tau, k, draws.ctypes.data,
+                                      ctypes.byref(bad))
+    if code == OUT_OF_RANGE:
+        r, c = divmod(bad.value, tau)
+        raise ValueError(
+            f"subset kernel: draw ({r}, {c}) = {draws[r, c]} is outside "
+            f"[0, {units - tau + c}]"
+        )
+    if code:
+        raise MemoryError("subset kernel: out of memory")
 
 
 class Kernel:
@@ -172,7 +203,7 @@ class Kernel:
             data.ctypes.data, n, KINDS.index(loss.kind),  # the C enum's order
             ptr.get("y"), ptr.get("c"), ptr.get("b"),
         )
-        self._fn = _load()
+        self._fn = _load().dfsdca_steps
 
     def steps(self, w, alpha, p, theta: float, guard: float, n_lam: float,
               idx, offsets) -> None:

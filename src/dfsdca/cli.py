@@ -2,7 +2,7 @@
 drive the validator suites, and compute reference solutions.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 divergence or validation
-failure, 4 the compiled step kernel could not be built or loaded. All
+failure, 4 the compiled kernels could not be built or loaded. All
 subcommands are deterministic under a fixed seed; CSV and JSON outputs
 carry no timestamps so reruns are byte-identical.
 """
@@ -266,12 +266,15 @@ def cmd_chunk_stats(args) -> int:
     standard = tau_nice(dataset.norms, args.tau)
     chunked = chunked_sampling(dataset.norms, partition, args.tau)
     rng = np.random.default_rng(args.seed)
-    std_samples = np.array([
-        waiting_time(standard.sample_core_loads(rng, u)) for _ in range(args.draws)
-    ])
-    chk_samples = np.array([
-        waiting_time(chunked.sample_core_loads(rng, u)) for _ in range(args.draws)
-    ])
+    # one block per scheme; a core's load is its example's nnz (tau-nice)
+    # or its chunk's nnz sum (chunked)
+    idx, _ = standard.draw_block(rng, args.draws)
+    std_loads = u[idx].reshape(args.draws, args.tau)
+    chk_loads = np.asarray(partition.s, dtype=np.float64)[
+        chunked.draw_chunk_block(rng, args.draws)
+    ]
+    std_samples = np.array([waiting_time(loads) for loads in std_loads])
+    chk_samples = np.array([waiting_time(loads) for loads in chk_loads])
 
     lines = ["row,standard,chunked"]
     for i in range(args.draws):

@@ -8,11 +8,18 @@ which is tight for singleton (serial) schemes.
 
 A scheme holds no state that a draw changes: every draw is a function of
 the caller-owned numpy Generator alone, so one instance serves any number
-of runs. The tau-subset schemes draw a uniform tau-subset of their units
-(examples or chunks) with one ``rng.choice`` call without replacement and
-return it sorted. ``draw_block`` makes k draws at once and takes from the
-generator exactly what k ``draw`` calls take, so a solver can draw all the
-iterations between two checkpoints in one call.
+of runs. ``draw_block`` makes k draws at once and takes from the generator
+exactly what k ``draw`` calls take, so a solver can draw all the iterations
+between two checkpoints in one call.
+
+The tau-subset schemes draw uniform tau-subsets of their units (examples or
+chunks) by Floyd's algorithm, which takes one bounded integer per slot
+whatever the earlier slots kept. So one ``rng.integers`` call draws every
+slot of a block, one compiled pass resolves repeats (``_tau_subsets``),
+and a single draw is a block of one. Wherever numpy itself uses Floyd for
+``rng.choice(units, tau, replace=False)`` (units <= 10000, or
+tau <= units // 50), the subsets and the generator state equal those of
+sorted ``rng.choice`` calls.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .dataset import Dataset, concat_ranges
 
 #: enumeration cutoff for exact expectations over a scheme's support
@@ -102,18 +110,35 @@ class SerialSampling(SamplingScheme):
         return [((i,), float(self.p[i])) for i in range(self.n)]
 
 
-def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
-    """k uniform tau-subsets of range(units), one ``rng.choice`` each, as
-    the sorted rows of a (k, tau) array."""
-    out = np.empty((k, tau), dtype=np.int64)
-    for j in range(k):
-        out[j] = rng.choice(units, tau, replace=False, shuffle=False)
-    out.sort(axis=1)
-    return out
+def _floyd_bounds(units: int, tau: int) -> np.ndarray:
+    """Exclusive upper bounds of Floyd's per-slot draws: slot c of a
+    tau-subset of range(units) draws from [0, units - tau + c]."""
+    return np.arange(units - tau + 1, units + 1, dtype=np.int64)
+
+
+def _tau_subsets(rng, units: int, bounds: np.ndarray, k: int) -> np.ndarray:
+    """k uniform tau-subsets of range(units), tau = ``bounds.size``, as the
+    sorted rows of a (k, tau) int64 array.
+
+    One ``rng.integers`` call draws all k * tau slots of Floyd's algorithm
+    in row order, and the compiled pass ``_kernel.tau_subsets`` keeps each
+    slot's draw, or the slot's own top value if that draw is taken. That is
+    how numpy's ``rng.choice(units, tau, replace=False, shuffle=False)``
+    runs for units <= 10000 or tau <= units // 50, so there the rows and
+    the generator's next state equal k sorted ``rng.choice`` calls. Above
+    that numpy shuffles a tail instead: the subsets here are as uniform,
+    from a different stream.
+    """
+    draws = rng.integers(0, bounds, size=(k, bounds.size))
+    _kernel.tau_subsets(units, draws)
+    draws.sort(axis=1)
+    return draws
 
 
 class TauNiceSampling(SamplingScheme):
-    """Uniformly random subsets of a fixed size tau."""
+    """Uniformly random subsets of a fixed size tau, drawn by
+    :func:`_tau_subsets`: a block of draws is one ``rng.integers`` call and
+    one compiled pass, and a single draw is a block of one."""
 
     def __init__(self, norms, tau):
         norms = np.asarray(norms, dtype=np.float64)
@@ -122,12 +147,13 @@ class TauNiceSampling(SamplingScheme):
             raise ValueError(f"tau must be in [1, {n}], got {tau}")
         super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau * norms**2, tau)
         self.tau = int(tau)
+        self._bounds = _floyd_bounds(n, self.tau)
 
     def draw(self, rng):
-        return np.sort(rng.choice(self.n, self.tau, replace=False, shuffle=False))
+        return _tau_subsets(rng, self.n, self._bounds, 1)[0]
 
     def draw_block(self, rng, k):
-        ids = _tau_subsets(rng, self.n, self.tau, k)
+        ids = _tau_subsets(rng, self.n, self._bounds, k)
         return ids.ravel(), np.arange(0, (k + 1) * self.tau, self.tau, dtype=np.int64)
 
     def atoms(self, limit: int = ATOM_LIMIT):
@@ -205,7 +231,9 @@ class ChunkedSampling(SamplingScheme):
     """Uniform tau-subsets of chunks; the sampled set is their union.
 
     Every coordinate has marginal tau/k. The cardinality cap is
-    tau * max_j g_j, giving the conservative v_i = cap * ||A_i||^2.
+    tau * max_j g_j, giving the conservative v_i = cap * ||A_i||^2. Chunk
+    ids are drawn as in :class:`TauNiceSampling`, by :func:`_tau_subsets`
+    over the k chunks.
     """
 
     def __init__(self, norms, partition: ChunkPartition, tau):
@@ -222,10 +250,14 @@ class ChunkedSampling(SamplingScheme):
         )
         self.tau = int(tau)
         self.partition = partition
+        self._bounds = _floyd_bounds(k, self.tau)
+
+    def draw_chunk_block(self, rng, k: int) -> np.ndarray:
+        """k draws of chunk ids, as the sorted rows of a (k, tau) array."""
+        return _tau_subsets(rng, self.partition.k, self._bounds, k)
 
     def draw_chunks(self, rng) -> np.ndarray:
-        k = self.partition.k
-        return np.sort(rng.choice(k, self.tau, replace=False, shuffle=False))
+        return self.draw_chunk_block(rng, 1)[0]
 
     def draw(self, rng):
         ids = self.draw_chunks(rng)
@@ -234,7 +266,7 @@ class ChunkedSampling(SamplingScheme):
 
     def draw_block(self, rng, k):
         part = self.partition
-        ids = _tau_subsets(rng, part.k, self.tau, k)
+        ids = self.draw_chunk_block(rng, k)
         sizes = part.g[ids]
         idx = concat_ranges(part.boundaries[ids].ravel(), sizes.ravel())
         offsets = np.zeros(k + 1, dtype=np.int64)
@@ -380,9 +412,8 @@ def validate_eso(
             aggs = agg_norms_sq([subset for subset, _ in atoms], h)
             lhs = sum(prob * a for (_, prob), a in zip(atoms, aggs))
         else:
-            vals = np.array(
-                agg_norms_sq([scheme.draw(rng) for _ in range(mc_draws)], h)
-            )
+            idx, offsets = scheme.draw_block(rng, mc_draws)
+            vals = np.array(agg_norms_sq(np.split(idx, offsets[1:-1]), h))
             lhs = float(vals.mean())
             stderrs[trial] = float(vals.std(ddof=1) / np.sqrt(mc_draws)) / rhs
         ratios[trial] = lhs / rhs

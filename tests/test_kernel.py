@@ -1,7 +1,8 @@
-"""The compiled step kernel: bitwise against the numpy kernel it replaced,
-close to the per-example loop, its input checks at the C boundary, and its
-build cache."""
+"""The compiled kernels: the step kernel bitwise against the numpy kernel
+it replaced and close to the per-example loop, the tau-subset pass against
+Floyd's rule, their input checks at the C boundary, and the build cache."""
 
+import subprocess
 from types import SimpleNamespace
 
 import numpy as np
@@ -357,6 +358,56 @@ def test_kernel_rejects_csr_index_beyond_d():
         _kernel.Kernel(fake, problem.loss)
 
 
+def floyd_draws(units, tau, k, seed=0):
+    bounds = np.arange(units - tau + 1, units + 1)
+    return np.random.default_rng(seed).integers(0, bounds, size=(k, tau))
+
+
+def test_tau_subsets_resolves_in_place():
+    draws = floyd_draws(9, 4, 50)
+    rows = draws.copy()
+    _kernel.tau_subsets(9, rows)
+    for t, got in zip(draws, rows):
+        want = []  # Floyd's rule, slot by slot
+        for c, v in enumerate(t):
+            want.append(int(v) if v not in want else 9 - 4 + c)
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("units, draws, match", [
+    (9, np.array([[0, 0, 8, 8]]), r"draw \(0, 2\) = 8 is outside \[0, 7\]"),
+    (9, np.array([[0, 0, 0, 0], [0, -1, 0, 0]]), r"draw \(1, 1\) = -1 is outside"),
+    (9, floyd_draws(9, 4, 3).astype(np.int32), "draws must be .*int64"),
+    (9, floyd_draws(9, 4, 3)[:, ::2], "draws must be .*C-contiguous"),
+    (9, np.asfortranarray(floyd_draws(9, 4, 3)), "draws must be .*C-contiguous"),
+    (9, floyd_draws(9, 4, 3).ravel(), "draws must be .*2-d"),
+    (3, floyd_draws(9, 4, 3), r"tau=4 is not in \[1, units=3\]"),
+], ids=["above-slot-top", "negative", "int32", "strided", "fortran", "1-d", "tau-above-units"])
+def test_tau_subsets_rejects_bad_draws(units, draws, match):
+    before = draws.copy()
+    with pytest.raises(ValueError, match=match):
+        _kernel.tau_subsets(units, draws)
+    assert np.array_equal(draws, before)
+
+
+def test_tau_subsets_rejects_read_only_draws():
+    draws = floyd_draws(9, 4, 3)
+    draws.flags.writeable = False
+    with pytest.raises(ValueError, match="draws must be a writeable"):
+        _kernel.tau_subsets(9, draws)
+
+
+def test_source_compiles_without_warnings():
+    gcc = _kernel._compiler()
+    if gcc is None:
+        pytest.skip("gcc is not on PATH")
+    proc = subprocess.run(
+        [gcc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_kernel.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- build cache -------------------------------------------------------------
 
 def test_source_edit_gets_new_cache_entry(tmp_path, monkeypatch):
@@ -392,7 +443,7 @@ def test_unwritable_package_cache_falls_back_to_user_cache(tmp_path, monkeypatch
     # a path below a regular file cannot be created, whoever runs the test
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.setattr(_kernel, "_steps_c", None)
+    monkeypatch.setattr(_kernel, "_lib", None)
     monkeypatch.setattr(_kernel, "CACHE", blocker / "cache")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     assert _kernel._load() is not None
@@ -412,13 +463,27 @@ def test_failed_compile_leaves_no_file(tmp_path):
     assert list(cache.iterdir()) == []
 
 
-def test_cli_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(_kernel, "_steps_c", None)
+def no_compiler(tmp_path, monkeypatch):
+    """Unload the library, empty both caches and hide gcc."""
+    monkeypatch.setattr(_kernel, "_lib", None)
     monkeypatch.setattr(_kernel, "CACHE", tmp_path / "cache")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+
+
+def test_cli_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
+    no_compiler(tmp_path, monkeypatch)
     code = main(["run", "--synthetic", "20,5,0.5,linear-sign", "--epochs", "1",
                  "--out", str(tmp_path / "trace.csv")])
+    assert code == 4
+    assert "gcc" in capsys.readouterr().err
+
+
+def test_chunk_stats_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
+    # tau-nice and chunked draws go through the compiled kernels too
+    no_compiler(tmp_path, monkeypatch)
+    code = main(["chunk-stats", "--synthetic", "40,5,0.5,skewed-nnz", "--tau", "2",
+                 "--draws", "3", "--out", str(tmp_path / "stats.csv")])
     assert code == 4
     assert "gcc" in capsys.readouterr().err
 

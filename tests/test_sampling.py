@@ -6,6 +6,8 @@ from scipy import stats
 
 from dfsdca.dataset import gen_synthetic
 from dfsdca.sampling import (
+    _floyd_bounds,
+    _tau_subsets,
     chunked_sampling,
     importance_probabilities,
     naive_chunks,
@@ -120,11 +122,9 @@ class TestTauNice:
 
     def test_empirical_marginals(self):
         sc = tau_nice(np.ones(5), 2)
-        rng = np.random.default_rng(19)
-        counts = np.zeros(5, dtype=int)
-        for _ in range(DRAWS):
-            counts[sc.draw(rng)] += 1
-        freq = counts / DRAWS
+        # one block equals DRAWS draw calls (TestDrawBlock)
+        idx, _ = sc.draw_block(np.random.default_rng(19), DRAWS)
+        freq = np.bincount(idx, minlength=5) / DRAWS
         stderr = np.sqrt(0.4 * 0.6 / DRAWS)
         assert np.all(np.abs(freq - 0.4) <= 4 * stderr)
 
@@ -212,11 +212,8 @@ class TestChunkedSampling:
     def test_empirical_marginals(self):
         part = naive_chunks([4, 2, 2, 4, 4])  # k = 4
         sc = chunked_sampling(np.ones(5), part, 2)
-        rng = np.random.default_rng(3)
-        counts = np.zeros(5, dtype=int)
-        for _ in range(DRAWS):
-            counts[sc.draw(rng)] += 1
-        freq = counts / DRAWS
+        idx, _ = sc.draw_block(np.random.default_rng(3), DRAWS)
+        freq = np.bincount(idx, minlength=5) / DRAWS
         stderr = np.sqrt(0.5 * 0.5 / DRAWS)
         assert np.all(np.abs(freq - 0.5) <= 4 * stderr)
 
@@ -442,6 +439,45 @@ class TestDrawBlock:
             for j, x in enumerate(draws):
                 assert np.array_equal(idx[offsets[j]:offsets[j + 1]], x)
             assert a.random() == b.random()
+
+
+class TestTauSubsetStream:
+    """``_tau_subsets`` replays numpy's own Floyd draws: one ``integers``
+    call per block gives the subsets, and the generator state, of sorted
+    ``rng.choice(units, tau, replace=False, shuffle=False)`` calls."""
+
+    @pytest.mark.parametrize("units, tau", [
+        (1, 1), (3, 2), (7, 7), (20, 19), (40, 30), (41, 41), (300, 8),
+        (5000, 16), (5000, 5000), (10000, 10000), (20000, 16),
+    ])
+    def test_rows_equal_sorted_choice(self, units, tau):
+        k = 3 if tau >= 5000 else 60
+        a, b = np.random.default_rng(units + tau), np.random.default_rng(units + tau)
+        got = _tau_subsets(a, units, _floyd_bounds(units, tau), k)
+        want = np.array([np.sort(b.choice(units, tau, replace=False, shuffle=False))
+                         for _ in range(k)])
+        assert got.dtype == np.int64 and got.shape == (k, tau)
+        assert np.array_equal(got, want), (
+            "block draws differ from rng.choice: numpy's Floyd or bounded-integer "
+            "stream has changed, and with it every tau-subset golden digest"
+        )
+        assert a.random() == b.random(), "block draws leave a different generator state"
+
+    def test_all_subsets_uniform(self):
+        # one 200 000-draw block over all C(6, 3) = 20 subsets
+        rows = _tau_subsets(np.random.default_rng(21), 6, _floyd_bounds(6, 3), 200_000)
+        codes = (np.int64(1) << rows).sum(axis=1)
+        _, counts = np.unique(codes, return_counts=True)
+        assert counts.size == 20
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_above_floyd_regime_rows_are_subsets(self):
+        # numpy shuffles a tail here, so only the subset property holds
+        units, tau = 30000, 3000
+        rows = _tau_subsets(np.random.default_rng(4), units, _floyd_bounds(units, tau), 4)
+        assert rows.shape == (4, tau)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert rows.min() >= 0 and rows.max() < units
 
 
 def co_inclusion(sc, draws, seed):
