@@ -163,7 +163,7 @@ def _load_reference(path: str, problem: ProblemSpec) -> ReferenceSolution:
 
 
 def _metadata_lines(args, problem, scheme, theta) -> list[str]:
-    p, v = scheme.p, scheme.v
+    p, v = scheme.p, scheme.eso(problem.dataset)
     return [
         f"# loss={problem.loss.kind} n={problem.dataset.n} d={problem.dataset.d}",
         f"# lambda={problem.lam!r} theta={theta!r}",

@@ -65,6 +65,7 @@ class Dataset:
             np.sqrt(np.bincount(rows, self.data * self.data, minlength=n))
         )
         self._csr_t = None
+        self._overlap = None
 
     @property
     def n(self) -> int:
@@ -99,6 +100,17 @@ class Dataset:
         if self._csr_t is None:
             self._csr_t = self.csr().T.tocsr()
         return self._csr_t
+
+    def overlap(self) -> np.ndarray:
+        """Per-row sums sum_j (omega_j - 1) A_ij^2, where omega_j counts
+        the rows with a nonzero in column j: the data term of the tau-nice
+        ESO bound. Built on first use, like :meth:`csr_t`, and frozen."""
+        if self._overlap is None:
+            omega = np.bincount(self.indices, minlength=self.d)
+            rows = np.repeat(np.arange(self.n), self.nnz)
+            weights = (omega[self.indices] - 1) * (self.data * self.data)
+            self._overlap = _freeze(np.bincount(rows, weights, minlength=self.n))
+        return self._overlap
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         """Dense vector sum_i alpha_i A_i."""

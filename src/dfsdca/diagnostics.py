@@ -41,9 +41,8 @@ from .solver import (
     make_problem,
     primal_gradient,
     primal_value,
+    resolve_theta,
     step,
-    theta_convex,
-    theta_nonconvex,
 )
 
 
@@ -293,10 +292,10 @@ def verify_lemma1_B(
     for prob, nxt in _enumerated_states(problem, state, theta, scheme):
         dn = nxt.w - reference.w
         lhs += prob * (B_old - float(np.dot(dn, dn)))
-    n, lam = ds.n, problem.lam
+    n, lam, v = ds.n, problem.lam, scheme.eso(ds)
     rhs = (
         2.0 * theta / lam * float(np.dot(dw, primal_gradient(problem, w)))
-        - theta**2 / (n * lam) ** 2 * float(np.sum(scheme.v / scheme.p * z**2))
+        - theta**2 / (n * lam) ** 2 * float(np.sum(v / scheme.p * z**2))
     )
     return lhs - rhs
 
@@ -337,13 +336,13 @@ def verify_contraction(
     """Slack of the one-step expected contraction at the theoretical
     stepsize: (1 - theta) X_old - E[X_new] for X in {E, D}; must be
     >= ~-1e-10 at states satisfying the w/alpha tie-in."""
-    sm, lam, n = problem.smoothness, problem.lam, problem.dataset.n
+    sm, lam = problem.smoothness, problem.lam
     if potential == "E":
         if not problem.loss.convex:
             raise ValueError("E-contraction requires convex individual losses")
-        theta = theta_convex(scheme.p, scheme.v, sm.l, lam, n)
+        theta = resolve_theta(problem, scheme, "auto-convex")
     elif potential == "D":
-        theta = theta_nonconvex(scheme.p, scheme.v, sm.L_per, lam, n)
+        theta = resolve_theta(problem, scheme, "auto-nonconvex")
     else:
         raise ValueError("potential must be 'E' or 'D'")
     x_old = getattr(potentials(state, reference, sm, lam), potential)
@@ -484,7 +483,7 @@ def suite_eso(seed: int, datasets: int = 10, trials: int = 5) -> dict:
     ds = Dataset(np.arange(0, 25, 4), np.tile(np.arange(4), 6),
                  np.ones(24), np.ones(6), 4)
     sc = tau_nice(ds.norms, 3)
-    sc.v = ds.norms**2 / 3.0
+    sc.eso = lambda dataset: dataset.norms**2 / 3.0
     bad = validate_eso(sc, ds, trials, seed)
     detected = bad.max_ratio > 1.0
     return {

@@ -1,10 +1,17 @@
 """Mini-batching schemes over example indices.
 
 A scheme is a random-subset-valued distribution described by its marginal
-probabilities p_i, separable-overapproximation parameters v_i bounding
-E[||sum_{i in S} A_i h_i||^2] <= sum_i p_i v_i h_i^2, and a hard cardinality
-cap. All built-in schemes use the cardinality bound v_i = max_card * ||A_i||^2,
-which is tight for singleton (serial) schemes.
+probabilities p_i, a hard cardinality cap, and a draw rule. Its expected
+separable overapproximation (ESO) parameters v_i, which bound
+E[||sum_{i in S} A_i h_i||^2] <= sum_i p_i v_i h_i^2, depend on the data as
+well, so they come from ``scheme.eso(dataset)``:
+
+- serial schemes: v_i = ||A_i||^2, which is exact;
+- tau-nice: v_i = sum_j (1 + (omega_j - 1)(tau - 1)/max(n - 1, 1)) A_ij^2,
+  where omega_j counts the rows with a nonzero in feature j (Qu and
+  Richtarik, ESO for arbitrary samplings); it is tau ||A_i||^2 at most and
+  ||A_i||^2 when no feature is shared;
+- chunked: the cardinality bound v_i = max_card * ||A_i||^2.
 
 A scheme holds no state that a draw changes: every draw is a function of
 the caller-owned numpy Generator alone, so one instance serves any number
@@ -42,20 +49,29 @@ class SamplingScheme:
     name: str
     n: int
     p: np.ndarray
-    v: np.ndarray
     max_card: int
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
         if np.any(self.p <= 0.0) or np.any(self.p > 1.0):
             raise ValueError("marginals must satisfy 0 < p_i <= 1")
-        if np.any(self.v < 0.0):
-            raise ValueError("v_i must be nonnegative")
 
     @property
     def expected_size(self) -> float:
         return float(np.sum(self.p))
+
+    def _norms_sq(self, dataset: Dataset) -> np.ndarray:
+        if dataset.n != self.n:
+            raise ValueError(
+                f"{self.name} samples {self.n} examples, the dataset has {dataset.n}"
+            )
+        return dataset.norms**2
+
+    def eso(self, dataset: Dataset) -> np.ndarray:
+        """ESO parameters v_i of this scheme on ``dataset``. By default the
+        cardinality bound max_card * ||A_i||^2, which is exact for serial
+        schemes. Raises ValueError if the dataset's size is not n."""
+        return self.max_card * self._norms_sq(dataset)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One subset of [n] as a sorted index array."""
@@ -86,7 +102,7 @@ class SerialSampling(SamplingScheme):
             raise ValueError("p and norms must have the same length")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("serial probabilities must sum to 1")
-        super().__init__(name, norms.size, p, norms**2, 1)
+        super().__init__(name, norms.size, p, 1)
         self._uniform = bool(np.all(p == p[0]))
         self._cdf = np.cumsum(p)
         self._cdf[-1] = 1.0
@@ -145,9 +161,23 @@ class TauNiceSampling(SamplingScheme):
         n = norms.size
         if not (1 <= tau <= n):
             raise ValueError(f"tau must be in [1, {n}], got {tau}")
-        super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau * norms**2, tau)
+        super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau)
         self.tau = int(tau)
         self._bounds = _floyd_bounds(n, self.tau)
+
+    def eso(self, dataset):
+        """v_i = ||A_i||^2 + (tau - 1)/max(n - 1, 1) * overlap_i, with the
+        per-row overlap of :meth:`Dataset.overlap`: a pair of distinct rows
+        shares a draw with probability (tau - 1)/(n - 1), so only features
+        that rows share add to ||A_i||^2. O(n) once the overlap is built.
+
+        The sum meets the cardinality bound tau ||A_i||^2 when every
+        feature of row i lies in every row, and rounding can then put it an
+        ulp above, so the result is capped at that bound. At tau = 1 it is
+        ||A_i||^2 bitwise."""
+        norms_sq = self._norms_sq(dataset)
+        c = (self.tau - 1) / max(self.n - 1, 1)
+        return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
 
     def draw(self, rng):
         return _tau_subsets(rng, self.n, self._bounds, 1)[0]
@@ -231,9 +261,9 @@ class ChunkedSampling(SamplingScheme):
     """Uniform tau-subsets of chunks; the sampled set is their union.
 
     Every coordinate has marginal tau/k. The cardinality cap is
-    tau * max_j g_j, giving the conservative v_i = cap * ||A_i||^2. Chunk
-    ids are drawn as in :class:`TauNiceSampling`, by :func:`_tau_subsets`
-    over the k chunks.
+    tau * max_j g_j, and :meth:`eso` returns the conservative cardinality
+    bound v_i = cap * ||A_i||^2. Chunk ids are drawn as in
+    :class:`TauNiceSampling`, by :func:`_tau_subsets` over the k chunks.
     """
 
     def __init__(self, norms, partition: ChunkPartition, tau):
@@ -244,10 +274,7 @@ class ChunkedSampling(SamplingScheme):
         if not (1 <= tau <= k):
             raise ValueError(f"tau must be in [1, k={k}], got {tau}")
         cap = int(tau) * int(np.max(partition.g))
-        super().__init__(
-            f"chunked:{tau}", norms.size, np.full(norms.size, tau / k),
-            cap * norms**2, cap,
-        )
+        super().__init__(f"chunked:{tau}", norms.size, np.full(norms.size, tau / k), cap)
         self.tau = int(tau)
         self.partition = partition
         self._bounds = _floyd_bounds(k, self.tau)
@@ -383,6 +410,7 @@ def validate_eso(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    weights = scheme.p * scheme.eso(dataset)
     atoms = scheme.atoms(atom_limit)
     ratios = np.empty(trials)
     stderrs = np.zeros(trials)
@@ -407,7 +435,7 @@ def validate_eso(
 
     for trial in range(trials):
         h = rng.standard_normal(scheme.n)
-        rhs = float(np.sum(scheme.p * scheme.v * h**2))
+        rhs = float(np.sum(weights * h**2))
         if atoms is not None:
             aggs = agg_norms_sq([subset for subset, _ in atoms], h)
             lhs = sum(prob * a for (_, prob), a in zip(atoms, aggs))

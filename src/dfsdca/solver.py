@@ -179,7 +179,7 @@ class SolverConfig:
     theta: float | str = "auto-convex"
     epochs: int = 10
     seed: int = 0
-    trace_period: int | None = None   # default: one epoch-equivalent
+    trace_period: int | None = None   # default: at the end of every epoch
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -187,12 +187,15 @@ class SolverConfig:
 
 
 def resolve_theta(problem: ProblemSpec, scheme: SamplingScheme, theta) -> float:
+    """The stepsize ``theta`` names: "auto-convex" or "auto-nonconvex" give
+    the largest one the theory admits with the ESO parameters
+    ``scheme.eso(problem.dataset)``, and a number must lie in (0, min p_i]."""
     sm = problem.smoothness
-    n = problem.dataset.n
+    ds = problem.dataset
     if theta == "auto-convex":
-        return theta_convex(scheme.p, scheme.v, sm.l, problem.lam, n)
+        return theta_convex(scheme.p, scheme.eso(ds), sm.l, problem.lam, ds.n)
     if theta == "auto-nonconvex":
-        return theta_nonconvex(scheme.p, scheme.v, sm.L_per, problem.lam, n)
+        return theta_nonconvex(scheme.p, scheme.eso(ds), sm.L_per, problem.lam, ds.n)
     theta = float(theta)
     p_min = float(np.min(scheme.p))
     if not (0.0 < theta <= p_min * (1.0 + _GUARD_TOL)):
@@ -228,26 +231,32 @@ def run(
     config: SolverConfig,
     reference=None,
 ) -> tuple[SolverState, Trace]:
-    """Run for epochs * n / E|S| iterations, tracing periodically.
+    """Run for ceil(epochs * n / E|S|) iterations, tracing periodically.
 
-    The iterations between two resyncs or checkpoints are drawn as one
-    block (:meth:`SamplingScheme.draw_block`, the same generator stream as
-    one ``draw`` per iteration) and run by one call of the compiled kernel,
-    so the iterates equal a loop of :func:`step` over ``draw`` bitwise. With
-    a reference solution attached each trace record carries the
-    suboptimality and the primal/dual distance potentials. Deterministic for
-    a fixed seed. Raises DivergenceError if the objective runs away.
+    By default the k-th checkpoint falls where a run of k epochs ends, at
+    iteration ceil(k * n / E|S|), so a shorter run's trace is a prefix of a
+    longer one's, its last record included; ``config.trace_period`` puts
+    them at its multiples instead. The iterations between two resyncs or
+    checkpoints are drawn as one block (:meth:`SamplingScheme.draw_block`,
+    the same generator stream as one ``draw`` per iteration) and run by one
+    call of the compiled kernel, so the iterates equal a loop of
+    :func:`step` over ``draw`` bitwise. With a reference solution attached
+    each trace record carries the suboptimality and the primal/dual
+    distance potentials. Deterministic for a fixed seed. Raises
+    DivergenceError if the objective runs away.
     """
     from .diagnostics import potentials  # runtime import, avoids a cycle
 
     theta = resolve_theta(problem, scheme, config.theta)
     n = problem.dataset.n
     e_size = scheme.expected_size
+    period = config.trace_period
+
+    def checkpoint(k):
+        """Iteration of the k-th checkpoint after the start."""
+        return k * period if period else math.ceil(k * n / e_size)
+
     total = math.ceil(config.epochs * n / e_size)
-    trace_every = (
-        config.trace_period if config.trace_period
-        else max(1, round(n / e_size))
-    )
     rng = np.random.default_rng(config.seed)
     state = init_state(problem)
     trace = Trace(theta=theta, expected_size=e_size, records=[])
@@ -270,17 +279,18 @@ def run(
     runaway = 1e6 * abs(record()) + 1e6
     # draws per kernel call, capped so that one block of indices stays small
     block = max(1, _BLOCK_EXAMPLES // scheme.max_card)
-    t = 0
+    t, k = 0, 1
     while t < total:
         # the next resync or checkpoint ends the block
-        stop = min(total, t + block, (t // n + 1) * n,
-                   (t // trace_every + 1) * trace_every)
+        stop = min(total, t + block, (t // n + 1) * n, checkpoint(k))
         idx, offsets = scheme.draw_block(rng, stop - t)
         _steps(problem, state, idx, offsets, scheme.p, theta)
         t = stop
         if t % n == 0:
             resync(problem, state)
-        if t % trace_every == 0 or t == total:
+        at_checkpoint = t == checkpoint(k)
+        k += at_checkpoint
+        if at_checkpoint or t == total:
             primal = record()
             if not math.isfinite(primal) or abs(primal) > runaway:
                 raise DivergenceError(

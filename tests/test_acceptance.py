@@ -138,7 +138,7 @@ def test_criterion_01_closed_form_ridge():
         w_star = ((1 * 1 + 1 * 3) / 2) / ((1 + 1) / 2 + 1.0)
         assert w_star == 1.0
         sc = serial_uniform(prob.dataset.norms)
-        theta = theta_convex(sc.p, sc.v, prob.smoothness.l, 1.0, 2)
+        theta = theta_convex(sc.p, sc.eso(prob.dataset), prob.smoothness.l, 1.0, 2)
         assert theta == pytest.approx(1.0 / 3.0, rel=1e-15)
         state, _ = run(prob, sc, SolverConfig(theta=theta, epochs=200, seed=0))
         assert abs(state.w[0] - w_star) <= 1e-6
@@ -164,7 +164,7 @@ def test_criterion_03_nonconvex_envelope():
         problem = make_problem(ds, loss, lam)
         ref = reference_solution(problem)
         sc = serial_uniform(ds.norms)
-        theta = theta_nonconvex(sc.p, sc.v, problem.smoothness.L_per, lam, n)
+        theta = theta_nonconvex(sc.p, sc.eso(ds), problem.smoothness.L_per, lam, n)
         traces = []
         for seed in range(20):
             cfg = SolverConfig(theta=theta, epochs=40, seed=seed, trace_period=n)
@@ -256,7 +256,7 @@ def test_criterion_07_eso_certificate():
                 assert np.all(rep.ratios <= 1.0 + 3.0 * rep.stderrs + 1e-12), sc.name
         corr = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
         sc = tau_nice(corr.norms, 3)
-        sc.v = corr.norms**2 / 3.0
+        sc.eso = lambda dataset: dataset.norms**2 / 3.0
         assert validate_eso(sc, corr, trials=5, seed=0).max_ratio > 1.0
 
 
@@ -294,17 +294,17 @@ def test_criterion_09_chunking():
         assert partition.m_cap == u.max()
 
         rng = np.random.default_rng(0)
+        s = np.asarray(partition.s, dtype=np.float64)
         for tau in (5, 10, 20, 50):
             standard = tau_nice(ds.norms, tau)
             chunked = chunked_sampling(ds.norms, partition, tau)
-            m_std = np.mean([
-                waiting_time(standard.sample_core_loads(rng, u))
-                for _ in range(10_000)
-            ])
-            m_chk = np.mean([
-                waiting_time(chunked.sample_core_loads(rng, u))
-                for _ in range(10_000)
-            ])
+            # one block per scheme, as ``chunk-stats`` draws: the same loads
+            # and generator stream as 10 000 sample_core_loads calls each
+            idx, _ = standard.draw_block(rng, 10_000)
+            m_std = np.mean([waiting_time(loads)
+                             for loads in u[idx].reshape(10_000, tau)])
+            m_chk = np.mean([waiting_time(loads)
+                             for loads in s[chunked.draw_chunk_block(rng, 10_000)]])
             assert m_chk < m_std, f"tau={tau}: {m_chk} !< {m_std}"
 
 

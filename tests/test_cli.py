@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfsdca.cli import TRACE_COLUMNS, main
+from dfsdca.dataset import gen_synthetic
 
 RIDGE = "1 1:1\n3 1:1\n"
 
@@ -156,6 +157,23 @@ class TestRun:
         ]) == 0
         _, rows = read_rows(out)
         assert float(rows[-1]["primal"]) < float(rows[0]["primal"])
+
+    def test_header_v_is_the_scheme_eso(self, tmp_path):
+        def v_range(sampling):
+            out = tmp_path / "t.csv"
+            assert main([
+                "run", "--synthetic", "60,10,0.3,linear-sign", "--seed", "0",
+                "--sampling", sampling, "--epochs", "1", "--out", str(out),
+            ]) == 0
+            line = next(l for l in out.read_text().splitlines() if " v_max=" in l)
+            fields = dict(tok.split("=") for tok in line[1:].split())
+            return float(fields["v_min"]), float(fields["v_max"])
+
+        # the tau-nice bound lies below the cardinality bound tau ||A_i||^2
+        # and is the serial ||A_i||^2 at tau = 1
+        norms = gen_synthetic(60, 10, 0.3, "linear-sign", 0).norms
+        assert v_range("nice:6")[1] < 6 * float(np.max(norms**2))
+        assert v_range("nice:1") == v_range("serial-uniform")
 
     def test_nonconvex_synthetic_model(self, tmp_path):
         out = tmp_path / "t.csv"

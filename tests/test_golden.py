@@ -8,7 +8,16 @@ one Newton oracle replaced the exact solve; a mismatch means some bits moved.
 The ``nice:8`` and ``chunked:4`` run digests were re-recorded when the
 tau-subset draws became one ``rng.choice`` call instead of a partial shuffle
 of a persistent permutation: the subsets drawn, and so the traces, changed,
-while every other digest here stayed as recorded.
+while every other digest here stayed as recorded. The ``nice:8`` digest was
+re-recorded once more when tau-nice sampling took the data-dependent ESO
+bound ``TauNiceSampling.eso``: the draws are unchanged, but v_i and so
+theta (4.5x larger here) changed, and with them the trace. The serial,
+``chunked:4`` and reference digests kept their bytes. Both were re-recorded
+once more when a run's default checkpoints moved from every round(n/E|S|)
+iterations to the ends of epochs, ceil(k n/E|S|): n/E|S| is 37.5 and 40.25
+here, so the records fall at other iterations, while the iterates and the
+records at iterations both schedules share (the first and the last) kept
+their bytes. The serial digests, where n/E|S| = n, kept theirs.
 """
 
 import hashlib
@@ -96,8 +105,8 @@ PROBLEM = ["--synthetic", "300,40,0.1,linear-sign", "--loss", "logistic"]
 
 GOLDEN_RUNS = {
     "serial-uniform": "32e85e3a88e62bb2",
-    "nice:8": "a534e85af3eddcfe",
-    "chunked:4": "8f7300dcd3eaace5",
+    "nice:8": "e00b56aac56abdf8",
+    "chunked:4": "66cbec1f362d0413",
     "serial-uniform --seeds 3": "6b225d83c4989d6f",
 }
 

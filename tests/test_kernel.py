@@ -2,6 +2,7 @@
 it replaced and close to the per-example loop, the tau-subset pass against
 Floyd's rule, their input checks at the C boundary, and the build cache."""
 
+import math
 import subprocess
 from types import SimpleNamespace
 
@@ -511,6 +512,10 @@ def test_run_blocks_equal_step_loop(monkeypatch, trace_period, block):
             resync(problem, state)
     assert np.array_equal(state.w, got.w)
     assert np.array_equal(state.alpha, got.alpha)
-    every = trace_period or max(1, round(ds.n / sc.expected_size))
-    want = list(range(0, got.t + 1, every))
-    assert [r.t for r in trace.records] == want + ([got.t] if want[-1] != got.t else [])
+    if trace_period:
+        want = list(range(0, got.t + 1, trace_period))
+        want += [got.t] if want[-1] != got.t else []
+    else:
+        # the k-th record is where a run of k epochs ends
+        want = [math.ceil(k * ds.n / sc.expected_size) for k in range(config.epochs + 1)]
+    assert [r.t for r in trace.records] == want

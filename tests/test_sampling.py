@@ -45,9 +45,11 @@ class TestSerialUniform:
         assert stats.chisquare(counts).pvalue >= 0.01
 
     def test_v_is_squared_norms(self):
-        norms = np.array([1.0, 2.0, 3.0])
-        sc = serial_uniform(norms)
-        assert np.array_equal(sc.v, norms**2)
+        ds = from_rows([([0], [1.0]), ([0], [2.0]), ([0, 1], [3.0, 4.0])],
+                       np.ones(3), 2)
+        sc = serial_uniform(ds.norms)
+        assert np.array_equal(sc.eso(ds), ds.norms**2)
+        assert np.array_equal(sc.eso(ds), [1.0, 4.0, 25.0])
 
 
 class TestSerialWeighted:
@@ -57,9 +59,10 @@ class TestSerialWeighted:
         assert sc.draw(rng).tolist() == [0]
 
     def test_matches_uniform_for_half_half(self):
-        a = serial_weighted(np.ones(2), [0.5, 0.5])
-        b = serial_uniform(np.ones(2))
-        assert np.array_equal(a.p, b.p) and np.array_equal(a.v, b.v)
+        ds = gen_synthetic(2, 3, 0.7, "linear-sign", 1)
+        a = serial_weighted(ds.norms, [0.5, 0.5])
+        b = serial_uniform(ds.norms)
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.eso(ds), b.eso(ds))
 
     def test_empirical_frequency(self):
         sc = serial_weighted(np.ones(2), [0.9, 0.1])
@@ -113,9 +116,10 @@ class TestTauNice:
         assert np.all(sc.p == 1.0)
 
     def test_tau_one_reduces_to_serial(self):
-        a = tau_nice(np.ones(6), 1)
-        b = serial_uniform(np.ones(6))
-        assert np.array_equal(a.p, b.p) and np.array_equal(a.v, b.v)
+        ds = gen_synthetic(6, 4, 0.7, "linear-sign", 2)
+        a = tau_nice(ds.norms, 1)
+        b = serial_uniform(ds.norms)
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.eso(ds), b.eso(ds))
         assert a.max_card == b.max_card == 1
         rng = np.random.default_rng(2)
         assert all(a.draw(rng).size == 1 for _ in range(20))
@@ -202,7 +206,8 @@ class TestChunkedSampling:
         sc = chunked_sampling(np.ones(5), part, 1)
         assert sc.max_card == 2
         assert np.all(sc.p == 0.25)
-        assert np.array_equal(sc.v, 2.0 * np.ones(5))
+        ds = from_rows([([0], [1.0])] * 5, np.ones(5), 1)
+        assert np.array_equal(sc.eso(ds), 2.0 * np.ones(5))
 
     def test_tau_exceeds_chunks(self):
         part = naive_chunks([1, 1])
@@ -291,12 +296,63 @@ class TestEso:
         assert np.array_equal(rep.ratios, ratios)
         assert np.array_equal(rep.stderrs, stderrs)
 
+    def test_tau_nice_bound_exact_on_tiny_data(self):
+        # every tau of 200 tiny datasets, by exact enumeration; a feature in
+        # every row with tau = n attains the bound up to rounding
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for k in range(200):
+            ds = tiny_dataset(rng, full_column=k % 2 == 1, empty_row=k % 4 >= 2)
+            norms_sq = ds.norms**2
+            for tau in range(1, ds.n + 1):
+                sc = tau_nice(ds.norms, tau)
+                v = sc.eso(ds)
+                rep = validate_eso(sc, ds, trials=2, seed=k)
+                assert rep.exact
+                worst = max(worst, rep.max_ratio)
+                assert np.all(v <= tau * norms_sq), (k, tau)
+            assert np.array_equal(tau_nice(ds.norms, 1).eso(ds), norms_sq)
+        assert worst <= 1.0 + 1e-12
+
+    def test_tau_nice_bound_uses_shared_features_only(self):
+        # rows 0 and 1 share feature 0 (omega = 2), row 2 has its own feature
+        ds = from_rows([([0], [1.0]), ([0, 1], [2.0, 1.0]), ([2], [3.0])],
+                       np.ones(3), 3)
+        assert ds.overlap().tolist() == [1.0, 4.0, 0.0]
+        # tau = 2: a pair of rows shares a draw with probability 1/2
+        v = tau_nice(ds.norms, 2).eso(ds)
+        assert np.array_equal(v, ds.norms**2 + [0.5, 2.0, 0.0])
+
+    def test_eso_rejects_wrong_dataset_size(self):
+        ds = gen_synthetic(8, 5, 0.6, "linear-sign", 1)
+        other = gen_synthetic(9, 5, 0.6, "linear-sign", 1)
+        part = naive_chunks(ds.nnz.tolist())
+        for sc in (serial_uniform(ds.norms), tau_nice(ds.norms, 3),
+                   chunked_sampling(ds.norms, part, 1)):
+            with pytest.raises(ValueError, match="8 examples, the dataset has 9"):
+                sc.eso(other)
+
     def test_undersized_v_detected(self):
         ds = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
         sc = tau_nice(ds.norms, 3)
-        sc.v = ds.norms**2 / 3.0
+        sc.eso = lambda dataset: dataset.norms**2 / 3.0
         rep = validate_eso(sc, ds, trials=5, seed=9)
         assert rep.max_ratio > 1.0
+
+
+def tiny_dataset(rng, full_column: bool, empty_row: bool):
+    """A random dataset of 2 to 12 rows and 1 to 6 features, optionally
+    with one feature present in every row, or with an empty row."""
+    n, d = int(rng.integers(2, 13)), int(rng.integers(1, 7))
+    mask = rng.random((n, d)) < rng.uniform(0.2, 0.9)
+    if full_column:
+        mask[:, int(rng.integers(d))] = True
+    if empty_row:
+        r = int(rng.integers(n))
+        mask[r] = False
+        mask[(r + 1) % n, 0] = True  # some row stays nonzero
+    rows = [(np.flatnonzero(m), rng.standard_normal(int(m.sum()))) for m in mask]
+    return from_rows(rows, np.ones(n), d)
 
 
 def reference_eso(scheme, ds, trials, seed, mc_draws, atom_limit):
@@ -313,9 +369,10 @@ def reference_eso(scheme, ds, trials, seed, mc_draws, atom_limit):
         return float(np.dot(z, z))
 
     ratios, stderrs = np.empty(trials), np.zeros(trials)
+    v = scheme.eso(ds)
     for t in range(trials):
         h = rng.standard_normal(scheme.n)
-        rhs = float(np.sum(scheme.p * scheme.v * h**2))
+        rhs = float(np.sum(scheme.p * v * h**2))
         if atoms is not None:
             lhs = sum(prob * agg(subset, h) for subset, prob in atoms)
         else:
@@ -397,6 +454,7 @@ class TestDeterminism:
         rng = np.random.default_rng(4)
         for sc in schemes:
             before = pickle.dumps(sc)
+            sc.eso(ds)
             for _ in range(20):
                 sc.draw(rng)
                 sc.sample_core_loads(rng, ds.nnz)

@@ -176,6 +176,21 @@ class TestRun:
             _, tr = run(prob, sc, SolverConfig(epochs=10, seed=2))
             assert all(r.residual <= 1e-8 for r in tr.records)
 
+    @pytest.mark.parametrize("scheme", ["nice", "chunked"])
+    def test_shorter_run_trace_is_prefix(self, scheme):
+        # checkpoints fall where runs of 1, 2, ... epochs end, also when
+        # n / E|S| is fractional, so a 3-epoch run's trace, its last record
+        # included, is the first 4 records of a 7-epoch run's
+        prob = logistic_problem(n=30)
+        norms = prob.dataset.norms
+        sc = tau_nice(norms, 4) if scheme == "nice" else chunked_sampling(
+            norms, naive_chunks(prob.dataset.nnz.tolist()), 4)
+        assert prob.dataset.n / sc.expected_size == 7.5
+        _, short = run(prob, sc, SolverConfig(epochs=3, seed=5))
+        _, long = run(prob, sc, SolverConfig(epochs=7, seed=5))
+        assert len(short.records) == 4 and len(long.records) == 8
+        assert short.records == long.records[:4]
+
     def test_epoch_accounting(self):
         prob = logistic_problem(n=30)
         st, tr = run(prob, serial_uniform(prob.dataset.norms),
