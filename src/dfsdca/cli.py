@@ -268,13 +268,8 @@ def cmd_chunk_stats(args) -> int:
     rng = np.random.default_rng(args.seed)
     # one block per scheme; a core's load is its example's nnz (tau-nice)
     # or its chunk's nnz sum (chunked)
-    idx, _ = standard.draw_block(rng, args.draws)
-    std_loads = u[idx].reshape(args.draws, args.tau)
-    chk_loads = np.asarray(partition.s, dtype=np.float64)[
-        chunked.draw_chunk_block(rng, args.draws)
-    ]
-    std_samples = np.array([waiting_time(loads) for loads in std_loads])
-    chk_samples = np.array([waiting_time(loads) for loads in chk_loads])
+    std_samples = waiting_time(standard.core_loads(rng, u, args.draws))
+    chk_samples = waiting_time(chunked.core_loads(rng, u, args.draws))
 
     lines = ["row,standard,chunked"]
     for i in range(args.draws):

@@ -1,7 +1,7 @@
 """Mini-batching schemes over example indices.
 
 A scheme is a random-subset-valued distribution described by its marginal
-probabilities p_i, a hard cardinality cap, and a draw rule. Its expected
+probabilities p_i, a hard cardinality cap, and one draw rule. Its expected
 separable overapproximation (ESO) parameters v_i, which bound
 E[||sum_{i in S} A_i h_i||^2] <= sum_i p_i v_i h_i^2, depend on the data as
 well, so they come from ``scheme.eso(dataset)``:
@@ -15,18 +15,19 @@ well, so they come from ``scheme.eso(dataset)``:
 
 A scheme holds no state that a draw changes: every draw is a function of
 the caller-owned numpy Generator alone, so one instance serves any number
-of runs. ``draw_block`` makes k draws at once and takes from the generator
-exactly what k ``draw`` calls take, so a solver can draw all the iterations
-between two checkpoints in one call.
+of runs. Its one draw rule, ``draw_block(rng, k)``, makes k draws and
+takes from the generator exactly what k blocks of one take. ``draw`` is
+the block of one, and ``core_loads`` gives a block's per-core workloads, so
+all share one stream, and a solver can draw every iteration between two
+checkpoints in one call.
 
 The tau-subset schemes draw uniform tau-subsets of their units (examples or
 chunks) by Floyd's algorithm, which takes one bounded integer per slot
 whatever the earlier slots kept. So one ``rng.integers`` call draws every
-slot of a block, one compiled pass resolves repeats (``_tau_subsets``),
-and a single draw is a block of one. Wherever numpy itself uses Floyd for
-``rng.choice(units, tau, replace=False)`` (units <= 10000, or
-tau <= units // 50), the subsets and the generator state equal those of
-sorted ``rng.choice`` calls.
+slot of a block and one compiled pass resolves repeats (``_tau_subsets``).
+Wherever numpy itself uses Floyd for ``rng.choice(units, tau,
+replace=False)`` (units <= 10000, or tau <= units // 50), the subsets and
+the generator state equal those of sorted ``rng.choice`` calls.
 """
 
 from __future__ import annotations
@@ -50,15 +51,13 @@ class SamplingScheme:
     n: int
     p: np.ndarray
     max_card: int
+    #: E|S|, the scheme's own value: the float sum of p can round off it
+    expected_size: float
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
         if np.any(self.p <= 0.0) or np.any(self.p > 1.0):
             raise ValueError("marginals must satisfy 0 < p_i <= 1")
-
-    @property
-    def expected_size(self) -> float:
-        return float(np.sum(self.p))
 
     def _norms_sq(self, dataset: Dataset) -> np.ndarray:
         if dataset.n != self.n:
@@ -73,23 +72,31 @@ class SamplingScheme:
         schemes. Raises ValueError if the dataset's size is not n."""
         return self.max_card * self._norms_sq(dataset)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One subset of [n] as a sorted index array."""
+    def draw_block(self, rng: np.random.Generator, k: int):
+        """The draw rule: k draws laid end to end, as int64 arrays
+        ``(idx, offsets)``, draw j being the sorted ``idx[offsets[j]:
+        offsets[j + 1]]``. Takes from the generator what k blocks of one
+        take, so a block equals k calls of :meth:`draw`."""
         raise NotImplementedError
 
-    def draw_block(self, rng: np.random.Generator, k: int):
-        """k draws laid end to end, as int64 arrays ``(idx, offsets)``: draw
-        j is ``idx[offsets[j]:offsets[j + 1]]``. Equals k calls of
-        :meth:`draw` and leaves the generator in the same state."""
-        raise NotImplementedError
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One subset of [n] as a sorted index array: a block of one."""
+        return self.draw_block(rng, 1)[0]
+
+    def core_loads(self, rng: np.random.Generator, u, k: int) -> np.ndarray:
+        """Per-core workloads of a block of k draws, as a (k, cores) array:
+        one drawn example per core, loaded with its entry of ``u``. Holds
+        for schemes whose every draw has max_card examples."""
+        idx, _ = self.draw_block(rng, k)
+        return np.asarray(u)[idx].reshape(k, self.max_card)
+
+    def sample_core_loads(self, rng: np.random.Generator, u) -> np.ndarray:
+        """Per-core workloads of one draw: a block of one."""
+        return self.core_loads(rng, u, 1)[0]
 
     def atoms(self, limit: int = ATOM_LIMIT):
         """All (subset, probability) outcomes, or None if too many."""
         return None
-
-    def sample_core_loads(self, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
-        """Per-core workloads for one draw: one drawn unit per core."""
-        return np.asarray(u)[self.draw(rng)]
 
 
 class SerialSampling(SamplingScheme):
@@ -102,20 +109,13 @@ class SerialSampling(SamplingScheme):
             raise ValueError("p and norms must have the same length")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("serial probabilities must sum to 1")
-        super().__init__(name, norms.size, p, 1)
+        super().__init__(name, norms.size, p, 1, 1.0)
         self._uniform = bool(np.all(p == p[0]))
         self._cdf = np.cumsum(p)
         self._cdf[-1] = 1.0
 
-    def draw(self, rng):
-        if self._uniform:
-            i = int(rng.integers(0, self.n))
-        else:
-            i = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        return np.array([i], dtype=np.int64)
-
     def draw_block(self, rng, k):
-        # one vectorized call yields the same values as k scalar calls
+        # one vectorized call yields the same values as k size-1 calls
         if self._uniform:
             idx = rng.integers(0, self.n, size=k)
         else:
@@ -126,26 +126,21 @@ class SerialSampling(SamplingScheme):
         return [((i,), float(self.p[i])) for i in range(self.n)]
 
 
-def _floyd_bounds(units: int, tau: int) -> np.ndarray:
-    """Exclusive upper bounds of Floyd's per-slot draws: slot c of a
-    tau-subset of range(units) draws from [0, units - tau + c]."""
-    return np.arange(units - tau + 1, units + 1, dtype=np.int64)
-
-
-def _tau_subsets(rng, units: int, bounds: np.ndarray, k: int) -> np.ndarray:
-    """k uniform tau-subsets of range(units), tau = ``bounds.size``, as the
-    sorted rows of a (k, tau) int64 array.
+def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
+    """k uniform tau-subsets of range(units), as the sorted rows of a
+    (k, tau) int64 array.
 
     One ``rng.integers`` call draws all k * tau slots of Floyd's algorithm
-    in row order, and the compiled pass ``_kernel.tau_subsets`` keeps each
-    slot's draw, or the slot's own top value if that draw is taken. That is
-    how numpy's ``rng.choice(units, tau, replace=False, shuffle=False)``
-    runs for units <= 10000 or tau <= units // 50, so there the rows and
-    the generator's next state equal k sorted ``rng.choice`` calls. Above
-    that numpy shuffles a tail instead: the subsets here are as uniform,
-    from a different stream.
+    in row order, slot c from [0, units - tau + c], and the compiled pass
+    ``_kernel.tau_subsets`` keeps each slot's draw, or the slot's own top
+    value if that draw is taken. That is how numpy's ``rng.choice(units,
+    tau, replace=False, shuffle=False)`` runs for units <= 10000 or
+    tau <= units // 50, so there the rows and the generator's next state
+    equal k sorted ``rng.choice`` calls. Above that numpy shuffles a tail
+    instead: the subsets here are as uniform, from a different stream.
     """
-    draws = rng.integers(0, bounds, size=(k, bounds.size))
+    bounds = np.arange(units - tau + 1, units + 1, dtype=np.int64)
+    draws = rng.integers(0, bounds, size=(k, tau))
     _kernel.tau_subsets(units, draws)
     draws.sort(axis=1)
     return draws
@@ -154,16 +149,15 @@ def _tau_subsets(rng, units: int, bounds: np.ndarray, k: int) -> np.ndarray:
 class TauNiceSampling(SamplingScheme):
     """Uniformly random subsets of a fixed size tau, drawn by
     :func:`_tau_subsets`: a block of draws is one ``rng.integers`` call and
-    one compiled pass, and a single draw is a block of one."""
+    one compiled pass."""
 
     def __init__(self, norms, tau):
         norms = np.asarray(norms, dtype=np.float64)
         n = norms.size
         if not (1 <= tau <= n):
             raise ValueError(f"tau must be in [1, {n}], got {tau}")
-        super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau)
+        super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau, float(tau))
         self.tau = int(tau)
-        self._bounds = _floyd_bounds(n, self.tau)
 
     def eso(self, dataset):
         """v_i = ||A_i||^2 + (tau - 1)/max(n - 1, 1) * overlap_i, with the
@@ -179,11 +173,8 @@ class TauNiceSampling(SamplingScheme):
         c = (self.tau - 1) / max(self.n - 1, 1)
         return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
 
-    def draw(self, rng):
-        return _tau_subsets(rng, self.n, self._bounds, 1)[0]
-
     def draw_block(self, rng, k):
-        ids = _tau_subsets(rng, self.n, self._bounds, k)
+        ids = _tau_subsets(rng, self.n, self.tau, k)
         return ids.ravel(), np.arange(0, (k + 1) * self.tau, self.tau, dtype=np.int64)
 
     def atoms(self, limit: int = ATOM_LIMIT):
@@ -217,9 +208,6 @@ class ChunkPartition:
     @property
     def n(self) -> int:
         return int(self.boundaries[-1])
-
-    def coords(self, j: int) -> np.ndarray:
-        return np.arange(self.boundaries[j], self.boundaries[j + 1], dtype=np.int64)
 
     def to_json(self) -> dict:
         return {
@@ -273,49 +261,35 @@ class ChunkedSampling(SamplingScheme):
             raise ValueError("partition does not cover this dataset")
         if not (1 <= tau <= k):
             raise ValueError(f"tau must be in [1, k={k}], got {tau}")
-        cap = int(tau) * int(np.max(partition.g))
-        super().__init__(f"chunked:{tau}", norms.size, np.full(norms.size, tau / k), cap)
+        n, cap = norms.size, int(tau) * int(np.max(partition.g))
+        super().__init__(f"chunked:{tau}", n, np.full(n, tau / k), cap, n * tau / k)
         self.tau = int(tau)
         self.partition = partition
-        self._bounds = _floyd_bounds(k, self.tau)
 
-    def draw_chunk_block(self, rng, k: int) -> np.ndarray:
-        """k draws of chunk ids, as the sorted rows of a (k, tau) array."""
-        return _tau_subsets(rng, self.partition.k, self._bounds, k)
-
-    def draw_chunks(self, rng) -> np.ndarray:
-        return self.draw_chunk_block(rng, 1)[0]
-
-    def draw(self, rng):
-        ids = self.draw_chunks(rng)
+    def _examples(self, ids: np.ndarray):
+        """The examples of each row of chunk ids, as ``(idx, offsets)``."""
         part = self.partition
-        return concat_ranges(part.boundaries[ids], part.g[ids])
-
-    def draw_block(self, rng, k):
-        part = self.partition
-        ids = self.draw_chunk_block(rng, k)
         sizes = part.g[ids]
         idx = concat_ranges(part.boundaries[ids].ravel(), sizes.ravel())
-        offsets = np.zeros(k + 1, dtype=np.int64)
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(sizes.sum(axis=1), out=offsets[1:])
         return idx, offsets
 
+    def draw_block(self, rng, k):
+        return self._examples(_tau_subsets(rng, self.partition.k, self.tau, k))
+
+    def core_loads(self, rng, u, k):
+        # one chunk per core: a core's load is its chunk's nnz sum
+        ids = _tau_subsets(rng, self.partition.k, self.tau, k)
+        return np.asarray(self.partition.s, dtype=np.float64)[ids]
+
     def atoms(self, limit: int = ATOM_LIMIT):
-        k = self.partition.k
-        total = math.comb(k, self.tau)
+        total = math.comb(self.partition.k, self.tau)
         if total > limit:
             return None
-        prob = 1.0 / total
-        out = []
-        for ids in itertools.combinations(range(k), self.tau):
-            coords = np.concatenate([self.partition.coords(j) for j in ids])
-            out.append((tuple(int(i) for i in coords), prob))
-        return out
-
-    def sample_core_loads(self, rng, u):
-        # One chunk per core: the workload is the chunk's nnz sum.
-        del u
-        return np.asarray(self.partition.s, dtype=np.float64)[self.draw_chunks(rng)]
+        ids = np.array(list(itertools.combinations(range(self.partition.k), self.tau)))
+        idx, offsets = self._examples(ids)
+        return [(tuple(s.tolist()), 1.0 / total) for s in np.split(idx, offsets[1:-1])]
 
 
 def serial_uniform(norms) -> SerialSampling:
@@ -371,13 +345,15 @@ def chunked_sampling(norms, partition: ChunkPartition, tau) -> ChunkedSampling:
     return ChunkedSampling(norms, partition, tau)
 
 
-def waiting_time(core_loads) -> float:
-    """Max-minus-mean of the per-core workloads of one draw: the idle-time
-    proxy for a synchronous mini-batch."""
-    core_loads = np.asarray(core_loads, dtype=np.float64)
-    if core_loads.size == 0:
+def waiting_time(core_loads) -> np.ndarray | float:
+    """Max-minus-mean of per-core workloads over the last axis: the
+    idle-time proxy for a synchronous mini-batch. A float for one draw's
+    loads, one value per row for a block's (k, cores) loads."""
+    core_loads = np.atleast_1d(np.asarray(core_loads, dtype=np.float64))
+    if core_loads.shape[-1] == 0:
         raise ValueError("empty draw")
-    return float(core_loads.max() - core_loads.mean())
+    out = core_loads.max(axis=-1) - core_loads.mean(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -294,17 +294,13 @@ def test_criterion_09_chunking():
         assert partition.m_cap == u.max()
 
         rng = np.random.default_rng(0)
-        s = np.asarray(partition.s, dtype=np.float64)
         for tau in (5, 10, 20, 50):
             standard = tau_nice(ds.norms, tau)
             chunked = chunked_sampling(ds.norms, partition, tau)
             # one block per scheme, as ``chunk-stats`` draws: the same loads
             # and generator stream as 10 000 sample_core_loads calls each
-            idx, _ = standard.draw_block(rng, 10_000)
-            m_std = np.mean([waiting_time(loads)
-                             for loads in u[idx].reshape(10_000, tau)])
-            m_chk = np.mean([waiting_time(loads)
-                             for loads in s[chunked.draw_chunk_block(rng, 10_000)]])
+            m_std = np.mean(waiting_time(standard.core_loads(rng, u, 10_000)))
+            m_chk = np.mean(waiting_time(chunked.core_loads(rng, u, 10_000)))
             assert m_chk < m_std, f"tau={tau}: {m_chk} !< {m_std}"
 
 

@@ -6,7 +6,6 @@ from scipy import stats
 
 from dfsdca.dataset import gen_synthetic
 from dfsdca.sampling import (
-    _floyd_bounds,
     _tau_subsets,
     chunked_sampling,
     importance_probabilities,
@@ -38,10 +37,9 @@ class TestSerialUniform:
 
     def test_chi_square_uniformity(self):
         sc = serial_uniform(np.ones(4))
-        rng = np.random.default_rng(42)
-        counts = np.zeros(4, dtype=int)
-        for _ in range(DRAWS):
-            counts[sc.draw(rng)[0]] += 1
+        # one block equals DRAWS draw calls (TestDrawBlock)
+        idx, _ = sc.draw_block(np.random.default_rng(42), DRAWS)
+        counts = np.bincount(idx, minlength=4)
         assert stats.chisquare(counts).pvalue >= 0.01
 
     def test_v_is_squared_norms(self):
@@ -66,8 +64,8 @@ class TestSerialWeighted:
 
     def test_empirical_frequency(self):
         sc = serial_weighted(np.ones(2), [0.9, 0.1])
-        rng = np.random.default_rng(7)
-        hits = sum(sc.draw(rng)[0] == 0 for _ in range(DRAWS))
+        idx, _ = sc.draw_block(np.random.default_rng(7), DRAWS)
+        hits = int(np.sum(idx == 0))
         assert 0.885 <= hits / DRAWS <= 0.915
 
     def test_validation(self):
@@ -160,7 +158,7 @@ class TestNaiveChunks:
         part = naive_chunks([3, 1, 2, 3])
         assert part.g.tolist() == [1, 2, 1]
         assert part.s.tolist() == [3, 3, 3]
-        assert part.coords(1).tolist() == [1, 2]
+        assert part.boundaries.tolist() == [0, 1, 3, 4]
         assert part.m_cap == 3
 
     def test_single_item(self):
@@ -222,12 +220,22 @@ class TestChunkedSampling:
         stderr = np.sqrt(0.5 * 0.5 / DRAWS)
         assert np.all(np.abs(freq - 0.5) <= 4 * stderr)
 
-    def test_records_chunk_of_each_coordinate(self):
-        part = naive_chunks([3, 1, 2, 3])
-        sc = chunked_sampling(np.ones(4), part, 2)
-        rng = np.random.default_rng(5)
-        ids = sc.draw_chunks(rng)
-        assert ids.size == 2 and np.all(ids < part.k)
+    def test_core_loads_are_chunk_sums(self):
+        # one core per chunk: each row holds the nnz sums of the tau distinct
+        # chunks whose union the same block of draw_block returns
+        part = naive_chunks([3, 1, 2, 5, 4, 1, 1])
+        assert part.s.tolist() == [4, 2, 5, 5, 1]
+        sc = chunked_sampling(np.ones(part.n), part, 2)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        loads = sc.core_loads(a, np.zeros(part.n), 200)
+        idx, offsets = sc.draw_block(b, 200)
+        chunk = np.repeat(np.arange(part.k), part.g)
+        assert loads.shape == (200, 2) and loads.dtype == np.float64
+        for row, ex in zip(loads, np.split(idx, offsets[1:-1])):
+            ids = np.unique(chunk[ex])
+            assert ids.size == 2
+            assert np.array_equal(row, part.s[ids])
+        assert a.random() == b.random()
 
 
 class TestRandomC:
@@ -404,22 +412,17 @@ class TestWaitingTime:
         tau = 8
         std = tau_nice(ds.norms, tau)
         chk = chunked_sampling(ds.norms, part, tau)
+        # one block of 2000 draws per scheme (TestDrawBlock)
         rng = np.random.default_rng(0)
-        m_std = np.mean([
-            waiting_time(std.sample_core_loads(rng, u)) for _ in range(2000)
-        ])
-        m_chk = np.mean([
-            waiting_time(chk.sample_core_loads(rng, u)) for _ in range(2000)
-        ])
+        m_std = np.mean(waiting_time(std.core_loads(rng, u, 2000)))
+        m_chk = np.mean(waiting_time(chk.core_loads(rng, u, 2000)))
         assert m_chk < m_std
 
         # same comparison with the standard batch grown to match the
         # chunked scheme's expected nnz per draw
         tau_eq = int(round(tau * float(np.mean(part.s)) / float(np.mean(u))))
         std_eq = tau_nice(ds.norms, min(tau_eq, ds.n))
-        m_std_eq = np.mean([
-            waiting_time(std_eq.sample_core_loads(rng, u)) for _ in range(2000)
-        ])
+        m_std_eq = np.mean(waiting_time(std_eq.core_loads(rng, u, 2000)))
         assert m_chk < m_std_eq
 
 
@@ -458,14 +461,14 @@ class TestDeterminism:
             for _ in range(20):
                 sc.draw(rng)
                 sc.sample_core_loads(rng, ds.nnz)
-                if hasattr(sc, "draw_chunks"):
-                    sc.draw_chunks(rng)
+                sc.core_loads(rng, ds.nnz, 3)
             assert pickle.dumps(sc) == before
 
 
 class TestDrawBlock:
     """A block of k draws equals k ``draw`` calls, generator state included;
-    ``solver.run`` draws its blocks this way and must match a loop of draws."""
+    ``solver.run`` draws its blocks this way and must match a loop of draws.
+    The same holds for core loads, and ``chunk-stats`` relies on it."""
 
     @staticmethod
     def scheme(name, ds):
@@ -498,6 +501,40 @@ class TestDrawBlock:
                 assert np.array_equal(idx[offsets[j]:offsets[j + 1]], x)
             assert a.random() == b.random()
 
+    @pytest.mark.parametrize("name", [
+        "serial-uniform", "serial-weighted", "nice:1", "nice:7", "nice:n",
+        "chunked:1", "chunked:3",
+    ])
+    def test_core_loads_equal_single_draws(self, name):
+        ds = gen_synthetic(41, 10, 0.3, "skewed-nnz", 2)
+        sc = self.scheme(name, ds)
+        for k in (1, 2, 97):
+            a, b = np.random.default_rng(13), np.random.default_rng(13)
+            loads = sc.core_loads(a, ds.nnz, k)
+            rows = [sc.sample_core_loads(b, ds.nnz) for _ in range(k)]
+            assert loads.ndim == 2 and np.array_equal(loads, rows)
+            assert a.random() == b.random()
+            # waiting times of a block are its rows' waiting times, bitwise
+            assert np.array_equal(waiting_time(loads),
+                                  [waiting_time(row) for row in rows])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 5000, 2**40])
+    def test_serial_block_of_one_equals_scalar_draw(self, n):
+        # a size-1 draw takes the value and the generator step of a scalar
+        # draw, so the serial stream did not change when draw became a block
+        # of one; n = 2**40 has no norms array, but the uniform rule reads n
+        uniform = serial_uniform(np.ones(1))
+        uniform.n = n
+        m = min(max(n, 2), 300)
+        weighted = serial_weighted(np.ones(m), np.arange(1.0, m + 1) * 2 / (m * (m + 1)))
+        cdf = weighted._cdf
+        for sc, scalar in ((uniform, lambda r: r.integers(0, n)),
+                           (weighted, lambda r: np.searchsorted(cdf, r.random(), side="right"))):
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(5):
+                assert sc.draw(a).tolist() == [int(scalar(b))]
+            assert a.random() == b.random()
+
 
 class TestTauSubsetStream:
     """``_tau_subsets`` replays numpy's own Floyd draws: one ``integers``
@@ -511,7 +548,7 @@ class TestTauSubsetStream:
     def test_rows_equal_sorted_choice(self, units, tau):
         k = 3 if tau >= 5000 else 60
         a, b = np.random.default_rng(units + tau), np.random.default_rng(units + tau)
-        got = _tau_subsets(a, units, _floyd_bounds(units, tau), k)
+        got = _tau_subsets(a, units, tau, k)
         want = np.array([np.sort(b.choice(units, tau, replace=False, shuffle=False))
                          for _ in range(k)])
         assert got.dtype == np.int64 and got.shape == (k, tau)
@@ -523,7 +560,7 @@ class TestTauSubsetStream:
 
     def test_all_subsets_uniform(self):
         # one 200 000-draw block over all C(6, 3) = 20 subsets
-        rows = _tau_subsets(np.random.default_rng(21), 6, _floyd_bounds(6, 3), 200_000)
+        rows = _tau_subsets(np.random.default_rng(21), 6, 3, 200_000)
         codes = (np.int64(1) << rows).sum(axis=1)
         _, counts = np.unique(codes, return_counts=True)
         assert counts.size == 20
@@ -532,7 +569,7 @@ class TestTauSubsetStream:
     def test_above_floyd_regime_rows_are_subsets(self):
         # numpy shuffles a tail here, so only the subset property holds
         units, tau = 30000, 3000
-        rows = _tau_subsets(np.random.default_rng(4), units, _floyd_bounds(units, tau), 4)
+        rows = _tau_subsets(np.random.default_rng(4), units, tau, 4)
         assert rows.shape == (4, tau)
         assert np.all(np.diff(rows, axis=1) > 0)
         assert rows.min() >= 0 and rows.max() < units
@@ -540,10 +577,9 @@ class TestTauSubsetStream:
 
 def co_inclusion(sc, draws, seed):
     """Empirical P(i in S and j in S) for every pair (i, j)."""
-    rng = np.random.default_rng(seed)
+    idx, offsets = sc.draw_block(np.random.default_rng(seed), draws)
     hits = np.zeros((draws, sc.n))
-    for r in range(draws):
-        hits[r, sc.draw(rng)] = 1.0
+    hits[np.repeat(np.arange(draws), np.diff(offsets)), idx] = 1.0
     return hits.T @ hits / draws
 
 

@@ -202,6 +202,15 @@ class TestRun:
         assert st.grad_evals == 3 * 30
         assert tr.records[-1].epoch == pytest.approx(3.0)
 
+    def test_epochs_use_exact_expected_size(self):
+        # the float sum of 200 uniform marginals is 0.9999999999999998, which
+        # made a 2-epoch run take 401 iterations and record off the resyncs
+        prob = logistic_problem(n=200, d=10)
+        sc = serial_uniform(prob.dataset.norms)
+        assert float(np.sum(sc.p)) < sc.expected_size == 1.0
+        st, tr = run(prob, sc, SolverConfig(epochs=2, seed=0))
+        assert st.t == 400 and [r.t for r in tr.records] == [0, 200, 400]
+
     def test_divergence_guard(self):
         # concave composed loss: the average-convexity precondition fails
         ds = from_rows([([0], [1.0])] * 2, np.zeros(2), 1)
