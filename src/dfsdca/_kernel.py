@@ -114,7 +114,7 @@ def _load():
             raise KernelBuildError(f"cannot load {path}: {exc}") from exc
         vp, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.dfsdca_steps.argtypes = [
-            ctypes.c_int, vp, vp, vp, i64, ctypes.c_int, vp, vp, vp, vp,
+            vp, vp, vp, i64, ctypes.c_int, vp, vp, vp, vp,
             dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, ctypes.POINTER(i64),
         ]
         lib.dfsdca_tau_subsets.argtypes = [i64, i64, i64, vp, ctypes.POINTER(i64)]
@@ -170,21 +170,17 @@ class Kernel:
     """The compiled step kernel bound to one problem's CSR arrays and loss
     parameters, which it keeps alive and points at for every call.
 
-    The CSR index arrays may be int32 or int64, but both the same width.
+    The CSR index arrays must be int32, as scipy stores them while n, d
+    and nnz stay below 2**31; problem construction rejects larger datasets.
     Every array is checked for dtype, shape and C-contiguity before its
     pointer reaches C.
     """
 
     def __init__(self, dataset, loss):
         indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
-        width = getattr(indptr, "dtype", None)
-        if width not in (_I32, _I64):
-            raise ValueError(
-                f"step kernel: CSR index arrays must be int32 or int64, got {width}"
-            )
+        _check("indptr", indptr, _I32)
+        _check("indices", indices, _I32)
         n = indptr.size - 1
-        _check("indptr", indptr, width)
-        _check("indices", indices, width)
         _check("data", data, _F64, indices.size)
         if (indptr[0] != 0 or indptr[-1] != indices.size
                 or np.any(indptr[1:] < indptr[:-1])):
@@ -199,7 +195,7 @@ class Kernel:
         self._arrays = (indptr, indices, data, *params.values())
         ptr = {name: arr.ctypes.data for name, arr in params.items()}
         self._fixed = (
-            int(width == _I64), indptr.ctypes.data, indices.ctypes.data,
+            indptr.ctypes.data, indices.ctypes.data,
             data.ctypes.data, n, KINDS.index(loss.kind),  # the C enum's order
             ptr.get("y"), ptr.get("c"), ptr.get("b"),
         )
@@ -209,8 +205,9 @@ class Kernel:
               idx, offsets) -> None:
         """Run one iteration per subset ``idx[offsets[s]:offsets[s + 1]]``,
         updating ``w`` and ``alpha`` in place. Raises ValueError, before
-        anything changes, if a subset holds an index outside [0, n) or an
-        index twice, or if theta / p_i exceeds ``guard`` for a drawn i."""
+        anything changes, if the offsets do not partition ``idx``, else if
+        an index lies outside [0, n) or theta / p_i exceeds ``guard`` for
+        it, else if a subset holds an index twice (the first repeat)."""
         _check("p", p, _F64, self.n)
         _check("w", w, _F64, self.d, write=True)
         _check("alpha", alpha, _F64, self.n, write=True)

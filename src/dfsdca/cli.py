@@ -351,6 +351,16 @@ def _add_problem_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # usage problems exit 1 per the documented code map
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--data", help="LIBSVM-format data file")
     p_cs.add_argument("--synthetic", help="n,d,density,model")
     p_cs.add_argument("--tau", type=int, required=True)
-    p_cs.add_argument("--draws", type=int, default=10_000)
+    p_cs.add_argument("--draws", type=_positive_int, default=10_000)
     p_cs.add_argument("--seed", type=int, default=0)
     p_cs.add_argument("--out", help="output CSV path (default stdout)")
     p_cs.set_defaults(func=cmd_chunk_stats)

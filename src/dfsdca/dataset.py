@@ -201,29 +201,14 @@ def normalize_max_norm(dataset: Dataset) -> tuple[Dataset, float]:
     """Scale every example by 1/max_i ||A_i|| (one global scale).
 
     Returns the rescaled dataset and the original max norm. Preserves the
-    relative geometry of the examples; per-example unit scaling is the
-    alternative reading, see :func:`normalize_per_example`.
+    relative geometry of the examples.
     """
     scale = float(np.max(dataset.norms))
     if scale == 0.0:
         raise ValueError("cannot normalize: all examples have zero norm")
-    return _rescaled(dataset, dataset.data / scale), scale
-
-
-def normalize_per_example(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Scale each nonzero example to unit norm; zero examples untouched."""
-    scales = dataset.norms.copy()
-    if np.all(scales == 0.0):
-        raise ValueError("cannot normalize: all examples have zero norm")
-    # a zero-norm row has no nonzeros, so it repeats no scale
-    data = dataset.data / np.repeat(scales, dataset.nnz)
-    return _rescaled(dataset, data), scales
-
-
-def _rescaled(dataset: Dataset, data: np.ndarray) -> Dataset:
-    return Dataset(
-        dataset.indptr, dataset.indices, data, dataset.labels, dataset.d
-    )
+    rescaled = Dataset(dataset.indptr, dataset.indices, dataset.data / scale,
+                       dataset.labels, dataset.d)
+    return rescaled, scale
 
 
 LABEL_MODELS = ("linear-sign", "linear-noise", "skewed-nnz")

@@ -198,8 +198,8 @@ def potentials(
     C = (state.alpha - reference.alpha) ** 2
     n = C.size
     L2 = smoothness.L_per**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((L2 == 0.0) & (C == 0.0), 0.0, C / L2)
+    # weight 0 where L_i = 0 (A_i = 0): such an alpha_i never moves w
+    ratio = np.divide(C, L2, out=np.zeros_like(C), where=L2 != 0.0)
     D = 0.5 * lam * B + 0.5 * lam / n * float(np.sum(ratio))
     E = 0.5 * lam * B + 0.5 / n * float(np.sum(C / smoothness.l))
     return Potentials(B, C, D, E)

@@ -49,6 +49,12 @@ class ProblemSpec:
             )
         if self.loss.n != self.dataset.n:
             raise ValueError("loss and dataset sizes disagree")
+        ds = self.dataset
+        if ds.indices.dtype != np.int32:  # before anything d-sized exists
+            raise ValueError(
+                f"dataset too large for int32 CSR indices: n={ds.n}, d={ds.d} and "
+                f"nnz={ds.indices.size} must be at most 2**31 - 1 = {2**31 - 1}"
+            )
 
     @cached_property
     def kernel(self) -> Kernel:

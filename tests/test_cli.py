@@ -121,6 +121,28 @@ class TestRun:
                          *extra, "--out", str(tmp_path / "e.csv")]) == 0
         capsys.readouterr()
 
+    def test_label_only_rows_keep_D_finite(self, tmp_path):
+        data = tmp_path / "label_only.libsvm"
+        data.write_text("+1 1:1\n-1\n+1 2:0.5\n")
+        ref, out = tmp_path / "ref.json", tmp_path / "t.csv"
+        assert main(["reference", "--data", str(data), "--out", str(ref)]) == 0
+        assert main(["run", "--data", str(data), "--epochs", "3",
+                     "--reference", str(ref), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert float(rows[0]["D"]) > 0.0
+        for row in rows:
+            assert np.isfinite(float(row["D"]))
+            assert np.isfinite(float(row["envelope_D"]))
+
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_index_beyond_int32_exits_3(self, command, tmp_path, capsys):
+        # d = 3e9: rejected before any d-sized array exists
+        data = tmp_path / "wide.libsvm"
+        data.write_text("+1 3000000000:1\n-1 2:0.5\n")
+        assert main([command, "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "d=3000000000" in err and "2147483647" in err
+
     def test_divergent_instance_exits_3(self, tmp_path, capsys):
         assert main([
             "run", "--synthetic", "20,4,0.5,linear-sign", "--loss", "logistic",
@@ -212,6 +234,24 @@ class TestChunkStats:
         side = json.loads((tmp_path / "cs.csv.chunks.json").read_text())
         assert side["k"] >= 8
         assert sum(side["g"]) == 500
+
+    def test_index_beyond_int32_still_runs(self, tmp_path):
+        # chunk-stats builds no problem, so a wide file is fine here
+        data = tmp_path / "wide.libsvm"
+        data.write_text("+1 3000000000:1\n-1 2:0.5\n")
+        out = tmp_path / "cs.csv"
+        assert main(["chunk-stats", "--data", str(data), "--tau", "1",
+                     "--draws", "5", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 6
+
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_draws_below_one_is_usage_error(self, draws, capsys):
+        code = main(["chunk-stats", "--synthetic", "50,10,0.3,skewed-nnz",
+                     "--tau", "2", "--draws", draws])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--draws" in captured.err and captured.out == ""
 
     def test_tau_exceeding_chunks_exits_3(self, tmp_path, capsys):
         data = tmp_path / "two.libsvm"

@@ -9,7 +9,6 @@ from dfsdca.dataset import (
     ParseError,
     gen_synthetic,
     normalize_max_norm,
-    normalize_per_example,
     parse_libsvm,
     serialize_libsvm,
 )
@@ -129,8 +128,6 @@ class TestNormalize:
         ds = from_rows([([], [])] * 2, [1.0, 1.0], 2)
         with pytest.raises(ValueError, match="zero norm"):
             normalize_max_norm(ds)
-        with pytest.raises(ValueError, match="zero norm"):
-            normalize_per_example(ds)
 
     def test_idempotent(self):
         ds = gen_synthetic(30, 8, 0.5, "linear-sign", 5)
@@ -139,12 +136,6 @@ class TestNormalize:
         twice, scale2 = normalize_max_norm(once)
         assert abs(scale2 - 1.0) <= 1e-12
         assert np.allclose(once.norms, twice.norms, atol=1e-12)
-
-    def test_per_example_variant(self):
-        ds = gen_synthetic(10, 6, 0.5, "linear-sign", 1)
-        unit, scales = normalize_per_example(ds)
-        assert np.allclose(unit.norms, 1.0)
-        assert np.array_equal(scales, ds.norms)
 
 
 class TestSynthetic:

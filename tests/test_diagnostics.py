@@ -43,7 +43,7 @@ from dfsdca.solver import (
     theta_convex,
 )
 
-from csr_rows import from_rows
+from csr_rows import from_rows, row
 
 
 def ridge_problem():
@@ -313,6 +313,24 @@ class TestContraction:
             for _ in range(3):
                 st = random_relation_state(prob, rng)
                 assert verify_contraction(prob, st, sc, ref, "D") >= -1e-10
+
+    def test_label_only_row_D_potential(self):
+        # L_i = 0 for the empty row: D stays finite and still contracts
+        rng = np.random.default_rng(12)
+        for seed in range(4):
+            base = gen_synthetic(5, 4, 0.5, "linear-sign", seed)
+            rows = [row(base, i) for i in range(5)]
+            rows.insert(seed, ([], []))
+            ds = from_rows(rows, np.insert(base.labels, seed, 1.0), 4)
+            for loss in (logistic_loss, squared_loss):
+                prob = make_problem(ds, loss(ds.labels), 0.5)
+                ref = reference_solution(prob)
+                part = naive_chunks(ds.nnz.tolist())
+                for sc in (serial_uniform(ds.norms), tau_nice(ds.norms, 2),
+                           tau_nice(ds.norms, 6), chunked_sampling(ds.norms, part, 1)):
+                    st = random_relation_state(prob, rng)
+                    assert np.isfinite(potentials(st, ref, prob.smoothness, 0.5).D)
+                    assert verify_contraction(prob, st, sc, ref, "D") >= -1e-10
 
     def test_convex_guard(self):
         ds, loss = build_nonconvex_instance(4, 2, 3)

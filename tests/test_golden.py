@@ -35,7 +35,6 @@ from dfsdca.cli import main
 from dfsdca.dataset import (
     gen_synthetic,
     normalize_max_norm,
-    normalize_per_example,
     parse_libsvm,
     serialize_libsvm,
 )
@@ -74,9 +73,6 @@ def build(name):
     if normalizer == "max-norm":
         ds, scale = normalize_max_norm(base)
         return ds, ([scale],)
-    if normalizer == "per-example":
-        ds, scales = normalize_per_example(base)
-        return ds, (scales,)
     return base, ()
 
 
@@ -87,9 +83,7 @@ GOLDEN_DATASETS = {
     "nonconvex": "ab674d478845d757",
     "parsed": "67354b71eab3e1a5",
     "parsed:max-norm": "1d301448dc0f5a6c",
-    "parsed:per-example": "37ba339bc2bf5fb9",
     "synthetic:max-norm": "d3c451b61ad5a024",
-    "synthetic:per-example": "e6a80f5161e07a5f",
 }
 
 

@@ -3,7 +3,10 @@ it replaced and close to the per-example loop, the tau-subset pass against
 Floyd's rule, their input checks at the C boundary, and the build cache."""
 
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 
 from dfsdca import _kernel
 from dfsdca.cli import main
-from dfsdca.dataset import gen_synthetic
+from dfsdca.dataset import Dataset, gen_synthetic
 from dfsdca.diagnostics import reference_solution
 from dfsdca.losses import logistic_loss, quadratic_family, squared_loss
 from dfsdca.sampling import chunked_sampling, naive_chunks, serial_uniform, tau_nice
@@ -223,27 +226,6 @@ def test_logistic_saturation_bitwise():
         assert np.array_equal(got.alpha, want.alpha)
 
 
-def test_int64_csr_indices_bitwise():
-    ds = awkward_dataset()
-    assert ds.indptr.dtype == np.int32  # scipy's choice at this size
-    problem = make_problem(ds, logistic_loss(ds.labels), 0.3)
-    wide = SimpleNamespace(
-        indptr=ds.indptr.astype(np.int64), indices=ds.indices.astype(np.int64),
-        data=ds.data, d=ds.d,
-    )
-    problem.kernel = _kernel.Kernel(wide, problem.loss)
-    sc = tau_nice(ds.norms, 7)
-    rng = np.random.default_rng(2)
-    got = init_state(problem, rng.standard_normal(ds.n))
-    want = got.copy()
-    for _ in range(20):
-        subset = sc.draw(rng)
-        step(problem, got, subset, sc.p, 0.1)
-        numpy_update(problem, want, subset, sc.p, 0.1)
-    assert np.array_equal(got.w, want.w)
-    assert np.array_equal(got.alpha, want.alpha)
-
-
 @pytest.mark.parametrize("k", range(6))
 def test_block_equals_single_subset_calls(k):
     ds = awkward_dataset()
@@ -276,6 +258,7 @@ def small_problem():
     ([-1], "index -1 is outside"),
     ([4, 2, 4], "index 4 more than once"),
     ([1, 1], "index 1 more than once"),
+    ([3, 1, 3, 1], "index 3 more than once"),  # the first repeat, not the smallest
 ])
 def test_step_rejects_bad_subset_and_changes_nothing(subset, match):
     problem, sc = small_problem()
@@ -340,15 +323,24 @@ def test_kernel_rejects_read_only_state():
 
 @pytest.mark.parametrize("indptr_t, indices_t", [
     (np.int16, np.int16), (np.uint32, np.uint32), (np.int64, np.int32),
-    (np.int32, np.int64),
+    (np.int32, np.int64), (np.int64, np.int64),
 ])
 def test_kernel_rejects_csr_index_width(indptr_t, indices_t):
     problem, _ = small_problem()
     ds = problem.dataset
     fake = SimpleNamespace(indptr=ds.indptr.astype(indptr_t),
                            indices=ds.indices.astype(indices_t), data=ds.data, d=ds.d)
-    with pytest.raises(ValueError, match="int32 or int64|indices must be"):
+    with pytest.raises(ValueError, match="(indptr|indices) must be .*int32"):
         _kernel.Kernel(fake, problem.loss)
+
+
+def test_problem_rejects_int64_csr_before_allocating():
+    # d >= 2**31: scipy stores the CSR indices as int64; a d-sized w would
+    # take 17 GB, so the check must come first
+    ds = Dataset([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10)
+    assert ds.indices.dtype == np.int64
+    with pytest.raises(ValueError, match=r"d=2147483658 .*nnz=1 .*2147483647"):
+        make_problem(ds, logistic_loss(ds.labels), 0.5)
 
 
 def test_kernel_rejects_csr_index_beyond_d():
@@ -407,6 +399,63 @@ def test_source_compiles_without_warnings():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# A script for a python under AddressSanitizer: it builds the kernels with
+# ASan and UBSan into the directory argv[1] and drives every C path, so an
+# out-of-bounds access, a use after free or undefined behaviour aborts it.
+# Leaks are not checked: the interpreter itself never frees everything.
+SANITIZED = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from dfsdca import _kernel
+from dfsdca.sampling import _tau_subsets
+from dfsdca.solver import SolverConfig, init_state, make_problem, run, step
+from dfsdca.losses import logistic_loss
+from test_kernel import awkward_dataset, schemes
+
+cache = Path(sys.argv[1])
+_kernel.FLAGS += ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+_kernel.CACHE = cache
+_kernel._user_cache = lambda: cache
+rng = np.random.default_rng(0)
+for units, tau in [(1, 1), (7, 7), (300, 8), (5000, 5000)]:
+    rows = _tau_subsets(rng, units, tau, 3)
+    assert all(np.unique(r).size == tau and 0 <= r[0] and r[-1] < units for r in rows)
+ds = awkward_dataset()
+problem = make_problem(ds, logistic_loss(ds.labels), 0.3)
+for sc in schemes(ds)[1:]:
+    run(problem, sc, SolverConfig(epochs=3, seed=1))
+p = np.full(ds.n, 0.5)
+for subset in ([4, 2, 4], [3, ds.n], [-1]):
+    try:
+        step(problem, init_state(problem), subset, p, 0.1)
+    except ValueError:
+        continue
+    raise AssertionError(f"{subset} was accepted")
+assert list(cache.glob("_kernel-*.so"))
+print("clean")
+"""
+
+
+def test_kernels_clean_under_sanitizers(tmp_path):
+    gcc = _kernel._compiler()
+    if gcc is None:
+        pytest.skip("gcc is not on PATH")
+    asan = subprocess.run([gcc, "-print-file-name=libasan.so"],
+                          capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan) or not os.path.exists(asan):
+        pytest.skip("gcc has no libasan")
+    path = [str(_kernel.SOURCE.parents[1]), str(Path(__file__).parent)]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED, str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.strip() == "clean", proc.stderr
 
 
 # -- build cache -------------------------------------------------------------
