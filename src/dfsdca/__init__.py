@@ -58,6 +58,7 @@ from .solver import (
     primal_value,
     run,
     step,
+    steps,
     theta_convex,
     theta_nonconvex,
 )

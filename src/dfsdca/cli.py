@@ -29,7 +29,7 @@ from .diagnostics import (
     decay_envelope,
     reference_solution,
 )
-from .losses import build_nonconvex_instance, loss_from_kind
+from .losses import build_nonconvex_instance, logistic_loss, squared_loss
 from .sampling import (
     chunked_sampling,
     naive_chunks,
@@ -115,7 +115,8 @@ def _build_problem(args) -> ProblemSpec:
             raise UsageError(
                 "--loss quadfam needs --synthetic n,d,density,nonconvex"
             )
-        loss = loss_from_kind(args.loss, dataset)
+        build = {"logistic": logistic_loss, "squared": squared_loss}[args.loss]
+        loss = build(dataset.labels)
 
     lam = _resolve_lambda(args.lam, dataset.n)
     return make_problem(dataset, loss, lam)
@@ -137,16 +138,19 @@ def _build_scheme(descriptor: str, problem: ProblemSpec, seed: int):
         return serial_uniform(norms)
     if descriptor == "serial-importance":
         return serial_importance(norms, problem.loss.l, problem.lam)
-    if descriptor.startswith("serial-random:"):
-        c = float(descriptor.split(":", 1)[1])
-        return random_c_sampling(norms, c, seed)
-    if descriptor.startswith("nice:"):
-        return tau_nice(norms, int(descriptor.split(":", 1)[1]))
-    if descriptor.startswith("chunked:"):
-        tau = int(descriptor.split(":", 1)[1])
-        partition = naive_chunks(problem.dataset.nnz.tolist())
-        return chunked_sampling(norms, partition, tau)
-    raise UsageError(f"unknown sampling descriptor {descriptor!r}")
+    kind, _, value = descriptor.partition(":")
+    parse = {"serial-random": float, "nice": int, "chunked": int}.get(kind)
+    if parse is None:
+        raise UsageError(f"unknown sampling descriptor {descriptor!r}")
+    try:
+        value = parse(value)
+    except ValueError:
+        raise UsageError(f"--sampling {descriptor!r}: expected {kind}:<{parse.__name__}>")
+    if kind == "serial-random":
+        return random_c_sampling(norms, value, seed)
+    if kind == "nice":
+        return tau_nice(norms, value)
+    return chunked_sampling(norms, naive_chunks(problem.dataset.nnz.tolist()), value)
 
 
 def _load_reference(path: str, problem: ProblemSpec) -> ReferenceSolution:
@@ -170,7 +174,7 @@ def _metadata_lines(args, problem, scheme, theta) -> list[str]:
         f"# sampling={scheme.name} expected_size={scheme.expected_size!r}",
         f"# p_min={float(p.min())!r} p_max={float(p.max())!r} "
         f"v_min={float(v.min())!r} v_max={float(v.max())!r}",
-        f"# seed={args.seed} seeds={args.seeds or 1} epochs={args.epochs}",
+        f"# seed={args.seed} seeds={args.seeds} epochs={args.epochs}",
     ]
 
 
@@ -225,7 +229,7 @@ def cmd_run(args) -> int:
     problem = _build_problem(args)
     reference = _load_reference(args.reference, problem) if args.reference else None
     schemes, traces = [], []
-    for s in range(args.seed, args.seed + (args.seeds or 1)):
+    for s in range(args.seed, args.seed + args.seeds):
         # serial-random:<c> draws its marginals from the seed
         schemes.append(_build_scheme(args.sampling, problem, s))
         config = SolverConfig(theta=_theta_arg(args.theta), epochs=args.epochs,
@@ -234,13 +238,17 @@ def cmd_run(args) -> int:
     body = _aggregate_csv(traces) if len(traces) > 1 else _trace_csv(traces[0])
 
     lines = _metadata_lines(args, problem, schemes[0], traces[0].theta) + body
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    _write("\n".join(lines) + "\n", args.out)
+    return 0
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _theta_arg(raw: str):
@@ -275,18 +283,12 @@ def cmd_chunk_stats(args) -> int:
     for i in range(args.draws):
         lines.append(f"{i},{_fmt(std_samples[i])},{_fmt(chk_samples[i])}")
     lines.append(f"mean,{_fmt(std_samples.mean())},{_fmt(chk_samples.mean())}")
-    text = "\n".join(lines) + "\n"
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        side = args.out + ".chunks.json"
-        with open(side, "w") as fh:
-            json.dump(partition.to_json(), fh, sort_keys=True)
+    _write("\n".join(lines) + "\n", args.out)
+    side = json.dumps(partition.to_json(), sort_keys=True)
+    if args.out:  # the side file ends without a newline
+        _write(side, args.out + ".chunks.json")
     else:
-        sys.stdout.write(text)
-        json.dump(partition.to_json(), sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        _write(side + "\n", None)
     return 0
 
 
@@ -307,12 +309,7 @@ def cmd_validate(args) -> int:
         "suites": results,
         "pass": all(r["pass"] for r in results),
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if report["pass"] else 3
 
 
@@ -326,12 +323,7 @@ def cmd_reference(args) -> int:
         "n": problem.dataset.n,
         "d": problem.dataset.d,
     })
-    text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -383,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sampling", default="serial-uniform",
                        help="serial-uniform | serial-importance | "
                             "serial-random:<c> | nice:<tau> | chunked:<tau>")
-    p_run.add_argument("--epochs", type=int, default=10)
-    p_run.add_argument("--seeds", type=int, default=None,
+    p_run.add_argument("--epochs", type=_positive_int, default=10)
+    p_run.add_argument("--seeds", type=_positive_int, default=1,
                        help="run this many consecutive seeds one after "
                             "another and aggregate mean/stderr columns")
     p_run.add_argument("--theta", default="auto-convex",

@@ -123,14 +123,10 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     File indices are 1-based and must be strictly increasing within a line;
     they are remapped to 0-based. ``#`` starts a comment. Explicit zero
     values are dropped (canonical form). The dimension is the largest index
-    seen unless ``n_features`` overrides it.
+    seen unless ``n_features`` overrides it. ``source`` is the text itself
+    or a file object to read it from.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = list(source)
+    lines = (source if isinstance(source, str) else source.read()).splitlines()
 
     labels: list[float] = []
     indptr: list[int] = [0]

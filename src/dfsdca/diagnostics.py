@@ -43,6 +43,7 @@ from .solver import (
     primal_value,
     resolve_theta,
     step,
+    steps,
 )
 
 
@@ -231,10 +232,10 @@ def _enumerated_states(problem, state, theta, scheme):
     atoms = scheme.atoms()
     if atoms is None:
         raise ValueError("scheme support too large for exact enumeration")
-    for subset, prob in atoms:
-        nxt = step(problem, state.copy(), np.array(subset, dtype=np.int64),
-                   scheme.p, theta)
-        yield prob, nxt
+    idx, offsets, prob = atoms
+    for j, pr in enumerate(prob.tolist()):
+        subset = idx[offsets[j]:offsets[j + 1]]
+        yield pr, step(problem, state.copy(), subset, scheme.p, theta)
 
 
 def verify_lemma1_C(
@@ -618,8 +619,7 @@ def suite_fixedpoint(seed: int, trials: int = 10) -> dict:
         scheme = _small_scheme(rng, problem)
         theta = float(0.5 * np.min(scheme.p))
         state = SolverState(ref.w.copy(), ref.alpha.copy())
-        for _ in range(3):
-            step(problem, state, scheme.draw(rng), scheme.p, theta)
+        steps(problem, state, *scheme.draw_block(rng, 3), scheme.p, theta)
         exact = exact and np.array_equal(state.w, ref.w) \
             and np.array_equal(state.alpha, ref.alpha)
         ident = problem.dataset.combine(ref.alpha) / (problem.lam * problem.dataset.n)

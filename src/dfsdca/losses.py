@@ -112,15 +112,6 @@ def quadratic_family(c, b) -> LossSpec:
     return LossSpec(QUADFAM, c=c, b=b)
 
 
-def loss_from_kind(kind: str, dataset: Dataset) -> LossSpec:
-    """Build the loss of the given kind from a dataset's labels."""
-    if kind == LOGISTIC:
-        return logistic_loss(dataset.labels)
-    if kind == SQUARED:
-        return squared_loss(dataset.labels)
-    raise ValueError(f"loss kind {kind!r} needs explicit parameters")
-
-
 @dataclass(frozen=True)
 class SmoothnessConstants:
     """l_i (argument smoothness), L_i <= l_i ||A_i|| (iterate smoothness),

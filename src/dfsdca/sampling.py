@@ -19,7 +19,8 @@ of runs. Its one draw rule, ``draw_block(rng, k)``, makes k draws and
 takes from the generator exactly what k blocks of one take. ``draw`` is
 the block of one, and ``core_loads`` gives a block's per-core workloads, so
 all share one stream, and a solver can draw every iteration between two
-checkpoints in one call.
+checkpoints in one call. ``atoms`` gives a small scheme's exact support in
+the same block layout, with one probability per subset.
 
 The tau-subset schemes draw uniform tau-subsets of their units (examples or
 chunks) by Floyd's algorithm, which takes one bounded integer per slot
@@ -94,8 +95,10 @@ class SamplingScheme:
         """Per-core workloads of one draw: a block of one."""
         return self.core_loads(rng, u, 1)[0]
 
-    def atoms(self, limit: int = ATOM_LIMIT):
-        """All (subset, probability) outcomes, or None if too many."""
+    def atoms(self):
+        """The exact support, as a block ``(idx, offsets)`` in the layout
+        of :meth:`draw_block` holding every outcome once, plus the array
+        ``prob`` of their probabilities; None past ATOM_LIMIT outcomes."""
         return None
 
 
@@ -122,8 +125,10 @@ class SerialSampling(SamplingScheme):
             idx = np.searchsorted(self._cdf, rng.random(size=k), side="right")
         return idx.astype(np.int64, copy=False), np.arange(k + 1, dtype=np.int64)
 
-    def atoms(self, limit: int = ATOM_LIMIT):
-        return [((i,), float(self.p[i])) for i in range(self.n)]
+    def atoms(self):
+        # n singletons: linear in n, so enumerated at any size
+        return (np.arange(self.n, dtype=np.int64),
+                np.arange(self.n + 1, dtype=np.int64), self.p.copy())
 
 
 def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
@@ -144,6 +149,18 @@ def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
     _kernel.tau_subsets(units, draws)
     draws.sort(axis=1)
     return draws
+
+
+def _tau_atoms(scheme, units: int):
+    """The atoms of a scheme that draws uniform tau-subsets of
+    range(units): every subset, in lexicographic order and mapped to
+    examples by ``scheme._examples``, each with probability
+    1 / C(units, tau)."""
+    total = math.comb(units, scheme.tau)
+    if total > ATOM_LIMIT:
+        return None
+    ids = np.array(list(itertools.combinations(range(units), scheme.tau)), dtype=np.int64)
+    return (*scheme._examples(ids), np.full(total, 1.0 / total))
 
 
 class TauNiceSampling(SamplingScheme):
@@ -173,16 +190,15 @@ class TauNiceSampling(SamplingScheme):
         c = (self.tau - 1) / max(self.n - 1, 1)
         return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
 
-    def draw_block(self, rng, k):
-        ids = _tau_subsets(rng, self.n, self.tau, k)
-        return ids.ravel(), np.arange(0, (k + 1) * self.tau, self.tau, dtype=np.int64)
+    def _examples(self, ids: np.ndarray):
+        """Rows of example ids, as ``(idx, offsets)``."""
+        return ids.ravel(), np.arange(0, ids.size + 1, self.tau, dtype=np.int64)
 
-    def atoms(self, limit: int = ATOM_LIMIT):
-        total = math.comb(self.n, self.tau)
-        if total > limit:
-            return None
-        prob = 1.0 / total
-        return [(s, prob) for s in itertools.combinations(range(self.n), self.tau)]
+    def draw_block(self, rng, k):
+        return self._examples(_tau_subsets(rng, self.n, self.tau, k))
+
+    def atoms(self):
+        return _tau_atoms(self, self.n)
 
 
 @dataclass(eq=False)
@@ -283,13 +299,8 @@ class ChunkedSampling(SamplingScheme):
         ids = _tau_subsets(rng, self.partition.k, self.tau, k)
         return np.asarray(self.partition.s, dtype=np.float64)[ids]
 
-    def atoms(self, limit: int = ATOM_LIMIT):
-        total = math.comb(self.partition.k, self.tau)
-        if total > limit:
-            return None
-        ids = np.array(list(itertools.combinations(range(self.partition.k), self.tau)))
-        idx, offsets = self._examples(ids)
-        return [(tuple(s.tolist()), 1.0 / total) for s in np.split(idx, offsets[1:-1])]
+    def atoms(self):
+        return _tau_atoms(self, self.partition.k)
 
 
 def serial_uniform(norms) -> SerialSampling:
@@ -328,8 +339,8 @@ def random_c_sampling(norms, c: float, seed: int) -> SerialSampling:
     the spread stays strictly below c for every c > 1 and collapses to
     uniform as c -> 1. Deterministic per seed.
     """
-    if c <= 1.0:
-        raise ValueError("c must exceed 1")
+    if not 1.0 < c < math.inf:
+        raise ValueError(f"c must be finite and exceed 1, got {c}")
     norms = np.asarray(norms, dtype=np.float64)
     rng = np.random.default_rng(seed)
     hi = math.log(1.0 + (c - 1.0) * (1.0 - 0.01))
@@ -375,49 +386,51 @@ def validate_eso(
     trials: int,
     seed: int,
     mc_draws: int = 10_000,
-    atom_limit: int = ATOM_LIMIT,
 ) -> EsoReport:
     """Estimate max_h E[||sum_{i in S} A_i h_i||^2] / sum_i p_i v_i h_i^2.
 
-    The expectation is exact (support enumeration) whenever the scheme has
-    at most ``atom_limit`` outcomes, otherwise Monte Carlo over ``mc_draws``
-    subsets with the standard error reported per trial.
+    The expectation is exact over the scheme's :meth:`~SamplingScheme.atoms`
+    whenever it has them (at most ATOM_LIMIT outcomes), otherwise Monte
+    Carlo over a block of ``mc_draws`` draws per trial, with the standard
+    error reported per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     weights = scheme.p * scheme.eso(dataset)
-    atoms = scheme.atoms(atom_limit)
+    atoms = scheme.atoms()
     ratios = np.empty(trials)
     stderrs = np.zeros(trials)
 
     d = dataset.d
     block = max(1, 2**18 // d)  # subsets per block: dense rows of <= 2 MiB
 
-    def agg_norms_sq(subsets, h):
-        """||sum_{i in S} A_i h_i||^2 for each S. One bincount per block
+    def agg_norms_sq(idx, offsets, h):
+        """||sum_{i in S} A_i h_i||^2 for each subset S of the block
+        ``(idx, offsets)``. One bincount per part of ``block`` subsets
         builds the rows z_S, each adding its terms in subset order and in
         CSR order within an example."""
-        out = []
-        for k in range(0, len(subsets), block):
-            part = subsets[k:k + block]
-            flat = np.concatenate(part)
+        out = np.empty(offsets.size - 1)
+        for k in range(0, out.size, block):
+            bounds = offsets[k:k + block + 1]
+            flat = idx[bounds[0]:bounds[-1]]
             seg, cols, vals = dataset.gather(flat)
-            row = np.repeat(np.arange(len(part)), [len(S) for S in part])[seg]
-            z = np.bincount(row * d + cols, vals * h[flat][seg],
-                            minlength=len(part) * d)
-            out += [np.dot(zs, zs) for zs in z.reshape(len(part), d)]
+            rows = bounds.size - 1
+            row = np.repeat(np.arange(rows), np.diff(bounds))[seg]
+            z = np.bincount(row * d + cols, vals * h[flat][seg], minlength=rows * d)
+            out[k:k + rows] = [np.dot(zs, zs) for zs in z.reshape(rows, d)]
         return out
 
     for trial in range(trials):
         h = rng.standard_normal(scheme.n)
         rhs = float(np.sum(weights * h**2))
         if atoms is not None:
-            aggs = agg_norms_sq([subset for subset, _ in atoms], h)
-            lhs = sum(prob * a for (_, prob), a in zip(atoms, aggs))
+            idx, offsets, prob = atoms
+            # Python's sum adds in subset order, one atom after another;
+            # np.dot would add in another order and round differently
+            lhs = float(sum(prob * agg_norms_sq(idx, offsets, h)))
         else:
-            idx, offsets = scheme.draw_block(rng, mc_draws)
-            vals = np.array(agg_norms_sq(np.split(idx, offsets[1:-1]), h))
+            vals = agg_norms_sq(*scheme.draw_block(rng, mc_draws), h)
             lhs = float(vals.mean())
             stderrs[trial] = float(vals.std(ddof=1) / np.sqrt(mc_draws)) / rhs
         ratios[trial] = lhs / rhs

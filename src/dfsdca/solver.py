@@ -8,7 +8,8 @@ matching sparse correction to w so the tie-in survives the update.
 
 The iterations run in one compiled kernel (``_kernel.c``, built with gcc on
 first use): :func:`run` makes one call per stretch of iterations between
-two checkpoints or resyncs, and :func:`step` makes one call for one subset.
+two checkpoints or resyncs, through :func:`steps`, which runs a block of
+subsets, and :func:`step` is its block of one.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def resync(problem: ProblemSpec, state: SolverState) -> None:
     state.w = problem.dataset.combine(state.alpha) / (problem.lam * problem.dataset.n)
 
 
-def _steps(
+def steps(
     problem: ProblemSpec,
     state: SolverState,
     idx: np.ndarray,
@@ -146,8 +147,12 @@ def _steps(
     p: np.ndarray,
     theta: float,
 ) -> SolverState:
-    """One iteration per subset ``idx[offsets[s]:offsets[s + 1]]``, in
-    order, through one call of the compiled kernel."""
+    """One iteration per subset ``idx[offsets[s]:offsets[s + 1]]`` of a
+    block in the layout of :meth:`SamplingScheme.draw_block`, in order and
+    in place, through one call of the compiled kernel. Equals a loop of
+    :func:`step` over the subsets bitwise. Raises ValueError, and changes
+    nothing, if the offsets do not partition ``idx`` or a subset fails the
+    checks of :func:`step`."""
     problem.kernel.steps(
         state.w, state.alpha, p, theta, 1.0 + _GUARD_TOL,
         problem.dataset.n * problem.lam, idx, offsets,
@@ -177,7 +182,7 @@ def step(
     if subset.ndim != 1:
         raise ValueError("subset must be a 1-d array of example indices")
     offsets = np.array([0, subset.size], dtype=np.int64)
-    return _steps(problem, state, subset, offsets, p, theta)
+    return steps(problem, state, subset, offsets, p, theta)
 
 
 @dataclass
@@ -290,7 +295,7 @@ def run(
         # the next resync or checkpoint ends the block
         stop = min(total, t + block, (t // n + 1) * n, checkpoint(k))
         idx, offsets = scheme.draw_block(rng, stop - t)
-        _steps(problem, state, idx, offsets, scheme.p, theta)
+        steps(problem, state, idx, offsets, scheme.p, theta)
         t = stop
         if t % n == 0:
             resync(problem, state)

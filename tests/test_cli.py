@@ -121,6 +121,39 @@ class TestRun:
                          *extra, "--out", str(tmp_path / "e.csv")]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--epochs"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, flag, value, capsys):
+        code = main(["run", "--synthetic", "20,4,0.5,linear-sign", flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_default_header_reads_one_seed(self, capsys):
+        assert main(["run", "--synthetic", "20,4,0.5,linear-sign",
+                     "--epochs", "1"]) == 0
+        assert "# seed=0 seeds=1 epochs=1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("descriptor", [
+        "nice:abc", "nice:", "nice", "chunked:x", "serial-random:x",
+    ])
+    def test_malformed_sampling_is_usage_error(self, descriptor, capsys):
+        code = main(["run", "--synthetic", "20,4,0.5,linear-sign",
+                     "--sampling", descriptor])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--sampling" in err and repr(descriptor) in err
+
+    @pytest.mark.parametrize("descriptor,name", [
+        ("nice:0", "tau"), ("chunked:0", "tau"), ("serial-random:1", "c"),
+        ("serial-random:nan", "c"), ("serial-random:inf", "c"),
+    ])
+    def test_sampling_out_of_range_exits_3(self, descriptor, name, capsys):
+        code = main(["run", "--synthetic", "20,4,0.5,linear-sign",
+                     "--sampling", descriptor])
+        assert code == 3
+        assert name in capsys.readouterr().err
+
     def test_label_only_rows_keep_D_finite(self, tmp_path):
         data = tmp_path / "label_only.libsvm"
         data.write_text("+1 1:1\n-1\n+1 2:0.5\n")

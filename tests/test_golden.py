@@ -134,3 +134,11 @@ def test_quadfam_reference_digest(tmp_path):
     assert main(["reference", "--synthetic", "9,4,1,nonconvex",
                  "--loss", "quadfam", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "8b3a7434b1d921fe"
+
+
+def test_validate_json_digest(tmp_path):
+    # every suite's report at seed 0: exact enumeration, Monte Carlo ESO
+    # and the fixed-point steps all feed these bytes
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "de2b0eae567d8477"

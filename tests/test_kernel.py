@@ -21,13 +21,13 @@ from dfsdca.sampling import chunked_sampling, naive_chunks, serial_uniform, tau_
 from dfsdca.solver import (
     SolverConfig,
     SolverState,
-    _steps,
     init_state,
     make_problem,
     resolve_theta,
     resync,
     run,
     step,
+    steps,
 )
 
 from csr_rows import from_rows, row
@@ -235,7 +235,7 @@ def test_block_equals_single_subset_calls(k):
     start = init_state(problem, np.random.default_rng(k).standard_normal(ds.n))
     block = start.copy()
     idx, offsets = sc.draw_block(np.random.default_rng(5), 40)
-    _steps(problem, block, idx, offsets, sc.p, theta)
+    steps(problem, block, idx, offsets, sc.p, theta)
     loop = start.copy()
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -132,9 +133,10 @@ class TestTauNice:
 
     def test_atoms_cover_support(self):
         sc = tau_nice(np.ones(5), 2)
-        atoms = sc.atoms()
-        assert len(atoms) == 10
-        assert abs(sum(pr for _, pr in atoms) - 1.0) < 1e-12
+        idx, offsets, prob = sc.atoms()
+        assert offsets.tolist() == list(range(0, 21, 2)) and prob.size == 10
+        assert abs(prob.sum() - 1.0) < 1e-12
+        assert idx[:4].tolist() == [0, 1, 0, 2]  # lexicographic order
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -256,6 +258,11 @@ class TestRandomC:
         with pytest.raises(ValueError):
             random_c_sampling(np.ones(3), 1.0, 0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_c_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            random_c_sampling(np.ones(3), c, 0)
+
 
 class TestEso:
     def test_serial_is_tight(self):
@@ -285,22 +292,26 @@ class TestEso:
         assert np.all(rep.stderrs > 0)
         assert np.all(rep.ratios <= 1.0 + 3.0 * rep.stderrs + 1e-12)
 
-    @pytest.mark.parametrize("kind,atom_limit", [
-        ("nice", 10_000), ("nice", 10), ("chunked", 10_000), ("chunked", 2),
-    ])
-    def test_matches_per_subset_loop(self, kind, atom_limit):
-        # d = 600 splits the 1000 Monte Carlo draws into three blocks
-        ds = gen_synthetic(12, 600, 0.01, "skewed-nnz", 11)
+    @pytest.mark.parametrize("kind,n,tau,exact", [
+        ("nice", 12, 3, True), ("nice", 41, 3, False),
+        ("chunked", 12, 2, True), ("chunked", 60, 5, False),
+    ], ids=["nice-exact", "nice-monte-carlo", "chunked-exact", "chunked-monte-carlo"])
+    def test_matches_per_subset_loop(self, kind, n, tau, exact):
+        # d = 600 splits the 1000 Monte Carlo draws into three blocks. The
+        # Monte Carlo cases have more than ATOM_LIMIT outcomes: C(41, 3) =
+        # 10660 for nice:3, and C(19, 5) = 11628 for chunked:5 over the 19
+        # chunks of n = 60
+        ds = gen_synthetic(n, 600, 0.01, "skewed-nnz", 11)
         part = naive_chunks(ds.nnz.tolist())
 
         def scheme():
             if kind == "nice":
-                return tau_nice(ds.norms, 3)
-            return chunked_sampling(ds.norms, part, 2)
+                return tau_nice(ds.norms, tau)
+            return chunked_sampling(ds.norms, part, tau)
 
-        rep = validate_eso(scheme(), ds, 3, 12, mc_draws=1000, atom_limit=atom_limit)
-        ratios, stderrs = reference_eso(scheme(), ds, 3, 12, 1000, atom_limit)
-        assert rep.exact == (atom_limit == 10_000)
+        rep = validate_eso(scheme(), ds, 3, 12, mc_draws=1000)
+        ratios, stderrs = reference_eso(scheme(), ds, 3, 12, 1000)
+        assert rep.exact == exact
         assert np.array_equal(rep.ratios, ratios)
         assert np.array_equal(rep.stderrs, stderrs)
 
@@ -363,11 +374,14 @@ def tiny_dataset(rng, full_column: bool, empty_row: bool):
     return from_rows(rows, np.ones(n), d)
 
 
-def reference_eso(scheme, ds, trials, seed, mc_draws, atom_limit):
+def reference_eso(scheme, ds, trials, seed, mc_draws):
     """validate_eso's ratios and standard errors from a per-subset,
     per-example loop."""
     rng = np.random.default_rng(seed)
-    atoms = scheme.atoms(atom_limit)
+    atoms = scheme.atoms()
+    if atoms is not None:
+        idx, offsets, probs = atoms
+        atoms = [(idx[offsets[j]:offsets[j + 1]], pr) for j, pr in enumerate(probs)]
 
     def agg(subset, h):
         z = np.zeros(ds.d)

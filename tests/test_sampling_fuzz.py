@@ -1,8 +1,11 @@
 """Property tests over tiny sampling schemes, fuzzed with hypothesis.
 
 Every scheme with at most 12 examples is checked against its own exact
-support: the atoms form a distribution whose marginals are p, and each
-draw rule only returns atoms, a block of k draws equalling k single draws.
+support, the atom block ``(idx, offsets, prob)``: the offsets partition
+idx into strictly increasing rows of [0, n), the probabilities form a
+distribution whose marginals are p and whose E|S| is the scheme's, and
+each draw rule only returns atom rows, a block of k draws equalling k
+single draws.
 The examples are derandomized, so a run is reproducible.
 """
 
@@ -41,29 +44,32 @@ def tiny_schemes(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(sc=tiny_schemes(), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_draws_follow_exact_support(sc, k, seed):
-    atoms = sc.atoms()
-    probs = np.array([prob for _, prob in atoms])
-    assert abs(probs.sum() - 1.0) <= 1e-12
+    idx, offsets, prob = sc.atoms()
+    assert idx.dtype == offsets.dtype == np.int64
+    # offsets partition idx into one row per atom
+    assert offsets[0] == 0 and offsets[-1] == idx.size
+    assert offsets.size == prob.size + 1 and np.all(np.diff(offsets) >= 1)
+    assert abs(prob.sum() - 1.0) <= 1e-12 and np.all(prob > 0)
 
+    rows = [idx[offsets[j]:offsets[j + 1]] for j in range(prob.size)]
     marginals = np.zeros(sc.n)
-    for subset, prob in atoms:
-        assert all(isinstance(i, int) for i in subset)
-        assert list(subset) == sorted(set(subset))
-        assert 0 <= subset[0] and subset[-1] < sc.n
-        marginals[list(subset)] += prob
+    for r, pr in zip(rows, prob):
+        assert np.all(np.diff(r) > 0)  # strictly increasing, so no repeats
+        assert 0 <= r[0] and r[-1] < sc.n
+        marginals[r] += pr
     assert np.max(np.abs(marginals - sc.p)) <= 1e-12
 
     # E|S| is exact: sum p_i rounds, the scheme's own value must not
-    sizes = [len(subset) for subset, _ in atoms]
-    exact = Fraction(1) if sc.max_card == 1 else Fraction(sum(sizes), len(atoms))
+    sizes = np.diff(offsets).tolist()
+    exact = Fraction(1) if sc.max_card == 1 else Fraction(sum(sizes), len(sizes))
     assert sc.expected_size == float(exact)
 
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    idx, offsets = sc.draw_block(a, k)
-    support = {subset for subset, _ in atoms}
-    draws = [sc.draw(b) for _ in range(k)]
-    for j, x in enumerate(draws):
-        assert tuple(idx[offsets[j]:offsets[j + 1]].tolist()) in support
-        assert np.array_equal(idx[offsets[j]:offsets[j + 1]], x)
-    assert offsets[-1] == idx.size
+    got, got_offsets = sc.draw_block(a, k)
+    assert got_offsets[0] == 0 and got_offsets[-1] == got.size
+    support = {tuple(r.tolist()) for r in rows}
+    for j in range(k):
+        x = got[got_offsets[j]:got_offsets[j + 1]]
+        assert tuple(x.tolist()) in support
+        assert np.array_equal(x, sc.draw(b))
     assert a.random() == b.random()
