@@ -340,17 +340,19 @@ def _add_problem_args(p: argparse.ArgumentParser):
                    help="regularization: a number or the token 1/n")
     p.add_argument("--normalize", action="store_true",
                    help="rescale so the largest example norm is 1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sampling", default="serial-uniform",
                        help="serial-uniform | serial-importance | "
                             "serial-random:<c> | nice:<tau> | chunked:<tau>")
-    p_run.add_argument("--epochs", type=_positive_int, default=10)
-    p_run.add_argument("--seeds", type=_positive_int, default=1,
+    p_run.add_argument("--epochs", type=_int_at_least(1), default=10)
+    p_run.add_argument("--seeds", type=_int_at_least(1), default=1,
                        help="run this many consecutive seeds one after "
                             "another and aggregate mean/stderr columns")
     p_run.add_argument("--theta", default="auto-convex",
@@ -395,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--data", help="LIBSVM-format data file")
     p_cs.add_argument("--synthetic", help="n,d,density,model")
     p_cs.add_argument("--tau", type=int, required=True)
-    p_cs.add_argument("--draws", type=_positive_int, default=10_000)
-    p_cs.add_argument("--seed", type=int, default=0)
+    p_cs.add_argument("--draws", type=_int_at_least(1), default=10_000)
+    p_cs.add_argument("--seed", type=_int_at_least(0), default=0)
     p_cs.add_argument("--out", help="output CSV path (default stdout)")
     p_cs.set_defaults(func=cmd_chunk_stats)
 
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--suite", default="all",
                        help="'all' or comma-separated subset of: "
                             + ",".join(ALL_SUITES))
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_int_at_least(0), default=0)
     p_val.add_argument("--theta", default=None,
                        help="inject an explicit stepsize into the lemma1 "
                             "suite (guard demonstration)")

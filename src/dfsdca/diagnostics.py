@@ -35,6 +35,7 @@ from .sampling import (
 )
 from .solver import (
     _GUARD_TOL,
+    PrimalPoint,
     ProblemSpec,
     SolverState,
     init_state,
@@ -44,6 +45,7 @@ from .solver import (
     resolve_theta,
     step,
     steps,
+    w_of,
 )
 
 
@@ -81,13 +83,6 @@ class ReferenceSolution:
             float(payload["P_star"]),
             float(payload["grad_norm"]),
         )
-
-
-def _matched_alpha(problem: ProblemSpec, w: np.ndarray) -> np.ndarray:
-    # The solver step's margins equal ds.margins(w)[subset] bitwise, so the
-    # fixed point is exact in floating point, not just to rounding.
-    ds = problem.dataset
-    return -problem.loss.gradients(np.arange(ds.n), ds.margins(w))
 
 
 def reference_solution(
@@ -128,47 +123,36 @@ _SLACK_ULPS = 4
 
 
 def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
-    ds, loss, lam = problem.dataset, problem.loss, problem.lam
-    target = min(tol, lam * 1e-11)
-    idx = np.arange(ds.n)
-
-    # One margins pass per iterate serves P, grad P and alpha*, each written
-    # as in primal_value, primal_gradient and _matched_alpha, so P*,
-    # grad_norm and alpha* keep the bits those functions would give.
-    def objective(w):
-        m = ds.margins(w)
-        return m, float(loss.values(idx, m).mean() + 0.5 * lam * np.dot(w, w))
-
-    w = np.zeros(ds.d)
-    m, f = objective(w)
+    ds = problem.dataset
+    target = min(tol, problem.lam * 1e-11)
+    # one margins pass per iterate serves P, grad P and alpha*
+    at = PrimalPoint(problem, np.zeros(ds.d))
     best, stalled = None, 0
     for _ in range(_MAX_NEWTON):
-        g = loss.gradients(idx, m)
-        grad = ds.combine(g) / ds.n + lam * w
+        grad = at.gradient
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= target:
-            return ReferenceSolution(w, -g, f, gnorm)
+            return ReferenceSolution(at.w, at.alpha, at.value, gnorm)
         if best is None or gnorm < best.grad_norm:
-            best, stalled = ReferenceSolution(w, -g, f, gnorm), 0
+            best, stalled = ReferenceSolution(at.w, at.alpha, at.value, gnorm), 0
         else:
             stalled += 1
             if stalled == _STALL:
                 break
-        H = average_curvature_matrix(ds, loss.curvatures(idx, m))
-        H.flat[:: ds.d + 1] += lam  # + lam I without a second d x d array
+        H = average_curvature_matrix(ds, problem.loss.curvatures(at.idx, at.margins))
+        H.flat[:: ds.d + 1] += problem.lam  # + lam I without a second d x d array
         delta = np.linalg.solve(H, -grad)
         slope = float(np.dot(grad, delta))
-        slack = _SLACK_ULPS * np.spacing(abs(f))
+        slack = _SLACK_ULPS * np.spacing(abs(at.value))
         s = 1.0
         for _ in range(_MAX_HALVINGS):
-            w_new = w + s * delta
-            m_new, f_new = objective(w_new)
-            if f_new <= f + _ARMIJO * s * slope + slack:
+            nxt = PrimalPoint(problem, at.w + s * delta)
+            if nxt.value <= at.value + _ARMIJO * s * slope + slack:
                 break
             s *= 0.5
         else:
             break
-        w, m, f = w_new, m_new, f_new
+        at = nxt
     if best.grad_norm <= tol:
         return best
     raise ReferenceError(
@@ -253,9 +237,10 @@ def verify_lemma1_C(
     with u_i = -phi_i'(A_i^T w_old), z_i = a_i - u_i. Returns the worst
     absolute discrepancy over i; this is an equality, so ~1e-10 is expected.
     """
-    ds = problem.dataset
-    alpha, w = state.alpha, state.w
-    u = _matched_alpha(problem, w)
+    alpha = state.alpha
+    # a solver step's margins equal those of A w bitwise, so u is the exact
+    # fixed point of a step, not just to rounding
+    u = PrimalPoint(problem, state.w).alpha
     z = alpha - u
     a_star = reference.alpha
     rhs = theta * (
@@ -264,7 +249,7 @@ def verify_lemma1_C(
         + (1.0 - theta / scheme.p) * z**2
     )
     C_old = (alpha - a_star) ** 2
-    lhs = np.zeros(ds.n)
+    lhs = np.zeros(problem.dataset.n)
     for prob, nxt in _enumerated_states(problem, state, theta, scheme):
         lhs += prob * (C_old - (nxt.alpha - a_star) ** 2)
     return float(np.max(np.abs(lhs - rhs)))
@@ -284,10 +269,9 @@ def verify_lemma1_B(
     - theta^2/(n lam)^2 * sum_i (v_i/p_i) z_i^2], which must be >= ~-1e-10.
     """
     ds = problem.dataset
-    w = state.w
-    u = _matched_alpha(problem, w)
-    z = state.alpha - u
-    dw = w - reference.w
+    at = PrimalPoint(problem, state.w)
+    z = state.alpha - at.alpha
+    dw = state.w - reference.w
     B_old = float(np.dot(dw, dw))
     lhs = 0.0
     for prob, nxt in _enumerated_states(problem, state, theta, scheme):
@@ -295,7 +279,7 @@ def verify_lemma1_B(
         lhs += prob * (B_old - float(np.dot(dn, dn)))
     n, lam, v = ds.n, problem.lam, scheme.eso(ds)
     rhs = (
-        2.0 * theta / lam * float(np.dot(dw, primal_gradient(problem, w)))
+        2.0 * theta / lam * float(np.dot(dw, at.gradient))
         - theta**2 / (n * lam) ** 2 * float(np.sum(v / scheme.p * z**2))
     )
     return lhs - rhs
@@ -313,14 +297,13 @@ def verify_lemma2(
     """
     if not problem.loss.convex:
         raise ValueError("bound requires every individual loss to be convex")
-    ds = problem.dataset
-    idx = np.arange(ds.n)
-    g_w = problem.loss.gradients(idx, ds.margins(w))
-    g_star = problem.loss.gradients(idx, ds.margins(reference.w))
-    lhs = float(np.mean((g_w - g_star) ** 2 / problem.loss.l))
+    # phi'(A w) = -alpha*(w), so the two differences have the same squares
+    at = PrimalPoint(problem, w)
+    a_star = PrimalPoint(problem, reference.w).alpha
+    lhs = float(np.mean((at.alpha - a_star) ** 2 / problem.loss.l))
     dw = w - reference.w
     rhs = 2.0 * (
-        primal_value(problem, w)
+        at.value
         - reference.P_star
         - 0.5 * problem.lam * float(np.dot(dw, dw))
     )
@@ -353,12 +336,10 @@ def verify_contraction(
     return (1.0 - theta) * x_old - x_new
 
 
-def random_relation_state(
-    problem: ProblemSpec, rng: np.random.Generator, scale: float = 1.0
-) -> SolverState:
+def random_relation_state(problem: ProblemSpec, rng: np.random.Generator) -> SolverState:
     """Random duals with w recomputed from them, so the tie-in relation
     holds exactly at the returned state."""
-    return init_state(problem, scale * rng.standard_normal(problem.dataset.n))
+    return init_state(problem, rng.standard_normal(problem.dataset.n))
 
 
 @dataclass
@@ -571,10 +552,6 @@ def suite_contraction(seed: int, trials: int = 40) -> dict:
     }
 
 
-def _fd_gradient(f, x: float, h: float = 1e-6) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
 def suite_gradcheck(seed: int, trials: int = 100) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -589,7 +566,7 @@ def suite_gradcheck(seed: int, trials: int = 100) -> dict:
         x = float(rng.normal(scale=3.0))
         for spec in losses:
             g = spec.gradient(0, x)
-            fd = _fd_gradient(lambda z: spec.value(0, z), x)
+            fd = (spec.value(0, x + 1e-6) - spec.value(0, x - 1e-6)) / 2e-6
             worst = max(worst, abs(g - fd) / (1.0 + abs(g)))
     # full-objective gradient against central differences
     problem = _small_problem(rng, LOGISTIC)
@@ -622,8 +599,7 @@ def suite_fixedpoint(seed: int, trials: int = 10) -> dict:
         steps(problem, state, *scheme.draw_block(rng, 3), scheme.p, theta)
         exact = exact and np.array_equal(state.w, ref.w) \
             and np.array_equal(state.alpha, ref.alpha)
-        ident = problem.dataset.combine(ref.alpha) / (problem.lam * problem.dataset.n)
-        worst = max(worst, float(np.linalg.norm(ref.w - ident)))
+        worst = max(worst, float(np.linalg.norm(ref.w - w_of(problem, ref.alpha))))
     return {
         "name": "fixedpoint",
         "trials": trials,

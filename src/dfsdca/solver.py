@@ -15,7 +15,7 @@ subsets, and :func:`step` is its block of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,15 +41,15 @@ class ProblemSpec:
     dataset: Dataset
     loss: LossSpec
     lam: float
-    smoothness: SmoothnessConstants
+    smoothness: SmoothnessConstants = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.lam < math.inf):
             raise ValueError(
                 f"regularization lam must be positive and finite, got {self.lam}"
             )
-        if self.loss.n != self.dataset.n:
-            raise ValueError("loss and dataset sizes disagree")
+        # raises ValueError if the loss and dataset sizes disagree
+        self.smoothness = smoothness_constants(self.loss, self.dataset)
         ds = self.dataset
         if ds.indices.dtype != np.int32:  # before anything d-sized exists
             raise ValueError(
@@ -65,23 +65,38 @@ class ProblemSpec:
 
 
 def make_problem(dataset: Dataset, loss: LossSpec, lam: float) -> ProblemSpec:
-    return ProblemSpec(dataset, loss, lam, smoothness_constants(loss, dataset))
+    return ProblemSpec(dataset, loss, lam)
+
+
+class PrimalPoint:
+    """P(w), grad P(w) and the matched duals alpha*(w) = -phi'(A w) at one
+    w, from one margins pass A w; each is computed on first use."""
+
+    def __init__(self, problem: ProblemSpec, w: np.ndarray):
+        self.problem, self.w, self.margins = problem, w, problem.dataset.margins(w)
+        self.idx = np.arange(problem.dataset.n)
+
+    @cached_property
+    def value(self) -> float:
+        losses = self.problem.loss.values(self.idx, self.margins)
+        return float(losses.mean() + 0.5 * self.problem.lam * np.dot(self.w, self.w))
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return -self.problem.loss.gradients(self.idx, self.margins)
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        ds = self.problem.dataset
+        return ds.combine(-self.alpha) / ds.n + self.problem.lam * self.w
 
 
 def primal_value(problem: ProblemSpec, w: np.ndarray) -> float:
-    margins = problem.dataset.margins(w)
-    idx = np.arange(problem.dataset.n)
-    return float(
-        problem.loss.values(idx, margins).mean()
-        + 0.5 * problem.lam * np.dot(w, w)
-    )
+    return PrimalPoint(problem, w).value
 
 
 def primal_gradient(problem: ProblemSpec, w: np.ndarray) -> np.ndarray:
-    ds = problem.dataset
-    margins = ds.margins(w)
-    g = problem.loss.gradients(np.arange(ds.n), margins)
-    return ds.combine(g) / ds.n + problem.lam * w
+    return PrimalPoint(problem, w).gradient
 
 
 def theta_convex(p, v, l, lam: float, n: int) -> float:
@@ -122,21 +137,27 @@ def init_state(problem: ProblemSpec, alpha0=None) -> SolverState:
         alpha = np.array(alpha0, dtype=np.float64)
         if alpha.shape != (n,):
             raise ValueError("alpha0 must have length n")
-    w = problem.dataset.combine(alpha) / (problem.lam * n)
-    return SolverState(w, alpha)
+    return SolverState(w_of(problem, alpha), alpha)
+
+
+def w_of(problem: ProblemSpec, alpha: np.ndarray) -> np.ndarray:
+    """The primal vector that the duals give, (1/(lam n)) sum_i alpha_i A_i."""
+    return problem.dataset.combine(alpha) / (problem.lam * problem.dataset.n)
+
+
+def resync(problem: ProblemSpec, state: SolverState) -> float:
+    """Recompute w from alpha exactly and return the drift this clears,
+    ||w - w(alpha)|| / (1 + ||w||) of the w it replaces. :func:`run`
+    resyncs every n iterations and records this value as the ``residual``
+    of a checkpoint that falls there."""
+    w = state.w
+    state.w = w_of(problem, state.alpha)
+    return float(np.linalg.norm(w - state.w) / (1.0 + np.linalg.norm(w)))
 
 
 def relation_residual(problem: ProblemSpec, state: SolverState) -> float:
-    """|| w - (1/(lam n)) sum_i alpha_i A_i || / (1 + ||w||)."""
-    exact = problem.dataset.combine(state.alpha) / (problem.lam * problem.dataset.n)
-    return float(
-        np.linalg.norm(state.w - exact) / (1.0 + np.linalg.norm(state.w))
-    )
-
-
-def resync(problem: ProblemSpec, state: SolverState) -> None:
-    """Recompute w from alpha exactly, clearing accumulated drift."""
-    state.w = problem.dataset.combine(state.alpha) / (problem.lam * problem.dataset.n)
+    """The drift that :func:`resync` would clear now; ``state`` keeps its w."""
+    return resync(problem, SolverState(state.w, state.alpha))
 
 
 def steps(
@@ -190,7 +211,6 @@ class SolverConfig:
     theta: float | str = "auto-convex"
     epochs: int = 10
     seed: int = 0
-    trace_period: int | None = None   # default: at the end of every epoch
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -216,6 +236,11 @@ def resolve_theta(problem: ProblemSpec, scheme: SamplingScheme, theta) -> float:
 
 @dataclass
 class TraceRecord:
+    """One checkpoint of :func:`run`: at the start, then where each epoch
+    ends, at t = ceil(k n / E|S|). ``residual`` is the drift
+    ||w - w(alpha)|| / (1 + ||w||); at t a multiple of n, the drift that
+    that iteration's resync cleared."""
+
     t: int
     epoch: float
     primal: float
@@ -242,44 +267,39 @@ def run(
     config: SolverConfig,
     reference=None,
 ) -> tuple[SolverState, Trace]:
-    """Run for ceil(epochs * n / E|S|) iterations, tracing periodically.
+    """Run for ceil(epochs * n / E|S|) iterations, tracing at epoch ends.
 
-    By default the k-th checkpoint falls where a run of k epochs ends, at
+    Records fall at the start and where a run of k epochs ends, at
     iteration ceil(k * n / E|S|), so a shorter run's trace is a prefix of a
-    longer one's, its last record included; ``config.trace_period`` puts
-    them at its multiples instead. The iterations between two resyncs or
-    checkpoints are drawn as one block (:meth:`SamplingScheme.draw_block`,
-    the same generator stream as one ``draw`` per iteration) and run by one
-    call of the compiled kernel, so the iterates equal a loop of
-    :func:`step` over ``draw`` bitwise. With a reference solution attached
-    each trace record carries the suboptimality and the primal/dual
-    distance potentials. Deterministic for a fixed seed. Raises
-    DivergenceError if the objective runs away.
+    longer one's. w is resynced from alpha every n iterations; a record
+    there keeps that resync's drift as its ``residual``, and any other
+    takes :func:`relation_residual`, so no record makes two ``combine``
+    calls. The iterations between two resyncs or records are drawn as one
+    block (:meth:`SamplingScheme.draw_block`, the same generator stream as
+    one ``draw`` per iteration) and run by one kernel call, so the iterates
+    equal a loop of :func:`step` over ``draw`` bitwise. With a reference
+    solution each record carries the suboptimality and the distance
+    potentials. Deterministic for a fixed seed. Raises DivergenceError if
+    the objective runs away.
     """
     from .diagnostics import potentials  # runtime import, avoids a cycle
 
     theta = resolve_theta(problem, scheme, config.theta)
     n = problem.dataset.n
     e_size = scheme.expected_size
-    period = config.trace_period
 
     def checkpoint(k):
         """Iteration of the k-th checkpoint after the start."""
-        return k * period if period else math.ceil(k * n / e_size)
+        return math.ceil(k * n / e_size)
 
-    total = math.ceil(config.epochs * n / e_size)
+    total = checkpoint(config.epochs)
     rng = np.random.default_rng(config.seed)
     state = init_state(problem)
     trace = Trace(theta=theta, expected_size=e_size, records=[])
 
-    def record():
+    def record(residual):
         primal = primal_value(problem, state.w)
-        rec = TraceRecord(
-            t=state.t,
-            epoch=state.t * e_size / n,
-            primal=primal,
-            residual=relation_residual(problem, state),
-        )
+        rec = TraceRecord(state.t, state.t * e_size / n, primal, residual)
         if reference is not None:
             pot = potentials(state, reference, problem.smoothness, problem.lam)
             rec.subopt = primal - reference.P_star
@@ -287,22 +307,22 @@ def run(
         trace.records.append(rec)
         return primal
 
-    runaway = 1e6 * abs(record()) + 1e6
+    runaway = 1e6 * abs(record(relation_residual(problem, state))) + 1e6
     # draws per kernel call, capped so that one block of indices stays small
     block = max(1, _BLOCK_EXAMPLES // scheme.max_card)
     t, k = 0, 1
     while t < total:
         # the next resync or checkpoint ends the block
-        stop = min(total, t + block, (t // n + 1) * n, checkpoint(k))
+        stop = min(t + block, (t // n + 1) * n, checkpoint(k))
         idx, offsets = scheme.draw_block(rng, stop - t)
         steps(problem, state, idx, offsets, scheme.p, theta)
         t = stop
-        if t % n == 0:
-            resync(problem, state)
-        at_checkpoint = t == checkpoint(k)
-        k += at_checkpoint
-        if at_checkpoint or t == total:
-            primal = record()
+        drift = resync(problem, state) if t % n == 0 else None
+        if t == checkpoint(k):
+            k += 1
+            if drift is None:  # not on a resync
+                drift = relation_residual(problem, state)
+            primal = record(drift)
             if not math.isfinite(primal) or abs(primal) > runaway:
                 raise DivergenceError(
                     f"P(w)={primal:.3e} left the runaway bound {runaway:.3e} "

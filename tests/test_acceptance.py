@@ -122,8 +122,7 @@ def envelope_runs():
         theta = resolve_theta(problem, build(name), "auto-convex")
         traces = []
         for seed in range(seeds):
-            cfg = SolverConfig(theta=theta, epochs=epochs, seed=seed,
-                               trace_period=n)
+            cfg = SolverConfig(theta=theta, epochs=epochs, seed=seed)
             traces.append(run(problem, build(name), cfg, reference=ref)[1])
         results[name] = (theta, traces)
     elapsed = time.perf_counter() - t0
@@ -167,7 +166,7 @@ def test_criterion_03_nonconvex_envelope():
         theta = theta_nonconvex(sc.p, sc.eso(ds), problem.smoothness.L_per, lam, n)
         traces = []
         for seed in range(20):
-            cfg = SolverConfig(theta=theta, epochs=40, seed=seed, trace_period=n)
+            cfg = SolverConfig(theta=theta, epochs=40, seed=seed)
             traces.append(run(problem, serial_uniform(ds.norms), cfg,
                               reference=ref)[1])
         report = convergence_report(traces, theta, potential="D")

@@ -356,6 +356,19 @@ class TestReference:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--synthetic", "20,4,0.5,linear-sign"],
+    ["reference", "--synthetic", "20,4,0.5,linear-sign"],
+    ["chunk-stats", "--synthetic", "20,4,0.5,skewed-nnz", "--tau", "2"],
+    ["validate"],
+], ids=lambda command: command[0])
+def test_negative_seed_is_usage_error(command, capsys):
+    assert main([*command, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "argument --seed: must be at least 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 class TestHelp:
     def test_run_help_documents_columns(self, capsys):
         assert main(["run", "--help"]) == 0

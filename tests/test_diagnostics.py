@@ -380,7 +380,7 @@ class TestConvergenceReport:
         traces = []
         for seed in range(5):
             sc = serial_uniform(prob.dataset.norms)
-            cfg = SolverConfig(theta=theta, epochs=50, seed=seed, trace_period=1)
+            cfg = SolverConfig(theta=theta, epochs=50, seed=seed)
             traces.append(run(prob, sc, cfg, reference=ref)[1])
         eps = 1e-6
         rep = convergence_report(

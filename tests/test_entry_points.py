@@ -7,19 +7,64 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from dfsdca import (
+    SolverConfig,
+    chunked_sampling,
+    gen_synthetic,
+    logistic_loss,
+    make_problem,
+    naive_chunks,
+    reference_solution,
+    run,
+    serial_uniform,
+    tau_nice,
+)
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_benchmark_imports(monkeypatch):
+def load_benchmark_module(monkeypatch, name):
+    """``perfbench/<name>.py`` as a module, imported as the benchmark
+    script imports it."""
     # run.py finds tracing.py next to itself, as when started as a script
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_run", ROOT / "perfbench" / "run.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+def test_benchmark_imports(monkeypatch):
+    assert callable(load_benchmark_module(monkeypatch, "run").main)
+
+
+@pytest.mark.parametrize("scheme", ["serial-uniform", "nice:4", "chunked:3"])
+def test_benchmark_replay_equals_run(monkeypatch, scheme):
+    # the benchmark times run's loop through a traced replay, which repeats
+    # run's draws and resyncs; it must end where run ends, bitwise
+    tracing = load_benchmark_module(monkeypatch, "tracing")
+    ds = gen_synthetic(30, 6, 0.5, "skewed-nnz", 4)
+    problem = make_problem(ds, logistic_loss(ds.labels), 1.0 / ds.n)
+    ref = reference_solution(problem)
+
+    def build():
+        if scheme == "serial-uniform":
+            return serial_uniform(ds.norms)
+        if scheme == "nice:4":
+            return tau_nice(ds.norms, 4)
+        return chunked_sampling(ds.norms, naive_chunks(ds.nnz.tolist()), 3)
+
+    want, _ = run(problem, build(), SolverConfig(epochs=30, seed=6), reference=ref)
+    assert want.t > 2 * ds.n  # two resyncs
+    got, _ = tracing.replay(problem, build(), 30, 6, ref, tracing.NullTracer())
+    assert np.array_equal(got.w, want.w)
+    assert np.array_equal(got.alpha, want.alpha)
 
 
 def test_readme_library_example(capsys):

@@ -538,8 +538,8 @@ def test_chunk_stats_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
     assert "gcc" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("trace_period, block", [(None, 1 << 20), (7, 1 << 20), (5, 9)])
-def test_run_blocks_equal_step_loop(monkeypatch, trace_period, block):
+@pytest.mark.parametrize("block", [1 << 20, 9])
+def test_run_blocks_equal_step_loop(monkeypatch, block):
     # run's blocks end at every resync and checkpoint and at the size cap;
     # wherever they end, the iterates equal one step per draw
     import dfsdca.solver as solver
@@ -548,7 +548,7 @@ def test_run_blocks_equal_step_loop(monkeypatch, trace_period, block):
     ds = gen_synthetic(23, 8, 0.5, "skewed-nnz", 5)
     problem = make_problem(ds, logistic_loss(ds.labels), 1.0 / ds.n)
     sc = chunked_sampling(ds.norms, naive_chunks(ds.nnz.tolist()), 2)
-    config = SolverConfig(epochs=12, seed=3, trace_period=trace_period)
+    config = SolverConfig(epochs=12, seed=3)
     got, trace = run(problem, sc, config)
     assert got.t > 2 * ds.n  # two resyncs
 
@@ -561,10 +561,6 @@ def test_run_blocks_equal_step_loop(monkeypatch, trace_period, block):
             resync(problem, state)
     assert np.array_equal(state.w, got.w)
     assert np.array_equal(state.alpha, got.alpha)
-    if trace_period:
-        want = list(range(0, got.t + 1, trace_period))
-        want += [got.t] if want[-1] != got.t else []
-    else:
-        # the k-th record is where a run of k epochs ends
-        want = [math.ceil(k * ds.n / sc.expected_size) for k in range(config.epochs + 1)]
+    # the k-th record is where a run of k epochs ends
+    want = [math.ceil(k * ds.n / sc.expected_size) for k in range(config.epochs + 1)]
     assert [r.t for r in trace.records] == want

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from dfsdca.dataset import gen_synthetic
-from dfsdca.losses import logistic_loss, quadratic_family, squared_loss
+from dfsdca.dataset import Dataset, gen_synthetic
+from dfsdca.losses import (
+    logistic_loss,
+    quadratic_family,
+    smoothness_constants,
+    squared_loss,
+)
 from dfsdca.sampling import (
     chunked_sampling,
     naive_chunks,
@@ -11,6 +16,7 @@ from dfsdca.sampling import (
 )
 from dfsdca.solver import (
     DivergenceError,
+    ProblemSpec,
     SolverConfig,
     SolverState,
     init_state,
@@ -19,10 +25,12 @@ from dfsdca.solver import (
     primal_value,
     relation_residual,
     resolve_theta,
+    resync,
     run,
     step,
     theta_convex,
     theta_nonconvex,
+    w_of,
 )
 
 from csr_rows import from_rows, row
@@ -103,6 +111,27 @@ class TestInitState:
             init_state(ridge_problem(), [1.0, 2.0, 3.0])
 
 
+class TestResync:
+    def test_returns_the_drift_it_clears(self):
+        prob = logistic_problem()
+        rng = np.random.default_rng(1)
+        st = init_state(prob, rng.standard_normal(prob.dataset.n))
+        st.w = st.w + 1e-3 * rng.standard_normal(prob.dataset.d)
+        drifted = st.w.copy()
+        drift = relation_residual(prob, st)
+        assert np.array_equal(st.w, drifted)  # measuring leaves w alone
+        assert drift > 0.0 and resync(prob, st) == drift
+        assert np.array_equal(st.w, w_of(prob, st.alpha))
+        assert relation_residual(prob, st) == 0.0
+
+    def test_problem_derives_its_smoothness(self):
+        prob = logistic_problem()
+        want = smoothness_constants(prob.loss, prob.dataset)
+        got = ProblemSpec(prob.dataset, prob.loss, prob.lam).smoothness
+        assert np.array_equal(got.l, want.l) and np.array_equal(got.L_per, want.L_per)
+        assert got.L == want.L
+
+
 class TestStep:
     def test_fixed_point_exact(self):
         from dfsdca.diagnostics import reference_solution
@@ -175,6 +204,27 @@ class TestRun:
         for sc in (serial_uniform(prob.dataset.norms), tau_nice(prob.dataset.norms, 5)):
             _, tr = run(prob, sc, SolverConfig(epochs=10, seed=2))
             assert all(r.residual <= 1e-8 for r in tr.records)
+
+    def test_resync_records_carry_the_drift_cleared(self):
+        # a serial run's epochs end on its resyncs, every n iterations; the
+        # residual there is the drift of the w that the resync replaced
+        prob = logistic_problem(n=40, lam=0.05)
+        _, tr = run(prob, serial_uniform(prob.dataset.norms),
+                    SolverConfig(epochs=10, seed=2))
+        at_resync = [r.residual for r in tr.records if r.t > 0]
+        assert [r.t for r in tr.records] == list(range(0, 401, 40))
+        assert all(0.0 < r <= 1e-8 for r in at_resync)
+
+    def test_one_combine_per_checkpoint(self, monkeypatch):
+        # init_state, the residual at t = 0, then one resync per epoch; a
+        # checkpoint on a resync reuses that resync's combine
+        prob = logistic_problem(n=40, lam=0.05)
+        calls = []
+        combine = Dataset.combine
+        monkeypatch.setattr(Dataset, "combine",
+                            lambda ds, a: calls.append(1) or combine(ds, a))
+        run(prob, serial_uniform(prob.dataset.norms), SolverConfig(epochs=10, seed=2))
+        assert len(calls) == 12
 
     @pytest.mark.parametrize("scheme", ["nice", "chunked"])
     def test_shorter_run_trace_is_prefix(self, scheme):
