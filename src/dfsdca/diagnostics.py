@@ -19,7 +19,6 @@ from .losses import (
     QUADFAM,
     SQUARED,
     LossSpec,
-    average_curvature_matrix,
     build_nonconvex_instance,
     logistic_loss,
     squared_loss,
@@ -90,16 +89,20 @@ def reference_solution(
 ) -> ReferenceSolution:
     """Deterministic oracle for the regularized optimum.
 
-    Damped Newton from w = 0 on the dense Hessian
-    ``average_curvature_matrix(ds, phi''(A w)) + lam I`` runs until
-    ||grad P|| <= min(tol, lam * 1e-11); on quadratic losses the first step
-    is the exact linear solve and the loop stops there. The default
-    tolerance is 1e-12 * (1 + |P(0)|). The lam * 1e-11 cap, which keeps the
-    recovered relation w* = (1/(lam n)) sum_i alpha_i* A_i to 1e-11, is best
-    effort: for small lam it can lie below the float resolution of grad P,
-    so when the norm stops improving short of the cap, the iterate with the
-    smallest norm is returned if that norm meets tol. Otherwise raises
-    ReferenceError, carrying the gradient norm reached.
+    Damped inexact Newton from w = 0 runs until ||grad P|| <=
+    min(tol, lam * 1e-11). Each step solves H delta = -grad P by
+    Jacobi-preconditioned conjugate gradients on the Hessian-vector product
+    H v = A^T (phi''(A w) o A v) / n + lam v, two CSR matvecs, so no d x d
+    array is ever built. The default tolerance is 1e-12 * (1 + |P(0)|).
+    The lam * 1e-11 cap, which keeps the recovered relation
+    w* = (1/(lam n)) sum_i alpha_i* A_i to 1e-11, is best effort: for small
+    lam it can lie below the float resolution of grad P, so when the norm
+    stops improving short of the cap, the iterate with the smallest norm is
+    returned if that norm meets tol. Otherwise raises ReferenceError,
+    carrying the gradient norm reached. ReferenceError is raised too when
+    CG meets a direction p with p^T H p <= 0 (the average loss is not
+    convex at w) or runs out of iterations; the message names the Newton
+    iteration and that quantity.
     """
     if tol is None:
         p0 = primal_value(problem, np.zeros(problem.dataset.d))
@@ -109,8 +112,15 @@ def reference_solution(
     return _newton(problem, tol)
 
 
-#: Newton iterations before giving up; quadratics need one, logistic ~10
+#: Newton iterations before giving up; quadratics need a few, logistic ~10
 _MAX_NEWTON = 100
+#: CG iterations per Newton step, at most _CG_PER_DIM * d + _CG_EXTRA: exact
+#: arithmetic needs d, rounding and the smallest problems get the rest
+_CG_PER_DIM, _CG_EXTRA = 2, 20
+#: CG stops at ||H delta + grad P|| <= _FORCING ||grad P||; the rule does
+#: not read tol, so neither do the iterates, and a looser tol returns an
+#: earlier iterate of the same sequence
+_FORCING = 1e-6
 #: consecutive iterations without a smaller gradient norm that count as a stall
 _STALL = 3
 #: step halvings before the line search gives up
@@ -128,7 +138,7 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
     # one margins pass per iterate serves P, grad P and alpha*
     at = PrimalPoint(problem, np.zeros(ds.d))
     best, stalled = None, 0
-    for _ in range(_MAX_NEWTON):
+    for it in range(1, _MAX_NEWTON + 1):
         grad = at.gradient
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= target:
@@ -139,9 +149,7 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
             stalled += 1
             if stalled == _STALL:
                 break
-        H = average_curvature_matrix(ds, problem.loss.curvatures(at.idx, at.margins))
-        H.flat[:: ds.d + 1] += problem.lam  # + lam I without a second d x d array
-        delta = np.linalg.solve(H, -grad)
+        delta = _newton_cg(problem, at, grad, _FORCING * gnorm, it, best.grad_norm)
         slope = float(np.dot(grad, delta))
         slack = _SLACK_ULPS * np.spacing(abs(at.value))
         s = 1.0
@@ -159,6 +167,57 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
         f"oracle stopped at ||grad|| = {best.grad_norm:.3e} > tol = {tol:.3e}",
         best.grad_norm,
     )
+
+
+def _newton_cg(
+    problem: ProblemSpec,
+    at: PrimalPoint,
+    grad: np.ndarray,
+    rtol: float,
+    it: int,
+    reached: float,
+) -> np.ndarray:
+    """The Newton step delta with ||H delta + grad|| <= rtol, for the Hessian
+    H of P at ``at``, by Jacobi-preconditioned conjugate gradients from 0.
+    Raises ReferenceError, carrying the gradient norm ``reached``, at
+    p^T H p <= 0 or when the iteration cap is hit."""
+    ds, lam = problem.dataset, problem.lam
+    c = problem.loss.curvatures(at.idx, at.margins)
+
+    def not_convex(pHp, where):
+        return ReferenceError(
+            f"Newton iteration {it}: p^T H p = {pHp:.3e} <= 0 {where}, so the "
+            "average loss is not convex here", reached)
+
+    # the diagonal of H, sum_i c_i A_ij^2 / n + lam, is e_j^T H e_j
+    diag = np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz),
+                       minlength=ds.d) / ds.n + lam
+    j = int(np.argmin(diag))
+    if not diag[j] > 0.0:
+        raise not_convex(diag[j], f"along coordinate {j}")
+    # from x = 0 the residual is -grad, whose norm rtol lies below
+    x = np.zeros(ds.d)
+    r = -grad
+    z = r / diag
+    p, rz = z, float(np.dot(r, z))
+    cap = _CG_PER_DIM * ds.d + _CG_EXTRA
+    for k in range(1, cap + 1):
+        Hp = ds.combine(c * ds.margins(p)) / ds.n + lam * p
+        pHp = float(np.dot(p, Hp))
+        if not pHp > 0.0:
+            raise not_convex(pHp, f"at CG iteration {k}")
+        a = rz / pHp
+        x += a * p
+        r -= a * Hp
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= rtol:
+            return x
+        z = r / diag
+        rz, rz_old = float(np.dot(r, z)), rz
+        p = z + (rz / rz_old) * p
+    raise ReferenceError(
+        f"Newton iteration {it}: CG hit its cap of {cap} iterations at residual "
+        f"||H delta + grad|| = {rnorm:.3e} > {rtol:.3e}", reached)
 
 
 @dataclass(frozen=True)

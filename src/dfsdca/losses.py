@@ -133,8 +133,10 @@ def average_curvature_matrix(dataset: Dataset, c: np.ndarray) -> np.ndarray:
     """Dense Hessian of w -> (1/n) sum_i c_i/2 (A_i^T w)^2, i.e.
     (1/n) sum_i c_i A_i A_i^T, as one sparse product A^T (c o A) / n.
 
-    With c = phi''(A w) it is the loss part of the objective's Hessian at w,
-    which the reference oracle builds on every Newton iteration.
+    With c = phi''(A w) it is the loss part of the objective's Hessian at w.
+    It is d x d and dense, so only small problems use it: it serves
+    :func:`min_curvature_eig` and the tests' dense reference solves, while
+    the reference oracle applies the same Hessian matrix-free.
     """
     A = dataset.csr()
     scaled = sp.csr_matrix(

@@ -238,8 +238,8 @@ def resolve_theta(problem: ProblemSpec, scheme: SamplingScheme, theta) -> float:
 class TraceRecord:
     """One checkpoint of :func:`run`: at the start, then where each epoch
     ends, at t = ceil(k n / E|S|). ``residual`` is the drift
-    ||w - w(alpha)|| / (1 + ||w||); at t a multiple of n, the drift that
-    that iteration's resync cleared."""
+    ||w - w(alpha)|| / (1 + ||w||): 0 at the start, where w = w(alpha), and
+    at t a multiple of n the drift that that iteration's resync cleared."""
 
     t: int
     epoch: float
@@ -272,9 +272,9 @@ def run(
     Records fall at the start and where a run of k epochs ends, at
     iteration ceil(k * n / E|S|), so a shorter run's trace is a prefix of a
     longer one's. w is resynced from alpha every n iterations; a record
-    there keeps that resync's drift as its ``residual``, and any other
-    takes :func:`relation_residual`, so no record makes two ``combine``
-    calls. The iterations between two resyncs or records are drawn as one
+    there keeps that resync's drift as its ``residual``, the record at the
+    start takes 0 and any other takes :func:`relation_residual`, so no
+    record makes two ``combine`` calls. The iterations between two resyncs or records are drawn as one
     block (:meth:`SamplingScheme.draw_block`, the same generator stream as
     one ``draw`` per iteration) and run by one kernel call, so the iterates
     equal a loop of :func:`step` over ``draw`` bitwise. With a reference
@@ -307,7 +307,8 @@ def run(
         trace.records.append(rec)
         return primal
 
-    runaway = 1e6 * abs(record(relation_residual(problem, state))) + 1e6
+    # init_state just computed w from alpha, so there is no drift to measure
+    runaway = 1e6 * abs(record(0.0)) + 1e6
     # draws per kernel call, capped so that one block of indices stays small
     block = max(1, _BLOCK_EXAMPLES // scheme.max_card)
     t, k = 0, 1

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import dfsdca.cli as cli
+import dfsdca.diagnostics as diagnostics
 from dfsdca.cli import TRACE_COLUMNS, main
 from dfsdca.dataset import gen_synthetic
+from dfsdca.losses import quadratic_family
+
+from csr_rows import from_rows
 
 RIDGE = "1 1:1\n3 1:1\n"
 
@@ -332,6 +337,26 @@ class TestReference:
         ])
         assert code == 3
         assert "grad" in capsys.readouterr().err
+
+    def test_nonconvex_objective_exits_3(self, monkeypatch, capsys):
+        # one example of curvature -1 > lam = 0.5: P has no minimum
+        ds = from_rows([([0], [1.0])], [0.0], 1)
+        monkeypatch.setattr(cli, "build_nonconvex_instance",
+                            lambda n, d, seed: (ds, quadratic_family([-1.0], [1.0])))
+        code = main(["reference", "--synthetic", "1,1,1,nonconvex",
+                     "--loss", "quadfam", "--lambda", "0.5"])
+        assert code == 3
+        assert "Newton iteration 1: p^T H p" in capsys.readouterr().err
+
+    def test_cg_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(diagnostics, "_CG_PER_DIM", 0)
+        monkeypatch.setattr(diagnostics, "_CG_EXTRA", 1)
+        code = main(["reference", "--synthetic", "50,10,0.8,linear-sign",
+                     "--lambda", "0.5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Newton iteration 1: CG hit its cap of 1 iterations" in err
+        assert "residual" in err
 
     @pytest.mark.parametrize("command,flag,value,name", [
         ("run", "--lambda", "nan", "lam"), ("run", "--lambda", "inf", "lam"),

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import dfsdca.diagnostics as diagnostics
 from dfsdca.dataset import gen_synthetic
 from dfsdca.diagnostics import (
     ReferenceError,
@@ -19,6 +21,7 @@ from dfsdca.diagnostics import (
     verify_lemma2,
 )
 from dfsdca.losses import (
+    average_curvature_matrix,
     build_nonconvex_instance,
     logistic_loss,
     quadratic_family,
@@ -32,6 +35,7 @@ from dfsdca.sampling import (
     tau_nice,
 )
 from dfsdca.solver import (
+    PrimalPoint,
     SolverConfig,
     SolverState,
     Trace,
@@ -54,6 +58,30 @@ def ridge_problem():
 def logistic_problem(n=6, d=4, lam=0.8, seed=11):
     ds = gen_synthetic(n, d, 0.9, "linear-sign", seed)
     return make_problem(ds, logistic_loss(ds.labels), lam)
+
+
+def dense_newton(prob):
+    """Undamped Newton on the dense Hessian average_curvature_matrix + lam I:
+    the d x d solve that the matrix-free oracle replaced, kept as a
+    reference for small problems. On quadratics the first step is the
+    exact solve and the rest refine it."""
+    ds, w = prob.dataset, np.zeros(prob.dataset.d)
+    for _ in range(30):
+        at = PrimalPoint(prob, w)
+        H = average_curvature_matrix(ds, prob.loss.curvatures(at.idx, at.margins))
+        w = w - np.linalg.solve(H + prob.lam * np.eye(ds.d), at.gradient)
+    return w, primal_value(prob, w)
+
+
+def dense_case(kind):
+    if kind == "squared":
+        ds = gen_synthetic(30, 6, 0.5, "linear-noise", 1)
+        return make_problem(ds, squared_loss(ds.labels), 0.1)
+    if kind == "logistic":
+        return logistic_problem(n=40, d=8, lam=0.05, seed=3)
+    ds, loss = build_nonconvex_instance(9, 4, 3)
+    assert np.any(loss.c < 0)
+    return make_problem(ds, loss, 0.1)
 
 
 class TestReferenceSolution:
@@ -107,8 +135,48 @@ class TestReferenceSolution:
         # along the Newton direction decreases it
         ds = from_rows([([0], [1.0])], [0.0], 1)
         prob = make_problem(ds, quadratic_family([-1.0], [1.0]), 0.5)
-        with pytest.raises(ReferenceError):
+        with pytest.raises(ReferenceError) as info:
             reference_solution(prob)
+        assert "Newton iteration 1: p^T H p = -5.000e-01" in str(info.value)
+        # H = [[0.5, 1], [1, 0.5]] has a positive diagonal, so CG starts,
+        # and its second direction (-8, 4) has p^T H p = -24
+        ds = from_rows([([0, 1], [1.0, 1.0]), ([0, 1], [1.0, -1.0])], [0.0, 0.0], 2)
+        prob = make_problem(ds, quadratic_family([1.0, -1.0], [1.0, 1.0]), 0.5)
+        with pytest.raises(ReferenceError) as info:
+            reference_solution(prob)
+        assert "Newton iteration 1: p^T H p = -2.400e+01 <= 0 at CG iteration 2" \
+            in str(info.value)
+
+    def test_cg_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_CG_PER_DIM", 0)
+        monkeypatch.setattr(diagnostics, "_CG_EXTRA", 1)
+        with pytest.raises(ReferenceError) as info:
+            reference_solution(logistic_problem())
+        msg = str(info.value)
+        assert "Newton iteration 1: CG hit its cap of 1 iterations" in msg
+        assert "at residual ||H delta + grad|| = " in msg
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "quadfam"])
+    def test_agrees_with_dense_newton(self, kind):
+        prob = dense_case(kind)
+        ref = reference_solution(prob)
+        w, P = dense_newton(prob)
+        assert abs(ref.P_star - P) <= 1e-14 * (1.0 + abs(P))
+        assert np.max(np.abs(ref.w - w)) <= 1e-10
+
+    def test_large_d_without_dense_hessian(self):
+        # a d x d Hessian would take 20 GB here
+        ds = gen_synthetic(2000, 50000, 0.001, "linear-noise", 0)
+        prob = make_problem(ds, squared_loss(ds.labels), 1.0 / ds.n)
+        tracemalloc.start()
+        try:
+            ref = reference_solution(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tol = 1e-12 * (1.0 + abs(primal_value(prob, np.zeros(ds.d))))
+        assert ref.grad_norm <= min(tol, prob.lam * 1e-11)
+        assert peak < 32 * 2**20
 
     def test_deterministic(self):
         a = reference_solution(logistic_problem())

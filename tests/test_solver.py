@@ -216,15 +216,15 @@ class TestRun:
         assert all(0.0 < r <= 1e-8 for r in at_resync)
 
     def test_one_combine_per_checkpoint(self, monkeypatch):
-        # init_state, the residual at t = 0, then one resync per epoch; a
-        # checkpoint on a resync reuses that resync's combine
+        # init_state, then one resync per epoch; the record at t = 0 takes
+        # no combine, and a checkpoint on a resync reuses that resync's
         prob = logistic_problem(n=40, lam=0.05)
         calls = []
         combine = Dataset.combine
         monkeypatch.setattr(Dataset, "combine",
                             lambda ds, a: calls.append(1) or combine(ds, a))
         run(prob, serial_uniform(prob.dataset.norms), SolverConfig(epochs=10, seed=2))
-        assert len(calls) == 12
+        assert len(calls) == 11
 
     @pytest.mark.parametrize("scheme", ["nice", "chunked"])
     def test_shorter_run_trace_is_prefix(self, scheme):
