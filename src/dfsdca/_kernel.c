@@ -1,5 +1,5 @@
-/* dfSDCA kernels: a block of iterations over flat subsets plus offsets, and
- * a block of uniform tau-subset draws.
+/* dfSDCA kernels: a block of iterations over flat subsets plus offsets, a
+ * block of uniform tau-subset draws, and a LIBSVM parser.
  *
  * Subset s is idx[off[s]] .. idx[off[s+1] - 1]. Each iteration computes
  * every drawn margin A_i^T w against the pre-update w, summing the row's
@@ -26,15 +26,36 @@
  * use a byte marker over the index range, allocated per call and cleared
  * after each subset, since an index may recur in the next one.
  *
+ * The LIBSVM parser (dfsdca_parse_libsvm) reads `label idx:val ...` lines
+ * from a byte buffer in one pass, every scan bounded by the buffer's
+ * length, into arrays sized by a counting pass (dfsdca_libsvm_bounds) that
+ * bounds the rows by the line breaks and the entries by the colons. Lines
+ * break as Python's str.splitlines() breaks ASCII text: at \n, \r\n, \r,
+ * \v, \f and \x1c-\x1e. Tokens are split at space, \t and \x1f, the
+ * other ASCII whitespace of str.split(), and '#' starts a comment that runs
+ * to the line break. Numbers are checked against a grammar of their own
+ * (below) before strtoll or strtod converts them. strtod reads a copy of
+ * the number under a "C" numeric locale of its own, so the caller's
+ * setlocale cannot change it, and like Python's float() it rounds
+ * correctly, so both give the same bits. A byte >= 0x80 anywhere is an error. The first error in reading
+ * order stops the parse and returns its code, with its line number and the
+ * byte span of the token at fault (of the byte, for NON_ASCII) in info.
+ *
  * Build: gcc -O2 -ffp-contract=off -shared -fPIC -x c - -lm
  */
+#define _GNU_SOURCE  /* strtod_l */
+#include <errno.h>
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { LOGISTIC = 0, SQUARED = 1, QUADFAM = 2 };  /* order of losses.KINDS */
 enum { OK = 0, OUT_OF_RANGE = 1, REPEATED = 2, GUARD = 3, BAD_OFFSETS = 4,
-       NO_MEMORY = 5 };
+       NO_MEMORY = 5, BAD_LABEL = 6, NO_COLON = 7, BAD_TOKEN = 8,
+       NOT_ONE_BASED = 9, INDEX_TOO_LARGE = 10, NOT_INCREASING = 11,
+       NON_ASCII = 12 };
 
 /* Checks every subset; sets *max_m to the largest subset size. */
 static int check(int64_t n, const double *p, double theta, double guard,
@@ -166,4 +187,229 @@ int dfsdca_tau_subsets(int64_t units, int64_t tau, int64_t k, int64_t *t,
     }
     free(taken);
     return OK;
+}
+
+/* Bit c is set for the control bytes c < 32 that break a line as
+ * str.splitlines() breaks ASCII text (\n, \v, \f, \r, \x1c-\x1e; \r\n is
+ * one break), and for the rest of str.split()'s ASCII whitespace, besides
+ * the space (\t, \x1f). */
+#define BREAKS 0x70003C00u
+#define BLANKS 0x80000200u
+
+static inline int is_break(unsigned char ch)
+{
+    return ch < 32 && (BREAKS >> ch & 1);
+}
+
+static inline int is_blank(unsigned char ch)
+{
+    return ch == ' ' || (ch < 32 && (BLANKS >> ch & 1));
+}
+
+/* neither whitespace, a line break, '#' nor a byte >= 0x80 */
+static inline int in_token(unsigned char ch)
+{
+    if (ch > ' ')
+        return ch != '#' && ch < 0x80;
+    return ch < ' ' && !((BREAKS | BLANKS) >> ch & 1);
+}
+
+/* Upper bounds for the parser's arrays: bounds[0] = rows (line breaks + 1),
+ * bounds[1] = entries (colons). */
+void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t *bounds)
+{
+    int64_t k, breaks = 0, colons = 0;
+    for (k = 0; k < len; k++) {
+        breaks += is_break(buf[k]);
+        colons += buf[k] == ':';
+    }
+    bounds[0] = breaks + 1;
+    bounds[1] = colons;
+}
+
+static int64_t skip_digits(const unsigned char *s, int64_t k, int64_t end)
+{
+    while (k < end && s[k] >= '0' && s[k] <= '9')
+        k++;
+    return k;
+}
+
+static int64_t skip_sign(const unsigned char *s, int64_t k, int64_t end)
+{
+    return k < end && (s[k] == '+' || s[k] == '-') ? k + 1 : k;
+}
+
+/* s[a:b] is the lower-case word w in any case */
+static int is_word(const unsigned char *s, int64_t a, int64_t b, const char *w)
+{
+    int64_t k;
+    for (k = 0; w[k] != '\0'; k++)
+        if (a + k >= b || (s[a + k] | 0x20) != w[k])
+            return 0;
+    return a + k == b;
+}
+
+/* index grammar: [+-]?[0-9]+ */
+static int is_integer(const unsigned char *s, int64_t a, int64_t b)
+{
+    a = skip_sign(s, a, b);
+    return a < b && skip_digits(s, a, b) == b;
+}
+
+/* value grammar: [+-]? then inf, infinity or nan in any case, or digits
+ * with at most one '.' and at least one digit, then [eE][+-]?[0-9]+ or
+ * nothing. Python's float() also takes '_' between digits and non-ASCII
+ * digits, and strtod hexadecimal floats and nan(...); this grammar rejects
+ * all four. */
+static int is_real(const unsigned char *s, int64_t a, int64_t b)
+{
+    int64_t k, n_digits;
+    a = skip_sign(s, a, b);
+    if (is_word(s, a, b, "inf") || is_word(s, a, b, "infinity")
+            || is_word(s, a, b, "nan"))
+        return 1;
+    k = skip_digits(s, a, b);
+    n_digits = k - a;
+    if (k < b && s[k] == '.') {
+        int64_t frac = skip_digits(s, k + 1, b);
+        n_digits += frac - k - 1;
+        k = frac;
+    }
+    if (n_digits == 0)
+        return 0;
+    if (k < b && (s[k] == 'e' || s[k] == 'E')) {
+        int64_t exp = skip_sign(s, k + 1, b);
+        k = skip_digits(s, exp, b);
+        if (k == exp)
+            return 0;
+    }
+    return k == b;
+}
+
+/* strtod_l of the checked number s[a:b], read from a NUL-terminated copy
+ * (on the stack unless it is long), so that strtod never sees the buffer
+ * and cannot read past it. */
+static int to_real(const unsigned char *s, int64_t a, int64_t b,
+                   locale_t c_locale, double *x)
+{
+    char small[64], *copy = small;
+    size_t n = (size_t)(b - a);
+    if (n >= sizeof small && (copy = malloc(n + 1)) == NULL)
+        return NO_MEMORY;
+    memcpy(copy, s + a, n);
+    copy[n] = '\0';
+    *x = strtod_l(copy, NULL, c_locale);
+    if (copy != small)
+        free(copy);
+    return OK;
+}
+
+/* One row per line with a label: labels[r] and the 0-based entries
+ * idx/vals[indptr[r] .. indptr[r + 1] - 1], explicit zeros dropped.
+ * info[0..2] = rows, entries and the largest index; on an error
+ * info[3..5] = line number (from 1) and the span [start, end) at fault.
+ * More rows than max_rows or entries than max_nnz return OUT_OF_RANGE. */
+static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
+                 int64_t max_nnz, double *labels, int64_t *indptr,
+                 int64_t *idx, double *vals, int64_t *info, locale_t c_locale)
+{
+    int64_t pos = 0, line = 0, rows = 0, nnz = 0, max_index = 0;
+    int64_t start = 0, end = 0;
+    int rc = OK;
+    indptr[0] = 0;
+    while (pos < len) {
+        int64_t prev = 0;
+        int labelled = 0;
+        line++;
+        for (;;) {
+            int64_t colon, j = 0;
+            double x = 0.0;
+            while (pos < len && is_blank(s[pos]))
+                pos++;
+            if (pos < len && s[pos] == '#')  /* a comment, to the line break */
+                while (pos < len && !is_break(s[pos]) && s[pos] < 0x80)
+                    pos++;
+            start = pos;
+            while (pos < len && in_token(s[pos]))
+                pos++;
+            end = pos;
+            if (pos < len && s[pos] >= 0x80) {
+                start = pos;
+                end = pos + 1;
+                rc = NON_ASCII;
+                goto fail;
+            }
+            if (start == end)  /* a line break or the end of the buffer */
+                break;
+            if (!labelled) {
+                if (rows == max_rows)
+                    rc = OUT_OF_RANGE;
+                else if (!is_real(s, start, end))
+                    rc = BAD_LABEL;
+                else
+                    rc = to_real(s, start, end, c_locale, &labels[rows]);
+                if (rc != OK)
+                    goto fail;
+                labelled = 1;
+                continue;
+            }
+            for (colon = start; colon < end && s[colon] != ':'; colon++)
+                ;
+            if (colon == end) {
+                rc = NO_COLON;
+            } else if (!is_integer(s, start, colon) || !is_real(s, colon + 1, end)) {
+                rc = BAD_TOKEN;
+            } else {
+                errno = 0;
+                j = strtoll((const char *)s + start, NULL, 10);  /* stops at the ':' */
+                if (j < 1)
+                    rc = NOT_ONE_BASED;
+                else if (errno == ERANGE)
+                    rc = INDEX_TOO_LARGE;
+                else if (j <= prev)
+                    rc = NOT_INCREASING;
+                else if (nnz == max_nnz)
+                    rc = OUT_OF_RANGE;
+                else
+                    rc = to_real(s, colon + 1, end, c_locale, &x);
+            }
+            if (rc != OK)
+                goto fail;
+            prev = j;
+            if (x != 0.0) {
+                idx[nnz] = j - 1;
+                vals[nnz++] = x;
+            }
+        }
+        if (labelled) {
+            if (prev > max_index)
+                max_index = prev;
+            indptr[++rows] = nnz;
+        }
+        if (pos < len)  /* the line break */
+            pos += s[pos] == '\r' && pos + 1 < len && s[pos + 1] == '\n' ? 2 : 1;
+    }
+    info[0] = rows;
+    info[1] = nnz;
+    info[2] = max_index;
+    return OK;
+fail:
+    info[3] = line;
+    info[4] = start;
+    info[5] = end;
+    return rc;
+}
+
+int dfsdca_parse_libsvm(const unsigned char *buf, int64_t len, int64_t max_rows,
+                        int64_t max_nnz, double *labels, int64_t *indptr,
+                        int64_t *idx, double *vals, int64_t *info)
+{
+    int rc;
+    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return NO_MEMORY;
+    rc = parse(buf, len, max_rows, max_nnz, labels, indptr, idx, vals, info,
+               c_locale);
+    freelocale(c_locale);
+    return rc;
 }

@@ -1,5 +1,6 @@
 """Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
-step kernel and the pass that turns bounded draws into tau-subsets.
+step kernel, the pass that turns bounded draws into tau-subsets, and the
+LIBSVM parser.
 
 The shared library is built on first use with gcc and cached as
 ``_kernel-<key>.so``, where the key is the sha256 of the C source and the
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import ParseError
 from .losses import KINDS, QUADFAM
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -30,8 +32,10 @@ CACHE = Path(__file__).with_name("__pycache__")
 #: no fused multiply-adds: they would change the iterates' rounding
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-# return codes of dfsdca_steps and dfsdca_tau_subsets
+# return codes of dfsdca_steps, dfsdca_tau_subsets and dfsdca_parse_libsvm
 OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 1, 2, 3, 4, 5
+BAD_LABEL, NO_COLON, BAD_TOKEN, NOT_ONE_BASED = 6, 7, 8, 9
+INDEX_TOO_LARGE, NOT_INCREASING, NON_ASCII = 10, 11, 12
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
@@ -118,7 +122,11 @@ def _load():
             dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, ctypes.POINTER(i64),
         ]
         lib.dfsdca_tau_subsets.argtypes = [i64, i64, i64, vp, ctypes.POINTER(i64)]
-        lib.dfsdca_steps.restype = lib.dfsdca_tau_subsets.restype = ctypes.c_int
+        lib.dfsdca_libsvm_bounds.argtypes = [vp, i64, vp]
+        lib.dfsdca_libsvm_bounds.restype = None
+        lib.dfsdca_parse_libsvm.argtypes = [vp, i64, i64, i64, vp, vp, vp, vp, vp]
+        for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_parse_libsvm):
+            fn.restype = ctypes.c_int
         _lib = lib
     return _lib
 
@@ -164,6 +172,52 @@ def tau_subsets(units: int, draws) -> None:
         )
     if code:
         raise MemoryError("subset kernel: out of memory")
+
+
+def parse_libsvm(text) -> tuple:
+    """Parse LIBSVM bytes (any buffer: ``bytes``, a uint8 array, ...) into
+    ``(labels, indptr, indices, data, max_index)``: one label per line that
+    has one, CSR arrays with 0-based int64 indices and explicit zeros
+    dropped, and the largest 1-based index seen (0 if none).
+
+    Raises :class:`ParseError` naming the line of the first malformed
+    token, in the words of the grammar in :func:`dataset.parse_libsvm`.
+    """
+    buf = np.frombuffer(text, np.uint8)
+    lib = _load()
+    bounds = np.empty(2, np.int64)
+    lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, bounds.ctypes.data)
+    max_rows, max_nnz = (int(b) for b in bounds)
+    labels, data = np.empty(max_rows), np.empty(max_nnz)
+    indptr, indices = np.empty(max_rows + 1, np.int64), np.empty(max_nnz, np.int64)
+    info = np.zeros(6, np.int64)
+    code = lib.dfsdca_parse_libsvm(
+        buf.ctypes.data, buf.size, max_rows, max_nnz, labels.ctypes.data,
+        indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, info.ctypes.data,
+    )
+    rows, nnz, max_index, line, start, end = (int(v) for v in info)
+    if code == NON_ASCII:
+        raise ParseError(f"line {line}: non-ASCII byte 0x{buf[start]:02x}")
+    token = buf[start:end].tobytes().decode("ascii")
+    if code == BAD_LABEL:
+        raise ParseError(f"line {line}: non-numeric label {token!r}")
+    if code == NO_COLON:
+        raise ParseError(f"line {line}: expected idx:val, got {token!r}")
+    if code == BAD_TOKEN:
+        raise ParseError(f"line {line}: non-numeric token {token!r}")
+    if code == NOT_ONE_BASED:
+        raise ParseError(f"line {line}: index {int(token.partition(':')[0])} "
+                         "is not 1-based")
+    if code == INDEX_TOO_LARGE:
+        raise ParseError(f"line {line}: index {int(token.partition(':')[0])} "
+                         "exceeds 2**63 - 1")
+    if code == NOT_INCREASING:
+        raise ParseError(f"line {line}: non-increasing indices")
+    if code == NO_MEMORY:
+        raise MemoryError("parse kernel: out of memory")
+    if code:
+        raise RuntimeError(f"parse kernel: more rows or entries than counted ({code})")
+    return labels[:rows], indptr[:rows + 1], indices[:nnz], data[:nnz], max_index
 
 
 class Kernel:

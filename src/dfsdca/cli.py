@@ -85,7 +85,7 @@ def _load_dataset(args):
     synthetic model 'nonconvex' comes with (None for every other source)."""
     if args.data:
         try:
-            with open(args.data) as fh:
+            with open(args.data, "rb") as fh:  # the parser reads bytes
                 return parse_libsvm(fh), None
         except OSError as exc:
             raise DataError(f"cannot read {args.data}: {exc}")

@@ -120,63 +120,46 @@ class Dataset:
 def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LIBSVM/SVMlight text: ``label idx:val idx:val ...`` per line.
 
-    File indices are 1-based and must be strictly increasing within a line;
-    they are remapped to 0-based. ``#`` starts a comment. Explicit zero
-    values are dropped (canonical form). The dimension is the largest index
-    seen unless ``n_features`` overrides it. ``source`` is the text itself
-    or a file object to read it from.
+    ``source`` is the text as ``str`` or ``bytes``, or a file object to read
+    it from, in text or binary mode. It must be ASCII: any other byte (or
+    character) is an error that names its line. The compiled parser in
+    ``_kernel.c`` reads it, so the first call builds that library (gcc).
+
+    Lines break where ``str.splitlines()`` breaks them (``\\n``, ``\\r\\n``,
+    ``\\r``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``), tokens are separated by
+    spaces, tabs and ``\\x1f``, and ``#`` starts a comment that runs to the
+    line break. A line with no token is skipped. Otherwise its first token
+    is the label, a number, and each further token is ``idx:val``:
+
+    - an index is ``[+-]?[0-9]+``, 1-based, below 2**63 and strictly
+      increasing within the line; it is remapped to 0-based;
+    - a number (label or value) is ``[+-]?`` followed by ``inf``,
+      ``infinity`` or ``nan`` in any case, or by decimal digits with at most
+      one ``.`` and an optional exponent ``[eE][+-]?[0-9]+``, with at least
+      one digit before the exponent. It takes the correctly rounded double,
+      as Python's ``float()`` gives. Underscores between digits, non-ASCII
+      digits, hexadecimal floats and ``nan(...)`` are not numbers.
+
+    Explicit zero values are dropped (canonical form). The dimension is the
+    largest index seen unless ``n_features`` overrides it. Every error is a
+    :class:`ParseError`; a malformed line's message names the line.
     """
-    lines = (source if isinstance(source, str) else source.read()).splitlines()
+    # imported here: _kernel imports losses, which imports this module
+    from ._kernel import parse_libsvm as parse_bytes
 
-    labels: list[float] = []
-    indptr: list[int] = [0]
-    idx: list[int] = []
-    val: list[float] = []
-    max_index = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            label = float(parts[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric label {parts[0]!r}")
-        prev = 0
-        for tok in parts[1:]:
-            head, sep, tail = tok.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: expected idx:val, got {tok!r}")
-            try:
-                j = int(head)
-                x = float(tail)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric token {tok!r}")
-            if j < 1:
-                raise ParseError(f"line {lineno}: index {j} is not 1-based")
-            if j <= prev:
-                raise ParseError(f"line {lineno}: non-increasing indices")
-            prev = j
-            if x != 0.0:
-                idx.append(j - 1)
-                val.append(x)
-        if prev > max_index:
-            max_index = prev
-        labels.append(label)
-        indptr.append(len(idx))
-
-    if not labels:
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(text, str):
+        # any non-ASCII character becomes bytes >= 0x80, which the parser rejects
+        text = text.encode("utf-8", "surrogatepass")
+    labels, indptr, indices, data, max_index = parse_bytes(text)
+    if not labels.size:
         raise ParseError("empty input: no data lines")
     d = max_index if n_features is None else int(n_features)
     if d < max_index:
         raise ParseError(
             f"n_features={n_features} smaller than max index {max_index}"
         )
-    d = max(d, 1)
-    return Dataset(
-        np.array(indptr, dtype=np.int64), np.array(idx, dtype=np.int64),
-        np.array(val, dtype=np.float64), labels, d,
-    )
+    return Dataset(indptr, indices, data, labels, max(d, 1))
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

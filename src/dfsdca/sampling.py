@@ -418,7 +418,8 @@ def validate_eso(
             rows = bounds.size - 1
             row = np.repeat(np.arange(rows), np.diff(bounds))[seg]
             z = np.bincount(row * d + cols, vals * h[flat][seg], minlength=rows * d)
-            out[k:k + rows] = [np.dot(zs, zs) for zs in z.reshape(rows, d)]
+            zr = z.reshape(rows, d)
+            out[k:k + rows] = np.vecdot(zr, zr)
         return out
 
     for trial in range(trials):

@@ -174,12 +174,28 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "reference"])
     def test_index_beyond_int32_exits_3(self, command, tmp_path, capsys):
-        # d = 3e9: rejected before any d-sized array exists
-        data = tmp_path / "wide.libsvm"
-        data.write_text("+1 3000000000:1\n-1 2:0.5\n")
-        assert main([command, "--data", str(data)]) == 3
+        # rejected before any d-sized array exists, up to the largest index
+        # the parser takes
+        for d in (3_000_000_000, 2**63 - 1):
+            data = tmp_path / "wide.libsvm"
+            data.write_text(f"+1 {d}:1\n-1 2:0.5\n")
+            assert main([command, "--data", str(data)]) == 3
+            err = capsys.readouterr().err
+            assert f"d={d}" in err and "2147483647" in err
+
+    @pytest.mark.parametrize("index", [2**63, 10**20])
+    def test_index_beyond_int64_exits_2(self, index, tmp_path, capsys):
+        data = tmp_path / "wider.libsvm"
+        data.write_text(f"-1 2:0.5\n+1 {index}:1\n")
+        assert main(["run", "--data", str(data)]) == 2
         err = capsys.readouterr().err
-        assert "d=3000000000" in err and "2147483647" in err
+        assert f"line 2: index {index} exceeds 2**63 - 1" in err
+
+    def test_non_utf8_byte_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "latin1.libsvm"
+        data.write_bytes(b"+1 1:0.5\n-1 2:\xff\n")
+        assert main(["run", "--data", str(data)]) == 2
+        assert "data error: line 2: non-ASCII byte 0xff" in capsys.readouterr().err
 
     def test_divergent_instance_exits_3(self, tmp_path, capsys):
         assert main([

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,60 @@ class TestParse:
             )
             again = parse_libsvm(serialize_libsvm(ds), n_features=ds.d)
             assert datasets_equal(ds, again)
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("tok", ["1_0:0.5", "1:0_5", "1:0x1p3", "0x1:1",
+                                     "1:nan(1)", "1:infinit", "1:1e", "1:.", "1:"])
+    def test_not_numbers(self, tok):
+        # Python's float() and int() took the first two as 10 and 5.0
+        with pytest.raises(ParseError, match=re.escape(f"line 2: non-numeric token '{tok}'")):
+            parse_libsvm(f"+1 1:1\n-1 {tok}\n")
+
+    def test_underscore_label(self):
+        with pytest.raises(ParseError, match="line 1: non-numeric label '1_0'"):
+            parse_libsvm("1_0 1:1\n")
+
+    def test_inf_and_nan_in_any_case(self):
+        ds = parse_libsvm("-INF 1:+Infinity 2:-nAn 3:inf 4:NaN\n")
+        assert ds.labels[0] == -np.inf
+        assert row(ds, 0)[1][[0, 2]].tolist() == [np.inf, np.inf]
+        signs = np.signbit(row(ds, 0)[1][[1, 3]])
+        assert np.isnan(row(ds, 0)[1][[1, 3]]).all() and signs.tolist() == [True, False]
+
+    @pytest.mark.parametrize("text", ["+1 1:1\n-1 2:\xe9\n", "+1 1:1\n-1 \u0661:1\n",
+                                      "+1 1:1\n-1 # caf\xe9\n", "+1\n-1\u2028+1\n"])
+    def test_non_ascii_names_line(self, text):
+        with pytest.raises(ParseError, match="line 2: non-ASCII byte 0x"):
+            parse_libsvm(text)
+        with pytest.raises(ParseError, match="line 2: non-ASCII byte 0x"):
+            parse_libsvm(text.encode("utf-8"))
+        with pytest.raises(ParseError, match="line 2: non-ASCII byte 0xff"):
+            parse_libsvm(b"+1\n-1 1:\xff\n")
+
+    def test_index_range(self):
+        assert parse_libsvm(f"1 {2**63 - 1}:1").d == 2**63 - 1
+        with pytest.raises(ParseError, match=f"line 1: index {2**63} exceeds"):
+            parse_libsvm(f"1 {2**63}:1")
+        with pytest.raises(ParseError, match=f"index {-2**70} is not 1-based"):
+            parse_libsvm(f"1 {-2**70}:1")
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f",
+                                     "\x1c", "\x1d", "\x1e"])
+    def test_line_breaks(self, brk):
+        ds = parse_libsvm(f"+1 1:1{brk}-1\x1f2:1{brk}{brk}+1 2:2 3:1")
+        assert ds.labels.tolist() == [1.0, -1.0, 1.0] and ds.nnz.tolist() == [1, 1, 2]
+        with pytest.raises(ParseError, match="line 4:"):
+            parse_libsvm(f"+1{brk}{brk}-1{brk}x")
+
+    def test_bytes_and_binary_files(self, tmp_path):
+        text = "+1 1:0.5 3:2.0\r\n-1 2:1.0 # c\n"
+        path = tmp_path / "d.libsvm"
+        path.write_text(text, newline="")
+        with open(path, "rb") as fh:
+            from_file = parse_libsvm(fh)
+        assert datasets_equal(parse_libsvm(text), parse_libsvm(text.encode()))
+        assert datasets_equal(parse_libsvm(text), from_file)
 
 
 class TestNorms:

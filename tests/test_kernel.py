@@ -394,17 +394,26 @@ def test_source_compiles_without_warnings():
     gcc = _kernel._compiler()
     if gcc is None:
         pytest.skip("gcc is not on PATH")
+    # -O2 turns on the flow analysis behind -Wmaybe-uninitialized
     proc = subprocess.run(
-        [gcc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_kernel.SOURCE)],
+        [gcc, "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o", os.devnull,
+         str(_kernel.SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    source = _kernel.SOURCE.read_text()
+    for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_libsvm_bounds",
+                 "dfsdca_parse_libsvm"):
+        assert f" {name}(" in source
 
 
 # A script for a python under AddressSanitizer: it builds the kernels with
 # ASan and UBSan into the directory argv[1] and drives every C path, so an
 # out-of-bounds access, a use after free or undefined behaviour aborts it.
-# Leaks are not checked: the interpreter itself never frees everything.
+# Each parser input is copied into a buffer of exactly its length, so a
+# read past the end trips ASan. Every parser return code is driven except
+# NO_MEMORY. Leaks are not checked: the interpreter itself never frees
+# everything.
 SANITIZED = """
 import sys
 from pathlib import Path
@@ -412,6 +421,7 @@ from pathlib import Path
 import numpy as np
 
 from dfsdca import _kernel
+from dfsdca.dataset import ParseError
 from dfsdca.sampling import _tau_subsets
 from dfsdca.solver import SolverConfig, init_state, make_problem, run, step
 from dfsdca.losses import logistic_loss
@@ -436,6 +446,30 @@ for subset in ([4, 2, 4], [3, ds.n], [-1]):
     except ValueError:
         continue
     raise AssertionError(f"{subset} was accepted")
+long_line = b"1 " + b" ".join(b"%d:0.5" % j for j in range(1, 120_000))
+for text, want in [
+    (b"1 2:3.5", None), (b"+1\\r\\n-1\\x1f", None), (b"1 1:1." + b"0" * 2**20, None),
+    (long_line, None), (b"", None), (b"-1 1:2 # c", None),
+    (b"foo", "label"), (b":", "label"), (b"1 2", "expected"), (b"1 :", "token"),
+    (b"1 1:", "token"), (b"1 :5", "token"), (b"1 1:2e", "token"), (b"1 0:1", "1-based"),
+    (b"1 99999999999999999999:1", "exceeds"), (b"1 2:1 1:1", "non-increasing"),
+    (b"1 1:1\\n2:\\xff", "non-ASCII"), (b"1 #\\x80", "non-ASCII"),
+]:
+    try:
+        _kernel.parse_libsvm(np.frombuffer(text, np.uint8).copy())
+    except ParseError as exc:
+        assert want is not None and want in str(exc), (text[:20], exc)
+    else:
+        assert want is None, text[:20]
+# arrays smaller than the sizing pass counted
+lib, info = _kernel._load(), np.zeros(6, np.int64)
+for text, rows, nnz in [(b"1\\n2", 1, 0), (b"1 1:1 2:1", 1, 1)]:
+    buf = np.frombuffer(text, np.uint8).copy()
+    out = [np.empty(rows), np.empty(rows + 1, np.int64), np.empty(nnz, np.int64),
+           np.empty(nnz)]
+    code = lib.dfsdca_parse_libsvm(buf.ctypes.data, buf.size, rows, nnz,
+                                   *(a.ctypes.data for a in out), info.ctypes.data)
+    assert code == _kernel.OUT_OF_RANGE, code
 assert list(cache.glob("_kernel-*.so"))
 print("clean")
 """
@@ -525,6 +559,16 @@ def test_cli_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
     no_compiler(tmp_path, monkeypatch)
     code = main(["run", "--synthetic", "20,5,0.5,linear-sign", "--epochs", "1",
                  "--out", str(tmp_path / "trace.csv")])
+    assert code == 4
+    assert "gcc" in capsys.readouterr().err
+
+
+def test_reference_data_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
+    # --data goes through the compiled parser, even where nothing is stepped
+    data = tmp_path / "two.libsvm"
+    data.write_text("+1 1:1\n-1 2:1\n")
+    no_compiler(tmp_path, monkeypatch)
+    code = main(["reference", "--data", str(data), "--out", str(tmp_path / "ref.json")])
     assert code == 4
     assert "gcc" in capsys.readouterr().err
 
