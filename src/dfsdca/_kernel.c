@@ -1,5 +1,6 @@
 /* dfSDCA kernels: a block of iterations over flat subsets plus offsets, a
- * block of uniform tau-subset draws, and a LIBSVM parser.
+ * block of uniform tau-subset draws, the synthetic generator's row draws,
+ * and a LIBSVM parser.
  *
  * Subset s is idx[off[s]] .. idx[off[s+1] - 1]. Each iteration computes
  * every drawn margin A_i^T w against the pre-update w, summing the row's
@@ -17,10 +18,22 @@
  * code with the offending offset position or index in *bad; a repeat is
  * the first one in call order.
  *
- * The draws take Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) as
- * numpy's Generator.choice(replace=False) runs it: slot c of a tau-subset of
- * range(units) draws t uniform in [0, units - tau + c] and keeps t, or
- * units - tau + c if t is already in the subset.
+ * The draws come from numpy's own distribution code: the library links
+ * numpy's static libnpyrandom.a (numpy/random/lib), whose
+ * random_bounded_uint64 draws a bounded integer by Lemire's rule (Lemire,
+ * "Fast Random Integer Generation in an Interval", ACM TOMACS 2019) and
+ * whose random_standard_normal_fill runs the ziggurat, on the caller's
+ * bitgen_t (numpy/random/bitgen.h). The caller holds the bit generator's
+ * lock. So a pass makes exactly the draws that numpy's Python-level calls
+ * would make, and leaves the generator where they leave it.
+ *
+ * The tau-subset draws take Floyd's algorithm (Bentley & Floyd, CACM 30(9),
+ * 1987) as numpy's Generator.choice(replace=False) runs it: slot c of a
+ * tau-subset of range(units) draws t uniform in [0, units - tau + c] and
+ * keeps t, or units - tau + c if t is already in the subset. The row pass
+ * (dfsdca_choice_rows) replays all of rng.choice(d, k, replace=False) per
+ * row, in both of numpy's regimes, then rng.standard_normal(k). Rows are
+ * written unsorted: the caller sorts them, with numpy's vectorized sort.
  *
  * Both membership tests (a repeat within a subset, a draw already taken)
  * use a byte marker over the index range, allocated per call and cleared
@@ -41,15 +54,20 @@
  * order stops the parse and returns its code, with its line number and the
  * byte span of the token at fault (of the byte, for NON_ASCII) in info.
  *
- * Build: gcc -O2 -ffp-contract=off -shared -fPIC -x c - -lm
+ * Build: gcc -O2 -ffp-contract=off -shared -fPIC -I <numpy include> -x c -
+ *        -x none <numpy>/random/lib/libnpyrandom.a -lm
+ *        -Wl,--exclude-libs,ALL
  */
 #define _GNU_SOURCE  /* strtod_l */
 #include <errno.h>
 #include <locale.h>
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
 
 enum { LOGISTIC = 0, SQUARED = 1, QUADFAM = 2 };  /* order of losses.KINDS */
 enum { OK = 0, OUT_OF_RANGE = 1, REPEATED = 2, GUARD = 3, BAD_OFFSETS = 4,
@@ -154,37 +172,104 @@ int dfsdca_steps(const int32_t *indptr, const int32_t *indices,
     return OK;
 }
 
-/* Resolves, in place, k rows of tau bounded draws t[r * tau + c] in
- * [0, units - tau + c] into tau-subsets of range(units): entry (r, c)
- * becomes what slot c keeps. Every entry is checked before any is written;
- * one out of range returns OUT_OF_RANGE with its flat position in *bad. */
-int dfsdca_tau_subsets(int64_t units, int64_t tau, int64_t k, int64_t *t,
-                       int64_t *bad)
+/* numpy/random/distributions.h declares these two, but it includes Python.h */
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
+                               uint64_t rng, uint64_t mask, bool use_masked);
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                 double *out);
+
+/* A uniform integer in [0, top], by numpy's Lemire rule. */
+static inline int64_t bounded(bitgen_t *bg, int64_t top)
 {
-    int64_t r, c, base = units - tau;
-    unsigned char *taken;
-    for (r = 0; r < k; r++) {
-        for (c = 0; c < tau; c++) {
-            int64_t v = t[r * tau + c];
-            if (v < 0 || v > base + c) {
-                *bad = r * tau + c;
-                return OUT_OF_RANGE;
-            }
-        }
+    return (int64_t)random_bounded_uint64(bg, 0, (uint64_t)top, 0, false);
+}
+
+/* Floyd's draws of one k-subset of range(top + 1), in slot order: slot c
+ * draws t in [0, top - k + 1 + c] and keeps t, or that top if t is taken.
+ * taken[] is all zero on entry and on return. */
+static void floyd(bitgen_t *bg, int64_t top, int64_t k, int64_t *row,
+                  unsigned char *taken)
+{
+    int64_t c, base = top + 1 - k;
+    for (c = 0; c < k; c++) {
+        int64_t t = bounded(bg, base + c);
+        if (taken[t])
+            t = base + c;
+        taken[t] = 1;
+        row[c] = t;
     }
-    taken = calloc((size_t)units + 1, 1);
+    for (c = 0; c < k; c++)
+        taken[row[c]] = 0;
+}
+
+/* Draws k uniform tau-subsets of range(units) into the rows of out,
+ * out[r * tau + c]: row after row, Floyd's draws as above. */
+int dfsdca_tau_subsets(bitgen_t *bg, int64_t units, int64_t tau, int64_t k,
+                       int64_t *out)
+{
+    int64_t r;
+    unsigned char *taken = calloc((size_t)units + 1, 1);
     if (taken == NULL)
         return NO_MEMORY;
-    for (r = 0; r < k; r++) {
-        int64_t *row = t + r * tau;
-        for (c = 0; c < tau; c++) {
-            if (taken[row[c]])  /* taken: keep the slot's own top value */
-                row[c] = base + c;
-            taken[row[c]] = 1;
+    for (r = 0; r < k; r++)
+        floyd(bg, units - 1, tau, out + r * tau, taken);
+    free(taken);
+    return OK;
+}
+
+/* Draws n sparse rows of dimension d, row r holding k = counts[r] entries,
+ * laid end to end in cols and vals. Each row makes the draws of
+ * rng.choice(d, k, replace=False) then rng.standard_normal(k), so the
+ * generator ends where those calls leave it: Floyd's draws plus numpy's
+ * shuffle of the k kept (bounds k - 1 down to 1) where d <= 10000 or
+ * k <= d / 50, else numpy's shuffle of the tail of range(d) from position
+ * d - 1 down to max(d - k, 1), keeping the last k. The shuffle's own order
+ * is not kept: a row's columns are choice's set, unsorted. A value of 0.0
+ * becomes 1.0. A count outside [0, d] returns OUT_OF_RANGE with its row in
+ * *bad, before any draw. */
+int dfsdca_choice_rows(bitgen_t *bg, int64_t d, int64_t n,
+                       const int64_t *counts, int64_t *cols, double *vals,
+                       int64_t *bad)
+{
+    int64_t r, i, pos = 0;
+    unsigned char *taken;
+    int64_t *pool = NULL;
+    for (r = 0; r < n; r++) {
+        if (counts[r] < 0 || counts[r] > d) {
+            *bad = r;
+            return OUT_OF_RANGE;
         }
-        for (c = 0; c < tau; c++)
-            taken[row[c]] = 0;
     }
+    taken = calloc((size_t)d + 1, 1);
+    if (taken == NULL)
+        return NO_MEMORY;
+    for (r = 0; r < n; r++) {
+        int64_t k = counts[r], *row = cols + pos;
+        if (d <= 10000 || k <= d / 50) {
+            floyd(bg, d - 1, k, row, taken);
+            for (i = k - 1; i >= 1; i--)
+                bounded(bg, i);
+        } else {
+            if (pool == NULL && (pool = malloc((size_t)d * sizeof *pool)) == NULL) {
+                free(taken);
+                return NO_MEMORY;
+            }
+            for (i = 0; i < d; i++)
+                pool[i] = i;
+            for (i = d - 1; i >= (d - k > 1 ? d - k : 1); i--) {
+                int64_t j = bounded(bg, i), v = pool[j];
+                pool[j] = pool[i];
+                pool[i] = v;
+            }
+            memcpy(row, pool + d - k, (size_t)k * sizeof *row);
+        }
+        random_standard_normal_fill(bg, k, vals + pos);
+        for (i = 0; i < k; i++)
+            if (vals[pos + i] == 0.0)
+                vals[pos + i] = 1.0;
+        pos += k;
+    }
+    free(pool);
     free(taken);
     return OK;
 }

@@ -1,15 +1,18 @@
 """Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
-step kernel, the pass that turns bounded draws into tau-subsets, and the
-LIBSVM parser.
+step kernel, the tau-subset draws, the synthetic generator's row draws and
+the LIBSVM parser.
 
-The shared library is built on first use with gcc and cached as
-``_kernel-<key>.so``, where the key is the sha256 of the C source and the
-compiler flags. So an edited source gets a new cache entry, and a stale
-library is never loaded. The cache is this package's ``__pycache__``
-directory or, where that cannot be written (an install into a read-only
-site-packages), ``~/.cache/dfsdca``. The library is written
-to a temporary file first and moved into place, so a concurrent or
-interrupted build never leaves a partial file under the final name.
+The draws call numpy's own C distributions, so the library links numpy's
+static ``libnpyrandom.a`` (numpy's symbols stay hidden in it) and compiles
+against numpy's headers. It is built on first use with gcc and cached as
+``_kernel-<key>.so``, where the key is the sha256 of the C source, the
+compiler flags and the bytes of ``libnpyrandom.a``. So an edited source or
+another numpy gets a new cache entry, and a stale library is never loaded.
+The cache is this package's ``__pycache__`` directory or, where that
+cannot be written (an install into a read-only site-packages),
+``~/.cache/dfsdca``. The library is written to a temporary file first and
+moved into place, so a concurrent or interrupted build never leaves a
+partial file under the final name.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
 #: no fused multiply-adds: they would change the iterates' rounding
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: numpy's distributions (random_bounded_uint64, ...), as a static library
+NPYRANDOM = Path(np.get_include()).parents[1] / "random" / "lib" / "libnpyrandom.a"
 
-# return codes of dfsdca_steps, dfsdca_tau_subsets and dfsdca_parse_libsvm
+# return codes of the dfsdca_* functions
 OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 1, 2, 3, 4, 5
 BAD_LABEL, NO_COLON, BAD_TOKEN, NOT_ONE_BASED = 6, 7, 8, 9
 INDEX_TOO_LARGE, NOT_INCREASING, NON_ASCII = 10, 11, 12
@@ -64,7 +69,16 @@ def build(source: Path, *caches: Path) -> Path:
     source and flags in the first of ``caches`` that holds one, or else a
     new one compiled into the first of them that can be written."""
     text = Path(source).read_bytes()
-    key = hashlib.sha256(text + "\0".join(FLAGS).encode()).hexdigest()[:20]
+    try:
+        npyrandom = NPYRANDOM.read_bytes()
+    except OSError as exc:
+        raise KernelBuildError(
+            f"the dfsdca kernels link numpy's {NPYRANDOM}, which cannot be "
+            f"read: {exc}"
+        ) from exc
+    key = hashlib.sha256(
+        text + "\0".join(FLAGS).encode() + npyrandom
+    ).hexdigest()[:20]
     name = f"_kernel-{key}.so"
     for cache in caches:
         if (Path(cache) / name).is_file():
@@ -93,7 +107,8 @@ def build(source: Path, *caches: Path) -> Path:
     try:
         # compile the bytes that were hashed, not whatever the file holds now
         proc = subprocess.run(
-            [gcc, *FLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+            [gcc, *FLAGS, "-I", np.get_include(), "-o", tmp, "-x", "c", "-",
+             "-x", "none", str(NPYRANDOM), "-lm", "-Wl,--exclude-libs,ALL"],
             input=text, capture_output=True,
         )
         if proc.returncode != 0:
@@ -121,11 +136,14 @@ def _load():
             vp, vp, vp, i64, ctypes.c_int, vp, vp, vp, vp,
             dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, ctypes.POINTER(i64),
         ]
-        lib.dfsdca_tau_subsets.argtypes = [i64, i64, i64, vp, ctypes.POINTER(i64)]
+        lib.dfsdca_tau_subsets.argtypes = [vp, i64, i64, i64, vp]
+        lib.dfsdca_choice_rows.argtypes = [vp, i64, i64, vp, vp, vp,
+                                           ctypes.POINTER(i64)]
         lib.dfsdca_libsvm_bounds.argtypes = [vp, i64, vp]
         lib.dfsdca_libsvm_bounds.restype = None
         lib.dfsdca_parse_libsvm.argtypes = [vp, i64, i64, i64, vp, vp, vp, vp, vp]
-        for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_parse_libsvm):
+        for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_choice_rows,
+                   lib.dfsdca_parse_libsvm):
             fn.restype = ctypes.c_int
         _lib = lib
     return _lib
@@ -146,32 +164,58 @@ def _check(name: str, a, dtype, size: int | None = None, write: bool = False,
         raise ValueError(f"{kernel} kernel: {name} must be a {want}, got {got}")
 
 
-def tau_subsets(units: int, draws) -> None:
-    """Resolve Floyd's bounded draws, in place, into tau-subsets of
-    ``range(units)``.
+def _draw(rng: np.random.Generator, fn, *args) -> int:
+    """``fn(bitgen, *args)`` on the bit generator under ``rng``, holding
+    its lock as numpy's own draws do: ctypes releases the GIL."""
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        return fn(bitgen.ctypes.bit_generator, *args)
 
-    ``draws`` is a (k, tau) int64 array whose entry (r, c) lies in
-    [0, units - tau + c], as ``rng.integers(0, bounds)`` with bounds
-    ``units - tau + 1 .. units`` gives it. Row r becomes the subset those
-    draws select, in slot order. Raises ValueError, before anything is
-    written, if an entry lies outside its range or ``draws`` is not a
-    writeable C-contiguous 2-d int64 array.
+
+def tau_subsets(rng: np.random.Generator, units: int, out) -> None:
+    """Fill the rows of ``out``, a writeable C-contiguous (k, tau) int64
+    array, with k uniform tau-subsets of ``range(units)``, in slot order.
+
+    Slot c of a row draws t uniform in [0, units - tau + c], as
+    ``rng.integers(0, units - tau + c + 1)`` would, and keeps t, or
+    units - tau + c if t is already in the row (Floyd's algorithm). The
+    draws come from numpy's own C code, row after row, so the rows and the
+    generator's next state equal those of one ``rng.integers`` call over
+    the (k, tau) bounds followed by that rule. Raises ValueError, before
+    any draw, if ``out`` is not such an array or tau is not in [1, units].
     """
-    _check("draws", draws, _I64, write=True, ndim=2, kernel="subset")
-    k, tau = draws.shape
+    _check("out", out, _I64, write=True, ndim=2, kernel="subset")
+    k, tau = out.shape
     if not 1 <= tau <= units:
         raise ValueError(f"subset kernel: tau={tau} is not in [1, units={units}]")
-    bad = ctypes.c_int64(0)
-    code = _load().dfsdca_tau_subsets(units, tau, k, draws.ctypes.data,
-                                      ctypes.byref(bad))
-    if code == OUT_OF_RANGE:
-        r, c = divmod(bad.value, tau)
-        raise ValueError(
-            f"subset kernel: draw ({r}, {c}) = {draws[r, c]} is outside "
-            f"[0, {units - tau + c}]"
-        )
-    if code:
+    if _draw(rng, _load().dfsdca_tau_subsets, units, tau, k, out.ctypes.data):
         raise MemoryError("subset kernel: out of memory")
+
+
+def choice_rows(rng: np.random.Generator, d: int, counts) -> tuple:
+    """Column indices and values of sparse rows of dimension ``d``, row r
+    holding ``counts[r]`` entries, as flat arrays ``(cols, vals)`` of int64
+    and float64, the rows laid end to end.
+
+    Each row takes what ``rng.choice(d, k, replace=False)`` and
+    ``rng.standard_normal(k)`` take, in that order. Its columns are that
+    choice's set, unsorted (``np.sort`` of them equals ``np.sort`` of the
+    choice), and its values are that normal draw with 0.0 mapped to 1.0.
+    Raises ValueError, before any draw, if a count lies outside [0, d].
+    """
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    _check("counts", counts, _I64, kernel="generator")
+    nnz = int(counts.sum())
+    cols, vals = np.empty(nnz, np.int64), np.empty(nnz)
+    bad = ctypes.c_int64(0)
+    code = _draw(rng, _load().dfsdca_choice_rows, d, counts.size, counts.ctypes.data,
+                 cols.ctypes.data, vals.ctypes.data, ctypes.byref(bad))
+    if code == OUT_OF_RANGE:
+        raise ValueError(f"generator kernel: row {bad.value} has "
+                         f"{counts[bad.value]} entries, outside [0, d={d}]")
+    if code:
+        raise MemoryError("generator kernel: out of memory")
+    return cols, vals
 
 
 def parse_libsvm(text) -> tuple:

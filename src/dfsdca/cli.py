@@ -17,6 +17,7 @@ import numpy as np
 
 from ._kernel import KernelBuildError
 from .dataset import (
+    NonFiniteError,
     ParseError,
     gen_synthetic,
     normalize_max_norm,
@@ -89,7 +90,7 @@ def _load_dataset(args):
                 return parse_libsvm(fh), None
         except OSError as exc:
             raise DataError(f"cannot read {args.data}: {exc}")
-        except ParseError as exc:
+        except (ParseError, NonFiniteError) as exc:
             raise DataError(str(exc))
     if args.synthetic:
         n, d, density, model = _parse_synthetic(args.synthetic)

@@ -23,6 +23,10 @@ class ParseError(ValueError):
     """Malformed LIBSVM input; message names the offending line."""
 
 
+class NonFiniteError(ValueError):
+    """A label, or a row norm, that is not finite; message names the row."""
+
+
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The integer ranges [starts[k], starts[k] + counts[k]) laid end to end."""
     ends = np.cumsum(counts)
@@ -40,7 +44,10 @@ class Dataset:
     per-row labels; norms and nnz counts are computed once.
 
     The arrays must be canonical: strictly increasing column indices in
-    [0, d) within each row and no explicit zeros."""
+    [0, d) within each row and no explicit zeros. Every label and every row
+    norm must be finite, so no value is NaN or infinite and none is so
+    large that its square overflows (above about 1.3e154): else
+    :class:`NonFiniteError` names the first row at fault."""
 
     def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
@@ -61,9 +68,19 @@ class Dataset:
         self.nnz = _freeze(np.diff(self.indptr).astype(np.int64))
         # bincount adds each row's squares left to right, starting from 0.0
         rows = np.repeat(np.arange(n), self.nnz)
-        self.norms = _freeze(
-            np.sqrt(np.bincount(rows, self.data * self.data, minlength=n))
-        )
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            squares = self.data * self.data
+        self.norms = _freeze(np.sqrt(np.bincount(rows, squares, minlength=n)))
+        bad = ~(np.isfinite(self.labels) & np.isfinite(self.norms))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not np.isfinite(self.labels[i]):
+                raise NonFiniteError(f"row {i} (0-based): label {self.labels[i]} "
+                                     "is not finite")
+            raise NonFiniteError(
+                f"row {i} (0-based): norm {self.norms[i]} is not finite: a value "
+                "is NaN or infinite, or so large that its square overflows"
+            )
         self._csr_t = None
         self._overlap = None
 
@@ -141,8 +158,11 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
       digits, hexadecimal floats and ``nan(...)`` are not numbers.
 
     Explicit zero values are dropped (canonical form). The dimension is the
-    largest index seen unless ``n_features`` overrides it. Every error is a
-    :class:`ParseError`; a malformed line's message names the line.
+    largest index seen unless ``n_features`` overrides it. Every error in
+    the text is a :class:`ParseError`; a malformed line's message names the
+    line. ``nan`` and ``inf`` parse, but the :class:`Dataset` built from
+    them rejects them: a label that is not finite, or a row whose norm is
+    not finite, raises :class:`NonFiniteError` naming the row.
     """
     # imported here: _kernel imports losses, which imports this module
     from ._kernel import parse_libsvm as parse_bytes
@@ -208,6 +228,20 @@ def gen_synthetic(
     the planted margins (regression); ``skewed-nnz`` draws per-example nnz
     from a Pareto tail (median ~ density*d, exponent ``tail_exponent``) for
     load-balancing experiments, labeled by sign.
+
+    The stream is fixed: from ``np.random.default_rng(seed)``, the row
+    counts (``pareto`` or ``binomial``), then for each row of k entries the
+    draws of ``np.sort(rng.choice(d, k, replace=False))`` for its columns
+    and ``rng.standard_normal(k)`` for its values (0.0 becomes 1.0), then
+    ``standard_normal(d)`` for the planted weights and, for
+    ``linear-noise``, ``standard_normal(n)`` for the noise. A label margin
+    is the ``np.dot`` of a row's values with the weights at its columns.
+    The compiled row pass ``_kernel.choice_rows`` makes those choice draws
+    through numpy's own C code in both of numpy's regimes: Floyd's
+    algorithm where d <= 10000 or k <= d // 50, and otherwise a shuffle of
+    the tail of ``range(d)``. So a dataset equals that per-row loop's bit
+    for bit (``tests/test_gen_fuzz.py`` keeps the loop as its reference).
+    The first call builds the compiled library (gcc).
     """
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must be in (0, 1], got {density}")
@@ -225,24 +259,25 @@ def gen_synthetic(
     else:
         raise ValueError(f"unknown label_model {label_model!r}")
 
-    rows = []
-    for k in counts:
-        idx = np.sort(rng.choice(d, size=int(k), replace=False))
-        val = rng.standard_normal(int(k))
-        val[val == 0.0] = 1.0
-        rows.append((idx, val))
+    # imported here: _kernel imports losses, which imports this module
+    from ._kernel import choice_rows
 
+    cols, vals = choice_rows(rng, d, counts)
     w_true = rng.standard_normal(d)
-    # per-row dot products: the label margins are part of the data, and a
-    # CSR matvec would round them differently
-    margins = np.array([np.dot(val, w_true[idx]) for idx, val in rows])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    # Rows of one length at a time, as a (rows, k) block: sort each row's
+    # columns, then take the label margins, which are part of the data, by
+    # one np.vecdot, the cblas ddot per row that np.dot makes. A CSR matvec,
+    # or a dot in C, would round them differently.
+    margins = np.empty(n)
+    order = np.argsort(counts, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        pos = indptr[rows, None] + np.arange(counts[rows[0]])
+        block = np.sort(cols[pos], axis=1)
+        cols[pos] = block
+        margins[rows] = np.vecdot(vals[pos], w_true[block])
     if label_model == "linear-noise":
         labels = margins + 0.1 * rng.standard_normal(n)
     else:
         labels = np.where(margins >= 0.0, 1.0, -1.0)
-    return Dataset(
-        np.concatenate(([0], np.cumsum(counts))),
-        np.concatenate([idx for idx, _ in rows]),
-        np.concatenate([val for _, val in rows]),
-        labels, d,
-    )
+    return Dataset(indptr, cols, vals, labels, d)

@@ -24,8 +24,8 @@ the same block layout, with one probability per subset.
 
 The tau-subset schemes draw uniform tau-subsets of their units (examples or
 chunks) by Floyd's algorithm, which takes one bounded integer per slot
-whatever the earlier slots kept. So one ``rng.integers`` call draws every
-slot of a block and one compiled pass resolves repeats (``_tau_subsets``).
+whatever the earlier slots kept. So one compiled pass draws every slot of
+a block through numpy's own C code and resolves repeats (``_tau_subsets``).
 Wherever numpy itself uses Floyd for ``rng.choice(units, tau,
 replace=False)`` (units <= 10000, or tau <= units // 50), the subsets and
 the generator state equal those of sorted ``rng.choice`` calls.
@@ -135,20 +135,20 @@ def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
     """k uniform tau-subsets of range(units), as the sorted rows of a
     (k, tau) int64 array.
 
-    One ``rng.integers`` call draws all k * tau slots of Floyd's algorithm
-    in row order, slot c from [0, units - tau + c], and the compiled pass
-    ``_kernel.tau_subsets`` keeps each slot's draw, or the slot's own top
-    value if that draw is taken. That is how numpy's ``rng.choice(units,
-    tau, replace=False, shuffle=False)`` runs for units <= 10000 or
-    tau <= units // 50, so there the rows and the generator's next state
-    equal k sorted ``rng.choice`` calls. Above that numpy shuffles a tail
-    instead: the subsets here are as uniform, from a different stream.
+    The compiled pass ``_kernel.tau_subsets`` draws all k * tau slots of
+    Floyd's algorithm in row order through numpy's own bounded-integer
+    code, slot c from [0, units - tau + c], and keeps each slot's draw, or
+    the slot's own top value if that draw is taken. That is how numpy's
+    ``rng.choice(units, tau, replace=False, shuffle=False)`` runs for
+    units <= 10000 or tau <= units // 50, so there the rows and the
+    generator's next state equal k sorted ``rng.choice`` calls. Above that
+    numpy shuffles a tail instead: the subsets here are as uniform, from a
+    different stream.
     """
-    bounds = np.arange(units - tau + 1, units + 1, dtype=np.int64)
-    draws = rng.integers(0, bounds, size=(k, tau))
-    _kernel.tau_subsets(units, draws)
-    draws.sort(axis=1)
-    return draws
+    out = np.empty((k, tau), dtype=np.int64)
+    _kernel.tau_subsets(rng, units, out)
+    out.sort(axis=1)
+    return out
 
 
 def _tau_atoms(scheme, units: int):
@@ -165,8 +165,7 @@ def _tau_atoms(scheme, units: int):
 
 class TauNiceSampling(SamplingScheme):
     """Uniformly random subsets of a fixed size tau, drawn by
-    :func:`_tau_subsets`: a block of draws is one ``rng.integers`` call and
-    one compiled pass."""
+    :func:`_tau_subsets`: a block of draws is one compiled pass."""
 
     def __init__(self, norms, tau):
         norms = np.asarray(norms, dtype=np.float64)

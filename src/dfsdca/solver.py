@@ -99,13 +99,20 @@ def primal_gradient(problem: ProblemSpec, w: np.ndarray) -> np.ndarray:
     return PrimalPoint(problem, w).gradient
 
 
+def _stepsize_bounds(p, v, c, lam_k: float, n: int) -> np.ndarray:
+    """Per-example stepsize bounds p_i * n * lam_k / (c_i v_i + n lam_k).
+    Overflow is left silent: :func:`resolve_theta` names a bound it spoils."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return p * n * lam_k / (c * v + n * lam_k)
+
+
 def theta_convex(p, v, l, lam: float, n: int) -> float:
     """Largest stepsize admitted for convex losses:
     min_i p_i * n * lam / (l_i v_i + n lam)."""
     p, v, l = (np.asarray(x, dtype=np.float64) for x in (p, v, l))
     if lam <= 0 or n <= 0 or np.any(p <= 0) or np.any(v < 0) or np.any(l <= 0):
         raise ValueError("p, l, lam and n must be positive and v nonnegative")
-    return float(np.min(p * n * lam / (l * v + n * lam)))
+    return float(np.min(_stepsize_bounds(p, v, l, lam, n)))
 
 
 def theta_nonconvex(p, v, L_per, lam: float, n: int) -> float:
@@ -114,8 +121,7 @@ def theta_nonconvex(p, v, L_per, lam: float, n: int) -> float:
     p, v, L_per = (np.asarray(x, dtype=np.float64) for x in (p, v, L_per))
     if lam <= 0 or n <= 0 or np.any(p <= 0) or np.any(v < 0) or np.any(L_per < 0):
         raise ValueError("p, lam and n must be positive and v, L_i nonnegative")
-    lam2 = lam * lam
-    return float(np.min(p * n * lam2 / (L_per**2 * v + n * lam2)))
+    return float(np.min(_stepsize_bounds(p, v, L_per**2, lam * lam, n)))
 
 
 @dataclass(eq=False)
@@ -220,13 +226,28 @@ class SolverConfig:
 def resolve_theta(problem: ProblemSpec, scheme: SamplingScheme, theta) -> float:
     """The stepsize ``theta`` names: "auto-convex" or "auto-nonconvex" give
     the largest one the theory admits with the ESO parameters
-    ``scheme.eso(problem.dataset)``, and a number must lie in (0, min p_i]."""
+    ``scheme.eso(problem.dataset)``, and a number must lie in (0, min p_i].
+
+    An automatic stepsize that is not finite and positive (v_i or lambda so
+    large that a bound overflows or underflows) raises ValueError naming
+    p_i, v_i and l_i (L_i for "auto-nonconvex") at the example that sets it.
+    """
     sm = problem.smoothness
     ds = problem.dataset
-    if theta == "auto-convex":
-        return theta_convex(scheme.p, scheme.eso(ds), sm.l, problem.lam, ds.n)
-    if theta == "auto-nonconvex":
-        return theta_nonconvex(scheme.p, scheme.eso(ds), sm.L_per, problem.lam, ds.n)
+    if theta in ("auto-convex", "auto-nonconvex"):
+        convex = theta == "auto-convex"
+        p, v, l = scheme.p, scheme.eso(ds), sm.l if convex else sm.L_per
+        value = (theta_convex if convex else theta_nonconvex)(p, v, l, problem.lam, ds.n)
+        if not 0.0 < value < math.inf:
+            c, lam_k = (l, problem.lam) if convex else (l**2, problem.lam**2)
+            i = int(np.argmin(_stepsize_bounds(p, v, c, lam_k, ds.n)))
+            raise ValueError(
+                f"{theta} stepsize {value} is not finite and positive: it is set "
+                f"by example {i}, with p_{i}={p[i]}, v_{i}={v[i]}, "
+                f"{'l' if convex else 'L'}_{i}={l[i]} "
+                f"(lambda={problem.lam}, n={ds.n})"
+            )
+        return value
     theta = float(theta)
     p_min = float(np.min(scheme.p))
     if not (0.0 < theta <= p_min * (1.0 + _GUARD_TOL)):

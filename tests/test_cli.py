@@ -197,6 +197,36 @@ class TestRun:
         assert main(["run", "--data", str(data)]) == 2
         assert "data error: line 2: non-ASCII byte 0xff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("+1 1:nan\n-1 2:1\n", [], "row 0 (0-based): norm nan is not finite"),
+        ("+1 1:1\nnan 2:1\n", ["--loss", "squared"],
+         "row 1 (0-based): label nan is not finite"),
+        ("+1 1:1e200\n-1 2:1\n", [], "row 0 (0-based): norm inf is not finite"),
+        ("+1 1:1e200\n-1 2:1\n", ["--normalize"], "row 0 (0-based): norm inf"),
+        ("+1 1:1\n-1 2:-inf\n", ["--normalize"], "row 1 (0-based): norm inf"),
+    ], ids=["nan-value", "nan-label", "overflow", "overflow-normalize", "inf-value"])
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_non_finite_data_exits_2(self, command, text, flags, message, tmp_path,
+                                     capsys):
+        # warnings are errors here, so an overflow RuntimeWarning fails too
+        data = tmp_path / "bad.libsvm"
+        data.write_text(text)
+        code = main([command, "--data", str(data), *flags, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {message}" in err and "Traceback" not in err
+
+    def test_vanishing_stepsize_names_its_example(self, tmp_path, capsys):
+        # finite data, but v_1 = 1e308 against lambda = 1e-20 underflows theta
+        data = tmp_path / "huge.libsvm"
+        data.write_text("+1 1:1\n-1 2:1e154\n")
+        assert main(["run", "--data", str(data), "--lambda", "1e-20",
+                     "--out", str(tmp_path / "trace.csv")]) == 3
+        err = capsys.readouterr().err
+        assert ("auto-convex stepsize 0.0 is not finite and positive: it is set by "
+                "example 1, with p_1=0.5, v_1=1") in err
+        assert "l_1=0.25 (lambda=1e-20, n=2)" in err
+
     def test_divergent_instance_exits_3(self, tmp_path, capsys):
         assert main([
             "run", "--synthetic", "20,4,0.5,linear-sign", "--loss", "logistic",

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from dfsdca import _kernel
 from dfsdca.dataset import (
     Dataset,
+    NonFiniteError,
     ParseError,
     gen_synthetic,
     normalize_max_norm,
@@ -96,11 +98,15 @@ class TestGrammar:
             parse_libsvm("1_0 1:1\n")
 
     def test_inf_and_nan_in_any_case(self):
-        ds = parse_libsvm("-INF 1:+Infinity 2:-nAn 3:inf 4:NaN\n")
-        assert ds.labels[0] == -np.inf
-        assert row(ds, 0)[1][[0, 2]].tolist() == [np.inf, np.inf]
-        signs = np.signbit(row(ds, 0)[1][[1, 3]])
-        assert np.isnan(row(ds, 0)[1][[1, 3]]).all() and signs.tolist() == [True, False]
+        # the grammar reads them, sign included; the Dataset then rejects them
+        text = b"-INF 1:+Infinity 2:-nAn 3:inf 4:NaN\n"
+        labels, _, _, data, _ = _kernel.parse_libsvm(text)
+        assert labels[0] == -np.inf
+        assert data[[0, 2]].tolist() == [np.inf, np.inf]
+        signs = np.signbit(data[[1, 3]])
+        assert np.isnan(data[[1, 3]]).all() and signs.tolist() == [True, False]
+        with pytest.raises(NonFiniteError, match="row 0 .*label -inf is not finite"):
+            parse_libsvm(text)
 
     @pytest.mark.parametrize("text", ["+1 1:1\n-1 2:\xe9\n", "+1 1:1\n-1 \u0661:1\n",
                                       "+1 1:1\n-1 # caf\xe9\n", "+1\n-1\u2028+1\n"])
@@ -236,6 +242,24 @@ class TestInvariants:
     def test_labels_length(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset([0, 1], [0], [1.0], [1.0, 2.0], 1)
+
+    @pytest.mark.parametrize("indptr, data, labels, match", [
+        ([0, 1, 2], [1.0, np.nan], [1.0, 1.0], r"row 1 \(0-based\): norm nan is not"),
+        ([0, 1, 2], [1.0, -np.inf], [1.0, 1.0], r"row 1 \(0-based\): norm inf is not"),
+        ([0, 1, 2], [1e200, 1.0], [1.0, 1.0], r"row 0 .*: norm inf .* square overflows"),
+        ([0, 2, 2], [1e154, 1e154], [1.0, 1.0], r"row 0 \(0-based\): norm inf"),
+        ([0, 1, 2], [1.0, 1.0], [1.0, np.nan], r"row 1 \(0-based\): label nan is not"),
+        ([0, 1, 2], [np.nan, 1.0], [np.inf, 1.0], r"row 0 \(0-based\): label inf"),
+    ])
+    def test_rejects_non_finite_rows(self, indptr, data, labels, match):
+        # warnings are errors here, so an overflow must stay silent too
+        indices = [0, 1] if indptr[1] == 2 else [0, 0]
+        with pytest.raises(NonFiniteError, match=match):
+            Dataset(indptr, indices, data, labels, 2)
+
+    def test_largest_finite_norm_is_kept(self):
+        ds = Dataset([0, 2], [0, 1], [1e154, 1e153], [1.0], 2)
+        assert np.isfinite(ds.norms[0]) and ds.norms[0] > 1e154
 
     @pytest.mark.parametrize("indptr,indices,data,match", [
         ([0, 2], [1, 1], [1.0, 2.0], "increasing"),

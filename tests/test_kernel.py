@@ -1,9 +1,11 @@
 """The compiled kernels: the step kernel bitwise against the numpy kernel
-it replaced and close to the per-example loop, the tau-subset pass against
+it replaced and close to the per-example loop, the tau-subset draws against
 Floyd's rule, their input checks at the C boundary, and the build cache."""
 
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -357,37 +359,42 @@ def floyd_draws(units, tau, k, seed=0):
 
 
 def test_tau_subsets_resolves_in_place():
+    # the compiled draws are numpy's bounded integers, resolved by Floyd's rule
+    rng = np.random.default_rng(0)
+    rows = np.full((50, 4), -1, dtype=np.int64)
+    _kernel.tau_subsets(rng, 9, rows)
     draws = floyd_draws(9, 4, 50)
-    rows = draws.copy()
-    _kernel.tau_subsets(9, rows)
     for t, got in zip(draws, rows):
         want = []  # Floyd's rule, slot by slot
         for c, v in enumerate(t):
             want.append(int(v) if v not in want else 9 - 4 + c)
         assert got.tolist() == want
+    twin = np.random.default_rng(0)
+    twin.integers(0, np.arange(6, 10), size=(50, 4))
+    assert rng.integers(2**62) == twin.integers(2**62)
 
 
+# the array that receives the draws
 @pytest.mark.parametrize("units, draws, match", [
-    (9, np.array([[0, 0, 8, 8]]), r"draw \(0, 2\) = 8 is outside \[0, 7\]"),
-    (9, np.array([[0, 0, 0, 0], [0, -1, 0, 0]]), r"draw \(1, 1\) = -1 is outside"),
-    (9, floyd_draws(9, 4, 3).astype(np.int32), "draws must be .*int64"),
-    (9, floyd_draws(9, 4, 3)[:, ::2], "draws must be .*C-contiguous"),
-    (9, np.asfortranarray(floyd_draws(9, 4, 3)), "draws must be .*C-contiguous"),
-    (9, floyd_draws(9, 4, 3).ravel(), "draws must be .*2-d"),
-    (3, floyd_draws(9, 4, 3), r"tau=4 is not in \[1, units=3\]"),
-], ids=["above-slot-top", "negative", "int32", "strided", "fortran", "1-d", "tau-above-units"])
+    (9, np.empty((3, 4), np.int32), "out must be .*int64"),
+    (9, np.empty((3, 8), np.int64)[:, ::2], "out must be .*C-contiguous"),
+    (9, np.empty((3, 4), np.int64, order="F"), "out must be .*C-contiguous"),
+    (9, np.empty(12, np.int64), "out must be .*2-d"),
+    (3, np.empty((3, 4), np.int64), r"tau=4 is not in \[1, units=3\]"),
+], ids=["int32", "strided", "fortran", "1-d", "tau-above-units"])
 def test_tau_subsets_rejects_bad_draws(units, draws, match):
-    before = draws.copy()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError, match=match):
-        _kernel.tau_subsets(units, draws)
-    assert np.array_equal(draws, before)
+        _kernel.tau_subsets(rng, units, draws)
+    assert rng.bit_generator.state == state
 
 
 def test_tau_subsets_rejects_read_only_draws():
-    draws = floyd_draws(9, 4, 3)
+    draws = np.empty((3, 4), np.int64)
     draws.flags.writeable = False
-    with pytest.raises(ValueError, match="draws must be a writeable"):
-        _kernel.tau_subsets(9, draws)
+    with pytest.raises(ValueError, match="out must be a writeable"):
+        _kernel.tau_subsets(np.random.default_rng(0), 9, draws)
 
 
 def test_source_compiles_without_warnings():
@@ -396,14 +403,14 @@ def test_source_compiles_without_warnings():
         pytest.skip("gcc is not on PATH")
     # -O2 turns on the flow analysis behind -Wmaybe-uninitialized
     proc = subprocess.run(
-        [gcc, "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o", os.devnull,
-         str(_kernel.SOURCE)],
+        [gcc, "-O2", "-Wall", "-Wextra", "-Werror", "-I", np.get_include(), "-c",
+         "-o", os.devnull, str(_kernel.SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     source = _kernel.SOURCE.read_text()
-    for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_libsvm_bounds",
-                 "dfsdca_parse_libsvm"):
+    for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_choice_rows",
+                 "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm"):
         assert f" {name}(" in source
 
 
@@ -432,9 +439,22 @@ _kernel.FLAGS += ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=a
 _kernel.CACHE = cache
 _kernel._user_cache = lambda: cache
 rng = np.random.default_rng(0)
-for units, tau in [(1, 1), (7, 7), (300, 8), (5000, 5000)]:
+for units, tau in [(1, 1), (7, 7), (300, 8), (5000, 5000), (30000, 3000)]:
     rows = _tau_subsets(rng, units, tau, 3)
     assert all(np.unique(r).size == tau and 0 <= r[0] and r[-1] < units for r in rows)
+# the generator's row pass: Floyd's draws, k = d, and the tail shuffle
+for d, counts in [(1, [1, 0, 1]), (10_000, [10_000, 17, 1]),
+                  (10_001, [201, 10_001, 200, 9000])]:
+    cols, vals = _kernel.choice_rows(rng, d, np.array(counts))
+    for part in np.split(cols, np.cumsum(counts)[:-1]):
+        assert np.unique(part).size == part.size and np.all((0 <= part) & (part < d))
+    assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+try:
+    _kernel.choice_rows(rng, 5, np.array([2, 6]))
+except ValueError:
+    pass
+else:
+    raise AssertionError("a count above d was accepted")
 ds = awkward_dataset()
 problem = make_problem(ds, logistic_loss(ds.labels), 0.3)
 for sc in schemes(ds)[1:]:
@@ -538,6 +558,45 @@ def test_unwritable_package_cache_falls_back_to_user_cache(tmp_path, monkeypatch
     assert _kernel.build(_kernel.SOURCE, _kernel.CACHE, _kernel._user_cache()) == built[0]
 
 
+def test_missing_npyrandom_names_its_path(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    monkeypatch.setattr(_kernel, "NPYRANDOM", missing)
+    with pytest.raises(_kernel.KernelBuildError, match=re.escape(str(missing))):
+        _kernel.build(_kernel.SOURCE, tmp_path / "cache")
+    assert list(tmp_path.iterdir()) == []
+    # the CLI reports it as a build failure
+    monkeypatch.setattr(_kernel, "_lib", None)
+    code = main(["reference", "--synthetic", "20,5,0.5,linear-sign",
+                 "--out", str(tmp_path / "ref.json")])
+    assert code == 4
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_npyrandom_bytes_are_part_of_the_cache_key(tmp_path, monkeypatch):
+    lib = tmp_path / "libnpyrandom.a"
+    lib.write_bytes(_kernel.NPYRANDOM.read_bytes())
+    monkeypatch.setattr(_kernel, "NPYRANDOM", lib)
+    first = _kernel.build(_kernel.SOURCE, tmp_path / "cache")
+    # another numpy's library: a new entry, even where the compiler is gone
+    lib.write_bytes(lib.read_bytes() + b"\0")
+    monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    with pytest.raises(_kernel.KernelBuildError, match="gcc"):
+        _kernel.build(_kernel.SOURCE, tmp_path / "cache")
+    assert list((tmp_path / "cache").iterdir()) == [first]
+
+
+def test_library_exports_no_numpy_symbols():
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("nm is not on PATH")
+    path = _kernel.build(_kernel.SOURCE, _kernel.CACHE, _kernel._user_cache())
+    out = subprocess.run([nm, "-D", "--defined-only", str(path)],
+                         capture_output=True, text=True, check=True).stdout
+    names = {line.split()[-1] for line in out.splitlines() if line.strip()}
+    assert "dfsdca_choice_rows" in names
+    assert not any(name.startswith("random_") for name in names)
+
+
 def test_failed_compile_leaves_no_file(tmp_path):
     src = tmp_path / "broken.c"
     src.write_text("this is not C\n")
@@ -569,6 +628,15 @@ def test_reference_data_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
     data.write_text("+1 1:1\n-1 2:1\n")
     no_compiler(tmp_path, monkeypatch)
     code = main(["reference", "--data", str(data), "--out", str(tmp_path / "ref.json")])
+    assert code == 4
+    assert "gcc" in capsys.readouterr().err
+
+
+def test_reference_synthetic_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
+    # the synthetic generator draws its rows through the compiled kernels
+    no_compiler(tmp_path, monkeypatch)
+    code = main(["reference", "--synthetic", "20,5,0.5,linear-sign",
+                 "--out", str(tmp_path / "ref.json")])
     assert code == 4
     assert "gcc" in capsys.readouterr().err
 

@@ -9,7 +9,8 @@ Lines mix all eight line breaks, comments (also inside a token), blank and
 label-only lines, explicit zeros, signs, leading zeros, exponents,
 ``inf``/``infinity``/``nan`` in any case, every kind of malformed token and
 raw ASCII noise. Both parsers must give the same ``Dataset`` bit for bit
-(NaN signs included) or the same ``ParseError`` message. The examples are
+or the same error: a ``ParseError``, or the ``NonFiniteError`` that both
+``Dataset``s raise for a NaN or infinite label or row norm. The examples are
 derandomized, so a run is reproducible.
 """
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsdca.dataset import Dataset, ParseError, parse_libsvm
+from dfsdca.dataset import Dataset, NonFiniteError, ParseError, parse_libsvm
 
 BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
 BLANKS = [" ", "\t", "\x1f"]
@@ -69,12 +70,14 @@ def python_parse(text: str, n_features=None) -> Dataset:
 
 
 def outcome(parse, text):
-    """The arrays a parse gives, floats as their bits, or its error."""
+    """The arrays a parse gives, floats as their bits, or its error: a
+    ``ParseError``, or the ``Dataset``'s ``NonFiniteError`` for a NaN or
+    infinite label, or a row whose norm is not finite (a NaN or infinite
+    value, or one near 1e200 whose square overflows)."""
     try:
-        with np.errstate(over="ignore"):  # a row norm of 1e200 overflows to inf
-            ds = parse(text)
-    except ParseError as exc:
-        return str(exc)
+        ds = parse(text)
+    except (ParseError, NonFiniteError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return (ds.d, ds.labels.view(np.int64).tolist(), ds.indptr.tolist(),
             ds.indices.tolist(), ds.data.view(np.int64).tolist())
 
@@ -174,5 +177,6 @@ def test_compiled_parser_equals_python_parser(text):
     "0.30000000000000004 7:9007199254740993 9:2.2250738585072011e-308\n",
 ])
 def test_compiled_parser_equals_python_parser_on_hard_values(text):
-    # NaN signs, subnormals, halfway cases and long mantissas
+    # NaN and infinities (which the Dataset rejects), subnormals, halfway
+    # cases and long mantissas
     assert outcome(parse_libsvm, text) == outcome(python_parse, text)

@@ -343,6 +343,16 @@ class TestConfigAndState:
             resolve_theta(prob, sc, 0.0)
         assert resolve_theta(prob, sc, 0.05) == 0.05
 
+    def test_vanishing_auto_theta_names_its_factors(self):
+        # lambda^2 underflows every nonconvex bound to 0 (the CLI tests cover
+        # the convex bound)
+        prob = logistic_problem(lam=1e-170)
+        sc = serial_uniform(prob.dataset.norms)
+        with pytest.raises(ValueError, match=r"auto-nonconvex stepsize 0.0 is not finite "
+                           r"and positive: it is set by example 0, with p_0=0.05, "
+                           r"v_0=.*, L_0=.* \(lambda=1e-170, n=20\)"):
+            resolve_theta(prob, sc, "auto-nonconvex")
+
     def test_auto_nonconvex_resolves(self):
         from dfsdca.losses import build_nonconvex_instance
 
