@@ -47,19 +47,25 @@
  * \v, \f and \x1c-\x1e. Tokens are split at space, \t and \x1f, the
  * other ASCII whitespace of str.split(), and '#' starts a comment that runs
  * to the line break. Numbers are checked against a grammar of their own
- * (below) before strtoll or strtod converts them. strtod reads a copy of
- * the number under a "C" numeric locale of its own, so the caller's
- * setlocale cannot change it, and like Python's float() it rounds
- * correctly, so both give the same bits. A byte >= 0x80 anywhere is an error. The first error in reading
- * order stops the parse and returns its code, with its line number and the
- * byte span of the token at fault (of the byte, for NON_ASCII) in info.
+ * (below) and converted in the same scan, without libc: an index by an
+ * integer reader with exact overflow checks, a value with at most 19
+ * significant digits and a decimal exponent in [-342, 308] by Lemire's
+ * Eisel-Lemire algorithm (arXiv:2101.11408) against the caller's table of
+ * 128-bit powers of five. Only the other values (more digits, an exponent
+ * outside the table, a subnormal or overflowing result, inf and nan) fall
+ * back to strtod_l on a copy of the number, under a "C" numeric locale of
+ * its own, so the caller's setlocale changes neither path. Eisel-Lemire
+ * and strtod_l both round correctly, as Python's float() does, so a value
+ * gets float()'s bits whichever path reads it. A byte >= 0x80 anywhere
+ * is an error. The first error in reading order stops the parse and
+ * returns its code, with its line number and the byte span of the token at
+ * fault (of the byte, for NON_ASCII) in info.
  *
  * Build: gcc -O2 -ffp-contract=off -shared -fPIC -I <numpy include> -x c -
  *        -x none <numpy>/random/lib/libnpyrandom.a -lm
  *        -Wl,--exclude-libs,ALL
  */
-#define _GNU_SOURCE  /* strtod_l */
-#include <errno.h>
+#define _GNU_SOURCE  /* strtod_l, the parser's fallback */
 #include <locale.h>
 #include <math.h>
 #include <stdbool.h>
@@ -299,12 +305,32 @@ static inline int in_token(unsigned char ch)
     return ch < ' ' && !((BREAKS | BLANKS) >> ch & 1);
 }
 
+typedef unsigned char bytes16 __attribute__((vector_size(16)));
+
 /* Upper bounds for the parser's arrays: bounds[0] = rows (line breaks + 1),
- * bounds[1] = entries (colons). */
+ * bounds[1] = entries (colons). Counted 16 bytes at a time in byte-wide
+ * lanes, which are summed before they can wrap, every 255 blocks; the
+ * lanes test the bytes of BREAKS as two ranges, \n-\r and \x1c-\x1e. */
 void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t *bounds)
 {
-    int64_t k, breaks = 0, colons = 0;
-    for (k = 0; k < len; k++) {
+    int64_t k = 0, breaks = 0, colons = 0;
+    int i;
+    while (len - k >= 16) {
+        bytes16 in_breaks = {0}, in_colons = {0};
+        int64_t stop = k + 16 * (len - k >= 16 * 255 ? 255 : (len - k) / 16);
+        for (; k < stop; k += 16) {
+            bytes16 c;
+            memcpy(&c, buf + k, sizeof c);
+            /* a lane that compares true is all ones, -1 */
+            in_breaks -= (bytes16)((c - '\n' < 4) | (c - 0x1c < 3));
+            in_colons -= (bytes16)(c == ':');
+        }
+        for (i = 0; i < 16; i++) {
+            breaks += in_breaks[i];
+            colons += in_colons[i];
+        }
+    }
+    for (; k < len; k++) {
         breaks += is_break(buf[k]);
         colons += buf[k] == ':';
     }
@@ -312,16 +338,14 @@ void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t *bounds
     bounds[1] = colons;
 }
 
-static int64_t skip_digits(const unsigned char *s, int64_t k, int64_t end)
-{
-    while (k < end && s[k] >= '0' && s[k] <= '9')
-        k++;
-    return k;
-}
-
 static int64_t skip_sign(const unsigned char *s, int64_t k, int64_t end)
 {
     return k < end && (s[k] == '+' || s[k] == '-') ? k + 1 : k;
+}
+
+static inline int is_digit(unsigned char ch)
+{
+    return ch >= '0' && ch <= '9';
 }
 
 /* s[a:b] is the lower-case word w in any case */
@@ -334,46 +358,173 @@ static int is_word(const unsigned char *s, int64_t a, int64_t b, const char *w)
     return a + k == b;
 }
 
-/* index grammar: [+-]?[0-9]+ */
-static int is_integer(const unsigned char *s, int64_t a, int64_t b)
+/* An index s[a:b], grammar [+-]?[0-9]+, into *j. Returns BAD_TOKEN off the
+ * grammar, else strtoll's outcome: NOT_ONE_BASED for a '-' or a zero,
+ * however many digits, else INDEX_TOO_LARGE from 2**63, else OK. */
+static int read_index(const unsigned char *s, int64_t a, int64_t b, int64_t *j)
 {
-    a = skip_sign(s, a, b);
-    return a < b && skip_digits(s, a, b) == b;
+    int64_t k = skip_sign(s, a, b), digits = k;
+    uint64_t v = 0;
+    int big = 0;
+    for (; k < b && is_digit(s[k]); k++) {
+        uint64_t d = s[k] - '0';
+        if (big || v > (INT64_MAX - d) / 10)  /* 10 v + d would pass 2**63 - 1 */
+            big = 1;
+        else
+            v = 10 * v + d;
+    }
+    if (k == digits || k != b)
+        return BAD_TOKEN;
+    if (s[a] == '-' || v == 0)
+        return NOT_ONE_BASED;
+    if (big)
+        return INDEX_TOO_LARGE;
+    *j = (int64_t)v;
+    return OK;
 }
 
-/* value grammar: [+-]? then inf, infinity or nan in any case, or digits
- * with at most one '.' and at least one digit, then [eE][+-]?[0-9]+ or
- * nothing. Python's float() also takes '_' between digits and non-ASCII
- * digits, and strtod hexadecimal floats and nan(...); this grammar rejects
- * all four. */
-static int is_real(const unsigned char *s, int64_t a, int64_t b)
+/* read_real's outcomes besides OK: s[a:b] is not a number, or it is one
+ * that only to_real converts */
+enum { NOT_A_NUMBER = -1, SLOW = -2 };
+
+/* The decimal exponents q whose 5**q pow5 holds */
+#define POW5_MIN (-342)
+#define POW5_MAX 308
+
+/* w * 10**q, for 0 < w < 10**19 and q in [POW5_MIN, POW5_MAX], correctly
+ * rounded to nearest, ties to even, by Eisel-Lemire (Lemire, "Number
+ * Parsing at a Gigabyte per Second", Software: Practice and Experience
+ * 51(8), 2021, arXiv:2101.11408), as fast_float's compute_float runs it.
+ * pow5[2 (q - POW5_MIN)] and the word after it are the high and low 64
+ * bits of 5**q scaled into [2**127, 2**128) (_kernel.pow5_table says how
+ * they are rounded). The product of w with the high word, refined by the
+ * low word when the 9 bits below the product's top 55 are all ones, always
+ * decides the rounding (Mushtak & Lemire, "Fast Number Parsing Without
+ * Fallback", arXiv:2212.06644). Returns 0 where the result would be
+ * subnormal or overflow, which to_real converts. */
+static int eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow5, double *x)
 {
-    int64_t k, n_digits;
+    const uint64_t *t = pow5 + 2 * (q - POW5_MIN);
+    int lz = __builtin_clzll(w);
+    __extension__ unsigned __int128 full;
+    uint64_t hi, lo, upper, mantissa, bits;
+    int shift;
+    int64_t power2;
+    w <<= lz;
+    full = (unsigned __int128)w * t[0];
+    hi = (uint64_t)(full >> 64);
+    lo = (uint64_t)full;
+    if ((hi & 0x1FF) == 0x1FF) {  /* the low word may carry into the 55 bits */
+        uint64_t second = (uint64_t)(((unsigned __int128)w * t[1]) >> 64);
+        lo += second;
+        hi += lo < second;
+    }
+    upper = hi >> 63;
+    shift = (int)upper + 9;
+    mantissa = hi >> shift;
+    /* floor(log2(10**q)) + 63, the exponent of 2 that 5**q's scaling
+     * leaves, plus the binary64 bias 1023 */
+    power2 = ((217706 * q) >> 16) + 63 + (int64_t)upper - lz + 1023;
+    if (power2 <= 0)
+        return 0;
+    /* w * 10**q lies exactly halfway between two doubles: only possible
+     * where 5**q fits 64 bits (q in [-4, 23]) and the product's discarded
+     * bits are zero; round to even */
+    if (lo <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1
+            && mantissa << shift == hi)
+        mantissa &= ~(uint64_t)1;
+    mantissa = (mantissa + (mantissa & 1)) >> 1;
+    if (mantissa >> 53) {  /* rounding carried into a new bit */
+        mantissa = (uint64_t)1 << 52;
+        power2++;
+    }
+    if (power2 >= 2047)
+        return 0;
+    bits = (uint64_t)power2 << 52 | (mantissa & (((uint64_t)1 << 52) - 1));
+    memcpy(x, &bits, sizeof bits);
+    return 1;
+}
+
+/* Reads the digits of s[k:end] into the significand *w, which holds up to
+ * 19 of them: leading zeros (of the whole number) are skipped, and
+ * *n_sig counts the rest, kept or not. Returns the end of the digits. */
+static int64_t read_digits(const unsigned char *s, int64_t k, int64_t end,
+                           uint64_t *w, int64_t *n_sig)
+{
+    for (; k < end && is_digit(s[k]); k++) {
+        if (*n_sig == 0 && s[k] == '0')
+            continue;
+        if (*n_sig < 19)
+            *w = 10 * *w + (uint64_t)(s[k] - '0');
+        ++*n_sig;
+    }
+    return k;
+}
+
+/* Checks the number s[a:b] against the value grammar: [+-]? then inf,
+ * infinity or nan in any case, or digits with at most one '.' and at least
+ * one digit, then [eE][+-]?[0-9]+ or nothing. Python's float() also takes
+ * '_' between digits and non-ASCII digits, and strtod hexadecimal floats
+ * and nan(...); this grammar rejects all four. Returns NOT_A_NUMBER off the
+ * grammar. A number with at most 19 significant digits w and a decimal
+ * exponent q is converted here and returns OK: a zero w as a signed zero,
+ * else by eisel_lemire if q is in pow5's range and the result is a normal
+ * double. Every other number returns SLOW: more digits, q outside the
+ * table (an exponent of 10**8 or more counts as outside), a subnormal or
+ * overflowing result, inf and nan. */
+static int read_real(const unsigned char *s, int64_t a, int64_t b,
+                     const uint64_t *pow5, double *x)
+{
+    int negative = a < b && s[a] == '-';
+    int64_t k, frac, n_digits, n_sig = 0, q = 0;
+    uint64_t w = 0;
     a = skip_sign(s, a, b);
     if (is_word(s, a, b, "inf") || is_word(s, a, b, "infinity")
             || is_word(s, a, b, "nan"))
-        return 1;
-    k = skip_digits(s, a, b);
+        return SLOW;
+    k = read_digits(s, a, b, &w, &n_sig);
     n_digits = k - a;
     if (k < b && s[k] == '.') {
-        int64_t frac = skip_digits(s, k + 1, b);
+        frac = read_digits(s, k + 1, b, &w, &n_sig);
         n_digits += frac - k - 1;
+        q = -(frac - k - 1);
         k = frac;
     }
     if (n_digits == 0)
-        return 0;
+        return NOT_A_NUMBER;
     if (k < b && (s[k] == 'e' || s[k] == 'E')) {
-        int64_t exp = skip_sign(s, k + 1, b);
-        k = skip_digits(s, exp, b);
+        int64_t exp = skip_sign(s, k + 1, b), e = 0;
+        for (k = exp; k < b && is_digit(s[k]); k++)
+            if (e < 100000000)  /* saturates, far past the table */
+                e = 10 * e + (s[k] - '0');
         if (k == exp)
-            return 0;
+            return NOT_A_NUMBER;
+        if (e >= 100000000)  /* whatever the fraction's length: to_real */
+            q = POW5_MAX + 1;
+        else
+            q += s[exp - 1] == '-' ? -e : e;
     }
-    return k == b;
+    if (k != b)
+        return NOT_A_NUMBER;
+    if (n_sig == 0) {
+        *x = negative ? -0.0 : 0.0;
+        return OK;
+    }
+    if (n_sig > 19 || q < POW5_MIN || q > POW5_MAX
+            || !eisel_lemire(w, q, pow5, x))
+        return SLOW;
+    if (negative)
+        *x = -*x;
+    return OK;
 }
 
-/* strtod_l of the checked number s[a:b], read from a NUL-terminated copy
- * (on the stack unless it is long), so that strtod never sees the buffer
- * and cannot read past it. */
+/* The fallback: strtod_l of a number s[a:b] that read_real left (SLOW),
+ * one with more than 19 significant digits, an exponent outside the
+ * table, a subnormal or overflowing value, or inf or nan. It reads a
+ * NUL-terminated copy (on the stack unless it is long), so that strtod
+ * never sees the buffer and cannot read past it. strtod_l rounds
+ * correctly, as Python's float() does, in a "C" numeric locale of its own,
+ * so the caller's setlocale cannot change it. */
 static int to_real(const unsigned char *s, int64_t a, int64_t b,
                    locale_t c_locale, double *x)
 {
@@ -396,7 +547,8 @@ static int to_real(const unsigned char *s, int64_t a, int64_t b,
  * More rows than max_rows or entries than max_nnz return OUT_OF_RANGE. */
 static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
                  int64_t max_nnz, double *labels, int64_t *indptr,
-                 int64_t *idx, double *vals, int64_t *info, locale_t c_locale)
+                 int64_t *idx, double *vals, int64_t *info,
+                 const uint64_t *pow5, locale_t c_locale)
 {
     int64_t pos = 0, line = 0, rows = 0, nnz = 0, max_index = 0;
     int64_t start = 0, end = 0;
@@ -408,6 +560,7 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
         line++;
         for (;;) {
             int64_t colon, j = 0;
+            int index, value;
             double x = 0.0;
             while (pos < len && is_blank(s[pos]))
                 pos++;
@@ -429,9 +582,10 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
             if (!labelled) {
                 if (rows == max_rows)
                     rc = OUT_OF_RANGE;
-                else if (!is_real(s, start, end))
+                else if ((value = read_real(s, start, end, pow5, &labels[rows]))
+                         == NOT_A_NUMBER)
                     rc = BAD_LABEL;
-                else
+                else if (value == SLOW)
                     rc = to_real(s, start, end, c_locale, &labels[rows]);
                 if (rc != OK)
                     goto fail;
@@ -442,20 +596,18 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
                 ;
             if (colon == end) {
                 rc = NO_COLON;
-            } else if (!is_integer(s, start, colon) || !is_real(s, colon + 1, end)) {
-                rc = BAD_TOKEN;
             } else {
-                errno = 0;
-                j = strtoll((const char *)s + start, NULL, 10);  /* stops at the ':' */
-                if (j < 1)
-                    rc = NOT_ONE_BASED;
-                else if (errno == ERANGE)
-                    rc = INDEX_TOO_LARGE;
+                index = read_index(s, start, colon, &j);
+                value = read_real(s, colon + 1, end, pow5, &x);
+                if (index == BAD_TOKEN || value == NOT_A_NUMBER)
+                    rc = BAD_TOKEN;
+                else if (index != OK)
+                    rc = index;
                 else if (j <= prev)
                     rc = NOT_INCREASING;
                 else if (nnz == max_nnz)
                     rc = OUT_OF_RANGE;
-                else
+                else if (value == SLOW)
                     rc = to_real(s, colon + 1, end, c_locale, &x);
             }
             if (rc != OK)
@@ -487,14 +639,15 @@ fail:
 
 int dfsdca_parse_libsvm(const unsigned char *buf, int64_t len, int64_t max_rows,
                         int64_t max_nnz, double *labels, int64_t *indptr,
-                        int64_t *idx, double *vals, int64_t *info)
+                        int64_t *idx, double *vals, int64_t *info,
+                        const uint64_t *pow5)
 {
     int rc;
     locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
     if (c_locale == (locale_t)0)
         return NO_MEMORY;
     rc = parse(buf, len, max_rows, max_nnz, labels, indptr, idx, vals, info,
-               c_locale);
+               pow5, c_locale);
     freelocale(c_locale);
     return rc;
 }

@@ -18,6 +18,7 @@ partial file under the final name.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -141,7 +142,7 @@ def _load():
                                            ctypes.POINTER(i64)]
         lib.dfsdca_libsvm_bounds.argtypes = [vp, i64, vp]
         lib.dfsdca_libsvm_bounds.restype = None
-        lib.dfsdca_parse_libsvm.argtypes = [vp, i64, i64, i64, vp, vp, vp, vp, vp]
+        lib.dfsdca_parse_libsvm.argtypes = [vp, i64, i64, i64, vp, vp, vp, vp, vp, vp]
         for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_choice_rows,
                    lib.dfsdca_parse_libsvm):
             fn.restype = ctypes.c_int
@@ -218,6 +219,27 @@ def choice_rows(rng: np.random.Generator, d: int, counts) -> tuple:
     return cols, vals
 
 
+@functools.cache
+def pow5_table() -> np.ndarray:
+    """The parser's powers of five, as a read-only (651, 2) uint64 array,
+    built once: row q + 342 holds the high and low 64 bits of
+    floor(5**q * 2**e) for q in [-342, 308], e the power of two that puts
+    the product in [2**127, 2**128), rounded up instead of down for q in
+    [-27, -1]. That is fast_float's table, which Mushtak & Lemire prove
+    sufficient for Eisel-Lemire (arXiv:2212.06644).
+    """
+    rows = []
+    for q in range(-342, 309):
+        if q >= 0:
+            t = 5**q << 128 >> (5**q).bit_length()
+        else:
+            t = (1 << (127 + (5**-q).bit_length())) // 5**-q + (q >= -27)
+        rows.append((t >> 64, t & (2**64 - 1)))
+    table = np.array(rows, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
 def parse_libsvm(text) -> tuple:
     """Parse LIBSVM bytes (any buffer: ``bytes``, a uint8 array, ...) into
     ``(labels, indptr, indices, data, max_index)``: one label per line that
@@ -229,6 +251,7 @@ def parse_libsvm(text) -> tuple:
     """
     buf = np.frombuffer(text, np.uint8)
     lib = _load()
+    pow5 = pow5_table()
     bounds = np.empty(2, np.int64)
     lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, bounds.ctypes.data)
     max_rows, max_nnz = (int(b) for b in bounds)
@@ -238,6 +261,7 @@ def parse_libsvm(text) -> tuple:
     code = lib.dfsdca_parse_libsvm(
         buf.ctypes.data, buf.size, max_rows, max_nnz, labels.ctypes.data,
         indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, info.ctypes.data,
+        pow5.ctypes.data,
     )
     rows, nnz, max_index, line, start, end = (int(v) for v in info)
     if code == NON_ASCII:

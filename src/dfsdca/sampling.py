@@ -70,8 +70,11 @@ class SamplingScheme:
     def eso(self, dataset: Dataset) -> np.ndarray:
         """ESO parameters v_i of this scheme on ``dataset``. By default the
         cardinality bound max_card * ||A_i||^2, which is exact for serial
-        schemes. Raises ValueError if the dataset's size is not n."""
-        return self.max_card * self._norms_sq(dataset)
+        schemes; a product past the largest double is inf, without a
+        warning (the stepsize check names it). Raises ValueError if the
+        dataset's size is not n."""
+        with np.errstate(over="ignore"):
+            return self.max_card * self._norms_sq(dataset)
 
     def draw_block(self, rng: np.random.Generator, k: int):
         """The draw rule: k draws laid end to end, as int64 arrays
@@ -184,10 +187,12 @@ class TauNiceSampling(SamplingScheme):
         The sum meets the cardinality bound tau ||A_i||^2 when every
         feature of row i lies in every row, and rounding can then put it an
         ulp above, so the result is capped at that bound. At tau = 1 it is
-        ||A_i||^2 bitwise."""
+        ||A_i||^2 bitwise. A term past the largest double is inf, without a
+        warning: the cap or the stepsize check takes it."""
         norms_sq = self._norms_sq(dataset)
         c = (self.tau - 1) / max(self.n - 1, 1)
-        return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
+        with np.errstate(over="ignore"):
+            return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
 
     def _examples(self, ids: np.ndarray):
         """Rows of example ids, as ``(idx, offsets)``."""

@@ -227,6 +227,24 @@ class TestRun:
                 "example 1, with p_1=0.5, v_1=1") in err
         assert "l_1=0.25 (lambda=1e-20, n=2)" in err
 
+    @pytest.mark.parametrize("sampling, code", [("nice:2", 0), ("chunked:2", 3)])
+    def test_near_overflow_norm_reports_only_the_stepsize(self, sampling, code,
+                                                          tmp_path, capsys):
+        # ||A_2||^2 = 1e308: tau-nice's cap keeps v_2 finite, the chunked
+        # cardinality bound 2e308 is inf; neither leaks an overflow warning
+        data = tmp_path / "huge.libsvm"
+        data.write_text("+1 1:1\n-1 2:1e154\n")
+        assert main(["run", "--data", str(data), "--sampling", sampling,
+                     "--out", str(tmp_path / "trace.csv")]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.splitlines() == [
+                "dfsdca: auto-convex stepsize 0.0 is not finite and positive: it is "
+                "set by example 1, with p_1=1.0, v_1=inf, l_1=0.25 (lambda=0.5, n=2)"
+            ]
+
     def test_divergent_instance_exits_3(self, tmp_path, capsys):
         assert main([
             "run", "--synthetic", "20,4,0.5,linear-sign", "--loss", "logistic",

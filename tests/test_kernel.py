@@ -474,6 +474,11 @@ for text, want in [
     (b"1 1:", "token"), (b"1 :5", "token"), (b"1 1:2e", "token"), (b"1 0:1", "1-based"),
     (b"1 99999999999999999999:1", "exceeds"), (b"1 2:1 1:1", "non-increasing"),
     (b"1 1:1\\n2:\\xff", "non-ASCII"), (b"1 #\\x80", "non-ASCII"),
+    (b"1 9223372036854775807:1", None), (b"1 9223372036854775808:1", "exceeds"),
+    (b"1 -99999999999999999999:1", "1-based"), (b"1 +0:1", "1-based"),
+    (b"nan 1:-NaN 2:inf", None), (b"1 1:1e99999999999999999999", None),
+    (b"1 1:2E+5", None), (b"1 1:1.2.3", "token"), (b"1 1x:1", "token"),
+    (b"1 1:1e5x", "token"),
 ]:
     try:
         _kernel.parse_libsvm(np.frombuffer(text, np.uint8).copy())
@@ -481,14 +486,37 @@ for text, want in [
         assert want is not None and want in str(exc), (text[:20], exc)
     else:
         assert want is None, text[:20]
+# the value reader: a zero, Eisel-Lemire (its second product and a tie
+# rounded to even among the random reprs and the listed numbers) and each
+# fallback: 20 digits, an exponent outside the table, a subnormal, an
+# overflow, an infinity
+words = [b"-0", b"0e99999999999999999999", b"0.1", b"-2.5e-3", b"1e-342", b"9e308",
+         b"9007199254740993", b"9007199254740995", b"12345678901234567890",
+         b"1e-343", b"1e309", b"4.9e-324", b"2.2250738585072011e-308",
+         b"1.7976931348623157e308", b"1.7976931348623159e308", b"-Infinity"]
+scale = 10.0 ** rng.integers(-300, 300, 2000)
+words += [repr(float(x)).encode() for x in rng.standard_normal(2000) * scale]
+text = b"\\n".join(w + b" 1:" + w for w in words)
+labels, indptr, _, vals, _ = _kernel.parse_libsvm(np.frombuffer(text, np.uint8).copy())
+want = np.array([float(w) for w in words])
+assert np.array_equal(labels.view(np.int64), want.view(np.int64))
+assert np.array_equal(vals.view(np.int64), want[want != 0].view(np.int64))
+# the counting pass: 16-byte blocks, 255 of them between sums, and a tail
+lib, bounds = _kernel._load(), np.zeros(2, np.int64)
+for size in (0, 15, 16, 17, 16 * 255, 16 * 255 * 2 + 17):
+    buf = np.frombuffer(bytes(range(256)) * 130, np.uint8)[:size].copy()
+    lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, bounds.ctypes.data)
+    assert bounds[0] == 1 + np.isin(buf, [10, 11, 12, 13, 28, 29, 30]).sum()
+    assert bounds[1] == (buf == ord(":")).sum()
 # arrays smaller than the sizing pass counted
-lib, info = _kernel._load(), np.zeros(6, np.int64)
+info = np.zeros(6, np.int64)
 for text, rows, nnz in [(b"1\\n2", 1, 0), (b"1 1:1 2:1", 1, 1)]:
     buf = np.frombuffer(text, np.uint8).copy()
     out = [np.empty(rows), np.empty(rows + 1, np.int64), np.empty(nnz, np.int64),
            np.empty(nnz)]
     code = lib.dfsdca_parse_libsvm(buf.ctypes.data, buf.size, rows, nnz,
-                                   *(a.ctypes.data for a in out), info.ctypes.data)
+                                   *(a.ctypes.data for a in out), info.ctypes.data,
+                                   _kernel.pow5_table().ctypes.data)
     assert code == _kernel.OUT_OF_RANGE, code
 assert list(cache.glob("_kernel-*.so"))
 print("clean")

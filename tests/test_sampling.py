@@ -351,6 +351,16 @@ class TestEso:
             with pytest.raises(ValueError, match="8 examples, the dataset has 9"):
                 sc.eso(other)
 
+    def test_near_overflow_norms_give_inf_without_warning(self):
+        # ||A_1||^2 = 1e308 is finite, twice it is not; warnings are errors
+        # here, so a leaked RuntimeWarning fails the test
+        ds = from_rows([([0], [1.0]), ([1], [1e154])], np.ones(2), 2)
+        norms_sq = ds.norms**2
+        assert np.array_equal(tau_nice(ds.norms, 2).eso(ds), norms_sq)
+        part = naive_chunks(ds.nnz.tolist())
+        # the chunked bound is the base scheme's cardinality bound
+        assert np.array_equal(chunked_sampling(ds.norms, part, 2).eso(ds), [2.0, np.inf])
+
     def test_undersized_v_detected(self):
         ds = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
         sc = tau_nice(ds.norms, 3)
