@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .diagnostics import (
     ReferenceSolution,
     decay_envelope,
     reference_solution,
+    seed_stats,
 )
 from .losses import build_nonconvex_instance, logistic_loss, squared_loss
 from .sampling import (
@@ -49,12 +51,15 @@ from .solver import (
     run,
 )
 
-TRACE_COLUMNS = "t,epoch,primal,subopt,B,D,E,envelope_D,envelope_E,theta"
-AGGREGATE_COLUMNS = (
-    "t,epoch,primal_mean,primal_stderr,subopt_mean,subopt_stderr,"
-    "B_mean,B_stderr,D_mean,D_stderr,E_mean,E_stderr,"
-    "envelope_D,envelope_E,theta"
-)
+#: the record fields a trace row reports, one column each, or a mean and a
+#: stderr column each over several seeds
+RECORD_FIELDS = ("primal", "subopt", "B", "D", "E")
+_ENVELOPE_COLUMNS = ("envelope_D", "envelope_E", "theta")
+TRACE_COLUMNS = ",".join(("t", "epoch", *RECORD_FIELDS, *_ENVELOPE_COLUMNS))
+AGGREGATE_COLUMNS = ",".join((
+    "t", "epoch", *(f"{f}_{s}" for f in RECORD_FIELDS for s in ("mean", "stderr")),
+    *_ENVELOPE_COLUMNS,
+))
 
 
 class UsageError(Exception):
@@ -127,10 +132,9 @@ def _resolve_lambda(token: str, n: int) -> float:
     if token.strip() == "1/n":
         return 1.0 / n
     try:
-        lam = float(token)
+        return float(token)
     except ValueError:
         raise UsageError(f"--lambda must be a number or '1/n', got {token!r}")
-    return lam
 
 
 def _build_scheme(descriptor: str, problem: ProblemSpec, seed: int):
@@ -184,61 +188,38 @@ def _envelope(x0, theta, t):
     return None if x0 is None else decay_envelope(x0, theta, t)
 
 
-def _trace_csv(trace: Trace) -> list[str]:
-    lines = [TRACE_COLUMNS]
-    rec0 = trace.records[0]
-    for r in trace.records:
-        env_D = _envelope(rec0.D, trace.theta, r.t)
-        env_E = _envelope(rec0.E, trace.theta, r.t)
+def _trace_csv(traces: list[Trace]) -> list[str]:
+    """The CSV body of one seed's trace, or of the mean and stderr over
+    several seeds' traces; all share the first trace's checkpoints, theta
+    and starting potentials, which set the envelope."""
+    first = traces[0]
+    if len(traces) == 1:
+        lines = [TRACE_COLUMNS]
+        columns = [first.column(name) for name in RECORD_FIELDS]
+    else:
+        lines = [AGGREGATE_COLUMNS]
+        columns = [c for name in RECORD_FIELDS for c in seed_stats(traces, name)]
+    rec0 = first.records[0]
+    for j, r in enumerate(first.records):
         lines.append(",".join([
-            str(r.t), _fmt(r.epoch), _fmt(r.primal), _fmt(r.subopt),
-            _fmt(r.B), _fmt(r.D), _fmt(r.E), _fmt(env_D), _fmt(env_E),
-            _fmt(trace.theta),
+            str(r.t), _fmt(r.epoch), *(_fmt(c[j]) for c in columns),
+            _fmt(_envelope(rec0.D, first.theta, r.t)),
+            _fmt(_envelope(rec0.E, first.theta, r.t)), _fmt(first.theta),
         ]))
-    return lines
-
-
-def _aggregate_csv(traces: list[Trace]) -> list[str]:
-    lines = [AGGREGATE_COLUMNS]
-    theta = traces[0].theta
-    n_rec = len(traces[0].records)
-    have_ref = traces[0].records[0].B is not None
-    t0_D = traces[0].records[0].D if have_ref else None
-    t0_E = traces[0].records[0].E if have_ref else None
-
-    def stats(name, j):
-        vals = np.array([tr.records[j].__dict__[name] for tr in traces],
-                        dtype=np.float64)
-        return vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
-
-    for j in range(n_rec):
-        rec = traces[0].records[j]
-        row = [str(rec.t), _fmt(rec.epoch)]
-        for name in ("primal", "subopt", "B", "D", "E"):
-            if name == "primal" or have_ref:
-                m, se = stats(name, j)
-                row += [_fmt(m), _fmt(se)]
-            else:
-                row += ["", ""]
-        row += [_fmt(_envelope(t0_D, theta, rec.t)),
-                _fmt(_envelope(t0_E, theta, rec.t)), _fmt(theta)]
-        lines.append(",".join(row))
     return lines
 
 
 def cmd_run(args) -> int:
     problem = _build_problem(args)
     reference = _load_reference(args.reference, problem) if args.reference else None
-    schemes, traces = [], []
+    # one scheme for every seed: serial-random:<c> takes its marginals from
+    # --seed, and the seeds differ only in their draws
+    scheme = _build_scheme(args.sampling, problem, args.seed)
+    traces = []
     for s in range(args.seed, args.seed + args.seeds):
-        # serial-random:<c> draws its marginals from the seed
-        schemes.append(_build_scheme(args.sampling, problem, s))
-        config = SolverConfig(theta=_theta_arg(args.theta), epochs=args.epochs,
-                              seed=s)
-        traces.append(run(problem, schemes[-1], config, reference=reference)[1])
-    body = _aggregate_csv(traces) if len(traces) > 1 else _trace_csv(traces[0])
-
-    lines = _metadata_lines(args, problem, schemes[0], traces[0].theta) + body
+        config = SolverConfig(theta=args.theta, epochs=args.epochs, seed=s)
+        traces.append(run(problem, scheme, config, reference=reference)[1])
+    lines = _metadata_lines(args, problem, scheme, traces[0].theta) + _trace_csv(traces)
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -252,28 +233,13 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _theta_arg(raw: str):
-    if raw in ("auto-convex", "auto-nonconvex"):
-        return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(
-            f"--theta must be auto-convex, auto-nonconvex or a number, got {raw!r}"
-        )
-
-
 def cmd_chunk_stats(args) -> int:
     dataset, _ = _load_dataset(args)
     u = dataset.nnz
     partition = naive_chunks(u.tolist())
-    if args.tau > partition.k:
-        raise ValueError(
-            f"tau={args.tau} exceeds the number of chunks k={partition.k}"
-        )
-
-    standard = tau_nice(dataset.norms, args.tau)
+    # built first, so that a tau above the number of chunks k names k
     chunked = chunked_sampling(dataset.norms, partition, args.tau)
+    standard = tau_nice(dataset.norms, args.tau)
     rng = np.random.default_rng(args.seed)
     # one block per scheme; a core's load is its example's nnz (tau-nice)
     # or its chunk's nnz sum (chunked)
@@ -298,13 +264,8 @@ def cmd_validate(args) -> int:
     for name in names:
         if name not in ALL_SUITES:
             raise UsageError(f"unknown suite {name!r}; choices: {','.join(ALL_SUITES)}")
-    results = []
-    for name in names:
-        fn = ALL_SUITES[name]
-        if name == "lemma1" and args.theta is not None:
-            results.append(fn(args.seed, theta_override=float(args.theta)))
-        else:
-            results.append(fn(args.seed))
+    options = {"lemma1": {"theta_override": args.theta}}
+    results = [ALL_SUITES[name](args.seed, **options.get(name, {})) for name in names]
     report = {
         "seed": args.seed,
         "suites": results,
@@ -344,6 +305,23 @@ def _add_problem_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
+def _positive_real(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number above 0, got {raw!r}")
+    return value
+
+
+def _theta(raw: str):
+    """A run's --theta: auto-convex, auto-nonconvex or a finite number above
+    0, which :func:`~dfsdca.solver.resolve_theta` checks against min p_i."""
+    return raw if raw in ("auto-convex", "auto-nonconvex") else _positive_real(raw)
+
+
 def _int_at_least(low: int):
     def parse(raw: str) -> int:
         try:
@@ -381,9 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--epochs", type=_int_at_least(1), default=10)
     p_run.add_argument("--seeds", type=_int_at_least(1), default=1,
                        help="run this many consecutive seeds one after "
-                            "another and aggregate mean/stderr columns")
-    p_run.add_argument("--theta", default="auto-convex",
-                       help="auto-convex | auto-nonconvex | explicit value")
+                            "another on one sampling scheme and aggregate "
+                            "mean/stderr columns; serial-random:<c> takes "
+                            "its marginals from --seed")
+    p_run.add_argument("--theta", type=_theta, default="auto-convex",
+                       help="auto-convex | auto-nonconvex | a finite number "
+                            "above 0")
     p_run.add_argument("--reference", help="reference-solution JSON file")
     p_run.add_argument("--out", help="output CSV path (default stdout)")
     p_run.set_defaults(func=cmd_run)
@@ -397,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cs.add_argument("--data", help="LIBSVM-format data file")
     p_cs.add_argument("--synthetic", help="n,d,density,model")
-    p_cs.add_argument("--tau", type=int, required=True)
+    p_cs.add_argument("--tau", type=_int_at_least(1), required=True)
     p_cs.add_argument("--draws", type=_int_at_least(1), default=10_000)
     p_cs.add_argument("--seed", type=_int_at_least(0), default=0)
     p_cs.add_argument("--out", help="output CSV path (default stdout)")
@@ -408,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'all' or comma-separated subset of: "
                             + ",".join(ALL_SUITES))
     p_val.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_val.add_argument("--theta", default=None,
-                       help="inject an explicit stepsize into the lemma1 "
-                            "suite (guard demonstration)")
+    p_val.add_argument("--theta", type=_positive_real, default=None,
+                       help="inject an explicit stepsize, a finite number "
+                            "above 0, into the lemma1 suite (guard "
+                            "demonstration)")
     p_val.add_argument("--out", help="JSON report path (default stdout)")
     p_val.set_defaults(func=cmd_validate)
 

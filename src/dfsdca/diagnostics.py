@@ -138,6 +138,7 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
     # one margins pass per iterate serves P, grad P and alpha*
     at = PrimalPoint(problem, np.zeros(ds.d))
     best, stalled = None, 0
+    reason = f"reached the cap of {_MAX_NEWTON} iterations"
     for it in range(1, _MAX_NEWTON + 1):
         grad = at.gradient
         gnorm = float(np.linalg.norm(grad))
@@ -148,6 +149,7 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
         else:
             stalled += 1
             if stalled == _STALL:
+                reason = f"no smaller gradient norm in {_STALL} iterations"
                 break
         delta = _newton_cg(problem, at, grad, _FORCING * gnorm, it, best.grad_norm)
         slope = float(np.dot(grad, delta))
@@ -159,12 +161,14 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
                 break
             s *= 0.5
         else:
+            reason = f"the line search found no decrease in {_MAX_HALVINGS} halvings"
             break
         at = nxt
     if best.grad_norm <= tol:
         return best
     raise ReferenceError(
-        f"oracle stopped at ||grad|| = {best.grad_norm:.3e} > tol = {tol:.3e}",
+        f"Newton iteration {it}: {reason}, so the oracle stopped at "
+        f"||grad|| = {best.grad_norm:.3e} > tol = {tol:.3e}",
         best.grad_norm,
     )
 
@@ -423,6 +427,14 @@ class ConvergenceReport:
         self.all_passed = all(r.passed for r in self.rows)
 
 
+def seed_stats(traces, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over seeds of the trace column ``name`` at
+    each checkpoint (NaN where it has no values). Seeds run along the last
+    axis, so each checkpoint is summed pairwise as a 1-D array would be."""
+    vals = np.stack([tr.column(name) for tr in traces], axis=1)
+    return vals.mean(axis=1), vals.std(axis=1, ddof=1) / math.sqrt(len(traces))
+
+
 def convergence_report(
     traces,
     theta: float,
@@ -444,9 +456,7 @@ def convergence_report(
     for tr in traces[1:]:
         if not np.array_equal(tr.column("t"), ts):
             raise ValueError("traces must share their checkpoint grid")
-    vals = np.vstack([tr.column(potential) for tr in traces])
-    means = vals.mean(axis=0)
-    stderrs = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0])
+    means, stderrs = seed_stats(traces, potential)
     x0 = float(means[0])
     rows = []
     for j, t in enumerate(ts):
@@ -460,7 +470,7 @@ def convergence_report(
     first_t = math.nan
     if L is not None and lam is not None and eps is not None:
         theory_T = iterations_to_target(1.0 / theta, L, lam, x0, eps)
-        sub = np.vstack([tr.column("subopt") for tr in traces]).mean(axis=0)
+        sub = seed_stats(traces, "subopt")[0]
         hit = np.nonzero(sub <= eps)[0]
         if hit.size:
             first_t = float(ts[hit[0]])
@@ -499,11 +509,18 @@ def _small_scheme(rng: np.random.Generator, problem: ProblemSpec) -> SamplingSch
     return chunked_sampling(norms, part, int(rng.integers(1, part.k + 1)))
 
 
-def suite_eso(seed: int, datasets: int = 10, trials: int = 5) -> dict:
+#: trials per suite; eso's are validate_eso trials per scheme and dataset
+_TRIALS = dict(eso=5, lemma1=40, lemma2=60, contraction=40, gradcheck=100,
+               fixedpoint=10)
+_ESO_DATASETS = 10
+# Each suite reduces its trial values with numpy's max/min, which return NaN
+# if any value is NaN, so a NaN fails the suite; Python's would drop it.
+
+
+def suite_eso(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    count = 0
-    for _ in range(datasets):
+    excess = []
+    for _ in range(_ESO_DATASETS):
         ds = gen_synthetic(
             int(rng.integers(5, 30)), int(rng.integers(4, 12)), 0.5,
             "linear-sign", int(rng.integers(0, 2**31)),
@@ -515,32 +532,30 @@ def suite_eso(seed: int, datasets: int = 10, trials: int = 5) -> dict:
             chunked_sampling(ds.norms, part, min(2, part.k)),
         ]
         for sc in schemes:
-            rep = validate_eso(sc, ds, trials, int(rng.integers(0, 2**31)))
-            excess = float(np.max(rep.ratios - 1.0 - 3.0 * rep.stderrs))
-            worst = max(worst, excess)
-            count += trials
+            rep = validate_eso(sc, ds, _TRIALS["eso"], int(rng.integers(0, 2**31)))
+            excess.append(np.max(rep.ratios - 1.0 - 3.0 * rep.stderrs))
+    worst = float(np.max(excess))
     # An undersized v must be flagged. With identical examples the batch
     # aggregates add coherently, so v_i = |A_i|^2 / tau forces ratio >= 1.8.
     ds = Dataset(np.arange(0, 25, 4), np.tile(np.arange(4), 6),
                  np.ones(24), np.ones(6), 4)
     sc = tau_nice(ds.norms, 3)
     sc.eso = lambda dataset: dataset.norms**2 / 3.0
-    bad = validate_eso(sc, ds, trials, seed)
+    bad = validate_eso(sc, ds, _TRIALS["eso"], seed)
     detected = bad.max_ratio > 1.0
     return {
         "name": "eso",
-        "trials": count,
+        "trials": len(excess) * _TRIALS["eso"],
         "worst": worst,
         "pass": bool(worst <= 1e-12 and detected),
         "extra": {"counterexample_ratio": bad.max_ratio},
     }
 
 
-def suite_lemma1(seed: int, trials: int = 40, theta_override=None) -> dict:
+def suite_lemma1(seed: int, theta_override=None) -> dict:
     rng = np.random.default_rng(seed)
-    worst_eq = 0.0
-    worst_slack = math.inf
-    for _ in range(trials):
+    eq, slack = [], []
+    for _ in range(_TRIALS["lemma1"]):
         kind = (LOGISTIC, SQUARED)[int(rng.integers(0, 2))]
         problem = _small_problem(rng, kind)
         scheme = _small_scheme(rng, problem)
@@ -550,47 +565,43 @@ def suite_lemma1(seed: int, trials: int = 40, theta_override=None) -> dict:
             float(theta_override) if theta_override is not None
             else float(rng.uniform(0.1, 1.0) * np.min(scheme.p))
         )
-        worst_eq = max(
-            worst_eq, verify_lemma1_C(problem, state, theta, scheme, ref)
-        )
-        worst_slack = min(
-            worst_slack, verify_lemma1_B(problem, state, theta, scheme, ref)
-        )
+        eq.append(verify_lemma1_C(problem, state, theta, scheme, ref))
+        slack.append(verify_lemma1_B(problem, state, theta, scheme, ref))
+    worst_eq, worst_slack = float(np.max(eq)), float(np.min(slack))
     return {
         "name": "lemma1",
-        "trials": trials,
-        "worst": max(worst_eq, max(0.0, -worst_slack)),
+        "trials": _TRIALS["lemma1"],
+        "worst": float(np.max([worst_eq, 0.0, -worst_slack])),
         "pass": bool(worst_eq <= 1e-10 and worst_slack >= -1e-10),
         "extra": {"eq_discrepancy": worst_eq, "min_slack": worst_slack},
     }
 
 
-def suite_lemma2(seed: int, trials: int = 60) -> dict:
+def suite_lemma2(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    worst_quad = 0.0
-    for k in range(trials):
+    slacks, quad = [], []
+    for k in range(_TRIALS["lemma2"]):
         kind = LOGISTIC if k % 2 else SQUARED
         problem = _small_problem(rng, kind)
         ref = reference_solution(problem)
         w = rng.standard_normal(problem.dataset.d)
-        slack = verify_lemma2(problem, w, ref)
-        worst = min(worst, slack)
+        slacks.append(verify_lemma2(problem, w, ref))
         if kind == SQUARED:
-            worst_quad = max(worst_quad, abs(slack))
+            quad.append(abs(slacks[-1]))
+    worst, worst_quad = float(np.min(slacks)), float(np.max(quad))
     return {
         "name": "lemma2",
-        "trials": trials,
-        "worst": min(worst, -worst_quad),
+        "trials": _TRIALS["lemma2"],
+        "worst": float(np.min([worst, -worst_quad])),
         "pass": bool(worst >= -1e-10 and worst_quad <= 1e-10),
         "extra": {"min_slack": worst, "quadratic_abs_slack": worst_quad},
     }
 
 
-def suite_contraction(seed: int, trials: int = 40) -> dict:
+def suite_contraction(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    for k in range(trials):
+    slacks = []
+    for k in range(_TRIALS["contraction"]):
         if k % 2:
             problem = _small_problem(rng, QUADFAM)
             potential = "D"
@@ -600,21 +611,20 @@ def suite_contraction(seed: int, trials: int = 40) -> dict:
         scheme = _small_scheme(rng, problem)
         ref = reference_solution(problem)
         state = random_relation_state(problem, rng)
-        worst = min(
-            worst, verify_contraction(problem, state, scheme, ref, potential)
-        )
+        slacks.append(verify_contraction(problem, state, scheme, ref, potential))
+    worst = float(np.min(slacks))
     return {
         "name": "contraction",
-        "trials": trials,
+        "trials": _TRIALS["contraction"],
         "worst": worst,
         "pass": bool(worst >= -1e-10),
     }
 
 
-def suite_gradcheck(seed: int, trials: int = 100) -> dict:
+def suite_gradcheck(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
+    errors = []
+    for _ in range(_TRIALS["gradcheck"]):
         y = float(rng.choice((-1.0, 1.0)))
         losses = [
             logistic_loss([y]),
@@ -626,7 +636,7 @@ def suite_gradcheck(seed: int, trials: int = 100) -> dict:
         for spec in losses:
             g = spec.gradient(0, x)
             fd = (spec.value(0, x + 1e-6) - spec.value(0, x - 1e-6)) / 2e-6
-            worst = max(worst, abs(g - fd) / (1.0 + abs(g)))
+            errors.append(abs(g - fd) / (1.0 + abs(g)))
     # full-objective gradient against central differences
     problem = _small_problem(rng, LOGISTIC)
     for _ in range(5):
@@ -636,20 +646,21 @@ def suite_gradcheck(seed: int, trials: int = 100) -> dict:
             e = np.zeros_like(w)
             e[j] = 1e-6
             fd = (primal_value(problem, w + e) - primal_value(problem, w - e)) / 2e-6
-            worst = max(worst, abs(g[j] - fd) / (1.0 + abs(g[j])))
+            errors.append(abs(g[j] - fd) / (1.0 + abs(g[j])))
+    worst = float(np.max(errors))
     return {
         "name": "gradcheck",
-        "trials": trials,
+        "trials": _TRIALS["gradcheck"],
         "worst": worst,
         "pass": bool(worst <= 1e-5),
     }
 
 
-def suite_fixedpoint(seed: int, trials: int = 10) -> dict:
+def suite_fixedpoint(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    drift = []
     exact = True
-    for k in range(trials):
+    for k in range(_TRIALS["fixedpoint"]):
         problem = _small_problem(rng, (LOGISTIC, SQUARED)[k % 2])
         ref = reference_solution(problem)
         scheme = _small_scheme(rng, problem)
@@ -658,10 +669,11 @@ def suite_fixedpoint(seed: int, trials: int = 10) -> dict:
         steps(problem, state, *scheme.draw_block(rng, 3), scheme.p, theta)
         exact = exact and np.array_equal(state.w, ref.w) \
             and np.array_equal(state.alpha, ref.alpha)
-        worst = max(worst, float(np.linalg.norm(ref.w - w_of(problem, ref.alpha))))
+        drift.append(np.linalg.norm(ref.w - w_of(problem, ref.alpha)))
+    worst = float(np.max(drift))
     return {
         "name": "fixedpoint",
-        "trials": trials,
+        "trials": _TRIALS["fixedpoint"],
         "worst": worst,
         "pass": bool(exact and worst <= 1e-10),
         "extra": {"exactly_invariant": exact},

@@ -1,13 +1,16 @@
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 
 import dfsdca.cli as cli
 import dfsdca.diagnostics as diagnostics
-from dfsdca.cli import TRACE_COLUMNS, main
+from dfsdca.cli import TRACE_COLUMNS, build_parser, main
 from dfsdca.dataset import gen_synthetic
 from dfsdca.losses import quadratic_family
+from dfsdca.solver import run as solver_run
 
 from csr_rows import from_rows
 
@@ -87,6 +90,46 @@ class TestRun:
         header, rows = read_rows(out)
         assert "E_mean" in header and "E_stderr" in header
         assert float(rows[-1]["E_mean"]) < float(rows[0]["E_mean"])
+
+    def test_seeds_share_one_scheme_and_theta(self, tmp_path, monkeypatch):
+        # serial-random:<c> takes its marginals from --seed, so every seed
+        # runs on one scheme at one stepsize and the envelope is that one's
+        ref = tmp_path / "ref.json"
+        out = tmp_path / "agg.csv"
+        base = ["--synthetic", "60,10,0.5,linear-sign", "--lambda", "0.2"]
+        assert main(["reference", *base, "--out", str(ref)]) == 0
+        runs = []
+
+        def spy(problem, scheme, config, reference=None):
+            state, trace = solver_run(problem, scheme, config, reference=reference)
+            runs.append((scheme, config.seed, trace.theta))
+            return state, trace
+
+        monkeypatch.setattr(cli, "run", spy)
+        assert main(["run", *base, "--sampling", "serial-random:3", "--seeds", "3",
+                     "--epochs", "3", "--reference", str(ref), "--out", str(out)]) == 0
+        theta = float(re.search(r" theta=(\S+)", out.read_text()).group(1))
+        _, rows = read_rows(out)
+        assert [seed for _, seed, _ in runs] == [0, 1, 2]
+        assert all(scheme is runs[0][0] for scheme, _, _ in runs)
+        assert [used for _, _, used in runs] == [theta] * 3
+        assert [float(row["theta"]) for row in rows] == [theta] * len(rows)
+        for name in ("D", "E"):
+            x0 = float(rows[0][f"{name}_mean"])
+            for row in rows:
+                assert float(row[f"envelope_{name}"]) == pytest.approx(
+                    x0 * np.exp(-theta * int(row["t"])), rel=1e-12)
+
+    def test_seeds_without_reference_fill_only_primal(self, tmp_path):
+        out = tmp_path / "agg.csv"
+        assert main(["run", "--synthetic", "40,8,0.5,linear-sign", "--seeds", "2",
+                     "--epochs", "2", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        empty = [f"{name}_{stat}" for name in ("subopt", "B", "D", "E")
+                 for stat in ("mean", "stderr")] + ["envelope_D", "envelope_E"]
+        for row in rows:
+            assert float(row["primal_mean"]) > 0 and row["primal_stderr"] != ""
+            assert [row[column] for column in empty] == [""] * len(empty)
 
     def test_envelope_columns_present(self, ridge_file, tmp_path):
         ref = tmp_path / "ref.json"
@@ -355,6 +398,14 @@ class TestChunkStats:
         captured = capsys.readouterr()
         assert "--draws" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("tau", ["0", "-1", "x"])
+    def test_tau_below_one_is_usage_error(self, tau, capsys):
+        code = main(["chunk-stats", "--synthetic", "50,10,0.3,skewed-nnz",
+                     "--tau", tau])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "argument --tau: " in captured.err and captured.out == ""
+
     def test_tau_exceeding_chunks_exits_3(self, tmp_path, capsys):
         data = tmp_path / "two.libsvm"
         data.write_text("1 1:1\n1 1:1\n")
@@ -400,7 +451,9 @@ class TestReference:
             "--lambda", "0.5", "--tol", "1e-30",
         ])
         assert code == 3
-        assert "grad" in capsys.readouterr().err
+        assert re.match(r"dfsdca: Newton iteration \d+: no smaller gradient norm "
+                        r"in 3 iterations, so the oracle stopped at \|\|grad\|\| = ",
+                        capsys.readouterr().err)
 
     def test_nonconvex_objective_exits_3(self, monkeypatch, capsys):
         # one example of curvature -1 > lam = 0.5: P has no minimum
@@ -456,6 +509,31 @@ def test_negative_seed_is_usage_error(command, capsys):
     captured = capsys.readouterr()
     assert "argument --seed: must be at least 0, got -1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("theta", ["nan", "-1", "0", "inf", "abc"])
+@pytest.mark.parametrize("command", [
+    ["run", "--synthetic", "20,4,0.5,linear-sign"],
+    ["validate", "--suite", "lemma1"],
+], ids=lambda command: command[0])
+def test_theta_must_be_a_finite_number_above_0(command, theta, capsys):
+    assert main([*command, "--theta", theta]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --theta: expected a finite number above 0, got '{theta}'" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_no_option_is_typed_by_bare_int():
+    # an integer option takes _int_at_least, which names its lower bound
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    assert [a.option_strings for a in actions(build_parser()) if a.type is int] == []
 
 
 class TestHelp:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -112,6 +114,22 @@ class TestReferenceSolution:
         with pytest.raises(ReferenceError) as info:
             reference_solution(logistic_problem(), tol=1e-30)
         assert info.value.grad_norm > 0
+        assert re.fullmatch(
+            r"Newton iteration \d+: no smaller gradient norm in 3 iterations, so "
+            rf"the oracle stopped at \|\|grad\|\| = {info.value.grad_norm:.3e} "
+            r"> tol = 1\.000e-30", str(info.value))
+
+    @pytest.mark.parametrize("cap, value, reason", [
+        ("_MAX_HALVINGS", 0, "the line search found no decrease in 0 halvings"),
+        ("_MAX_NEWTON", 1, "reached the cap of 1 iterations"),
+    ])
+    def test_give_up_names_iteration_and_reason(self, monkeypatch, cap, value,
+                                                reason):
+        monkeypatch.setattr(diagnostics, cap, value)
+        with pytest.raises(ReferenceError) as info:
+            reference_solution(logistic_problem())
+        assert str(info.value).startswith(
+            f"Newton iteration 1: {reason}, so the oracle stopped at ||grad|| = ")
 
     @pytest.mark.parametrize("lam", [1e-8, 1e-9])
     def test_small_lam_keeps_best_iterate(self, lam):
@@ -462,3 +480,42 @@ class TestConvergenceReport:
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
             convergence_report([_fake_trace(0.1, [0, 1], [1.0, 0.5])], 0.1)
+
+
+def _nan_like(value):
+    if isinstance(value, np.ndarray):
+        return np.full_like(value, math.nan)
+    if isinstance(value, float):
+        return math.nan
+    return dataclasses.replace(value, ratios=np.full_like(value.ratios, math.nan))
+
+
+class TestSuites:
+    @pytest.mark.parametrize("suite, target", [
+        ("eso", "validate_eso"),
+        ("lemma1", "verify_lemma1_C"),
+        ("lemma1", "verify_lemma1_B"),
+        ("lemma2", "verify_lemma2"),
+        ("contraction", "verify_contraction"),
+        ("gradcheck", "primal_gradient"),
+        ("fixedpoint", "w_of"),
+    ])
+    def test_one_nan_trial_fails_its_suite(self, monkeypatch, suite, target):
+        # the NaN comes second, where Python's max and min would drop it
+        real, calls = getattr(diagnostics, target), []
+
+        def nan_at_second_call(*args, **kwargs):
+            calls.append(None)
+            value = real(*args, **kwargs)
+            return _nan_like(value) if len(calls) == 2 else value
+
+        monkeypatch.setattr(diagnostics, target, nan_at_second_call)
+        report = diagnostics.ALL_SUITES[suite](0)
+        assert report["pass"] is False
+        assert math.isnan(report["worst"])
+
+    def test_nan_stepsize_fails_lemma1(self):
+        report = diagnostics.suite_lemma1(0, theta_override=math.nan)
+        assert report["pass"] is False
+        assert math.isnan(report["extra"]["eq_discrepancy"])
+        assert math.isnan(report["extra"]["min_slack"])
