@@ -19,8 +19,7 @@ from .diagnostics import (
     potentials,
     reference_solution,
     verify_contraction,
-    verify_lemma1_B,
-    verify_lemma1_C,
+    verify_lemma1,
     verify_lemma2,
 )
 from .losses import (

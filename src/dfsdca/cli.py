@@ -48,6 +48,7 @@ from .solver import (
     SolverConfig,
     Trace,
     make_problem,
+    primal_value,
     run,
 )
 
@@ -87,9 +88,10 @@ def _parse_synthetic(spec: str):
 
 
 def _load_dataset(args):
-    """The dataset named by --data or --synthetic, and the loss that the
-    synthetic model 'nonconvex' comes with (None for every other source)."""
-    if args.data:
+    """The dataset named by --data or --synthetic, of which argparse lets
+    through exactly one, and the loss that the synthetic model 'nonconvex'
+    comes with (None for every other source)."""
+    if args.data is not None:
         try:
             with open(args.data, "rb") as fh:  # the parser reads bytes
                 return parse_libsvm(fh), None
@@ -97,12 +99,10 @@ def _load_dataset(args):
             raise DataError(f"cannot read {args.data}: {exc}")
         except (ParseError, NonFiniteError) as exc:
             raise DataError(str(exc))
-    if args.synthetic:
-        n, d, density, model = _parse_synthetic(args.synthetic)
-        if model == "nonconvex":
-            return build_nonconvex_instance(n, d, args.seed)
-        return gen_synthetic(n, d, density, model, args.seed), None
-    raise UsageError("provide --data FILE or --synthetic n,d,density,model")
+    n, d, density, model = _parse_synthetic(args.synthetic)
+    if model == "nonconvex":
+        return build_nonconvex_instance(n, d, args.seed)
+    return gen_synthetic(n, d, density, model, args.seed), None
 
 
 def _build_problem(args) -> ProblemSpec:
@@ -159,15 +159,27 @@ def _build_scheme(descriptor: str, problem: ProblemSpec, seed: int):
 
 
 def _load_reference(path: str, problem: ProblemSpec) -> ReferenceSolution:
+    """The reference in ``path``, if it was computed for ``problem``: same
+    n and d, and P(w*) on this problem equal to the file's P_star, which
+    ``reference`` wrote from the same computation."""
     try:
         with open(path) as fh:
-            ref = ReferenceSolution.from_json(json.load(fh))
+            payload = json.load(fh)
+        ref = ReferenceSolution.from_json(payload)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSON or its fields
         raise DataError(f"bad reference file {path}: {exc}")
     if ref.w.size != problem.dataset.d or ref.alpha.size != problem.dataset.n:
         raise DataError("reference file does not match the problem dimensions")
+    value = primal_value(problem, ref.w)
+    if not abs(value - ref.P_star) <= 1e-12 * abs(ref.P_star):
+        raise DataError(
+            f"reference file {path} was computed for another problem: its "
+            f"P_star = {ref.P_star!r} (lambda={payload.get('lambda')!r}, "
+            f"loss={payload.get('loss')!r}), but its w gives P = {value!r} "
+            f"here (lambda={problem.lam!r}, loss={problem.loss.kind!r})"
+        )
     return ref
 
 
@@ -289,13 +301,18 @@ def cmd_reference(args) -> int:
     return 0
 
 
-def _add_problem_args(p: argparse.ArgumentParser):
-    p.add_argument("--data", help="LIBSVM-format data file")
-    p.add_argument(
+def _add_source_args(p: argparse.ArgumentParser):
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="LIBSVM-format data file")
+    source.add_argument(
         "--synthetic",
         help="n,d,density,model with model in "
              "{linear-sign,linear-noise,skewed-nnz,nonconvex}",
     )
+
+
+def _add_problem_args(p: argparse.ArgumentParser):
+    _add_source_args(p)
     p.add_argument("--loss", default="logistic",
                    choices=("logistic", "squared", "quadfam"))
     p.add_argument("--lambda", dest="lam", default="1/n",
@@ -305,15 +322,23 @@ def _add_problem_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
-def _positive_real(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number above 0, got {raw!r}")
-    return value
+def _real(accepts, expected: str):
+    """An argparse type for the floats that ``accepts``; anything else,
+    NaN and non-numbers included, fails naming ``expected``."""
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+    return parse
+
+
+_positive_real = _real(lambda v: 0.0 < v < math.inf, "a finite number above 0")
+#: what reference_solution accepts as tol
+_tolerance = _real(lambda v: v >= 0.0, "a number at least 0, inf included")
 
 
 def _theta(raw: str):
@@ -376,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the chunk partition is written next to --out as "
                     "<out>.chunks.json.",
     )
-    p_cs.add_argument("--data", help="LIBSVM-format data file")
-    p_cs.add_argument("--synthetic", help="n,d,density,model")
+    _add_source_args(p_cs)
     p_cs.add_argument("--tau", type=_int_at_least(1), required=True)
     p_cs.add_argument("--draws", type=_int_at_least(1), default=10_000)
     p_cs.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -398,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("reference", help="compute a reference solution")
     _add_problem_args(p_ref)
-    p_ref.add_argument("--tol", type=float, default=None,
+    p_ref.add_argument("--tol", type=_tolerance, default=None,
                        help="gradient-norm target "
                             "(default 1e-12 * (1 + |P(0)|))")
     p_ref.add_argument("--out", help="output JSON path (default stdout)")

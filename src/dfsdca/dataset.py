@@ -200,14 +200,18 @@ def normalize_max_norm(dataset: Dataset) -> tuple[Dataset, float]:
     """Scale every example by 1/max_i ||A_i|| (one global scale).
 
     Returns the rescaled dataset and the original max norm. Preserves the
-    relative geometry of the examples.
+    relative geometry of the examples, except that a value which underflows
+    to 0.0 is dropped, as the parser drops an explicit zero.
     """
     scale = float(np.max(dataset.norms))
     if scale == 0.0:
         raise ValueError("cannot normalize: all examples have zero norm")
-    rescaled = Dataset(dataset.indptr, dataset.indices, dataset.data / scale,
-                       dataset.labels, dataset.d)
-    return rescaled, scale
+    indptr, indices, data = dataset.indptr, dataset.indices, dataset.data / scale
+    if np.count_nonzero(data) < data.size:
+        kept = data != 0.0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
+        indices, data = indices[kept], data[kept]
+    return Dataset(indptr, indices, data, dataset.labels, dataset.d), scale
 
 
 LABEL_MODELS = ("linear-sign", "linear-noise", "skewed-nnz")

@@ -42,7 +42,6 @@ from .solver import (
     primal_gradient,
     primal_value,
     resolve_theta,
-    step,
     steps,
     w_of,
 )
@@ -276,76 +275,61 @@ def iterations_to_target(
 
 
 def _enumerated_states(problem, state, theta, scheme):
+    """Each outcome of the scheme's exact support, as its probability and
+    the state that one step from a copy of ``state`` reaches on it."""
     atoms = scheme.atoms()
     if atoms is None:
         raise ValueError("scheme support too large for exact enumeration")
     idx, offsets, prob = atoms
     for j, pr in enumerate(prob.tolist()):
-        subset = idx[offsets[j]:offsets[j + 1]]
-        yield pr, step(problem, state.copy(), subset, scheme.p, theta)
+        lo, hi = offsets[j], offsets[j + 1]
+        yield pr, steps(problem, state.copy(), idx[lo:hi], offsets[j:j + 2] - lo,
+                        scheme.p, theta)
 
 
-def verify_lemma1_C(
+def verify_lemma1(
     problem: ProblemSpec,
     state: SolverState,
     theta: float,
     scheme: SamplingScheme,
     reference: ReferenceSolution,
-) -> float:
-    """Exact-expectation check of the dual-distance evolution identity.
+) -> tuple[float, float]:
+    """Exact-expectation check of both statements of Lemma 1, from one
+    enumeration of the scheme's support with one step per outcome.
 
-    Enumerates the scheme's support, applies one step per outcome, and
-    compares E[C_i_old - C_i_new] against
+    Returns ``(eq_discrepancy, slack)``. ``eq_discrepancy`` is the worst
+    absolute discrepancy over i of the dual-distance evolution identity
+    E[C_i_old - C_i_new] =
     theta * [ |a_i - a_i*|^2 - |u_i - a_i*|^2 + (1 - theta/p_i) z_i^2 ]
-    with u_i = -phi_i'(A_i^T w_old), z_i = a_i - u_i. Returns the worst
-    absolute discrepancy over i; this is an equality, so ~1e-10 is expected.
+    with u_i = -phi_i'(A_i^T w_old), z_i = a_i - u_i; this is an equality,
+    so ~1e-10 is expected. ``slack`` is that of the primal-distance
+    evolution bound, E[B_old - B_new] - [(2 theta/lam) (w-w*)^T grad P(w)
+    - theta^2/(n lam)^2 * sum_i (v_i/p_i) z_i^2], which must be >= ~-1e-10
+    at states satisfying the w/alpha tie-in.
     """
-    alpha = state.alpha
+    ds, lam = problem.dataset, problem.lam
     # a solver step's margins equal those of A w bitwise, so u is the exact
     # fixed point of a step, not just to rounding
-    u = PrimalPoint(problem, state.w).alpha
-    z = alpha - u
-    a_star = reference.alpha
-    rhs = theta * (
-        (alpha - a_star) ** 2
-        - (u - a_star) ** 2
-        + (1.0 - theta / scheme.p) * z**2
-    )
-    C_old = (alpha - a_star) ** 2
-    lhs = np.zeros(problem.dataset.n)
-    for prob, nxt in _enumerated_states(problem, state, theta, scheme):
-        lhs += prob * (C_old - (nxt.alpha - a_star) ** 2)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def verify_lemma1_B(
-    problem: ProblemSpec,
-    state: SolverState,
-    theta: float,
-    scheme: SamplingScheme,
-    reference: ReferenceSolution,
-) -> float:
-    """Exact-expectation slack of the primal-distance evolution bound.
-
-    Valid at states satisfying the w/alpha tie-in. Returns
-    E[B_old - B_new] - [(2 theta/lam) (w-w*)^T grad P(w)
-    - theta^2/(n lam)^2 * sum_i (v_i/p_i) z_i^2], which must be >= ~-1e-10.
-    """
-    ds = problem.dataset
     at = PrimalPoint(problem, state.w)
     z = state.alpha - at.alpha
+    a_star = reference.alpha
+    C_old = (state.alpha - a_star) ** 2
     dw = state.w - reference.w
     B_old = float(np.dot(dw, dw))
-    lhs = 0.0
+    dC, dB = np.zeros(ds.n), 0.0
     for prob, nxt in _enumerated_states(problem, state, theta, scheme):
+        dC += prob * (C_old - (nxt.alpha - a_star) ** 2)
         dn = nxt.w - reference.w
-        lhs += prob * (B_old - float(np.dot(dn, dn)))
-    n, lam, v = ds.n, problem.lam, scheme.eso(ds)
-    rhs = (
-        2.0 * theta / lam * float(np.dot(dw, at.gradient))
-        - theta**2 / (n * lam) ** 2 * float(np.sum(v / scheme.p * z**2))
+        dB += prob * (B_old - float(np.dot(dn, dn)))
+    dC_rhs = theta * (
+        C_old - (at.alpha - a_star) ** 2 + (1.0 - theta / scheme.p) * z**2
     )
-    return lhs - rhs
+    v = scheme.eso(ds)
+    dB_bound = (
+        2.0 * theta / lam * float(np.dot(dw, at.gradient))
+        - theta**2 / (ds.n * lam) ** 2 * float(np.sum(v / scheme.p * z**2))
+    )
+    return float(np.max(np.abs(dC - dC_rhs))), dB - dB_bound
 
 
 def verify_lemma2(
@@ -517,6 +501,25 @@ _ESO_DATASETS = 10
 # if any value is NaN, so a NaN fails the suite; Python's would drop it.
 
 
+def _relation_trial(rng: np.random.Generator, kind: str):
+    """A small problem of loss ``kind``, a scheme on it, its reference and
+    a random state on the w/alpha tie-in, drawn from ``rng`` in that order."""
+    problem = _small_problem(rng, kind)
+    scheme = _small_scheme(rng, problem)
+    ref = reference_solution(problem)
+    return problem, scheme, ref, random_relation_state(problem, rng)
+
+
+def _report(name: str, worst: float, passed, trials=None, **extra) -> dict:
+    """A suite's result; ``trials`` defaults to the suite's count in
+    _TRIALS, and ``extra`` holds its named side values, if any."""
+    report = {"name": name, "trials": _TRIALS[name] if trials is None else trials,
+              "worst": worst, "pass": bool(passed)}
+    if extra:
+        report["extra"] = extra
+    return report
+
+
 def suite_eso(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     excess = []
@@ -542,39 +545,26 @@ def suite_eso(seed: int) -> dict:
     sc = tau_nice(ds.norms, 3)
     sc.eso = lambda dataset: dataset.norms**2 / 3.0
     bad = validate_eso(sc, ds, _TRIALS["eso"], seed)
-    detected = bad.max_ratio > 1.0
-    return {
-        "name": "eso",
-        "trials": len(excess) * _TRIALS["eso"],
-        "worst": worst,
-        "pass": bool(worst <= 1e-12 and detected),
-        "extra": {"counterexample_ratio": bad.max_ratio},
-    }
+    return _report("eso", worst, worst <= 1e-12 and bad.max_ratio > 1.0,
+                   len(excess) * _TRIALS["eso"], counterexample_ratio=bad.max_ratio)
 
 
 def suite_lemma1(seed: int, theta_override=None) -> dict:
     rng = np.random.default_rng(seed)
-    eq, slack = [], []
+    pairs = []
     for _ in range(_TRIALS["lemma1"]):
         kind = (LOGISTIC, SQUARED)[int(rng.integers(0, 2))]
-        problem = _small_problem(rng, kind)
-        scheme = _small_scheme(rng, problem)
-        ref = reference_solution(problem)
-        state = random_relation_state(problem, rng)
+        problem, scheme, ref, state = _relation_trial(rng, kind)
         theta = (
             float(theta_override) if theta_override is not None
             else float(rng.uniform(0.1, 1.0) * np.min(scheme.p))
         )
-        eq.append(verify_lemma1_C(problem, state, theta, scheme, ref))
-        slack.append(verify_lemma1_B(problem, state, theta, scheme, ref))
+        pairs.append(verify_lemma1(problem, state, theta, scheme, ref))
+    eq, slack = np.array(pairs).T
     worst_eq, worst_slack = float(np.max(eq)), float(np.min(slack))
-    return {
-        "name": "lemma1",
-        "trials": _TRIALS["lemma1"],
-        "worst": float(np.max([worst_eq, 0.0, -worst_slack])),
-        "pass": bool(worst_eq <= 1e-10 and worst_slack >= -1e-10),
-        "extra": {"eq_discrepancy": worst_eq, "min_slack": worst_slack},
-    }
+    return _report("lemma1", float(np.max([worst_eq, 0.0, -worst_slack])),
+                   worst_eq <= 1e-10 and worst_slack >= -1e-10,
+                   eq_discrepancy=worst_eq, min_slack=worst_slack)
 
 
 def suite_lemma2(seed: int) -> dict:
@@ -589,36 +579,21 @@ def suite_lemma2(seed: int) -> dict:
         if kind == SQUARED:
             quad.append(abs(slacks[-1]))
     worst, worst_quad = float(np.min(slacks)), float(np.max(quad))
-    return {
-        "name": "lemma2",
-        "trials": _TRIALS["lemma2"],
-        "worst": float(np.min([worst, -worst_quad])),
-        "pass": bool(worst >= -1e-10 and worst_quad <= 1e-10),
-        "extra": {"min_slack": worst, "quadratic_abs_slack": worst_quad},
-    }
+    return _report("lemma2", float(np.min([worst, -worst_quad])),
+                   worst >= -1e-10 and worst_quad <= 1e-10,
+                   min_slack=worst, quadratic_abs_slack=worst_quad)
 
 
 def suite_contraction(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     slacks = []
     for k in range(_TRIALS["contraction"]):
-        if k % 2:
-            problem = _small_problem(rng, QUADFAM)
-            potential = "D"
-        else:
-            problem = _small_problem(rng, LOGISTIC if k % 4 == 0 else SQUARED)
-            potential = "E"
-        scheme = _small_scheme(rng, problem)
-        ref = reference_solution(problem)
-        state = random_relation_state(problem, rng)
+        kind = QUADFAM if k % 2 else LOGISTIC if k % 4 == 0 else SQUARED
+        problem, scheme, ref, state = _relation_trial(rng, kind)
+        potential = "D" if kind == QUADFAM else "E"
         slacks.append(verify_contraction(problem, state, scheme, ref, potential))
     worst = float(np.min(slacks))
-    return {
-        "name": "contraction",
-        "trials": _TRIALS["contraction"],
-        "worst": worst,
-        "pass": bool(worst >= -1e-10),
-    }
+    return _report("contraction", worst, worst >= -1e-10)
 
 
 def suite_gradcheck(seed: int) -> dict:
@@ -648,12 +623,7 @@ def suite_gradcheck(seed: int) -> dict:
             fd = (primal_value(problem, w + e) - primal_value(problem, w - e)) / 2e-6
             errors.append(abs(g[j] - fd) / (1.0 + abs(g[j])))
     worst = float(np.max(errors))
-    return {
-        "name": "gradcheck",
-        "trials": _TRIALS["gradcheck"],
-        "worst": worst,
-        "pass": bool(worst <= 1e-5),
-    }
+    return _report("gradcheck", worst, worst <= 1e-5)
 
 
 def suite_fixedpoint(seed: int) -> dict:
@@ -671,13 +641,8 @@ def suite_fixedpoint(seed: int) -> dict:
             and np.array_equal(state.alpha, ref.alpha)
         drift.append(np.linalg.norm(ref.w - w_of(problem, ref.alpha)))
     worst = float(np.max(drift))
-    return {
-        "name": "fixedpoint",
-        "trials": _TRIALS["fixedpoint"],
-        "worst": worst,
-        "pass": bool(exact and worst <= 1e-10),
-        "extra": {"exactly_invariant": exact},
-    }
+    return _report("fixedpoint", worst, exact and worst <= 1e-10,
+                   exactly_invariant=exact)
 
 
 ALL_SUITES = {

@@ -17,8 +17,7 @@ from dfsdca.diagnostics import (
     random_relation_state,
     reference_solution,
     verify_contraction,
-    verify_lemma1_B,
-    verify_lemma1_C,
+    verify_lemma1,
     verify_lemma2,
 )
 from dfsdca.losses import (
@@ -183,7 +182,7 @@ def test_criterion_04_dual_evolution_identity():
             ref = reference_solution(prob)
             state = random_relation_state(prob, rng)
             theta = float(rng.uniform(0.05, 1.0) * np.min(scheme.p))
-            worst = max(worst, verify_lemma1_C(prob, state, theta, scheme, ref))
+            worst = max(worst, verify_lemma1(prob, state, theta, scheme, ref)[0])
         assert worst <= 1e-10
 
 
@@ -198,7 +197,7 @@ def test_criterion_05_inequalities():
             ref = reference_solution(prob)
             state = random_relation_state(prob, rng)
             theta = float(rng.uniform(0.05, 1.0) * np.min(scheme.p))
-            assert verify_lemma1_B(prob, state, theta, scheme, ref) >= -1e-10
+            assert verify_lemma1(prob, state, theta, scheme, ref)[1] >= -1e-10
         # smoothness-convexity bound, 100 trials; equality on quadratics
         for k in range(100):
             kind = "logistic" if k % 2 else "squared"

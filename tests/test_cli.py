@@ -240,6 +240,14 @@ class TestRun:
         assert main(["run", "--data", str(data)]) == 2
         assert "data error: line 2: non-ASCII byte 0xff" in capsys.readouterr().err
 
+    def test_normalize_drops_values_that_underflow(self, tmp_path):
+        # 1e-320 / 1e10 is 0.0, which the data must not hold as a value
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("+1 1:1e-320 2:1e10\n-1 1:1\n")
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--data", str(data), "--normalize", "--out", str(out)]) == 0
+        assert "# loss=logistic n=2 d=2" in out.read_text()
+
     @pytest.mark.parametrize("text, flags, message", [
         ("+1 1:nan\n-1 2:1\n", [], "row 0 (0-based): norm nan is not finite"),
         ("+1 1:1\nnan 2:1\n", ["--loss", "squared"],
@@ -479,7 +487,6 @@ class TestReference:
         ("run", "--lambda", "nan", "lam"), ("run", "--lambda", "inf", "lam"),
         ("reference", "--lambda", "nan", "lam"),
         ("reference", "--lambda", "inf", "lam"),
-        ("reference", "--tol", "nan", "tol"), ("reference", "--tol", "-1", "tol"),
     ])
     def test_invalid_parameter_exits_3(self, command, flag, value, name, capsys):
         assert main([command, "--synthetic", "10,4,0.8,linear-sign",
@@ -496,6 +503,63 @@ class TestReference:
         ])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        "{", "[1]", '{"w": "abc", "alpha": [1.0], "P_star": 1.0, "grad_norm": 0.0}',
+    ], ids=["not-json", "not-an-object", "not-numbers"])
+    def test_malformed_reference_is_data_error(self, text, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        ref.write_text(text)
+        assert main(["run", "--synthetic", "10,4,0.8,linear-sign",
+                     "--reference", str(ref)]) == 2
+        assert f"data error: bad reference file {ref}" in capsys.readouterr().err
+
+    def test_reference_for_another_problem_is_data_error(self, tmp_path, capsys):
+        # same data, n and d, but made for lambda 1 and the logistic loss
+        ref = tmp_path / "ref.json"
+        data = ["--synthetic", "40,6,0.5,linear-sign"]
+        assert main(["reference", *data, "--lambda", "1", "--out", str(ref)]) == 0
+        P_star = json.loads(ref.read_text())["P_star"]
+        out = tmp_path / "trace.csv"
+        code = main(["run", *data, "--lambda", "0.05", "--loss", "squared",
+                     "--reference", str(ref), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"its P_star = {P_star!r} (lambda=1.0, loss='logistic')" in err
+        assert re.search(r"its w gives P = \S+ here \(lambda=0.05, loss='squared'\)",
+                         err)
+        assert not out.exists()
+        assert main(["run", *data, "--lambda", "1", "--reference", str(ref),
+                     "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "abc"])
+    def test_tol_must_be_a_number_at_least_0(self, tol, capsys):
+        assert main(["reference", "--synthetic", "10,4,0.8,linear-sign",
+                     f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert (f"argument --tol: expected a number at least 0, inf included, "
+                f"got '{tol}'") in captured.err
+        assert captured.out == ""
+
+    def test_tol_inf_is_accepted(self, capsys):
+        assert main(["reference", "--synthetic", "10,4,0.8,linear-sign",
+                     "--tol", "inf"]) == 0
+        assert "P_star" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["reference"], ["chunk-stats", "--tau", "2"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("sources", [
+    [], ["--data", "unused.libsvm", "--synthetic", "20,4,0.5,linear-sign"],
+], ids=["neither", "both"])
+def test_data_source_is_one_of_data_or_synthetic(command, sources, capsys):
+    assert main([*command, *sources]) == 1
+    captured = capsys.readouterr()
+    assert ("one of the arguments --data --synthetic is required" in captured.err
+            if not sources else
+            "argument --synthetic: not allowed with argument --data" in captured.err)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", [
@@ -525,7 +589,8 @@ def test_theta_must_be_a_finite_number_above_0(command, theta, capsys):
 
 
 def test_no_option_is_typed_by_bare_int():
-    # an integer option takes _int_at_least, which names its lower bound
+    # an integer option takes _int_at_least, which names its lower bound,
+    # and a real one a _real type, which names the values it accepts
     def actions(parser):
         for action in parser._actions:
             yield action
@@ -533,7 +598,8 @@ def test_no_option_is_typed_by_bare_int():
                 for sub in action.choices.values():
                     yield from actions(sub)
 
-    assert [a.option_strings for a in actions(build_parser()) if a.type is int] == []
+    assert [a.option_strings for a in actions(build_parser())
+            if a.type in (int, float)] == []
 
 
 class TestHelp:

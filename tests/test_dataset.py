@@ -190,6 +190,16 @@ class TestNormalize:
         with pytest.raises(ValueError, match="zero norm"):
             normalize_max_norm(ds)
 
+    def test_values_that_underflow_are_dropped(self):
+        ds = from_rows([([0, 1, 2], [1e-320, 1e10, -1e-320]), ([0], [1.0]),
+                        ([2], [1e-320])], [1.0, -1.0, 1.0], 3)
+        scaled, scale = normalize_max_norm(ds)
+        assert scale == 1e10
+        assert scaled.indptr.tolist() == [0, 1, 2, 2]
+        assert scaled.indices.tolist() == [1, 0]
+        assert scaled.data.tolist() == [1.0, 1e-10]
+        assert scaled.labels.tolist() == [1.0, -1.0, 1.0]
+
     def test_idempotent(self):
         ds = gen_synthetic(30, 8, 0.5, "linear-sign", 5)
         once, _ = normalize_max_norm(ds)

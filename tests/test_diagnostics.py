@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import dfsdca._kernel as _kernel
 import dfsdca.diagnostics as diagnostics
 from dfsdca.dataset import gen_synthetic
 from dfsdca.diagnostics import (
@@ -18,8 +19,7 @@ from dfsdca.diagnostics import (
     random_relation_state,
     reference_solution,
     verify_contraction,
-    verify_lemma1_B,
-    verify_lemma1_C,
+    verify_lemma1,
     verify_lemma2,
 )
 from dfsdca.losses import (
@@ -285,8 +285,9 @@ class TestLemma1:
         ref = reference_solution(prob)
         st = SolverState(ref.w.copy(), ref.alpha.copy())
         sc = serial_uniform(prob.dataset.norms)
-        assert verify_lemma1_C(prob, st, 0.1, sc, ref) <= 1e-15
-        assert abs(verify_lemma1_B(prob, st, 0.1, sc, ref)) <= 1e-15
+        eq, slack = verify_lemma1(prob, st, 0.1, sc, ref)
+        assert eq <= 1e-15
+        assert abs(slack) <= 1e-15
 
     def test_dual_identity_serial(self):
         prob = logistic_problem(n=3, d=3, seed=5)
@@ -295,7 +296,7 @@ class TestLemma1:
         sc = serial_uniform(prob.dataset.norms)
         for _ in range(25):
             st = random_relation_state(prob, rng)
-            assert verify_lemma1_C(prob, st, 0.1, sc, ref) <= 1e-10
+            assert verify_lemma1(prob, st, 0.1, sc, ref)[0] <= 1e-10
 
     def test_dual_identity_tau_nice(self):
         prob = logistic_problem(n=4, d=3, seed=6)
@@ -305,7 +306,7 @@ class TestLemma1:
         for _ in range(25):
             st = random_relation_state(prob, rng)
             theta = float(rng.uniform(0.1, 1.0) * np.min(sc.p))
-            assert verify_lemma1_C(prob, st, theta, sc, ref) <= 1e-10
+            assert verify_lemma1(prob, st, theta, sc, ref)[0] <= 1e-10
 
     def test_primal_bound_serial_is_tight(self):
         # singleton schemes make the overapproximation an equality, so the
@@ -317,7 +318,7 @@ class TestLemma1:
         sc = serial_uniform(ds.norms)
         for _ in range(20):
             st = random_relation_state(prob, rng)
-            slack = verify_lemma1_B(prob, st, 0.2, sc, ref)
+            slack = verify_lemma1(prob, st, 0.2, sc, ref)[1]
             assert -1e-10 <= slack <= 1e-10
 
     def test_primal_bound_random_trials(self):
@@ -335,7 +336,42 @@ class TestLemma1:
                 for _ in range(4):
                     st = random_relation_state(prob, rng)
                     theta = float(rng.uniform(0.1, 1.0) * np.min(sc.p))
-                    assert verify_lemma1_B(prob, st, theta, sc, ref) >= -1e-10
+                    assert verify_lemma1(prob, st, theta, sc, ref)[1] >= -1e-10
+
+    #: (seed, eq_discrepancy, slack) recorded from the two separate checks
+    #: that verify_lemma1 replaced, each of which enumerated the support
+    @pytest.mark.parametrize("seed, eq, slack", [
+        (0, "0x1.2000000000000p-55", "0x1.e000000000000p-56"),  # serial-weighted
+        (1, "0x1.0000000000000p-49", "0x1.487429eff05aep+3"),  # chunked:4
+        (3, "0x1.0000000000000p-54", "-0x1.0000000000000p-57"),  # serial-uniform
+        (4, "0x1.0000000000000p-52", "0x1.4cf7959420238p-2"),  # nice:5
+        (8, "0x1.0000000000000p-54", "0x1.3138280f046c8p+1"),  # chunked:3
+    ])
+    def test_one_pass_keeps_both_values_bitwise(self, seed, eq, slack):
+        rng = np.random.default_rng(seed)
+        kind = ("logistic", "squared")[seed % 2]
+        prob, sc, ref, st = diagnostics._relation_trial(rng, kind)
+        theta = float(rng.uniform(0.1, 1.0) * np.min(sc.p))
+        got = verify_lemma1(prob, st, theta, sc, ref)
+        assert got == (float.fromhex(eq), float.fromhex(slack))
+
+    def test_suite_steps_each_atom_once(self, monkeypatch):
+        real_steps, real_verify = _kernel.Kernel.steps, diagnostics.verify_lemma1
+        calls, atoms = [], []
+
+        def counting_steps(self, *args):
+            calls.append(None)
+            return real_steps(self, *args)
+
+        def counting_verify(problem, state, theta, scheme, ref):
+            atoms.append(scheme.atoms()[2].size)
+            return real_verify(problem, state, theta, scheme, ref)
+
+        monkeypatch.setattr(_kernel.Kernel, "steps", counting_steps)
+        monkeypatch.setattr(diagnostics, "verify_lemma1", counting_verify)
+        assert diagnostics.suite_lemma1(0)["pass"]
+        assert len(atoms) == diagnostics._TRIALS["lemma1"]
+        assert len(calls) == sum(atoms) == 179
 
 
 class TestLemma2:
@@ -482,7 +518,9 @@ class TestConvergenceReport:
             convergence_report([_fake_trace(0.1, [0, 1], [1.0, 0.5])], 0.1)
 
 
-def _nan_like(value):
+def _nan_like(value, part):
+    if part:  # one of the values of verify_lemma1's pair
+        return tuple(math.nan if k == int(part) else v for k, v in enumerate(value))
     if isinstance(value, np.ndarray):
         return np.full_like(value, math.nan)
     if isinstance(value, float):
@@ -493,23 +531,25 @@ def _nan_like(value):
 class TestSuites:
     @pytest.mark.parametrize("suite, target", [
         ("eso", "validate_eso"),
-        ("lemma1", "verify_lemma1_C"),
-        ("lemma1", "verify_lemma1_B"),
+        ("lemma1", "verify_lemma1:0"),
+        ("lemma1", "verify_lemma1:1"),
         ("lemma2", "verify_lemma2"),
         ("contraction", "verify_contraction"),
         ("gradcheck", "primal_gradient"),
         ("fixedpoint", "w_of"),
     ])
     def test_one_nan_trial_fails_its_suite(self, monkeypatch, suite, target):
-        # the NaN comes second, where Python's max and min would drop it
-        real, calls = getattr(diagnostics, target), []
+        # the NaN comes second, where Python's max and min would drop it;
+        # "name:k" puts it in element k of the pair that ``name`` returns
+        name, _, part = target.partition(":")
+        real, calls = getattr(diagnostics, name), []
 
         def nan_at_second_call(*args, **kwargs):
             calls.append(None)
             value = real(*args, **kwargs)
-            return _nan_like(value) if len(calls) == 2 else value
+            return _nan_like(value, part) if len(calls) == 2 else value
 
-        monkeypatch.setattr(diagnostics, target, nan_at_second_call)
+        monkeypatch.setattr(diagnostics, name, nan_at_second_call)
         report = diagnostics.ALL_SUITES[suite](0)
         assert report["pass"] is False
         assert math.isnan(report["worst"])

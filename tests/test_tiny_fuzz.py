@@ -31,8 +31,7 @@ from dfsdca.diagnostics import (
     potentials,
     random_relation_state,
     verify_contraction,
-    verify_lemma1_B,
-    verify_lemma1_C,
+    verify_lemma1,
 )
 from dfsdca.losses import logistic_loss, squared_loss
 from dfsdca.solver import PrimalPoint, make_problem
@@ -93,13 +92,12 @@ def check_exactly(problem, state, scheme, ref, theta, rule):
     dw = state.w - ref.w
     scale_C = float(np.max(theta * ((state.alpha - ref.alpha) ** 2
                                     + (at.alpha - ref.alpha) ** 2 + z**2)))
-    assert verify_lemma1_C(problem, state, theta, scheme, ref) \
-        <= RTOL * (1.0 + scale_C)
+    eq, slack = verify_lemma1(problem, state, theta, scheme, ref)
+    assert eq <= RTOL * (1.0 + scale_C)
     scale_B = (float(dw @ dw) + 2.0 * theta / lam * abs(float(dw @ at.gradient))
                + theta**2 / (ds.n * lam) ** 2
                * float(np.sum(scheme.eso(ds) / scheme.p * z**2)))
-    assert verify_lemma1_B(problem, state, theta, scheme, ref) \
-        >= -RTOL * (1.0 + scale_B)
+    assert slack >= -RTOL * (1.0 + scale_B)
     potential = "E" if rule == "auto-convex" else "D"
     x_old = getattr(potentials(state, ref, problem.smoothness, lam), potential)
     assert verify_contraction(problem, state, scheme, ref, potential) \
