@@ -18,6 +18,7 @@ import numpy as np
 
 from ._kernel import KernelBuildError
 from .dataset import (
+    LABEL_MODELS,
     NonFiniteError,
     ParseError,
     gen_synthetic,
@@ -63,10 +64,6 @@ AGGREGATE_COLUMNS = ",".join((
 ))
 
 
-class UsageError(Exception):
-    pass
-
-
 class DataError(Exception):
     pass
 
@@ -75,16 +72,6 @@ def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and np.isnan(x)):
         return ""
     return repr(float(x))
-
-
-def _parse_synthetic(spec: str):
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise UsageError("--synthetic expects n,d,density,model")
-    try:
-        return int(parts[0]), int(parts[1]), float(parts[2]), parts[3]
-    except ValueError as exc:
-        raise UsageError(f"bad --synthetic value: {exc}")
 
 
 def _load_dataset(args):
@@ -99,7 +86,7 @@ def _load_dataset(args):
             raise DataError(f"cannot read {args.data}: {exc}")
         except (ParseError, NonFiniteError) as exc:
             raise DataError(str(exc))
-    n, d, density, model = _parse_synthetic(args.synthetic)
+    n, d, density, model = args.synthetic
     if model == "nonconvex":
         return build_nonconvex_instance(n, d, args.seed)
     return gen_synthetic(n, d, density, model, args.seed), None
@@ -108,49 +95,25 @@ def _load_dataset(args):
 def _build_problem(args) -> ProblemSpec:
     """Resolve data source, loss, normalization and lambda into a problem."""
     dataset, loss = _load_dataset(args)
-    if loss is not None and args.loss != "quadfam":
-        raise UsageError("model 'nonconvex' requires --loss quadfam")
-
     if args.normalize:
         # Rescaling preserves quadfam average-curvature positivity, so a
         # pre-built loss stays valid.
         dataset, _ = normalize_max_norm(dataset)
-
     if loss is None:
-        if args.loss == "quadfam":
-            raise UsageError(
-                "--loss quadfam needs --synthetic n,d,density,nonconvex"
-            )
         build = {"logistic": logistic_loss, "squared": squared_loss}[args.loss]
         loss = build(dataset.labels)
-
-    lam = _resolve_lambda(args.lam, dataset.n)
+    lam = 1.0 / dataset.n if args.lam == "1/n" else args.lam
     return make_problem(dataset, loss, lam)
 
 
-def _resolve_lambda(token: str, n: int) -> float:
-    if token.strip() == "1/n":
-        return 1.0 / n
-    try:
-        return float(token)
-    except ValueError:
-        raise UsageError(f"--lambda must be a number or '1/n', got {token!r}")
-
-
-def _build_scheme(descriptor: str, problem: ProblemSpec, seed: int):
+def _build_scheme(sampling: tuple, problem: ProblemSpec, seed: int):
+    """The scheme of a --sampling (kind, value); it checks the value's range."""
+    kind, value = sampling
     norms = problem.dataset.norms
-    if descriptor == "serial-uniform":
+    if kind == "serial-uniform":
         return serial_uniform(norms)
-    if descriptor == "serial-importance":
+    if kind == "serial-importance":
         return serial_importance(norms, problem.loss.l, problem.lam)
-    kind, _, value = descriptor.partition(":")
-    parse = {"serial-random": float, "nice": int, "chunked": int}.get(kind)
-    if parse is None:
-        raise UsageError(f"unknown sampling descriptor {descriptor!r}")
-    try:
-        value = parse(value)
-    except ValueError:
-        raise UsageError(f"--sampling {descriptor!r}: expected {kind}:<{parse.__name__}>")
     if kind == "serial-random":
         return random_c_sampling(norms, value, seed)
     if kind == "nice":
@@ -239,8 +202,11 @@ def cmd_run(args) -> int:
 def _write(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -272,17 +238,10 @@ def cmd_chunk_stats(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    names = list(ALL_SUITES) if args.suite == "all" else args.suite.split(",")
-    for name in names:
-        if name not in ALL_SUITES:
-            raise UsageError(f"unknown suite {name!r}; choices: {','.join(ALL_SUITES)}")
     options = {"lemma1": {"theta_override": args.theta}}
-    results = [ALL_SUITES[name](args.seed, **options.get(name, {})) for name in names]
-    report = {
-        "seed": args.seed,
-        "suites": results,
-        "pass": all(r["pass"] for r in results),
-    }
+    results = [ALL_SUITES[name](args.seed, **options.get(name, {})) for name in args.suite]
+    report = {"seed": args.seed, "suites": results,
+              "pass": all(r["pass"] for r in results)}
     _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if report["pass"] else 3
 
@@ -304,19 +263,15 @@ def cmd_reference(args) -> int:
 def _add_source_args(p: argparse.ArgumentParser):
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="LIBSVM-format data file")
-    source.add_argument(
-        "--synthetic",
-        help="n,d,density,model with model in "
-             "{linear-sign,linear-noise,skewed-nnz,nonconvex}",
-    )
+    source.add_argument("--synthetic", type=_synthetic, help=_SYNTHETIC)
 
 
 def _add_problem_args(p: argparse.ArgumentParser):
     _add_source_args(p)
     p.add_argument("--loss", default="logistic",
                    choices=("logistic", "squared", "quadfam"))
-    p.add_argument("--lambda", dest="lam", default="1/n",
-                   help="regularization: a number or the token 1/n")
+    p.add_argument("--lambda", dest="lam", type=_lambda, default="1/n",
+                   help="regularization: 1/n or a finite number above 0")
     p.add_argument("--normalize", action="store_true",
                    help="rescale so the largest example norm is 1")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -341,10 +296,15 @@ _positive_real = _real(lambda v: 0.0 < v < math.inf, "a finite number above 0")
 _tolerance = _real(lambda v: v >= 0.0, "a number at least 0, inf included")
 
 
-def _theta(raw: str):
-    """A run's --theta: auto-convex, auto-nonconvex or a finite number above
-    0, which :func:`~dfsdca.solver.resolve_theta` checks against min p_i."""
-    return raw if raw in ("auto-convex", "auto-nonconvex") else _positive_real(raw)
+def _token_or_positive_real(*tokens: str):
+    """An argparse type for one of ``tokens`` or a finite number above 0."""
+    return lambda raw: raw if raw in tokens else _positive_real(raw)
+
+
+#: --lambda: 1/n resolves once the data is read
+_lambda = _token_or_positive_real("1/n")
+#: a run's --theta; resolve_theta checks a number against min p_i
+_theta = _token_or_positive_real("auto-convex", "auto-nonconvex")
 
 
 def _int_at_least(low: int):
@@ -357,6 +317,47 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+#: the --synthetic models: gen_synthetic's and build_nonconvex_instance's
+_MODELS = (*LABEL_MODELS, "nonconvex")
+_SYNTHETIC = f"n,d,density,model with model in {{{','.join(_MODELS)}}}"
+_SAMPLINGS = "serial-uniform | serial-importance | serial-random:<c> | " \
+             "nice:<tau> | chunked:<tau>"
+#: how the --sampling kinds that take a value, after a ':', parse it
+_SAMPLING_VALUES = {"serial-random": float, "nice": int, "chunked": int}
+_SUITES = "'all' or comma-separated subset of: " + ",".join(ALL_SUITES)
+
+
+def _synthetic(raw: str) -> tuple:
+    """--synthetic as (n, d, density, model); the generator checks the
+    ranges of n, d and density."""
+    try:
+        n, d, density, model = raw.split(",")
+        if model in _MODELS:
+            return int(n), int(d), float(density), model
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {_SYNTHETIC}, got {raw!r}")
+
+
+def _sampling(raw: str) -> tuple:
+    """--sampling as (kind, value); the scheme checks the value's range."""
+    if raw in ("serial-uniform", "serial-importance"):
+        return raw, None
+    kind, _, value = raw.partition(":")
+    try:
+        return kind, _SAMPLING_VALUES[kind](value)
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected {_SAMPLINGS}, got {raw!r}")
+
+
+def _suites(raw: str) -> list[str]:
+    """--suite as a list of suite names: all of them, or a comma-separated few."""
+    names = list(ALL_SUITES) if raw == "all" else raw.split(",")
+    if not set(names) <= ALL_SUITES.keys():
+        raise argparse.ArgumentTypeError(f"expected {_SUITES}, got {raw!r}")
+    return names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "lines carry the resolved configuration.",
     )
     _add_problem_args(p_run)
-    p_run.add_argument("--sampling", default="serial-uniform",
-                       help="serial-uniform | serial-importance | "
-                            "serial-random:<c> | nice:<tau> | chunked:<tau>")
+    p_run.add_argument("--sampling", type=_sampling, default="serial-uniform",
+                       help=_SAMPLINGS)
     p_run.add_argument("--epochs", type=_int_at_least(1), default=10)
     p_run.add_argument("--seeds", type=_int_at_least(1), default=1,
                        help="run this many consecutive seeds one after "
@@ -409,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.set_defaults(func=cmd_chunk_stats)
 
     p_val = sub.add_parser("validate", help="run the diagnostic suites")
-    p_val.add_argument("--suite", default="all",
-                       help="'all' or comma-separated subset of: "
-                            + ",".join(ALL_SUITES))
+    p_val.add_argument("--suite", type=_suites, default="all", help=_SUITES)
     p_val.add_argument("--seed", type=_int_at_least(0), default=0)
     p_val.add_argument("--theta", type=_positive_real, default=None,
                        help="inject an explicit stepsize, a finite number "
@@ -431,25 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        model = args.synthetic[3] if getattr(args, "synthetic", None) else None
+        if "loss" in args and (args.loss == "quadfam") != (model == "nonconvex"):
+            parser.error("--loss quadfam and the model nonconvex need each other")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"dfsdca: usage error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"dfsdca: data error: {exc}", file=sys.stderr)
         return 2
-    except ReferenceError as exc:
-        print(
-            f"dfsdca: {exc} (achieved ||grad|| = {exc.grad_norm:.6e})",
-            file=sys.stderr,
-        )
-        return 3
-    except (DivergenceError, ValueError) as exc:
+    except (ReferenceError, DivergenceError, ValueError) as exc:
         print(f"dfsdca: {exc}", file=sys.stderr)
         return 3
     except KernelBuildError as exc:

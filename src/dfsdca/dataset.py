@@ -251,6 +251,8 @@ def gen_synthetic(
         raise ValueError(f"density must be in (0, 1], got {density}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    if label_model not in LABEL_MODELS:
+        raise ValueError(f"unknown label_model {label_model!r}")
     rng = np.random.default_rng(seed)
 
     if label_model == "skewed-nnz":
@@ -258,10 +260,8 @@ def gen_synthetic(
         x_m = 2.0 ** (-1.0 / tail_exponent)
         draws = x_m * (1.0 + rng.pareto(tail_exponent, size=n))
         counts = np.clip(np.rint(density * d * draws).astype(int), 1, d)
-    elif label_model in ("linear-sign", "linear-noise"):
-        counts = np.clip(rng.binomial(d, density, size=n), 1, d)
     else:
-        raise ValueError(f"unknown label_model {label_model!r}")
+        counts = np.clip(rng.binomial(d, density, size=n), 1, d)
 
     # imported here: _kernel imports losses, which imports this module
     from ._kernel import choice_rows

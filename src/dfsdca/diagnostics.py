@@ -182,15 +182,16 @@ def _newton_cg(
 ) -> np.ndarray:
     """The Newton step delta with ||H delta + grad|| <= rtol, for the Hessian
     H of P at ``at``, by Jacobi-preconditioned conjugate gradients from 0.
-    Raises ReferenceError, carrying the gradient norm ``reached``, at
-    p^T H p <= 0 or when the iteration cap is hit."""
+    Raises ReferenceError, carrying and naming the gradient norm ``reached``,
+    at p^T H p <= 0 or when the iteration cap is hit."""
     ds, lam = problem.dataset, problem.lam
     c = problem.loss.curvatures(at.idx, at.margins)
+    stopped = f"; the oracle stopped at ||grad|| = {reached:.3e}"
 
     def not_convex(pHp, where):
         return ReferenceError(
             f"Newton iteration {it}: p^T H p = {pHp:.3e} <= 0 {where}, so the "
-            "average loss is not convex here", reached)
+            f"average loss is not convex here{stopped}", reached)
 
     # the diagonal of H, sum_i c_i A_ij^2 / n + lam, is e_j^T H e_j
     diag = np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz),
@@ -220,7 +221,7 @@ def _newton_cg(
         p = z + (rz / rz_old) * p
     raise ReferenceError(
         f"Newton iteration {it}: CG hit its cap of {cap} iterations at residual "
-        f"||H delta + grad|| = {rnorm:.3e} > {rtol:.3e}", reached)
+        f"||H delta + grad|| = {rnorm:.3e} > {rtol:.3e}{stopped}", reached)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 import dfsdca.cli as cli
 import dfsdca.diagnostics as diagnostics
 from dfsdca.cli import TRACE_COLUMNS, build_parser, main
-from dfsdca.dataset import gen_synthetic
+from dfsdca.dataset import LABEL_MODELS, gen_synthetic
 from dfsdca.losses import quadratic_family
 from dfsdca.solver import run as solver_run
 
@@ -483,15 +483,23 @@ class TestReference:
         assert "Newton iteration 1: CG hit its cap of 1 iterations" in err
         assert "residual" in err
 
-    @pytest.mark.parametrize("command,flag,value,name", [
-        ("run", "--lambda", "nan", "lam"), ("run", "--lambda", "inf", "lam"),
-        ("reference", "--lambda", "nan", "lam"),
-        ("reference", "--lambda", "inf", "lam"),
-    ])
-    def test_invalid_parameter_exits_3(self, command, flag, value, name, capsys):
-        assert main([command, "--synthetic", "10,4,0.8,linear-sign",
-                     flag, value]) == 3
-        assert name in capsys.readouterr().err
+    @pytest.mark.parametrize("case", ["tol", "nonconvex", "cg-cap"])
+    def test_oracle_names_its_gradient_norm_once(self, case, monkeypatch, capsys):
+        argv = ["reference", "--synthetic", "50,10,0.8,linear-sign", "--lambda", "0.5"]
+        if case == "tol":
+            argv += ["--tol", "1e-30"]
+        elif case == "nonconvex":
+            ds = from_rows([([0], [1.0])], [0.0], 1)
+            monkeypatch.setattr(cli, "build_nonconvex_instance",
+                                lambda n, d, seed: (ds, quadratic_family([-1.0], [1.0])))
+            argv[2:3] = ["1,1,1,nonconvex", "--loss", "quadfam"]
+        else:
+            monkeypatch.setattr(diagnostics, "_CG_PER_DIM", 0)
+            monkeypatch.setattr(diagnostics, "_CG_EXTRA", 1)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("||grad||") == 1 and err.count("\n") == 1
+        assert re.search(r"the oracle stopped at \|\|grad\|\| = \d\.\d{3}e[+-]\d\d", err)
 
     def test_reference_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         ref = tmp_path / "ref.json"
@@ -588,9 +596,86 @@ def test_theta_must_be_a_finite_number_above_0(command, theta, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1", "abc"])
+@pytest.mark.parametrize("command", ["run", "reference"])
+def test_lambda_must_be_1_over_n_or_a_finite_number_above_0(command, lam, capsys):
+    assert main([command, "--synthetic", "10,4,0.8,linear-sign", "--lambda", lam]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --lambda: expected a finite number above 0, got '{lam}'" \
+        in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", [
+    ["--sampling", "nice:x"], ["--lambda", "abc"], ["--loss", "quadfam"],
+], ids=lambda flag: flag[0])
+@pytest.mark.parametrize("exists", [True, False], ids=["data", "missing-data"])
+def test_bad_flag_fails_before_any_data_is_read(flag, exists, ridge_file, tmp_path,
+                                                monkeypatch, capsys):
+    def parse_libsvm(fh):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(cli, "parse_libsvm", parse_libsvm)
+    data = ridge_file if exists else str(tmp_path / "nope")
+    assert main(["run", "--data", data, "--normalize", *flag]) == 1
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["reference"], ["chunk-stats", "--tau", "2"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("spec", ["5,3,0.5,nonsense", "5,3,0.5", "5,x,0.5,linear-sign"])
+def test_synthetic_spec_is_checked_by_the_parser(command, spec, capsys):
+    assert main([*command, "--synthetic", spec]) == 1
+    captured = capsys.readouterr()
+    assert (f"argument --synthetic: expected n,d,density,model with model in "
+            f"{{{','.join(LABEL_MODELS)},nonconvex}}, got '{spec}'") in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source,loss", [
+    ("20,4,0.5,linear-sign", "quadfam"), ("20,4,0.5,nonconvex", "logistic"),
+    ("20,4,0.5,nonconvex", "squared"),
+])
+@pytest.mark.parametrize("command", ["run", "reference"])
+def test_quadfam_and_nonconvex_go_together(command, source, loss, capsys):
+    assert main([command, "--synthetic", source, "--loss", loss]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("dfsdca: error: --loss quadfam and the model "
+                            "nonconvex need each other\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--synthetic", "20,4,0.5,linear-sign", "--epochs", "1"],
+    ["reference", "--synthetic", "20,4,0.5,linear-sign"],
+    ["validate", "--suite", "gradcheck"],
+    ["chunk-stats", "--synthetic", "20,4,0.5,skewed-nnz", "--tau", "2",
+     "--draws", "3"],
+], ids=lambda command: command[0])
+def test_unwritable_out_is_data_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dfsdca: data error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_chunk_side_file_is_data_error(tmp_path, capsys):
+    out = tmp_path / "cs.csv"
+    (tmp_path / "cs.csv.chunks.json").mkdir()
+    assert main(["chunk-stats", "--synthetic", "20,4,0.5,skewed-nnz", "--tau", "2",
+                 "--draws", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dfsdca: data error: cannot write {out}.chunks.json: ")
+    assert err.count("\n") == 1
+
+
 def test_no_option_is_typed_by_bare_int():
     # an integer option takes _int_at_least, which names its lower bound,
-    # and a real one a _real type, which names the values it accepts
+    # and a real one a _real type, which names the values it accepts; every
+    # option that takes a value but a path is parsed by argparse
     def actions(parser):
         for action in parser._actions:
             yield action
@@ -598,8 +683,10 @@ def test_no_option_is_typed_by_bare_int():
                 for sub in action.choices.values():
                     yield from actions(sub)
 
-    assert [a.option_strings for a in actions(build_parser())
-            if a.type in (int, float)] == []
+    options = [a for a in actions(build_parser()) if a.option_strings]
+    assert [a.option_strings for a in options if a.type in (int, float)] == []
+    assert {s for a in options if a.nargs != 0 and a.type is None and a.choices is None
+            for s in a.option_strings} == {"--data", "--reference", "--out"}
 
 
 class TestHelp:

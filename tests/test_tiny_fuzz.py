@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsdca.cli import _build_scheme, main
+from dfsdca.cli import _build_scheme, _sampling, main
 from dfsdca.dataset import parse_libsvm
 from dfsdca.diagnostics import (
     ReferenceSolution,
@@ -131,5 +131,5 @@ def test_tiny_problems_run_or_name_their_cause(text, loss, lam, theta, seed):
             if call(["run", *problem_args, "--sampling", sampling, "--theta", theta,
                      "--epochs", "2", "--seed", str(seed), "--reference", ref_path,
                      "--out", out]) == 0:
-                scheme = _build_scheme(sampling, problem, seed)
+                scheme = _build_scheme(_sampling(sampling), problem, seed)
                 check_exactly(problem, state, scheme, ref, header_theta(out), theta)
