@@ -1,6 +1,7 @@
 /* dfSDCA kernels: a block of iterations over flat subsets plus offsets, a
  * block of uniform tau-subset draws, the synthetic generator's row draws,
- * and a LIBSVM parser.
+ * a LIBSVM parser, and the pass that checks a Dataset's CSR arrays and
+ * takes its row norms.
  *
  * Subset s is idx[off[s]] .. idx[off[s+1] - 1]. Each iteration computes
  * every drawn margin A_i^T w against the pre-update w, summing the row's
@@ -46,20 +47,33 @@
  * break as Python's str.splitlines() breaks ASCII text: at \n, \r\n, \r,
  * \v, \f and \x1c-\x1e. Tokens are split at space, \t and \x1f, the
  * other ASCII whitespace of str.split(), and '#' starts a comment that runs
- * to the line break. Numbers are checked against a grammar of their own
- * (below) and converted in the same scan, without libc: an index by an
- * integer reader with exact overflow checks, a value with at most 19
- * significant digits and a decimal exponent in [-342, 308] by Lemire's
- * Eisel-Lemire algorithm (arXiv:2101.11408) against the caller's table of
- * 128-bit powers of five. Only the other values (more digits, an exponent
- * outside the table, a subnormal or overflowing result, inf and nan) fall
- * back to strtod_l on a copy of the number, under a "C" numeric locale of
- * its own, so the caller's setlocale changes neither path. Eisel-Lemire
- * and strtod_l both round correctly, as Python's float() does, so a value
- * gets float()'s bits whichever path reads it. A byte >= 0x80 anywhere
- * is an error. The first error in reading order stops the parse and
- * returns its code, with its line number and the byte span of the token at
- * fault (of the byte, for NON_ASCII) in info.
+ * to the line break. Each token is read in one forward scan that checks it
+ * against a grammar of its own (below) and converts it, without libc: an
+ * index's digits up to its ':' by an integer reader with exact overflow
+ * checks, then the value's sign, digits, '.', digits and exponent, the
+ * digits 8 at a time where 8 bytes remain in the buffer (Lemire's SWAR
+ * check and combine, as fast_float runs them). A value with at most 19
+ * significant digits and a decimal exponent in [-342, 308] is converted by
+ * Lemire's Eisel-Lemire algorithm (arXiv:2101.11408) against the caller's
+ * table of 128-bit powers of five. Only the other values (more digits, an
+ * exponent outside the table, a subnormal or overflowing result, inf and
+ * nan) fall back to strtod_l on a copy of the number, under a "C" numeric
+ * locale of its own, so the caller's setlocale changes neither path.
+ * Eisel-Lemire and strtod_l both round correctly, as Python's float()
+ * does, so a value gets float()'s bits whichever path reads it. The byte
+ * after a number must end its token; only a malformed token is scanned
+ * again, to name it. A byte >= 0x80 anywhere is an error. The first error
+ * in reading order stops the parse and returns its code, with its line
+ * number and the byte span of the token at fault (of the byte, for
+ * NON_ASCII) in info.
+ *
+ * The Dataset pass (dfsdca_csr_pass) reads each row once: it checks that
+ * indptr delimits the rows, that the indices increase strictly and lie in
+ * [0, d) and that no value is an explicit zero, counts the entries, sums
+ * the squares left to right from 0.0 (np.bincount's order, so the norms
+ * keep its bits) and writes the index arrays as int32. It reports the
+ * first row at fault for each kind of fault, and the caller raises them in
+ * a fixed order.
  *
  * Build: gcc -O2 -ffp-contract=off -shared -fPIC -I <numpy include> -x c -
  *        -x none <numpy>/random/lib/libnpyrandom.a -lm
@@ -338,9 +352,9 @@ void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t *bounds
     bounds[1] = colons;
 }
 
-static int64_t skip_sign(const unsigned char *s, int64_t k, int64_t end)
+static int64_t skip_sign(const unsigned char *s, int64_t k, int64_t len)
 {
-    return k < end && (s[k] == '+' || s[k] == '-') ? k + 1 : k;
+    return k < len && (s[k] == '+' || s[k] == '-') ? k + 1 : k;
 }
 
 static inline int is_digit(unsigned char ch)
@@ -348,32 +362,42 @@ static inline int is_digit(unsigned char ch)
     return ch >= '0' && ch <= '9';
 }
 
-/* s[a:b] is the lower-case word w in any case */
-static int is_word(const unsigned char *s, int64_t a, int64_t b, const char *w)
+/* s[k:] starts with the lower-case word w, in any case */
+static int starts_with(const unsigned char *s, int64_t k, int64_t len, const char *w)
 {
-    int64_t k;
-    for (k = 0; w[k] != '\0'; k++)
-        if (a + k >= b || (s[a + k] | 0x20) != w[k])
+    int64_t i;
+    for (i = 0; w[i] != '\0'; i++)
+        if (k + i >= len || (s[k + i] | 0x20) != w[i])
             return 0;
-    return a + k == b;
+    return 1;
 }
 
-/* An index s[a:b], grammar [+-]?[0-9]+, into *j. Returns BAD_TOKEN off the
- * grammar, else strtoll's outcome: NOT_ONE_BASED for a '-' or a zero,
- * however many digits, else INDEX_TOO_LARGE from 2**63, else OK. */
-static int read_index(const unsigned char *s, int64_t a, int64_t b, int64_t *j)
+/* Whether the token of a number that ends at s[k] goes on: at a byte that
+ * is neither whitespace, a line break nor '#', which makes the token
+ * malformed, or at a byte >= 0x80, an error of its own */
+static inline int goes_on(const unsigned char *s, int64_t k, int64_t len)
 {
-    int64_t k = skip_sign(s, a, b), digits = k;
+    return k < len && !is_blank(s[k]) && !is_break(s[k]) && s[k] != '#';
+}
+
+/* Scans an index [+-]?[0-9]+ from s[*k], leaving *k after its digits.
+ * Returns BAD_TOKEN where there is no digit, else strtoll's outcome:
+ * NOT_ONE_BASED for a '-' or a zero, however many digits, else
+ * INDEX_TOO_LARGE from 2**63, else OK with the index in *j. */
+static int scan_index(const unsigned char *s, int64_t *k, int64_t len, int64_t *j)
+{
+    int64_t a = *k, i = skip_sign(s, a, len), digits = i;
     uint64_t v = 0;
     int big = 0;
-    for (; k < b && is_digit(s[k]); k++) {
-        uint64_t d = s[k] - '0';
+    for (; i < len && is_digit(s[i]); i++) {
+        uint64_t d = s[i] - '0';
         if (big || v > (INT64_MAX - d) / 10)  /* 10 v + d would pass 2**63 - 1 */
             big = 1;
         else
             v = 10 * v + d;
     }
-    if (k == digits || k != b)
+    *k = i;
+    if (i == digits)
         return BAD_TOKEN;
     if (s[a] == '-' || v == 0)
         return NOT_ONE_BASED;
@@ -383,8 +407,8 @@ static int read_index(const unsigned char *s, int64_t a, int64_t b, int64_t *j)
     return OK;
 }
 
-/* read_real's outcomes besides OK: s[a:b] is not a number, or it is one
- * that only to_real converts */
+/* scan_real's outcomes besides OK: no number, or one that only to_real
+ * converts */
 enum { NOT_A_NUMBER = -1, SLOW = -2 };
 
 /* The decimal exponents q whose 5**q pow5 holds */
@@ -445,80 +469,152 @@ static int eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow5, double *x)
     return 1;
 }
 
-/* Reads the digits of s[k:end] into the significand *w, which holds up to
- * 19 of them: leading zeros (of the whole number) are skipped, and
- * *n_sig counts the rest, kept or not. Returns the end of the digits. */
-static int64_t read_digits(const unsigned char *s, int64_t k, int64_t end,
-                           uint64_t *w, int64_t *n_sig)
+/* 8 bytes of the buffer as one word, the first byte the lowest */
+static inline uint64_t load8(const unsigned char *p)
 {
-    for (; k < end && is_digit(s[k]); k++) {
-        if (*n_sig == 0 && s[k] == '0')
-            continue;
-        if (*n_sig < 19)
-            *w = 10 * *w + (uint64_t)(s[k] - '0');
-        ++*n_sig;
-    }
-    return k;
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
 }
 
-/* Checks the number s[a:b] against the value grammar: [+-]? then inf,
- * infinity or nan in any case, or digits with at most one '.' and at least
- * one digit, then [eE][+-]?[0-9]+ or nothing. Python's float() also takes
+/* The top bit of each byte of v that is not an ASCII digit, and maybe of
+ * bytes after it: a byte above '9' sets its top bit in the sum, one below
+ * '0' in the difference. Zero where all 8 are digits: Lemire's SWAR check
+ * (arXiv:2101.11408), as fast_float's is_made_of_eight_digits_fast. */
+static inline uint64_t non_digits(uint64_t v)
+{
+    return ((v + 0x4646464646464646u) | (v - 0x3030303030303030u))
+           & 0x8080808080808080u;
+}
+
+/* The value of the 8 ASCII digits in v, its first byte the most
+ * significant: pairs, then quadruples, then all 8 are combined by three
+ * multiplications, as fast_float's parse_eight_digits_unrolled. */
+static inline uint64_t eight_digit_value(uint64_t v)
+{
+    const uint64_t mask = 0x000000FF000000FFu;
+    v -= 0x3030303030303030u;
+    v = v * 10 + (v >> 8);
+    return ((v & mask) * 0x000F424000000064u  /* 100 + (1000000 << 32) */
+            + ((v >> 16) & mask) * 0x0000271000000001u) >> 32;  /* 1 + (10000 << 32) */
+}
+
+/* 10**n for n in [0, 8] */
+static const uint64_t POW10[9] = {1, 10, 100, 1000, 10000, 100000, 1000000,
+                                  10000000, 100000000};
+
+/* Reads the digits at s[i:] into *w, as w = 10 w + digit each (modulo
+ * 2**64: only a w of at most 19 digits is used). Where 8 bytes remain in
+ * the buffer they are read as one word: all 8 digits are added at once,
+ * else the digits before the first other byte, which the SWAR check finds
+ * as its lowest flagged byte (a byte below '0' borrows, and one above '9'
+ * carries, only into the bytes after it). Returns the end of the digits. */
+static int64_t read_digits(const unsigned char *s, int64_t i, int64_t len,
+                           uint64_t *w)
+{
+    while (len - i >= 8) {
+        uint64_t v = load8(s + i), flags = non_digits(v);
+        int n;
+        if (flags == 0) {
+            *w = *w * 100000000 + eight_digit_value(v);
+            i += 8;
+            continue;
+        }
+        n = __builtin_ctzll(flags) >> 3;
+        if (n > 0)  /* the n digits, after 8 - n zeros */
+            *w = *w * POW10[n] + eight_digit_value(
+                v << (64 - 8 * n) | 0x3030303030303030u >> 8 * n);
+        return i + n;
+    }
+    for (; i < len && is_digit(s[i]); i++)
+        *w = 10 * *w + (uint64_t)(s[i] - '0');
+    return i;
+}
+
+/* The significant digits of the digits and '.' in s[a:b]: from the first
+ * nonzero digit on */
+static int64_t significant(const unsigned char *s, int64_t a, int64_t b)
+{
+    int64_t n = 0;
+    while (a < b && (s[a] == '0' || s[a] == '.'))
+        a++;
+    for (; a < b; a++)
+        n += s[a] != '.';
+    return n;
+}
+
+/* Scans the number at s[*k], leaving *k where it ends: the longest prefix
+ * of [+-]? then inf, infinity or nan in any case, or digits with at most
+ * one '.' and at least one digit, then [eE][+-]?[0-9]+ or nothing.
+ * Returns NOT_A_NUMBER where no prefix is one. Python's float() also takes
  * '_' between digits and non-ASCII digits, and strtod hexadecimal floats
- * and nan(...); this grammar rejects all four. Returns NOT_A_NUMBER off the
- * grammar. A number with at most 19 significant digits w and a decimal
- * exponent q is converted here and returns OK: a zero w as a signed zero,
- * else by eisel_lemire if q is in pow5's range and the result is a normal
- * double. Every other number returns SLOW: more digits, q outside the
- * table (an exponent of 10**8 or more counts as outside), a subnormal or
- * overflowing result, inf and nan. */
-static int read_real(const unsigned char *s, int64_t a, int64_t b,
+ * and nan(...); for this grammar the number ends before them, so their
+ * token goes on past it and is malformed. A number with at most 19
+ * significant digits w and a decimal exponent q is converted here and
+ * returns OK: a zero w as a signed zero, else by eisel_lemire if q is in
+ * pow5's range and the result is a normal double. Every other number
+ * returns SLOW: more digits, q outside the table (an exponent of 10**8 or
+ * more counts as outside), a subnormal or overflowing result, inf and nan.
+ * Leading zeros, of the integer part and then of the fraction, are not
+ * significant; they are counted only where there are more than 19 digits. */
+static int scan_real(const unsigned char *s, int64_t *k, int64_t len,
                      const uint64_t *pow5, double *x)
 {
-    int negative = a < b && s[a] == '-';
-    int64_t k, frac, n_digits, n_sig = 0, q = 0;
+    int negative = *k < len && s[*k] == '-';
+    int64_t i = skip_sign(s, *k, len), first = i, n_digits, q = 0;
     uint64_t w = 0;
-    a = skip_sign(s, a, b);
-    if (is_word(s, a, b, "inf") || is_word(s, a, b, "infinity")
-            || is_word(s, a, b, "nan"))
-        return SLOW;
-    k = read_digits(s, a, b, &w, &n_sig);
-    n_digits = k - a;
-    if (k < b && s[k] == '.') {
-        frac = read_digits(s, k + 1, b, &w, &n_sig);
-        n_digits += frac - k - 1;
-        q = -(frac - k - 1);
-        k = frac;
+    int many;
+    if (i < len && !is_digit(s[i]) && s[i] != '.') {
+        int64_t word = starts_with(s, i, len, "infinity") ? 8
+                       : starts_with(s, i, len, "inf")
+                         || starts_with(s, i, len, "nan") ? 3 : 0;
+        *k = i + word;
+        return word ? SLOW : NOT_A_NUMBER;
     }
+    i = read_digits(s, i, len, &w);
+    n_digits = i - first;
+    if (i < len && s[i] == '.') {
+        int64_t frac = ++i;
+        i = read_digits(s, i, len, &w);
+        n_digits += i - frac;
+        q = -(i - frac);
+    }
+    *k = i;
     if (n_digits == 0)
         return NOT_A_NUMBER;
-    if (k < b && (s[k] == 'e' || s[k] == 'E')) {
-        int64_t exp = skip_sign(s, k + 1, b), e = 0;
-        for (k = exp; k < b && is_digit(s[k]); k++)
+    /* leading zeros add nothing to w, which holds the digits unless more
+     * than 19 are significant */
+    many = n_digits > 19 && significant(s, first, i) > 19;
+    if (i < len && (s[i] | 0x20) == 'e') {
+        int64_t exp = skip_sign(s, i + 1, len), e = 0;
+        for (i = exp; i < len && is_digit(s[i]); i++)
             if (e < 100000000)  /* saturates, far past the table */
-                e = 10 * e + (s[k] - '0');
-        if (k == exp)
-            return NOT_A_NUMBER;
-        if (e >= 100000000)  /* whatever the fraction's length: to_real */
+                e = 10 * e + (s[i] - '0');
+        if (i == exp)  /* no exponent digit: the 'e' is not the number's */
+            i = *k;
+        else if (e >= 100000000)  /* whatever the fraction's length: to_real */
             q = POW5_MAX + 1;
         else
             q += s[exp - 1] == '-' ? -e : e;
+        *k = i;
     }
-    if (k != b)
-        return NOT_A_NUMBER;
-    if (n_sig == 0) {
+    if (many)
+        return SLOW;
+    if (w == 0) {
         *x = negative ? -0.0 : 0.0;
         return OK;
     }
-    if (n_sig > 19 || q < POW5_MIN || q > POW5_MAX
-            || !eisel_lemire(w, q, pow5, x))
+    if (q < POW5_MIN || q > POW5_MAX || !eisel_lemire(w, q, pow5, x))
         return SLOW;
     if (negative)
         *x = -*x;
     return OK;
 }
 
-/* The fallback: strtod_l of a number s[a:b] that read_real left (SLOW),
+/* The fallback: strtod_l of a number s[a:b] that scan_real left (SLOW),
  * one with more than 19 significant digits, an exponent outside the
  * table, a subnormal or overflowing value, or inf or nan. It reads a
  * NUL-terminated copy (on the stack unless it is long), so that strtod
@@ -544,14 +640,21 @@ static int to_real(const unsigned char *s, int64_t a, int64_t b,
  * idx/vals[indptr[r] .. indptr[r + 1] - 1], explicit zeros dropped.
  * info[0..2] = rows, entries and the largest index; on an error
  * info[3..5] = line number (from 1) and the span [start, end) at fault.
- * More rows than max_rows or entries than max_nnz return OUT_OF_RANGE. */
+ * More rows than max_rows or entries than max_nnz return OUT_OF_RANGE.
+ *
+ * A token is read in one forward scan: a label by scan_real, an entry by
+ * scan_index up to its ':' and scan_real after it. Only a malformed token
+ * is scanned again, from its start to its end (bad_token), to name it and
+ * to tell NO_COLON from BAD_TOKEN; a byte >= 0x80 right after it is a
+ * NON_ASCII error instead. The checks of a well-formed entry follow in
+ * this order: its index's range, then the order of the indices, then the
+ * space left for entries. */
 static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
                  int64_t max_nnz, double *labels, int64_t *indptr,
                  int64_t *idx, double *vals, int64_t *info,
                  const uint64_t *pow5, locale_t c_locale)
 {
-    int64_t pos = 0, line = 0, rows = 0, nnz = 0, max_index = 0;
-    int64_t start = 0, end = 0;
+    int64_t pos = 0, line = 0, rows = 0, nnz = 0, max_index = 0, start = 0;
     int rc = OK;
     indptr[0] = 0;
     while (pos < len) {
@@ -559,7 +662,7 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
         int labelled = 0;
         line++;
         for (;;) {
-            int64_t colon, j = 0;
+            int64_t value_start, j = 0;
             int index, value;
             double x = 0.0;
             while (pos < len && is_blank(s[pos]))
@@ -567,49 +670,49 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
             if (pos < len && s[pos] == '#')  /* a comment, to the line break */
                 while (pos < len && !is_break(s[pos]) && s[pos] < 0x80)
                     pos++;
+            if (pos == len || is_break(s[pos]))
+                break;
             start = pos;
-            while (pos < len && in_token(s[pos]))
-                pos++;
-            end = pos;
-            if (pos < len && s[pos] >= 0x80) {
-                start = pos;
-                end = pos + 1;
+            if (s[pos] >= 0x80) {
                 rc = NON_ASCII;
+                pos++;
                 goto fail;
             }
-            if (start == end)  /* a line break or the end of the buffer */
-                break;
             if (!labelled) {
-                if (rows == max_rows)
+                if (rows == max_rows) {
                     rc = OUT_OF_RANGE;
-                else if ((value = read_real(s, start, end, pow5, &labels[rows]))
-                         == NOT_A_NUMBER)
-                    rc = BAD_LABEL;
-                else if (value == SLOW)
-                    rc = to_real(s, start, end, c_locale, &labels[rows]);
-                if (rc != OK)
                     goto fail;
+                }
+                value = scan_real(s, &pos, len, pow5, &x);
+                if (value == NOT_A_NUMBER || goes_on(s, pos, len)) {
+                    rc = BAD_LABEL;
+                    goto bad_token;
+                }
+                if (value == SLOW && (rc = to_real(s, start, pos, c_locale, &x)) != OK)
+                    goto fail;
+                labels[rows] = x;
                 labelled = 1;
                 continue;
             }
-            for (colon = start; colon < end && s[colon] != ':'; colon++)
-                ;
-            if (colon == end) {
+            index = scan_index(s, &pos, len, &j);
+            if (index == BAD_TOKEN || pos == len || s[pos] != ':') {
                 rc = NO_COLON;
-            } else {
-                index = read_index(s, start, colon, &j);
-                value = read_real(s, colon + 1, end, pow5, &x);
-                if (index == BAD_TOKEN || value == NOT_A_NUMBER)
-                    rc = BAD_TOKEN;
-                else if (index != OK)
-                    rc = index;
-                else if (j <= prev)
-                    rc = NOT_INCREASING;
-                else if (nnz == max_nnz)
-                    rc = OUT_OF_RANGE;
-                else if (value == SLOW)
-                    rc = to_real(s, colon + 1, end, c_locale, &x);
+                goto bad_token;
             }
+            value_start = ++pos;
+            value = scan_real(s, &pos, len, pow5, &x);
+            if (value == NOT_A_NUMBER || goes_on(s, pos, len)) {
+                rc = BAD_TOKEN;
+                goto bad_token;
+            }
+            if (index != OK)
+                rc = index;
+            else if (j <= prev)
+                rc = NOT_INCREASING;
+            else if (nnz == max_nnz)
+                rc = OUT_OF_RANGE;
+            else if (value == SLOW)
+                rc = to_real(s, value_start, pos, c_locale, &x);
             if (rc != OK)
                 goto fail;
             prev = j;
@@ -630,10 +733,19 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
     info[1] = nnz;
     info[2] = max_index;
     return OK;
+bad_token:
+    for (pos = start; pos < len && in_token(s[pos]); pos++)
+        ;
+    if (pos < len && s[pos] >= 0x80) {
+        rc = NON_ASCII;
+        start = pos++;
+    } else if (rc == NO_COLON && memchr(s + start, ':', (size_t)(pos - start))) {
+        rc = BAD_TOKEN;
+    }
 fail:
     info[3] = line;
     info[4] = start;
-    info[5] = end;
+    info[5] = pos;
     return rc;
 }
 
@@ -650,4 +762,57 @@ int dfsdca_parse_libsvm(const unsigned char *buf, int64_t len, int64_t max_rows,
                pow5, c_locale);
     freelocale(c_locale);
     return rc;
+}
+
+/* A Dataset's CSR arrays, checked and measured in one pass over its n rows.
+ * Row r is entries indptr[r] .. indptr[r + 1] - 1 of indices and data, of
+ * nnz in all. bad[0..3] get the first row, or -1 for none, where:
+ *   0. indptr does not delimit the row (a start below 0, an end before its
+ *      start or past nnz), or its indices do not increase strictly: the
+ *      rows are not canonical (scipy's has_canonical_format), and the pass
+ *      stops there, since it cannot read the rows after it;
+ *   1. an index lies outside [0, d);
+ *   2. a value is an explicit zero;
+ *   3. the label, or the norm, is not finite.
+ * counts[r] is the row's number of entries and norms[r] the square root of
+ * its squares summed left to right from 0.0, the order of np.bincount.
+ * Where indptr32 is not NULL, indptr32 and indices32 get the index arrays
+ * as int32: the caller passes them only where n, d and nnz fit. */
+void dfsdca_csr_pass(int64_t n, int64_t d, int64_t nnz, const int64_t *indptr,
+                     const int64_t *indices, const double *data,
+                     const double *labels, int32_t *indptr32, int32_t *indices32,
+                     int64_t *counts, double *norms, int64_t *bad)
+{
+    int64_t r, k;
+    bad[0] = bad[1] = bad[2] = bad[3] = -1;
+    if (indptr32 != NULL)
+        indptr32[0] = (int32_t)indptr[0];
+    for (r = 0; r < n; r++) {
+        int64_t lo = indptr[r], hi = indptr[r + 1];
+        double acc = 0.0;
+        if (lo < 0 || hi < lo || hi > nnz) {
+            bad[0] = r;
+            return;
+        }
+        for (k = lo; k < hi; k++) {
+            int64_t j = indices[k];
+            if (k > lo && j <= indices[k - 1]) {
+                bad[0] = r;
+                return;
+            }
+            if ((j < 0 || j >= d) && bad[1] < 0)
+                bad[1] = r;
+            if (data[k] == 0.0 && bad[2] < 0)
+                bad[2] = r;
+            acc += data[k] * data[k];
+            if (indices32 != NULL)
+                indices32[k] = (int32_t)j;
+        }
+        counts[r] = hi - lo;
+        norms[r] = sqrt(acc);
+        if (indptr32 != NULL)
+            indptr32[r + 1] = (int32_t)hi;
+        if (bad[3] < 0 && !(isfinite(labels[r]) && isfinite(norms[r])))
+            bad[3] = r;
+    }
 }

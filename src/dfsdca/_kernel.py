@@ -1,6 +1,10 @@
 """Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
-step kernel, the tau-subset draws, the synthetic generator's row draws and
-the LIBSVM parser.
+step kernel, the tau-subset draws, the synthetic generator's row draws, the
+LIBSVM parser and the pass that checks a Dataset's CSR arrays and takes its
+row norms.
+
+This module imports nothing from the package: the dataset and solver
+modules call it, and turn what it reports into their own errors.
 
 The draws call numpy's own C distributions, so the library links numpy's
 static ``libnpyrandom.a`` (numpy's symbols stay hidden in it) and compiles
@@ -28,9 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ParseError
-from .losses import KINDS, QUADFAM
-
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
 #: no fused multiply-adds: they would change the iterates' rounding
@@ -42,6 +43,10 @@ NPYRANDOM = Path(np.get_include()).parents[1] / "random" / "lib" / "libnpyrandom
 OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 1, 2, 3, 4, 5
 BAD_LABEL, NO_COLON, BAD_TOKEN, NOT_ONE_BASED = 6, 7, 8, 9
 INDEX_TOO_LARGE, NOT_INCREASING, NON_ASCII = 10, 11, 12
+#: the step kernel's loss-kind codes, in the order of ``losses.KINDS``
+LOGISTIC, SQUARED, QUADFAM = 0, 1, 2
+#: the largest n, d and nnz whose CSR index arrays the step kernel reads
+INT32_MAX = 2**31 - 1
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
@@ -143,6 +148,9 @@ def _load():
         lib.dfsdca_libsvm_bounds.argtypes = [vp, i64, vp]
         lib.dfsdca_libsvm_bounds.restype = None
         lib.dfsdca_parse_libsvm.argtypes = [vp, i64, i64, i64, vp, vp, vp, vp, vp, vp]
+        lib.dfsdca_csr_pass.argtypes = [i64, i64, i64, vp, vp, vp, vp, vp, vp, vp,
+                                        vp, vp]
+        lib.dfsdca_csr_pass.restype = None
         for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_choice_rows,
                    lib.dfsdca_parse_libsvm):
             fn.restype = ctypes.c_int
@@ -242,12 +250,13 @@ def pow5_table() -> np.ndarray:
 
 def parse_libsvm(text) -> tuple:
     """Parse LIBSVM bytes (any buffer: ``bytes``, a uint8 array, ...) into
-    ``(labels, indptr, indices, data, max_index)``: one label per line that
-    has one, CSR arrays with 0-based int64 indices and explicit zeros
-    dropped, and the largest 1-based index seen (0 if none).
-
-    Raises :class:`ParseError` naming the line of the first malformed
-    token, in the words of the grammar in :func:`dataset.parse_libsvm`.
+    ``(arrays, fault)``. ``arrays`` is ``(labels, indptr, indices, data,
+    max_index)``: one label per line that has one, CSR arrays with 0-based
+    int64 indices and explicit zeros dropped, and the largest 1-based index
+    seen (0 if none). ``fault`` is None, or ``(code, line, token)`` for the
+    first malformed token: its return code (``BAD_LABEL`` ... ``NON_ASCII``),
+    its line number from 1, and its bytes (the one byte, for ``NON_ASCII``).
+    ``dataset.libsvm_arrays`` words the fault as a ``ParseError``.
     """
     buf = np.frombuffer(text, np.uint8)
     lib = _load()
@@ -264,41 +273,66 @@ def parse_libsvm(text) -> tuple:
         pow5.ctypes.data,
     )
     rows, nnz, max_index, line, start, end = (int(v) for v in info)
-    if code == NON_ASCII:
-        raise ParseError(f"line {line}: non-ASCII byte 0x{buf[start]:02x}")
-    token = buf[start:end].tobytes().decode("ascii")
-    if code == BAD_LABEL:
-        raise ParseError(f"line {line}: non-numeric label {token!r}")
-    if code == NO_COLON:
-        raise ParseError(f"line {line}: expected idx:val, got {token!r}")
-    if code == BAD_TOKEN:
-        raise ParseError(f"line {line}: non-numeric token {token!r}")
-    if code == NOT_ONE_BASED:
-        raise ParseError(f"line {line}: index {int(token.partition(':')[0])} "
-                         "is not 1-based")
-    if code == INDEX_TOO_LARGE:
-        raise ParseError(f"line {line}: index {int(token.partition(':')[0])} "
-                         "exceeds 2**63 - 1")
-    if code == NOT_INCREASING:
-        raise ParseError(f"line {line}: non-increasing indices")
     if code == NO_MEMORY:
         raise MemoryError("parse kernel: out of memory")
-    if code:
+    if code == OUT_OF_RANGE:
         raise RuntimeError(f"parse kernel: more rows or entries than counted ({code})")
-    return labels[:rows], indptr[:rows + 1], indices[:nnz], data[:nnz], max_index
+    if code:
+        return None, (code, line, buf[start:end].tobytes())
+    arrays = labels[:rows], indptr[:rows + 1], indices[:nnz], data[:nnz], max_index
+    return arrays, None
+
+
+def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
+    """Check a Dataset's CSR arrays and take its row norms, in one compiled
+    pass over the rows: ``(indptr, indices, counts, norms, bad)``.
+
+    ``indptr`` and ``indices`` are C-contiguous int64 arrays, ``data`` and
+    ``labels`` float64 ones, with ``indptr[-1] == indices.size``. The index
+    arrays come back as new int32 arrays, which the step kernel reads, where
+    n, d and nnz are at most ``INT32_MAX``, else as the int64 arrays passed
+    in. ``counts`` holds each row's number of entries, and ``norms`` the
+    square root of its squares summed left to right from 0.0. ``bad[k]`` is
+    the first row at fault, or -1, where k is 0 for rows that are not
+    canonical (``indptr`` does not delimit them, or indices do not increase
+    strictly; the pass stops at the first), 1 for an index outside [0, d), 2
+    for an explicit zero value and 3 for a label or a norm that is not
+    finite.
+    """
+    n = indptr.size - 1
+    _check("indptr", indptr, _I64, kernel="dataset")
+    _check("indices", indices, _I64, kernel="dataset")
+    _check("data", data, _F64, indices.size, kernel="dataset")
+    _check("labels", labels, _F64, n, kernel="dataset")
+    counts, norms, bad = np.empty(n, np.int64), np.empty(n), np.empty(4, np.int64)
+    narrow = max(n, d, indices.size) <= INT32_MAX
+    if narrow:
+        out = np.empty(n + 1, np.int32), np.empty(indices.size, np.int32)
+    else:
+        out = indptr, indices
+    _load().dfsdca_csr_pass(
+        n, d, indices.size, indptr.ctypes.data, indices.ctypes.data, data.ctypes.data,
+        labels.ctypes.data, *(a.ctypes.data if narrow else None for a in out),
+        counts.ctypes.data, norms.ctypes.data, bad.ctypes.data,
+    )
+    return *out, counts, norms, bad
 
 
 class Kernel:
     """The compiled step kernel bound to one problem's CSR arrays and loss
     parameters, which it keeps alive and points at for every call.
 
-    The CSR index arrays must be int32, as scipy stores them while n, d
-    and nnz stay below 2**31; problem construction rejects larger datasets.
-    Every array is checked for dtype, shape and C-contiguity before its
-    pointer reaches C.
+    ``kind`` is the loss kind's code (``LOGISTIC``, ``SQUARED`` or
+    ``QUADFAM``), which selects the parameters read from ``loss``: ``y``, or
+    ``c`` and ``b`` for the quadratic family. The CSR index arrays must be
+    int32, as a Dataset stores them while n, d and nnz stay below 2**31;
+    problem construction rejects larger datasets. Every array is checked
+    for dtype, shape and C-contiguity before its pointer reaches C.
     """
 
-    def __init__(self, dataset, loss):
+    def __init__(self, dataset, loss, kind: int):
+        if kind not in (LOGISTIC, SQUARED, QUADFAM):
+            raise ValueError(f"step kernel: unknown loss kind code {kind!r}")
         indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
         _check("indptr", indptr, _I32)
         _check("indices", indices, _I32)
@@ -309,7 +343,7 @@ class Kernel:
             raise ValueError("step kernel: indptr does not delimit the rows")
         if indices.size and (indices.min() < 0 or indices.max() >= dataset.d):
             raise ValueError(f"step kernel: CSR index outside [0, d={dataset.d})")
-        params = {"y": loss.y} if loss.kind != QUADFAM else {"c": loss.c, "b": loss.b}
+        params = {"y": loss.y} if kind != QUADFAM else {"c": loss.c, "b": loss.b}
         for name, arr in params.items():
             _check(name, arr, _F64, n)
         self.n, self.d = n, int(dataset.d)
@@ -318,7 +352,7 @@ class Kernel:
         ptr = {name: arr.ctypes.data for name, arr in params.items()}
         self._fixed = (
             indptr.ctypes.data, indices.ctypes.data,
-            data.ctypes.data, n, KINDS.index(loss.kind),  # the C enum's order
+            data.ctypes.data, n, kind,
             ptr.get("y"), ptr.get("c"), ptr.get("b"),
         )
         self._fn = _load().dfsdca_steps

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -185,6 +186,7 @@ def _trace_csv(traces: list[Trace]) -> list[str]:
 
 
 def cmd_run(args) -> int:
+    _check_writable(args.out)
     problem = _build_problem(args)
     reference = _load_reference(args.reference, problem) if args.reference else None
     # one scheme for every seed: serial-random:<c> takes its marginals from
@@ -197,6 +199,21 @@ def cmd_run(args) -> int:
     lines = _metadata_lines(args, problem, scheme, traces[0].theta) + _trace_csv(traces)
     _write("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise DataError, in the words of :func:`_write`, if a file cannot be
+    written at one of ``paths`` (None is stdout), before any work is done.
+    Each is opened to append, which changes no file that exists, and a
+    file this check created is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}")
+        if not existed:
+            os.unlink(path)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -212,6 +229,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_chunk_stats(args) -> int:
+    side_path = args.out and args.out + ".chunks.json"
+    _check_writable(args.out, side_path)
     dataset, _ = _load_dataset(args)
     u = dataset.nnz
     partition = naive_chunks(u.tolist())
@@ -231,13 +250,14 @@ def cmd_chunk_stats(args) -> int:
     _write("\n".join(lines) + "\n", args.out)
     side = json.dumps(partition.to_json(), sort_keys=True)
     if args.out:  # the side file ends without a newline
-        _write(side, args.out + ".chunks.json")
+        _write(side, side_path)
     else:
         _write(side + "\n", None)
     return 0
 
 
 def cmd_validate(args) -> int:
+    _check_writable(args.out)
     options = {"lemma1": {"theta_override": args.theta}}
     results = [ALL_SUITES[name](args.seed, **options.get(name, {})) for name in args.suite]
     report = {"seed": args.seed, "suites": results,
@@ -247,6 +267,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reference(args) -> int:
+    _check_writable(args.out)
     problem = _build_problem(args)
     ref = reference_solution(problem, tol=args.tol)
     payload = ref.to_json()
@@ -297,8 +318,11 @@ _tolerance = _real(lambda v: v >= 0.0, "a number at least 0, inf included")
 
 
 def _token_or_positive_real(*tokens: str):
-    """An argparse type for one of ``tokens`` or a finite number above 0."""
-    return lambda raw: raw if raw in tokens else _positive_real(raw)
+    """An argparse type for one of ``tokens`` or a finite number above 0;
+    anything else fails naming both."""
+    number = _real(lambda v: 0.0 < v < math.inf,
+                   ", ".join(tokens) + " or a finite number above 0")
+    return lambda raw: raw if raw in tokens else number(raw)
 
 
 #: --lambda: 1/n resolves once the data is read

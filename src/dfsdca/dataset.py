@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from . import _kernel
+
 
 class ParseError(ValueError):
     """Malformed LIBSVM input; message names the offending line."""
@@ -47,40 +49,62 @@ class Dataset:
     [0, d) within each row and no explicit zeros. Every label and every row
     norm must be finite, so no value is NaN or infinite and none is so
     large that its square overflows (above about 1.3e154): else
-    :class:`NonFiniteError` names the first row at fault."""
+    :class:`NonFiniteError` names the first row at fault.
+
+    One compiled pass (``_kernel.csr_pass``) checks the arrays, counts and
+    measures the rows and writes the index arrays as int32, so building a
+    Dataset by hand also loads the compiled library (gcc on first use). The
+    index arrays stay int64 where n, d or nnz exceeds 2**31 - 1. A row's
+    norm is the square root of its squares summed left to right from 0.0.
+    The scipy matrix behind :meth:`csr`, :meth:`margins` and
+    :meth:`combine` is wrapped around the checked arrays, with no copy."""
 
     def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
-        self.labels = _freeze(np.asarray(labels, dtype=np.float64))
-        if self.labels.shape != (n,):
+        labels = np.asarray(labels, dtype=np.float64)
+        if labels.shape != (n,):
             raise ValueError("labels length must equal number of examples")
+        self.labels = _freeze(np.ascontiguousarray(labels))
         self.d = int(d)
-        self._csr = A = sp.csr_matrix((data, indices, indptr), shape=(n, self.d))
-        if not A.has_canonical_format:
+        indptr, indices = np.asarray(indptr, np.int64), np.asarray(indices, np.int64)
+        data = np.asarray(data, np.float64)
+        # scipy's csr_matrix checks of the array shapes, in its words
+        if not indptr.ndim == indices.ndim == data.ndim == 1:
+            raise ValueError("data, indices, and indptr should be 1-D")
+        if indptr[0] != 0:
+            raise ValueError("index pointer should start with 0")
+        if indices.size != data.size:
+            raise ValueError("indices and data should have the same size")
+        if indptr[-1] > indices.size:
+            raise ValueError("Last value of index pointer should be less than "
+                             "the size of index and data arrays")
+        # as scipy does, drop the entries past indptr[-1]
+        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+        indptr, indices, nnz, norms, bad = _kernel.csr_pass(
+            *map(np.ascontiguousarray, (indptr, indices, data)), self.labels, self.d)
+        if bad[0] >= 0:
             raise ValueError("indices must be strictly increasing within each row")
-        if A.nnz and (A.indices.min() < 0 or A.indices.max() >= self.d):
+        if bad[1] >= 0:
             raise ValueError("index out of range for dim=%d" % self.d)
-        if np.any(A.data == 0.0):
+        if bad[2] >= 0:
             raise ValueError("explicit zero values are not canonical")
-        self.indptr = _freeze(A.indptr)
-        self.indices = _freeze(A.indices)
-        self.data = _freeze(A.data)
-        self.nnz = _freeze(np.diff(self.indptr).astype(np.int64))
-        # bincount adds each row's squares left to right, starting from 0.0
-        rows = np.repeat(np.arange(n), self.nnz)
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            squares = self.data * self.data
-        self.norms = _freeze(np.sqrt(np.bincount(rows, squares, minlength=n)))
-        bad = ~(np.isfinite(self.labels) & np.isfinite(self.norms))
-        if bad.any():
-            i = int(np.argmax(bad))
+        if bad[3] >= 0:
+            i = int(bad[3])
             if not np.isfinite(self.labels[i]):
                 raise NonFiniteError(f"row {i} (0-based): label {self.labels[i]} "
                                      "is not finite")
             raise NonFiniteError(
-                f"row {i} (0-based): norm {self.norms[i]} is not finite: a value "
+                f"row {i} (0-based): norm {norms[i]} is not finite: a value "
                 "is NaN or infinite, or so large that its square overflows"
             )
+        self.indptr = _freeze(indptr)
+        self.indices = _freeze(indices)
+        self.data = _freeze(data)
+        self.nnz = _freeze(nnz)
+        self.norms = _freeze(norms)
+        self._csr = sp.csr_matrix((self.data, self.indices, self.indptr),
+                                  shape=(n, self.d))
+        self._csr.has_canonical_format = True  # checked above
         self._csr_t = None
         self._overlap = None
 
@@ -134,6 +158,36 @@ class Dataset:
         return self.csr_t() @ alpha
 
 
+def libsvm_arrays(text) -> tuple:
+    """The arrays of LIBSVM bytes (any buffer), before a :class:`Dataset`
+    checks them: ``(labels, indptr, indices, data, max_index)``, with
+    0-based int64 indices, explicit zeros dropped and the largest 1-based
+    index seen (0 if none). ``nan`` and ``inf`` are kept. Raises
+    :class:`ParseError` naming the line of the first malformed token, in
+    the words of the grammar in :func:`parse_libsvm`.
+    """
+    arrays, fault = _kernel.parse_libsvm(text)
+    if fault is None:
+        return arrays
+    code, line, token = fault
+    if code == _kernel.NON_ASCII:
+        raise ParseError(f"line {line}: non-ASCII byte 0x{token[0]:02x}")
+    token = token.decode("ascii")
+    if code == _kernel.BAD_LABEL:
+        message = f"non-numeric label {token!r}"
+    elif code == _kernel.NO_COLON:
+        message = f"expected idx:val, got {token!r}"
+    elif code == _kernel.BAD_TOKEN:
+        message = f"non-numeric token {token!r}"
+    elif code == _kernel.NOT_ONE_BASED:
+        message = f"index {int(token.partition(':')[0])} is not 1-based"
+    elif code == _kernel.INDEX_TOO_LARGE:
+        message = f"index {int(token.partition(':')[0])} exceeds 2**63 - 1"
+    else:
+        message = "non-increasing indices"
+    raise ParseError(f"line {line}: {message}")
+
+
 def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LIBSVM/SVMlight text: ``label idx:val idx:val ...`` per line.
 
@@ -164,14 +218,11 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     them rejects them: a label that is not finite, or a row whose norm is
     not finite, raises :class:`NonFiniteError` naming the row.
     """
-    # imported here: _kernel imports losses, which imports this module
-    from ._kernel import parse_libsvm as parse_bytes
-
     text = source if isinstance(source, (str, bytes)) else source.read()
     if isinstance(text, str):
         # any non-ASCII character becomes bytes >= 0x80, which the parser rejects
         text = text.encode("utf-8", "surrogatepass")
-    labels, indptr, indices, data, max_index = parse_bytes(text)
+    labels, indptr, indices, data, max_index = libsvm_arrays(text)
     if not labels.size:
         raise ParseError("empty input: no data lines")
     d = max_index if n_features is None else int(n_features)
@@ -263,10 +314,7 @@ def gen_synthetic(
     else:
         counts = np.clip(rng.binomial(d, density, size=n), 1, d)
 
-    # imported here: _kernel imports losses, which imports this module
-    from ._kernel import choice_rows
-
-    cols, vals = choice_rows(rng, d, counts)
+    cols, vals = _kernel.choice_rows(rng, d, counts)
     w_true = rng.standard_normal(d)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     # Rows of one length at a time, as a (rows, k) block: sort each row's

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernel import Kernel
 from .dataset import Dataset
-from .losses import LossSpec, SmoothnessConstants, smoothness_constants
+from .losses import KINDS, LossSpec, SmoothnessConstants, smoothness_constants
 from .sampling import SamplingScheme
 
 #: slack on the convex-combination guard theta/p_i <= 1
@@ -61,7 +61,8 @@ class ProblemSpec:
     def kernel(self) -> Kernel:
         """The compiled step kernel bound to this problem's arrays; the
         first use in a process builds or loads the shared library."""
-        return Kernel(self.dataset, self.loss)
+        # the kernel's loss-kind codes are the positions in KINDS
+        return Kernel(self.dataset, self.loss, KINDS.index(self.loss.kind))
 
 
 def make_problem(dataset: Dataset, loss: LossSpec, lam: float) -> ProblemSpec:

@@ -583,16 +583,19 @@ def test_negative_seed_is_usage_error(command, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("theta", ["nan", "-1", "0", "inf", "abc"])
+@pytest.mark.parametrize("theta", ["nan", "-1", "0", "inf", "abc", "xyz"])
 @pytest.mark.parametrize("command", [
     ["run", "--synthetic", "20,4,0.5,linear-sign"],
     ["validate", "--suite", "lemma1"],
 ], ids=lambda command: command[0])
 def test_theta_must_be_a_finite_number_above_0(command, theta, capsys):
+    # run's --theta also takes two tokens, and its message names them
+    expected = "a finite number above 0"
+    if command[0] == "run":
+        expected = "auto-convex, auto-nonconvex or " + expected
     assert main([*command, "--theta", theta]) == 1
     captured = capsys.readouterr()
-    assert f"argument --theta: expected a finite number above 0, got '{theta}'" \
-        in captured.err
+    assert f"argument --theta: expected {expected}, got '{theta}'\n" in captured.err
     assert captured.out == ""
 
 
@@ -601,7 +604,7 @@ def test_theta_must_be_a_finite_number_above_0(command, theta, capsys):
 def test_lambda_must_be_1_over_n_or_a_finite_number_above_0(command, lam, capsys):
     assert main([command, "--synthetic", "10,4,0.8,linear-sign", "--lambda", lam]) == 1
     captured = capsys.readouterr()
-    assert f"argument --lambda: expected a finite number above 0, got '{lam}'" \
+    assert f"argument --lambda: expected 1/n or a finite number above 0, got '{lam}'\n" \
         in captured.err
     assert captured.out == ""
 
@@ -653,9 +656,16 @@ def test_quadfam_and_nonconvex_go_together(command, source, loss, capsys):
     ["validate", "--suite", "gradcheck"],
     ["chunk-stats", "--synthetic", "20,4,0.5,skewed-nnz", "--tau", "2",
      "--draws", "3"],
-], ids=lambda command: command[0])
+    # a malformed --data file: the message names --out, so --out came first
+    ["run", "--data", "BAD", "--epochs", "1"],
+    ["reference", "--data", "BAD"],
+    ["chunk-stats", "--data", "BAD", "--tau", "2", "--draws", "3"],
+], ids=lambda command: command[0] + ("-data" if "--data" in command else ""))
 def test_unwritable_out_is_data_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.libsvm"
+    bad.write_text("1 1:x\n")
     out = tmp_path / "missing" / "x.csv"
+    command = [str(bad) if arg == "BAD" else arg for arg in command]
     assert main([*command, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"dfsdca: data error: cannot write {out}: ")
@@ -670,6 +680,26 @@ def test_unwritable_chunk_side_file_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"dfsdca: data error: cannot write {out}.chunks.json: ")
     assert err.count("\n") == 1
+    assert not out.exists()  # neither file is written
+
+
+def test_unwritable_chunk_csv_writes_no_side_file(tmp_path, capsys):
+    out = tmp_path / "cs.csv"
+    out.mkdir()
+    assert main(["chunk-stats", "--synthetic", "20,4,0.5,skewed-nnz", "--tau", "2",
+                 "--draws", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"dfsdca: data error: cannot write {out}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cs.csv"]
+
+
+def test_writable_check_leaves_files_as_they_were(tmp_path, capsys):
+    # a failing command leaves no new --out file, and an old one unchanged
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("old\n")
+    for out in (new, old):
+        assert main(["run", "--synthetic", "20,4,0.5,linear-sign", "--sampling",
+                     "nice:99", "--out", str(out)]) == 3
+    assert not new.exists() and old.read_text() == "old\n"
 
 
 def test_no_option_is_typed_by_bare_int():

@@ -4,13 +4,16 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfsdca import _kernel
 from dfsdca.dataset import (
     Dataset,
     NonFiniteError,
     ParseError,
     gen_synthetic,
+    libsvm_arrays,
     normalize_max_norm,
     parse_libsvm,
     serialize_libsvm,
@@ -100,7 +103,7 @@ class TestGrammar:
     def test_inf_and_nan_in_any_case(self):
         # the grammar reads them, sign included; the Dataset then rejects them
         text = b"-INF 1:+Infinity 2:-nAn 3:inf 4:NaN\n"
-        labels, _, _, data, _ = _kernel.parse_libsvm(text)
+        labels, _, _, data, _ = libsvm_arrays(text)
         assert labels[0] == -np.inf
         assert data[[0, 2]].tolist() == [np.inf, np.inf]
         signs = np.signbit(data[[1, 3]])
@@ -283,3 +286,123 @@ class TestInvariants:
         labels = np.zeros(len(indptr) - 1)
         with pytest.raises(ValueError, match=match):
             Dataset(np.array(indptr), np.array(indices), np.array(data), labels, 3)
+
+
+def reference_dataset(indptr, indices, data, labels, d):
+    """The checks and norms of ``Dataset(...)`` before its compiled pass,
+    by scipy's ``csr_matrix`` and numpy, kept as the reference: the arrays
+    it stored (indptr, indices, data, labels, nnz, norms), or its error."""
+    n = len(indptr) - 1
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (n,):
+        raise ValueError("labels length must equal number of examples")
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, int(d)))
+    if not A.has_canonical_format:
+        raise ValueError("indices must be strictly increasing within each row")
+    if A.nnz and (A.indices.min() < 0 or A.indices.max() >= d):
+        raise ValueError("index out of range for dim=%d" % d)
+    if np.any(A.data == 0.0):
+        raise ValueError("explicit zero values are not canonical")
+    nnz = np.diff(A.indptr).astype(np.int64)
+    # bincount adds each row's squares left to right, starting from 0.0
+    rows = np.repeat(np.arange(n), nnz)
+    with np.errstate(over="ignore"):
+        squares = A.data * A.data
+    norms = np.sqrt(np.bincount(rows, squares, minlength=n))
+    bad = ~(np.isfinite(labels) & np.isfinite(norms))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not np.isfinite(labels[i]):
+            raise NonFiniteError(f"row {i} (0-based): label {labels[i]} is not finite")
+        raise NonFiniteError(
+            f"row {i} (0-based): norm {norms[i]} is not finite: a value "
+            "is NaN or infinite, or so large that its square overflows"
+        )
+    return A.indptr, A.indices, A.data, labels, nnz, norms
+
+
+def built(build, args):
+    """What ``build(*args)`` stores, as each array's dtype and bytes (so
+    floats by their bits), or its error's class and message."""
+    try:
+        arrays = build(*args)
+    except ValueError as exc:  # NonFiniteError is one
+        return type(exc).__name__, str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+FAULTS = ("none", "none", "none", "unsorted", "decreasing", "range", "zero", "value",
+          "label", "start", "last", "short", "size", "labels", "wide")
+
+
+@st.composite
+def csr_inputs(draw):
+    """Random CSR arguments of ``Dataset``, canonical and finite, then with
+    up to two faults: indices out of order, a decreasing ``indptr``, an
+    index outside [0, d), an explicit zero, a value or label that is not
+    finite (or a value whose square overflows), ``indptr`` that does not
+    start at 0, ends past the entries or before the last one, data and
+    indices of different sizes, labels of another length; or a d above
+    2**31 - 1, where the index arrays stay int64. Index arrays come as
+    int64 or int32 arrays or as lists."""
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = [sorted(draw(st.sets(st.integers(0, d - 1), min_size=min(d, 2) * (r % 2))))
+            for r in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j in r], dtype=np.int64)
+    value = st.floats(-1e100, 1e100).filter(bool)
+    data = np.array(draw(st.lists(value, min_size=indices.size, max_size=indices.size)))
+    labels = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
+        pick = st.integers(0, max(indices.size - 1, 0))
+        if fault == "unsorted" and indices.size > 1:
+            k = draw(st.integers(1, indices.size - 1))
+            indices[k] = indices[k - 1] - draw(st.integers(0, 1))
+        elif fault == "decreasing" and n > 1:
+            r = draw(st.integers(1, n - 1))
+            indptr[r] = draw(st.integers(indptr[r + 1], indptr[-1]))
+        elif fault == "range" and indices.size:
+            indices[draw(pick)] = draw(st.sampled_from([-1, d, d + 3, 2**40]))
+        elif fault == "zero" and indices.size:
+            data[draw(pick)] = draw(st.sampled_from([0.0, -0.0]))
+        elif fault == "value" and indices.size:
+            data[draw(pick)] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e200]))
+        elif fault == "label" and n:
+            labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, -np.inf]))
+        elif fault == "start":
+            indptr[0] = 1
+        elif fault == "last":
+            indptr[-1] += 1
+        elif fault == "short" and n and indptr[-1] > indptr[-2]:
+            indptr[-1] -= 1  # scipy drops the last entry
+        elif fault == "size":
+            data = np.append(data, 1.0)
+        elif fault == "labels":
+            labels.append(1.0)
+        elif fault == "wide":
+            d = 2**31 + draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["int64", "int32", "list"]))
+    if kind == "list":
+        indptr, indices = indptr.tolist(), indices.tolist()
+    elif kind == "int32" and max(d, abs(indices).max(initial=0)) < 2**31:
+        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    return indptr, indices, data, labels, d
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(args=csr_inputs())
+def test_compiled_pass_equals_scipy_construction(args):
+    # each side gets its own copies: a Dataset freezes the arrays it keeps
+    def copies():
+        *arrays, d = args
+        return [a.copy() if isinstance(a, np.ndarray) else list(a) for a in arrays] + [d]
+
+    def dataset(*call):
+        ds = Dataset(*call)
+        A = ds.csr()  # wrapped around the checked arrays, not a copy
+        for name in ("indptr", "indices", "data"):
+            assert getattr(A, name).ctypes.data == getattr(ds, name).ctypes.data
+        assert A.has_canonical_format
+        return ds.indptr, ds.indices, ds.data, ds.labels, ds.nnz, ds.norms
+
+    assert built(dataset, copies()) == built(reference_dataset, copies())

@@ -333,7 +333,7 @@ def test_kernel_rejects_csr_index_width(indptr_t, indices_t):
     fake = SimpleNamespace(indptr=ds.indptr.astype(indptr_t),
                            indices=ds.indices.astype(indices_t), data=ds.data, d=ds.d)
     with pytest.raises(ValueError, match="(indptr|indices) must be .*int32"):
-        _kernel.Kernel(fake, problem.loss)
+        _kernel.Kernel(fake, problem.loss, _kernel.LOGISTIC)
 
 
 def test_problem_rejects_int64_csr_before_allocating():
@@ -350,7 +350,7 @@ def test_kernel_rejects_csr_index_beyond_d():
     ds = problem.dataset
     fake = SimpleNamespace(indptr=ds.indptr, indices=ds.indices, data=ds.data, d=ds.d - 1)
     with pytest.raises(ValueError, match="outside"):
-        _kernel.Kernel(fake, problem.loss)
+        _kernel.Kernel(fake, problem.loss, _kernel.LOGISTIC)
 
 
 def floyd_draws(units, tau, k, seed=0):
@@ -410,7 +410,7 @@ def test_source_compiles_without_warnings():
     assert proc.returncode == 0, proc.stderr
     source = _kernel.SOURCE.read_text()
     for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_choice_rows",
-                 "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm"):
+                 "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm", "dfsdca_csr_pass"):
         assert f" {name}(" in source
 
 
@@ -418,9 +418,10 @@ def test_source_compiles_without_warnings():
 # ASan and UBSan into the directory argv[1] and drives every C path, so an
 # out-of-bounds access, a use after free or undefined behaviour aborts it.
 # Each parser input is copied into a buffer of exactly its length, so a
-# read past the end trips ASan. Every parser return code is driven except
-# NO_MEMORY. Leaks are not checked: the interpreter itself never frees
-# everything.
+# read past the end trips ASan, the 8-byte reads of digits too. Every parser
+# return code is driven except NO_MEMORY, and the Dataset pass on valid,
+# int64, empty and faulty arrays. Leaks are not checked: the interpreter
+# itself never frees everything.
 SANITIZED = """
 import sys
 from pathlib import Path
@@ -428,7 +429,7 @@ from pathlib import Path
 import numpy as np
 
 from dfsdca import _kernel
-from dfsdca.dataset import ParseError
+from dfsdca.dataset import Dataset, ParseError, libsvm_arrays
 from dfsdca.sampling import _tau_subsets
 from dfsdca.solver import SolverConfig, init_state, make_problem, run, step
 from dfsdca.losses import logistic_loss
@@ -479,9 +480,16 @@ for text, want in [
     (b"nan 1:-NaN 2:inf", None), (b"1 1:1e99999999999999999999", None),
     (b"1 1:2E+5", None), (b"1 1:1.2.3", "token"), (b"1 1x:1", "token"),
     (b"1 1:1e5x", "token"),
+    # numbers that end the buffer, around the 8-digit blocks read at once
+    *((text + b"1234567890123456789"[:k], None)
+      for k in (7, 8, 9, 15, 16, 17, 19) for text in (b"1 1:", b"1 1:0.0000000", b"")),
+    (b"1 1:12345678901234567890", None), (b"12345678", None), (b"1 1:1234567e", "token"),
+    (b"1 123456789012345678:1", None), (b"1 1234567890123456789:1", None),
+    (b"1 1:12345678\\t", None), (b"1 1:12345678\\x1f", None), (b"1 1:12345678#", None),
+    (b"1 1:12345678\\x80", "non-ASCII"), (b"1 12345678:x", "token"),
 ]:
     try:
-        _kernel.parse_libsvm(np.frombuffer(text, np.uint8).copy())
+        libsvm_arrays(np.frombuffer(text, np.uint8).copy())
     except ParseError as exc:
         assert want is not None and want in str(exc), (text[:20], exc)
     else:
@@ -497,7 +505,7 @@ words = [b"-0", b"0e99999999999999999999", b"0.1", b"-2.5e-3", b"1e-342", b"9e30
 scale = 10.0 ** rng.integers(-300, 300, 2000)
 words += [repr(float(x)).encode() for x in rng.standard_normal(2000) * scale]
 text = b"\\n".join(w + b" 1:" + w for w in words)
-labels, indptr, _, vals, _ = _kernel.parse_libsvm(np.frombuffer(text, np.uint8).copy())
+labels, indptr, _, vals, _ = libsvm_arrays(np.frombuffer(text, np.uint8).copy())
 want = np.array([float(w) for w in words])
 assert np.array_equal(labels.view(np.int64), want.view(np.int64))
 assert np.array_equal(vals.view(np.int64), want[want != 0].view(np.int64))
@@ -508,6 +516,17 @@ for size in (0, 15, 16, 17, 16 * 255, 16 * 255 * 2 + 17):
     lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, bounds.ctypes.data)
     assert bounds[0] == 1 + np.isin(buf, [10, 11, 12, 13, 28, 29, 30]).sum()
     assert bounds[1] == (buf == ord(":")).sum()
+# the Dataset pass: valid, int64 (d past int32), empty, and each fault
+for args in [([0, 2, 2, 3], [0, 5, 1], [1.0, -2.0, 3.0], [1.0, 2.0, 3.0], 6),
+             ([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10), ([0], [], [], [], 1),
+             ([0, 2], [1, 1], [1.0, 2.0], [0.0], 3), ([0, 2, 1], [0, 1], [1.0, 1.0], [0.0, 0.0], 3),
+             ([0, 3, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], [0.0] * 3, 3),
+             ([0, 1], [3], [1.0], [0.0], 3), ([0, 1], [0], [0.0], [0.0], 3),
+             ([0, 1], [0], [np.inf], [0.0], 3), ([0, 1], [0], [1.0], [np.nan], 3)]:
+    try:
+        Dataset(*args)
+    except ValueError:
+        pass
 # arrays smaller than the sizing pass counted
 info = np.zeros(6, np.int64)
 for text, rows, nnz in [(b"1\\n2", 1, 0), (b"1 1:1 2:1", 1, 1)]:

@@ -7,11 +7,13 @@ ASCII without ``_``: there the two grammars agree by design, while Python
 reads ``1_0`` as 10 (``test_dataset.TestGrammar`` covers that change).
 Lines mix all eight line breaks, comments (also inside a token), blank and
 label-only lines, explicit zeros, signs, leading zeros, exponents,
-``inf``/``infinity``/``nan`` in any case, every kind of malformed token and
-raw ASCII noise. Both parsers must give the same ``Dataset`` bit for bit
-or the same error: a ``ParseError``, or the ``NonFiniteError`` that both
-``Dataset``s raise for a NaN or infinite label or row norm. The examples are
-derandomized, so a run is reproducible.
+``inf``/``infinity``/``nan`` in any case, every kind of malformed token,
+raw ASCII noise, digit runs of 7 to 20 digits (around the compiled
+parser's 8-digit blocks) and indices of 18 and 19 digits. Both parsers
+must give the same ``Dataset`` bit for bit or the same error: a
+``ParseError``, or the ``NonFiniteError`` that both ``Dataset``s raise for
+a NaN or infinite label or row norm. The examples are derandomized, so a
+run is reproducible.
 """
 
 import numpy as np
@@ -97,8 +99,15 @@ decimal = st.one_of(
 )
 exponent = st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), signs, digits)
                      .map("".join))
+# digit runs on both sides of the parser's 8-digit blocks and of the 19
+# digits its fast path holds, some after leading zeros that span a block
+runs = st.sampled_from([7, 8, 9, 15, 16, 17, 19, 20]).flatmap(
+    lambda k: st.text("0123456789", min_size=k, max_size=k))
+long_decimal = st.tuples(st.sampled_from(["", "0.", "0.000000000", "00000000.", "1"]),
+                         runs).map("".join)
 number = st.one_of(
     st.tuples(signs, decimal, exponent).map("".join),
+    st.tuples(signs, long_decimal, exponent).map("".join),
     st.tuples(signs, st.sampled_from(["inf", "infinity", "nan"]).flatmap(cased))
     .map("".join),
     st.sampled_from(["0", "-0", "0.0", "+0e7", "00", "1e-400", "-1e-400", "1e400"]),
@@ -122,7 +131,9 @@ def entry(draw, prev):
     if kind == 0:  # below 2**63, where the Python parser overflowed
         head = draw(st.tuples(signs, st.text("0123456789", min_size=1, max_size=18))
                     .map("".join))
-    elif kind == 1:
+    elif kind == 1:  # 18 and 19 digits, from 10**17 to 2**63 - 1
+        head = str(draw(st.integers(max(prev + 1, 10**17), 2**63 - 1)))
+    elif kind == 2:
         head = str(draw(st.integers(-3, prev)))
     else:
         head = draw(st.sampled_from(["", "", "0", "00"])) + str(prev + draw(st.integers(1, 4)))

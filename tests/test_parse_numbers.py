@@ -7,9 +7,11 @@ every other value falls back to ``strtod_l``. So the numbers here are
 chosen to sit on both sides of each boundary: random bit patterns in four
 formats, exact midpoints of neighbouring doubles (ties) in full and cut,
 powers of ten past both ends of the table, 2**53 +- k, the edges of the
-normal range, signed zeros and leading zeros. Each number is parsed as a
-label and as a value, and the bits are compared through
-``.view(np.int64)``. The draws are seeded, so a run is reproducible.
+normal range, signed zeros and leading zeros, and digit runs on both sides
+of the 8-digit blocks the parser reads at once, ended by each separator and
+by the end of the buffer. Each number is parsed as a label and as a value,
+and the bits are compared through ``.view(np.int64)``. The draws are
+seeded, so a run is reproducible.
 """
 
 from decimal import Decimal, localcontext
@@ -19,15 +21,16 @@ import numpy as np
 import pytest
 
 from dfsdca import _kernel
-from dfsdca.dataset import ParseError
+from dfsdca.dataset import ParseError, libsvm_arrays
 
 
-def assert_bits(words):
-    """Parse each string as a label and as the value of index 1, one line
-    each, and compare both with ``float()`` bitwise (explicit zero values
-    are dropped, as the parser drops them)."""
-    text = "\n".join(f"{w} 1:{w}" for w in words).encode()
-    labels, indptr, indices, data, _ = _kernel.parse_libsvm(text)
+def assert_bits(words, line="{w} 1:{w}"):
+    """Parse each string as a label and as the value of index 1, one
+    ``line`` each, and compare both with ``float()`` bitwise (explicit zero
+    values are dropped, as the parser drops them). The last value ends the
+    buffer, with no line break after it."""
+    text = "\n".join(line.format(w=w) for w in words).encode()
+    labels, indptr, indices, data, _ = libsvm_arrays(text)
     want = np.array([float(w) for w in words])
     got, expect = labels.view(np.int64), want.view(np.int64)
     bad = np.flatnonzero(got != expect)
@@ -138,13 +141,59 @@ def test_signed_zeros_and_leading_zeros():
                  "1234567890123456789" + "0" * 10, "0" * 25 + "12345678901234567890"])
 
 
+def digit_runs():
+    """Numbers whose digit runs sit on both sides of the 8-digit blocks the
+    parser reads at once and of the 19 digits its fast path holds: in the
+    integer part, in the fraction, across the '.', after leading zeros that
+    span a block, before an exponent and followed by zeros."""
+    rng = np.random.default_rng(8)
+    words = []
+    for k in (1, 7, 8, 9, 15, 16, 17, 19, 20):
+        for _ in range(20):
+            digits = "".join(rng.choice(list("0123456789"), k - 1)) + "7"
+            words += [digits, "-" + digits[::-1], "0." + digits, "." + digits,
+                      digits[: k // 2] + "." + digits[k // 2:], digits + ".",
+                      "0.00000000" + digits, "-0000000000." + digits,
+                      digits + "e-7", "+" + digits + "E+12", digits + "0" * 8]
+    return words
+
+
+def test_digit_runs_around_the_8_digit_blocks():
+    assert_bits(digit_runs())
+
+
+@pytest.mark.parametrize("line", ["{w}\t1:{w}\t", "{w}\x1f1:{w}\x1f", "{w} 1:{w}#{w}"],
+                         ids=["tab", "unit-separator", "comment"])
+def test_a_number_ends_at_any_separator(line):
+    assert_bits(digit_runs(), line)
+
+
+def test_a_label_ends_at_a_comment():
+    words = digit_runs()
+    labels = libsvm_arrays("\n".join(w + "#" + w for w in words).encode())[0]
+    want = np.array([float(w) for w in words])
+    assert np.array_equal(labels.view(np.int64), want.view(np.int64))
+
+
+def test_a_value_that_ends_the_buffer():
+    # each in a buffer of exactly its length, with no line break after it
+    for w in digit_runs():
+        buf = np.frombuffer(f"1 1:{w}".encode(), np.uint8).copy()
+        _, _, _, data, _ = libsvm_arrays(buf)
+        assert data.view(np.int64).tolist() == [np.float64(float(w)).view(np.int64)], w
+
+
 @pytest.mark.parametrize("index, outcome", [
     ("+0", "index 0 is not 1-based"),
     ("-0", "index 0 is not 1-based"),
     ("0" * 40, "index 0 is not 1-based"),
     ("007", 7),
     ("0" * 40 + "1", 1),
+    ("123456789012345678", 123456789012345678),
+    ("999999999999999999", 10**18 - 1),
+    ("1000000000000000000", 10**18),
     ("9223372036854775807", 2**63 - 1),
+    ("9999999999999999999", "index 9999999999999999999 exceeds 2**63 - 1"),
     ("9223372036854775808", "index 9223372036854775808 exceeds 2**63 - 1"),
     ("99999999999999999999", "index 99999999999999999999 exceeds 2**63 - 1"),
     ("-9223372036854775809", "index -9223372036854775809 is not 1-based"),
@@ -154,10 +203,10 @@ def test_index_limits(index, outcome):
     text = f"1 {index}:2.5".encode()
     if isinstance(outcome, str):
         with pytest.raises(ParseError) as exc:
-            _kernel.parse_libsvm(text)
+            libsvm_arrays(text)
         assert str(exc.value) == f"line 1: {outcome}"
     else:
-        _, _, indices, _, max_index = _kernel.parse_libsvm(text)
+        _, _, indices, _, max_index = libsvm_arrays(text)
         assert indices.tolist() == [outcome - 1] and max_index == outcome
 
 
