@@ -10,8 +10,7 @@
  * delta_i theta / (n lam p_i) A_i from w, row after row in subset order.
  * That is the operation order of the numpy reference kernel in
  * tests/test_kernel.py, so with -ffp-contract=off the iterates match it
- * bitwise. The CSR index arrays are int32: the callers reject a dataset
- * whose n, d or nnz does not fit.
+ * bitwise. The CSR index arrays are int32: a Dataset is int32 CSR.
  *
  * Every subset is checked before any state changes: offsets that partition
  * idx first, then indices in [0, n) and theta / p_i <= guard over the whole
@@ -776,8 +775,8 @@ int dfsdca_parse_libsvm(const unsigned char *buf, int64_t len, int64_t max_rows,
  *   3. the label, or the norm, is not finite.
  * counts[r] is the row's number of entries and norms[r] the square root of
  * its squares summed left to right from 0.0, the order of np.bincount.
- * Where indptr32 is not NULL, indptr32 and indices32 get the index arrays
- * as int32: the caller passes them only where n, d and nnz fit. */
+ * indptr32 and indices32 get the index arrays as int32: the caller checks
+ * that n, d and nnz fit. */
 void dfsdca_csr_pass(int64_t n, int64_t d, int64_t nnz, const int64_t *indptr,
                      const int64_t *indices, const double *data,
                      const double *labels, int32_t *indptr32, int32_t *indices32,
@@ -785,8 +784,7 @@ void dfsdca_csr_pass(int64_t n, int64_t d, int64_t nnz, const int64_t *indptr,
 {
     int64_t r, k;
     bad[0] = bad[1] = bad[2] = bad[3] = -1;
-    if (indptr32 != NULL)
-        indptr32[0] = (int32_t)indptr[0];
+    indptr32[0] = (int32_t)indptr[0];
     for (r = 0; r < n; r++) {
         int64_t lo = indptr[r], hi = indptr[r + 1];
         double acc = 0.0;
@@ -805,13 +803,11 @@ void dfsdca_csr_pass(int64_t n, int64_t d, int64_t nnz, const int64_t *indptr,
             if (data[k] == 0.0 && bad[2] < 0)
                 bad[2] = r;
             acc += data[k] * data[k];
-            if (indices32 != NULL)
-                indices32[k] = (int32_t)j;
+            indices32[k] = (int32_t)j;
         }
         counts[r] = hi - lo;
         norms[r] = sqrt(acc);
-        if (indptr32 != NULL)
-            indptr32[r + 1] = (int32_t)hi;
+        indptr32[r + 1] = (int32_t)hi;
         if (bad[3] < 0 && !(isfinite(labels[r]) && isfinite(norms[r])))
             bad[3] = r;
     }

@@ -288,16 +288,15 @@ def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
     pass over the rows: ``(indptr, indices, counts, norms, bad)``.
 
     ``indptr`` and ``indices`` are C-contiguous int64 arrays, ``data`` and
-    ``labels`` float64 ones, with ``indptr[-1] == indices.size``. The index
-    arrays come back as new int32 arrays, which the step kernel reads, where
-    n, d and nnz are at most ``INT32_MAX``, else as the int64 arrays passed
-    in. ``counts`` holds each row's number of entries, and ``norms`` the
-    square root of its squares summed left to right from 0.0. ``bad[k]`` is
-    the first row at fault, or -1, where k is 0 for rows that are not
-    canonical (``indptr`` does not delimit them, or indices do not increase
-    strictly; the pass stops at the first), 1 for an index outside [0, d), 2
-    for an explicit zero value and 3 for a label or a norm that is not
-    finite.
+    ``labels`` float64 ones, with ``indptr[-1] == indices.size`` and n, d
+    and nnz at most ``INT32_MAX``, as the caller checks. The index arrays
+    come back as new int32 arrays, which the step kernel reads. ``counts``
+    holds each row's number of entries, and ``norms`` the square root of its
+    squares summed left to right from 0.0. ``bad[k]`` is the first row at
+    fault, or -1, where k is 0 for rows that are not canonical (``indptr``
+    does not delimit them, or indices do not increase strictly; the pass
+    stops at the first), 1 for an index outside [0, d), 2 for an explicit
+    zero value and 3 for a label or a norm that is not finite.
     """
     n = indptr.size - 1
     _check("indptr", indptr, _I64, kernel="dataset")
@@ -305,14 +304,10 @@ def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
     _check("data", data, _F64, indices.size, kernel="dataset")
     _check("labels", labels, _F64, n, kernel="dataset")
     counts, norms, bad = np.empty(n, np.int64), np.empty(n), np.empty(4, np.int64)
-    narrow = max(n, d, indices.size) <= INT32_MAX
-    if narrow:
-        out = np.empty(n + 1, np.int32), np.empty(indices.size, np.int32)
-    else:
-        out = indptr, indices
+    out = np.empty(n + 1, np.int32), np.empty(indices.size, np.int32)
     _load().dfsdca_csr_pass(
         n, d, indices.size, indptr.ctypes.data, indices.ctypes.data, data.ctypes.data,
-        labels.ctypes.data, *(a.ctypes.data if narrow else None for a in out),
+        labels.ctypes.data, *(a.ctypes.data for a in out),
         counts.ctypes.data, norms.ctypes.data, bad.ctypes.data,
     )
     return *out, counts, norms, bad
@@ -325,9 +320,8 @@ class Kernel:
     ``kind`` is the loss kind's code (``LOGISTIC``, ``SQUARED`` or
     ``QUADFAM``), which selects the parameters read from ``loss``: ``y``, or
     ``c`` and ``b`` for the quadratic family. The CSR index arrays must be
-    int32, as a Dataset stores them while n, d and nnz stay below 2**31;
-    problem construction rejects larger datasets. Every array is checked
-    for dtype, shape and C-contiguity before its pointer reaches C.
+    int32: a Dataset is int32 CSR. Every array is checked for dtype, shape
+    and C-contiguity before its pointer reaches C.
     """
 
     def __init__(self, dataset, loss, kind: int):

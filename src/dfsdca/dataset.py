@@ -41,6 +41,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_csr_size(n: int, d: int, nnz: int | None = None) -> None:
+    """Raise ValueError naming the sizes unless n, d and nnz (where known)
+    are at most ``_kernel.INT32_MAX``, as int32 CSR index arrays need."""
+    if max(n, d, nnz or 0) > _kernel.INT32_MAX:
+        sizes = f"n={n} and d={d}" if nnz is None else f"n={n}, d={d} and nnz={nnz}"
+        raise ValueError(f"dataset too large for int32 CSR indices: {sizes} must be "
+                         f"at most 2**31 - 1 = {_kernel.INT32_MAX}")
+
+
 class Dataset:
     """n sparse rows of dimension d, stored as frozen CSR arrays, plus
     per-row labels; norms and nnz counts are computed once.
@@ -51,16 +60,18 @@ class Dataset:
     large that its square overflows (above about 1.3e154): else
     :class:`NonFiniteError` names the first row at fault.
 
-    One compiled pass (``_kernel.csr_pass``) checks the arrays, counts and
-    measures the rows and writes the index arrays as int32, so building a
-    Dataset by hand also loads the compiled library (gcc on first use). The
-    index arrays stay int64 where n, d or nnz exceeds 2**31 - 1. A row's
-    norm is the square root of its squares summed left to right from 0.0.
-    The scipy matrix behind :meth:`csr`, :meth:`margins` and
-    :meth:`combine` is wrapped around the checked arrays, with no copy."""
+    A Dataset is int32 CSR: n, d and nnz are at most 2**31 - 1, checked
+    first (:func:`check_csr_size`), and ``indptr[-1]`` is the number of
+    entries. One compiled pass (``_kernel.csr_pass``) checks the arrays,
+    counts and measures the rows and writes the index arrays as int32, so
+    building a Dataset by hand also loads the compiled library (gcc on
+    first use). A row's norm is the square root of its squares summed left
+    to right from 0.0. The scipy matrix behind :meth:`csr`, :meth:`margins`
+    and :meth:`combine` is wrapped around the checked arrays, with no copy."""
 
     def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
+        check_csr_size(n, d, len(indices))
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != (n,):
             raise ValueError("labels length must equal number of examples")
@@ -68,18 +79,16 @@ class Dataset:
         self.d = int(d)
         indptr, indices = np.asarray(indptr, np.int64), np.asarray(indices, np.int64)
         data = np.asarray(data, np.float64)
-        # scipy's csr_matrix checks of the array shapes, in its words
+        # the array shapes, in the words of scipy's csr_matrix checks
         if not indptr.ndim == indices.ndim == data.ndim == 1:
             raise ValueError("data, indices, and indptr should be 1-D")
         if indptr[0] != 0:
             raise ValueError("index pointer should start with 0")
         if indices.size != data.size:
             raise ValueError("indices and data should have the same size")
-        if indptr[-1] > indices.size:
-            raise ValueError("Last value of index pointer should be less than "
+        if indptr[-1] != indices.size:
+            raise ValueError("Last value of index pointer should equal "
                              "the size of index and data arrays")
-        # as scipy does, drop the entries past indptr[-1]
-        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
         indptr, indices, nnz, norms, bad = _kernel.csr_pass(
             *map(np.ascontiguousarray, (indptr, indices, data)), self.labels, self.d)
         if bad[0] >= 0:
@@ -296,12 +305,14 @@ def gen_synthetic(
     algorithm where d <= 10000 or k <= d // 50, and otherwise a shuffle of
     the tail of ``range(d)``. So a dataset equals that per-row loop's bit
     for bit (``tests/test_gen_fuzz.py`` keeps the loop as its reference).
-    The first call builds the compiled library (gcc).
+    The first call builds the compiled library (gcc). Sizes above 2**31 - 1
+    raise ValueError: n and d before any draw, nnz before any row's draws.
     """
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must be in (0, 1], got {density}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    check_csr_size(n, d)
     if label_model not in LABEL_MODELS:
         raise ValueError(f"unknown label_model {label_model!r}")
     rng = np.random.default_rng(seed)
@@ -313,6 +324,7 @@ def gen_synthetic(
         counts = np.clip(np.rint(density * d * draws).astype(int), 1, d)
     else:
         counts = np.clip(rng.binomial(d, density, size=n), 1, d)
+    check_csr_size(n, d, int(counts.sum()))
 
     cols, vals = _kernel.choice_rows(rng, d, counts)
     w_true = rng.standard_normal(d)

@@ -34,11 +34,13 @@ from .sampling import (
 )
 from .solver import (
     _GUARD_TOL,
+    Potentials,
     PrimalPoint,
     ProblemSpec,
     SolverState,
     init_state,
     make_problem,
+    potentials,
     primal_gradient,
     primal_value,
     resolve_theta,
@@ -222,35 +224,6 @@ def _newton_cg(
     raise ReferenceError(
         f"Newton iteration {it}: CG hit its cap of {cap} iterations at residual "
         f"||H delta + grad|| = {rnorm:.3e} > {rtol:.3e}{stopped}", reached)
-
-
-@dataclass(frozen=True)
-class Potentials:
-    """Primal distance B, per-example dual distances C_i, and the two
-    Lyapunov combinations driving the convergence statements."""
-
-    B: float
-    C: np.ndarray
-    D: float
-    E: float
-
-
-def potentials(
-    state: SolverState,
-    reference: ReferenceSolution,
-    smoothness,
-    lam: float,
-) -> Potentials:
-    dw = state.w - reference.w
-    B = float(np.dot(dw, dw))
-    C = (state.alpha - reference.alpha) ** 2
-    n = C.size
-    L2 = smoothness.L_per**2
-    # weight 0 where L_i = 0 (A_i = 0): such an alpha_i never moves w
-    ratio = np.divide(C, L2, out=np.zeros_like(C), where=L2 != 0.0)
-    D = 0.5 * lam * B + 0.5 * lam / n * float(np.sum(ratio))
-    E = 0.5 * lam * B + 0.5 / n * float(np.sum(C / smoothness.l))
-    return Potentials(B, C, D, E)
 
 
 def decay_envelope(X0: float, theta: float, t) -> np.ndarray | float:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .dataset import Dataset
+from .dataset import Dataset, check_csr_size
 
 LOGISTIC = "logistic"
 SQUARED = "squared"
@@ -161,6 +161,7 @@ def build_nonconvex_instance(n: int, d: int, seed: int) -> tuple[Dataset, LossSp
     """
     if n < 2:
         raise ValueError("need n >= 2 to place a non-convex example safely")
+    check_csr_size(n, d, n)  # one entry per row
     rng = np.random.default_rng(seed)
     c = np.empty(n)
     axes = np.empty(n, dtype=np.int64)

@@ -173,6 +173,9 @@ class TauNiceSampling(SamplingScheme):
     def __init__(self, norms, tau):
         norms = np.asarray(norms, dtype=np.float64)
         n = norms.size
+        # a fractional tau would set marginals tau/n that its draws lack
+        if not isinstance(tau, (int, np.integer)):
+            raise ValueError(f"tau must be an integer, got {tau}")
         if not (1 <= tau <= n):
             raise ValueError(f"tau must be in [1, {n}], got {tau}")
         super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau, float(tau))
@@ -279,6 +282,8 @@ class ChunkedSampling(SamplingScheme):
         k = partition.k
         if partition.n != norms.size:
             raise ValueError("partition does not cover this dataset")
+        if not isinstance(tau, (int, np.integer)):
+            raise ValueError(f"tau must be an integer, got {tau}")
         if not (1 <= tau <= k):
             raise ValueError(f"tau must be in [1, k={k}], got {tau}")
         n, cap = norms.size, int(tau) * int(np.max(partition.g))

@@ -50,12 +50,6 @@ class ProblemSpec:
             )
         # raises ValueError if the loss and dataset sizes disagree
         self.smoothness = smoothness_constants(self.loss, self.dataset)
-        ds = self.dataset
-        if ds.indices.dtype != np.int32:  # before anything d-sized exists
-            raise ValueError(
-                f"dataset too large for int32 CSR indices: n={ds.n}, d={ds.d} and "
-                f"nnz={ds.indices.size} must be at most 2**31 - 1 = {2**31 - 1}"
-            )
 
     @cached_property
     def kernel(self) -> Kernel:
@@ -256,6 +250,32 @@ def resolve_theta(problem: ProblemSpec, scheme: SamplingScheme, theta) -> float:
     return theta
 
 
+@dataclass(frozen=True)
+class Potentials:
+    """Primal distance B, per-example dual distances C_i, and the two
+    Lyapunov combinations driving the convergence statements."""
+
+    B: float
+    C: np.ndarray
+    D: float
+    E: float
+
+
+def potentials(state: SolverState, reference, smoothness: SmoothnessConstants,
+               lam: float) -> Potentials:
+    """Potentials of ``state`` against a ``diagnostics.ReferenceSolution``."""
+    dw = state.w - reference.w
+    B = float(np.dot(dw, dw))
+    C = (state.alpha - reference.alpha) ** 2
+    n = C.size
+    L2 = smoothness.L_per**2
+    # weight 0 where L_i = 0 (A_i = 0): such an alpha_i never moves w
+    ratio = np.divide(C, L2, out=np.zeros_like(C), where=L2 != 0.0)
+    D = 0.5 * lam * B + 0.5 * lam / n * float(np.sum(ratio))
+    E = 0.5 * lam * B + 0.5 / n * float(np.sum(C / smoothness.l))
+    return Potentials(B, C, D, E)
+
+
 @dataclass
 class TraceRecord:
     """One checkpoint of :func:`run`: at the start, then where each epoch
@@ -304,8 +324,6 @@ def run(
     potentials. Deterministic for a fixed seed. Raises DivergenceError if
     the objective runs away.
     """
-    from .diagnostics import potentials  # runtime import, avoids a cycle
-
     theta = resolve_theta(problem, scheme, config.theta)
     n = problem.dataset.n
     e_size = scheme.expected_size

@@ -388,15 +388,17 @@ class TestChunkStats:
         assert side["k"] >= 8
         assert sum(side["g"]) == 500
 
-    def test_index_beyond_int32_still_runs(self, tmp_path):
-        # chunk-stats builds no problem, so a wide file is fine here
+    def test_index_beyond_int32_exits_3(self, tmp_path, capsys):
+        # a Dataset is int32 CSR, whichever command reads it
         data = tmp_path / "wide.libsvm"
         data.write_text("+1 3000000000:1\n-1 2:0.5\n")
         out = tmp_path / "cs.csv"
         assert main(["chunk-stats", "--data", str(data), "--tau", "1",
-                     "--draws", "5", "--out", str(out)]) == 0
-        _, rows = read_rows(out)
-        assert len(rows) == 6
+                     "--draws", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "dfsdca: dataset too large for int32 CSR indices: n=2, d=3000000000 "
+            "and nnz=2 must be at most 2**31 - 1 = 2147483647\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("draws", ["0", "-1"])
     def test_draws_below_one_is_usage_error(self, draws, capsys):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsdca import _kernel
 from dfsdca.dataset import (
     Dataset,
     NonFiniteError,
@@ -18,6 +19,7 @@ from dfsdca.dataset import (
     parse_libsvm,
     serialize_libsvm,
 )
+from dfsdca.losses import build_nonconvex_instance
 
 from csr_rows import from_rows, row
 
@@ -122,7 +124,10 @@ class TestGrammar:
             parse_libsvm(b"+1\n-1 1:\xff\n")
 
     def test_index_range(self):
-        assert parse_libsvm(f"1 {2**63 - 1}:1").d == 2**63 - 1
+        # the grammar takes indices below 2**63, and a Dataset d below 2**31
+        assert libsvm_arrays(f"1 {2**63 - 1}:1".encode())[4] == 2**63 - 1
+        with pytest.raises(ValueError, match=f"d={2**63 - 1} and nnz=1 must be at most"):
+            parse_libsvm(f"1 {2**63 - 1}:1")
         with pytest.raises(ParseError, match=f"line 1: index {2**63} exceeds"):
             parse_libsvm(f"1 {2**63}:1")
         with pytest.raises(ParseError, match=f"index {-2**70} is not 1-based"):
@@ -277,10 +282,13 @@ class TestInvariants:
     @pytest.mark.parametrize("indptr,indices,data,match", [
         ([0, 2], [1, 1], [1.0, 2.0], "increasing"),
         ([0, 2], [1, 0], [1.0, 2.0], "increasing"),
-        ([0, 2, 1], [0, 1], [1.0, 1.0], "increasing"),
+        ([0, 2, 1, 2], [0, 1], [1.0, 1.0], "increasing"),
         ([0, 1], [3], [1.0], "range"),
         ([0, 1], [-1], [1.0], "range"),
         ([0, 1], [0], [0.0], "zero"),
+        # entries past the last value of indptr, or too few for it
+        ([0, 1, 3], [2, 0, 1, 2], [1.0, 2.0, 3.0, 4.0], "Last value .* should equal"),
+        ([0, 1, 3], [2, 0], [1.0, 2.0], "Last value .* should equal"),
     ])
     def test_from_csr_rejects_non_canonical(self, indptr, indices, data, match):
         labels = np.zeros(len(indptr) - 1)
@@ -288,15 +296,78 @@ class TestInvariants:
             Dataset(np.array(indptr), np.array(indices), np.array(data), labels, 3)
 
 
+class TestInt32Sizes:
+    """n, d and nnz above ``_kernel.INT32_MAX`` are rejected where a dataset
+    is made, before anything of that size is drawn or allocated. The limit
+    is lowered to 3 to test it on tiny inputs."""
+
+    @pytest.fixture
+    def limit3(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "INT32_MAX", 3)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def choice_rows(*args):
+            raise AssertionError("the rows were drawn before the size check")
+        monkeypatch.setattr(_kernel, "choice_rows", choice_rows)
+
+    @pytest.mark.parametrize("args, sizes", [
+        (([0, 1, 2, 3, 3], [0, 1, 2], [1.0] * 3, [1.0] * 4, 3), "n=4, d=3 and nnz=3"),
+        (([0, 1], [0], [1.0], [1.0], 4), "n=1, d=4 and nnz=1"),
+        (([0, 2, 4], [0, 1, 0, 1], [1.0] * 4, [1.0] * 2, 3), "n=2, d=3 and nnz=4"),
+    ], ids=["n", "d", "nnz"])
+    def test_dataset(self, limit3, args, sizes):
+        with pytest.raises(ValueError, match=f"too large for int32 CSR indices: {sizes} "
+                                             r"must be at most 2\*\*31 - 1 = 3"):
+            Dataset(*args)
+
+    def test_dataset_at_the_limit(self, limit3):
+        ds = Dataset([0, 1, 2, 3], [0, 1, 2], [1.0] * 3, [1.0] * 3, 3)
+        assert ds.indices.dtype == ds.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize("n, d, sizes", [
+        (4, 3, "n=4 and d=3"), (3, 4, "n=3 and d=4"), (3, 3, "n=3, d=3 and nnz=9"),
+    ], ids=["n", "d", "nnz"])
+    def test_generator(self, limit3, no_draws, n, d, sizes):
+        with pytest.raises(ValueError, match=f"too large for int32 CSR indices: {sizes} "):
+            gen_synthetic(n, d, 1.0, "linear-sign", 0)
+
+    def test_generator_checks_d_before_drawing(self, no_draws):
+        # unchecked, the planted weights alone would take 24 GB
+        with pytest.raises(ValueError, match="n=1 and d=3000000000 must be at most"):
+            gen_synthetic(1, 3_000_000_000, 1e-9, "linear-sign", 0)
+
+    def test_nonconvex_builder(self, limit3, monkeypatch):
+        def default_rng(seed):
+            raise AssertionError("the instance was drawn before the size check")
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        with pytest.raises(ValueError, match="n=4, d=2 and nnz=4 must be at most"):
+            build_nonconvex_instance(4, 2, 0)
+
+
 def reference_dataset(indptr, indices, data, labels, d):
     """The checks and norms of ``Dataset(...)`` before its compiled pass,
     by scipy's ``csr_matrix`` and numpy, kept as the reference: the arrays
-    it stored (indptr, indices, data, labels, nnz, norms), or its error."""
+    it stored (indptr, indices, data, labels, nnz, norms), or its error.
+    Unlike scipy, a Dataset takes only int32 sizes, and no entries past the
+    last value of ``indptr``."""
     n = len(indptr) - 1
+    if max(n, d, len(indices)) > 2**31 - 1:
+        raise ValueError(f"dataset too large for int32 CSR indices: n={n}, d={d} and "
+                         f"nnz={len(indices)} must be at most 2**31 - 1 = 2147483647")
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != (n,):
         raise ValueError("labels length must equal number of examples")
-    A = sp.csr_matrix((data, indices, indptr), shape=(n, int(d)))
+    try:
+        A = sp.csr_matrix((data, indices, indptr), shape=(n, int(d)))
+    except ValueError as exc:
+        if not str(exc).startswith("Last value of index pointer"):
+            raise
+        A = None
+    # scipy drops the entries past indptr[-1], where a Dataset rejects them
+    if A is None or A.indptr[-1] != len(indices):
+        raise ValueError("Last value of index pointer should equal "
+                         "the size of index and data arrays")
     if not A.has_canonical_format:
         raise ValueError("indices must be strictly increasing within each row")
     if A.nnz and (A.indices.min() < 0 or A.indices.max() >= d):
@@ -343,8 +414,8 @@ def csr_inputs(draw):
     finite (or a value whose square overflows), ``indptr`` that does not
     start at 0, ends past the entries or before the last one, data and
     indices of different sizes, labels of another length; or a d above
-    2**31 - 1, where the index arrays stay int64. Index arrays come as
-    int64 or int32 arrays or as lists."""
+    2**31 - 1, too large for a Dataset. Index arrays come as int64 or int32
+    arrays or as lists."""
     n, d = draw(st.integers(0, 6)), draw(st.integers(1, 6))
     rows = [sorted(draw(st.sets(st.integers(0, d - 1), min_size=min(d, 2) * (r % 2))))
             for r in range(n)]
@@ -374,7 +445,7 @@ def csr_inputs(draw):
         elif fault == "last":
             indptr[-1] += 1
         elif fault == "short" and n and indptr[-1] > indptr[-2]:
-            indptr[-1] -= 1  # scipy drops the last entry
+            indptr[-1] -= 1  # scipy drops the last entry; a Dataset rejects it
         elif fault == "size":
             data = np.append(data, 1.0)
         elif fault == "labels":

@@ -336,13 +336,11 @@ def test_kernel_rejects_csr_index_width(indptr_t, indices_t):
         _kernel.Kernel(fake, problem.loss, _kernel.LOGISTIC)
 
 
-def test_problem_rejects_int64_csr_before_allocating():
-    # d >= 2**31: scipy stores the CSR indices as int64; a d-sized w would
-    # take 17 GB, so the check must come first
-    ds = Dataset([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10)
-    assert ds.indices.dtype == np.int64
-    with pytest.raises(ValueError, match=r"d=2147483658 .*nnz=1 .*2147483647"):
-        make_problem(ds, logistic_loss(ds.labels), 0.5)
+def test_dataset_rejects_d_past_int32_before_allocating():
+    # the step kernel reads int32 indices, and a d-sized w would take 17 GB,
+    # so the Dataset itself refuses d >= 2**31
+    with pytest.raises(ValueError, match=r"n=1, d=2147483658 and nnz=1 .*2147483647"):
+        Dataset([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10)
 
 
 def test_kernel_rejects_csr_index_beyond_d():
@@ -420,8 +418,8 @@ def test_source_compiles_without_warnings():
 # Each parser input is copied into a buffer of exactly its length, so a
 # read past the end trips ASan, the 8-byte reads of digits too. Every parser
 # return code is driven except NO_MEMORY, and the Dataset pass on valid,
-# int64, empty and faulty arrays. Leaks are not checked: the interpreter
-# itself never frees everything.
+# empty and faulty arrays. Leaks are not checked: the interpreter itself
+# never frees everything.
 SANITIZED = """
 import sys
 from pathlib import Path
@@ -516,10 +514,16 @@ for size in (0, 15, 16, 17, 16 * 255, 16 * 255 * 2 + 17):
     lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, bounds.ctypes.data)
     assert bounds[0] == 1 + np.isin(buf, [10, 11, 12, 13, 28, 29, 30]).sum()
     assert bounds[1] == (buf == ord(":")).sum()
-# the Dataset pass: valid, int64 (d past int32), empty, and each fault
+# the Dataset pass: valid, empty, and each fault; d past int32 never reaches it
+try:
+    Dataset([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10)
+except ValueError as exc:
+    assert "too large for int32" in str(exc), exc
+else:
+    raise AssertionError("a d past int32 was accepted")
 for args in [([0, 2, 2, 3], [0, 5, 1], [1.0, -2.0, 3.0], [1.0, 2.0, 3.0], 6),
-             ([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10), ([0], [], [], [], 1),
-             ([0, 2], [1, 1], [1.0, 2.0], [0.0], 3), ([0, 2, 1], [0, 1], [1.0, 1.0], [0.0, 0.0], 3),
+             ([0], [], [], [], 1),
+             ([0, 2], [1, 1], [1.0, 2.0], [0.0], 3), ([0, 2, 1, 2], [0, 1], [1.0, 1.0], [0.0] * 3, 3),
              ([0, 3, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], [0.0] * 3, 3),
              ([0, 1], [3], [1.0], [0.0], 3), ([0, 1], [0], [0.0], [0.0], 3),
              ([0, 1], [0], [np.inf], [0.0], 3), ([0, 1], [0], [1.0], [np.nan], 3)]:

@@ -12,8 +12,9 @@ raw ASCII noise, digit runs of 7 to 20 digits (around the compiled
 parser's 8-digit blocks) and indices of 18 and 19 digits. Both parsers
 must give the same ``Dataset`` bit for bit or the same error: a
 ``ParseError``, or the ``NonFiniteError`` that both ``Dataset``s raise for
-a NaN or infinite label or row norm. The examples are derandomized, so a
-run is reproducible.
+a NaN or infinite label or row norm, or the ``ValueError`` that both raise
+for a d above 2**31 - 1. The examples are derandomized, so a run is
+reproducible.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsdca.dataset import Dataset, NonFiniteError, ParseError, parse_libsvm
+from dfsdca.dataset import Dataset, ParseError, parse_libsvm
 
 BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
 BLANKS = [" ", "\t", "\x1f"]
@@ -75,10 +76,11 @@ def outcome(parse, text):
     """The arrays a parse gives, floats as their bits, or its error: a
     ``ParseError``, or the ``Dataset``'s ``NonFiniteError`` for a NaN or
     infinite label, or a row whose norm is not finite (a NaN or infinite
-    value, or one near 1e200 whose square overflows)."""
+    value, or one near 1e200 whose square overflows), or its ``ValueError``
+    for a d too large for int32 CSR."""
     try:
         ds = parse(text)
-    except (ParseError, NonFiniteError) as exc:
+    except ValueError as exc:  # ParseError and NonFiniteError are ones
         return f"{type(exc).__name__}: {exc}"
     return (ds.d, ds.labels.view(np.int64).tolist(), ds.indptr.tolist(),
             ds.indices.tolist(), ds.data.view(np.int64).tolist())

@@ -145,6 +145,25 @@ class TestTauNice:
             tau_nice(np.ones(3), 4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda tau: tau_nice(np.ones(5), tau),
+    lambda tau: chunked_sampling(np.ones(5), naive_chunks([1] * 5), tau),
+], ids=["nice", "chunked"])
+class TestTauIsAnInteger:
+    """A fractional tau would set p_i = tau/units and E|S| from tau while
+    the draws take floor(tau) units, so theta and the ESO would not hold."""
+
+    @pytest.mark.parametrize("tau", [2.5, 1.5, np.float64(0.5)])
+    def test_fraction_is_rejected(self, make, tau):
+        with pytest.raises(ValueError, match=f"tau must be an integer, got {tau}"):
+            make(tau)
+
+    def test_numpy_integer_is_taken(self, make):
+        sc, want = make(np.int64(2)), make(2)
+        assert type(sc.tau) is int and sc.tau == 2 and sc.name == want.name
+        assert sc.expected_size == want.expected_size and np.array_equal(sc.p, want.p)
+
+
 class CountingList(list):
     def __init__(self, *args):
         super().__init__(*args)
