@@ -4,7 +4,9 @@ drive the validator suites, and compute reference solutions.
 Exit codes: 0 success, 1 usage, 2 data error, 3 divergence or validation
 failure, 4 the compiled kernels could not be built or loaded. All
 subcommands are deterministic under a fixed seed; CSV and JSON outputs
-carry no timestamps so reruns are byte-identical.
+carry no timestamps so reruns are byte-identical. ``validate`` runs its
+suites in forked processes, one per CPU this process may use; its report
+and exit code are those of running them one after another.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .diagnostics import (
     ALL_SUITES,
     ReferenceError,
     ReferenceSolution,
+    WorkerError,
     decay_envelope,
     reference_solution,
+    run_suites,
     seed_stats,
 )
 from .losses import build_nonconvex_instance, logistic_loss, squared_loss
@@ -258,8 +262,7 @@ def cmd_chunk_stats(args) -> int:
 
 def cmd_validate(args) -> int:
     _check_writable(args.out)
-    options = {"lemma1": {"theta_override": args.theta}}
-    results = [ALL_SUITES[name](args.seed, **options.get(name, {})) for name in args.suite]
+    results = run_suites(args.suite, args.seed, args.theta)
     report = {"seed": args.seed, "suites": results,
               "pass": all(r["pass"] for r in results)}
     _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
@@ -466,7 +469,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"dfsdca: data error: {exc}", file=sys.stderr)
         return 2
-    except (ReferenceError, DivergenceError, ValueError) as exc:
+    except (ReferenceError, DivergenceError, WorkerError, ValueError) as exc:
         print(f"dfsdca: {exc}", file=sys.stderr)
         return 3
     except KernelBuildError as exc:

@@ -1,7 +1,12 @@
 import dataclasses
 import math
+import os
+import pickle
 import re
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +14,9 @@ from scipy.optimize import minimize
 
 import dfsdca._kernel as _kernel
 import dfsdca.diagnostics as diagnostics
-from dfsdca.dataset import gen_synthetic
+from dfsdca.dataset import NonFiniteError, gen_synthetic
 from dfsdca.diagnostics import (
+    ALL_SUITES,
     ReferenceError,
     convergence_report,
     decay_envelope,
@@ -18,6 +24,7 @@ from dfsdca.diagnostics import (
     potentials,
     random_relation_state,
     reference_solution,
+    run_suites,
     verify_contraction,
     verify_lemma1,
     verify_lemma2,
@@ -37,6 +44,7 @@ from dfsdca.sampling import (
     tau_nice,
 )
 from dfsdca.solver import (
+    DivergenceError,
     PrimalPoint,
     SolverConfig,
     SolverState,
@@ -559,3 +567,151 @@ class TestSuites:
         assert report["pass"] is False
         assert math.isnan(report["extra"]["eq_discrepancy"])
         assert math.isnan(report["extra"]["min_slack"])
+
+
+@pytest.mark.parametrize("error", [
+    ReferenceError("the oracle stopped", 1.5), ValueError("theta exceeds p"),
+    DivergenceError("P(w) left the runaway bound"),
+    _kernel.KernelBuildError("no gcc"), NonFiniteError("row 3"),
+], ids=lambda error: type(error).__name__)
+def test_errors_with_an_exit_code_survive_pickling(error):
+    # run_suites pickles a worker's error to its parent, and cli.main maps
+    # each of these classes to an exit code
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and vars(copy) == vars(error)
+
+
+def _no_fork():
+    raise AssertionError("a worker process was forked")
+
+
+class TestRunSuites:
+    NAMES = ["gradcheck", "fixedpoint", "lemma2"]
+
+    def test_reports_do_not_depend_on_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = run_suites(self.NAMES, 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert run_suites(self.NAMES, 3) == pooled
+        assert pooled == [ALL_SUITES[name](3) for name in self.NAMES]
+
+    def test_first_error_in_request_order_is_raised(self, monkeypatch):
+        # two shares: lemma1 runs in the worker, eso and lemma2 here, where
+        # lemma2's error comes first in time
+        def give_up(seed, theta_override=None):
+            raise ReferenceError("the oracle stopped", 2.5)
+
+        def bad_theta(seed, theta_override=None):
+            raise ValueError("theta exceeds p")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(ALL_SUITES, "eso", lambda seed: {"name": "eso"})
+        monkeypatch.setitem(ALL_SUITES, "lemma1", give_up)
+        monkeypatch.setitem(ALL_SUITES, "lemma2", bad_theta)
+        with pytest.raises(ReferenceError) as info:
+            run_suites(["eso", "lemma1", "lemma2"], 0)
+        assert str(info.value) == "the oracle stopped"
+        assert info.value.grad_norm == 2.5
+        with pytest.raises(ValueError, match="theta exceeds p"):
+            run_suites(["eso", "lemma2", "lemma1"], 0)
+
+    def test_kernel_build_error_comes_before_any_fork(self, monkeypatch):
+        def cannot_build():
+            raise _kernel.KernelBuildError("no gcc")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(_kernel, "_load", cannot_build)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        with pytest.raises(_kernel.KernelBuildError, match="no gcc"):
+            run_suites(self.NAMES, 0)
+
+    def test_fork_warning_of_python_3_12_is_silenced(self, monkeypatch):
+        # the warning that Python 3.12 gives in the parent after each fork in
+        # a process with threads; the tests turn warnings into errors
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                              "use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_suites(["gradcheck", "fixedpoint"], 0) == \
+            [ALL_SUITES[name](0) for name in ("gradcheck", "fixedpoint")]
+
+    def test_no_fork_beside_python_threads(self, monkeypatch):
+        # a fork copies only the calling thread, so it can deadlock on a lock
+        # another thread holds
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert run_suites(["gradcheck", "fixedpoint"], 0) == \
+                [ALL_SUITES[name](0) for name in ("gradcheck", "fixedpoint")]
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_error_in_a_worker_stops_this_process_early(self, monkeypatch):
+        # two shares: eso and lemma2 here, lemma1 and contraction in the
+        # worker; lemma1's error comes in while eso runs, so lemma2 never runs
+        ran = []
+
+        def slow(seed):
+            time.sleep(0.5)
+            return {"name": "eso"}
+
+        def give_up(seed, theta_override=None):
+            raise ReferenceError("the oracle stopped", 2.5)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(ALL_SUITES, "eso", slow)
+        monkeypatch.setitem(ALL_SUITES, "lemma1", give_up)
+        monkeypatch.setitem(ALL_SUITES, "lemma2", lambda seed: ran.append(seed))
+        with pytest.raises(ReferenceError, match="the oracle stopped"):
+            run_suites(["eso", "lemma1", "lemma2", "contraction"], 0)
+        assert ran == []
+
+    def test_error_here_stops_the_workers(self, monkeypatch):
+        def bad_theta(seed, theta_override=None):
+            raise ValueError("theta exceeds p")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(ALL_SUITES, "lemma1", bad_theta)
+        monkeypatch.setitem(ALL_SUITES, "lemma2", lambda seed: time.sleep(60))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="theta exceeds p"):
+            run_suites(["lemma1", "lemma2"], 0)
+        assert time.perf_counter() - start < 10
+
+    def test_error_in_a_worker_keeps_its_traceback(self, monkeypatch):
+        def broken_suite(seed, theta_override=None):
+            return {}["no such key"]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(ALL_SUITES, "lemma1", broken_suite)
+        with pytest.raises(KeyError) as info:
+            run_suites(["gradcheck", "lemma1"], 0)
+        assert "in broken_suite" in str(info.value.__cause__)
+
+    def test_error_that_cannot_be_pickled_comes_back_as_its_repr(self, monkeypatch):
+        class Unpicklable(Exception):
+            def __reduce__(self):
+                raise TypeError("cannot pickle")
+
+        def broken_suite(seed, theta_override=None):
+            raise Unpicklable("in the worker")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(ALL_SUITES, "lemma1", broken_suite)
+        with pytest.raises(RuntimeError, match=r"Unpicklable\('in the worker'\)") as info:
+            run_suites(["gradcheck", "lemma1"], 0)
+        assert "in broken_suite" in str(info.value.__cause__)

@@ -133,7 +133,7 @@ def entry(draw, prev):
     if kind == 0:  # below 2**63, where the Python parser overflowed
         head = draw(st.tuples(signs, st.text("0123456789", min_size=1, max_size=18))
                     .map("".join))
-    elif kind == 1:  # 18 and 19 digits, from 10**17 to 2**63 - 1
+    elif kind == 1 and prev < 2**63 - 1:  # 18 and 19 digits, up to 2**63 - 1
         head = str(draw(st.integers(max(prev + 1, 10**17), 2**63 - 1)))
     elif kind == 2:
         head = str(draw(st.integers(-3, prev)))
