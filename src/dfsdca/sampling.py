@@ -22,13 +22,11 @@ all share one stream, and a solver can draw every iteration between two
 checkpoints in one call. ``atoms`` gives a small scheme's exact support in
 the same block layout, with one probability per subset.
 
-The tau-subset schemes draw uniform tau-subsets of their units (examples or
-chunks) by Floyd's algorithm, which takes one bounded integer per slot
-whatever the earlier slots kept. So one compiled pass draws every slot of
-a block through numpy's own C code and resolves repeats (``_tau_subsets``).
-Wherever numpy itself uses Floyd for ``rng.choice(units, tau,
-replace=False)`` (units <= 10000, or tau <= units // 50), the subsets and
-the generator state equal those of sorted ``rng.choice`` calls.
+Chunked sampling draws a uniform tau-subset of a partition's chunks, in
+one compiled pass of Floyd's algorithm per block (``_tau_subsets``), and
+takes their union; each core gets one drawn chunk, loaded with the chunk's
+sum of u. tau-nice sampling is chunked sampling over n chunks of one
+example.
 """
 
 from __future__ import annotations
@@ -154,60 +152,6 @@ def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
     return out
 
 
-def _tau_atoms(scheme, units: int):
-    """The atoms of a scheme that draws uniform tau-subsets of
-    range(units): every subset, in lexicographic order and mapped to
-    examples by ``scheme._examples``, each with probability
-    1 / C(units, tau)."""
-    total = math.comb(units, scheme.tau)
-    if total > ATOM_LIMIT:
-        return None
-    ids = np.array(list(itertools.combinations(range(units), scheme.tau)), dtype=np.int64)
-    return (*scheme._examples(ids), np.full(total, 1.0 / total))
-
-
-class TauNiceSampling(SamplingScheme):
-    """Uniformly random subsets of a fixed size tau, drawn by
-    :func:`_tau_subsets`: a block of draws is one compiled pass."""
-
-    def __init__(self, norms, tau):
-        norms = np.asarray(norms, dtype=np.float64)
-        n = norms.size
-        # a fractional tau would set marginals tau/n that its draws lack
-        if not isinstance(tau, (int, np.integer)):
-            raise ValueError(f"tau must be an integer, got {tau}")
-        if not (1 <= tau <= n):
-            raise ValueError(f"tau must be in [1, {n}], got {tau}")
-        super().__init__(f"nice:{tau}", n, np.full(n, tau / n), tau, float(tau))
-        self.tau = int(tau)
-
-    def eso(self, dataset):
-        """v_i = ||A_i||^2 + (tau - 1)/max(n - 1, 1) * overlap_i, with the
-        per-row overlap of :meth:`Dataset.overlap`: a pair of distinct rows
-        shares a draw with probability (tau - 1)/(n - 1), so only features
-        that rows share add to ||A_i||^2. O(n) once the overlap is built.
-
-        The sum meets the cardinality bound tau ||A_i||^2 when every
-        feature of row i lies in every row, and rounding can then put it an
-        ulp above, so the result is capped at that bound. At tau = 1 it is
-        ||A_i||^2 bitwise. A term past the largest double is inf, without a
-        warning: the cap or the stepsize check takes it."""
-        norms_sq = self._norms_sq(dataset)
-        c = (self.tau - 1) / max(self.n - 1, 1)
-        with np.errstate(over="ignore"):
-            return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
-
-    def _examples(self, ids: np.ndarray):
-        """Rows of example ids, as ``(idx, offsets)``."""
-        return ids.ravel(), np.arange(0, ids.size + 1, self.tau, dtype=np.int64)
-
-    def draw_block(self, rng, k):
-        return self._examples(_tau_subsets(rng, self.n, self.tau, k))
-
-    def atoms(self):
-        return _tau_atoms(self, self.n)
-
-
 @dataclass(eq=False)
 class ChunkPartition:
     """Consecutive chunks of [n] with per-chunk sizes g and nnz sums s."""
@@ -222,6 +166,9 @@ class ChunkPartition:
         self.s = np.asarray(self.s)
         if self.g.size == 0 or self.g.shape != self.s.shape:
             raise ValueError("g and s must be nonempty and equally long")
+        if self.g.min() < 1:
+            c = int(np.flatnonzero(self.g < 1)[0])
+            raise ValueError(f"chunk {c} has size {self.g[c]}, below 1")
         self.boundaries = np.concatenate(([0], np.cumsum(self.g)))
 
     @property
@@ -269,12 +216,12 @@ def naive_chunks(u) -> ChunkPartition:
 
 
 class ChunkedSampling(SamplingScheme):
-    """Uniform tau-subsets of chunks; the sampled set is their union.
+    """Uniform tau-subsets of the k chunks of a partition, drawn by
+    :func:`_tau_subsets`; the sampled set is their union.
 
     Every coordinate has marginal tau/k. The cardinality cap is
-    tau * max_j g_j, and :meth:`eso` returns the conservative cardinality
-    bound v_i = cap * ||A_i||^2. Chunk ids are drawn as in
-    :class:`TauNiceSampling`, by :func:`_tau_subsets` over the k chunks.
+    tau * max_c g_c, and :meth:`eso` returns the conservative cardinality
+    bound v_i = cap * ||A_i||^2.
     """
 
     def __init__(self, norms, partition: ChunkPartition, tau):
@@ -282,13 +229,16 @@ class ChunkedSampling(SamplingScheme):
         k = partition.k
         if partition.n != norms.size:
             raise ValueError("partition does not cover this dataset")
-        if not isinstance(tau, (int, np.integer)):
+        # a fractional tau would set marginals tau/k that its draws lack; a
+        # bool is an int, but names no size
+        if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
             raise ValueError(f"tau must be an integer, got {tau}")
         if not (1 <= tau <= k):
             raise ValueError(f"tau must be in [1, k={k}], got {tau}")
-        n, cap = norms.size, int(tau) * int(np.max(partition.g))
+        n, tau = norms.size, int(tau)
+        cap = tau * int(np.max(partition.g))
         super().__init__(f"chunked:{tau}", n, np.full(n, tau / k), cap, n * tau / k)
-        self.tau = int(tau)
+        self.tau = tau
         self.partition = partition
 
     def _examples(self, ids: np.ndarray):
@@ -304,12 +254,49 @@ class ChunkedSampling(SamplingScheme):
         return self._examples(_tau_subsets(rng, self.partition.k, self.tau, k))
 
     def core_loads(self, rng, u, k):
-        # one chunk per core: a core's load is its chunk's nnz sum
-        ids = _tau_subsets(rng, self.partition.k, self.tau, k)
-        return np.asarray(self.partition.s, dtype=np.float64)[ids]
+        # one drawn chunk per core, loaded with its sum of u
+        sums = np.add.reduceat(np.asarray(u, dtype=np.float64), self.partition.boundaries[:-1])
+        return sums[_tau_subsets(rng, self.partition.k, self.tau, k)]
 
     def atoms(self):
-        return _tau_atoms(self, self.partition.k)
+        units = self.partition.k
+        total = math.comb(units, self.tau)
+        if total > ATOM_LIMIT:
+            return None
+        ids = np.array(list(itertools.combinations(range(units), self.tau)), dtype=np.int64)
+        return (*self._examples(ids), np.full(total, 1.0 / total))
+
+
+class TauNiceSampling(ChunkedSampling):
+    """Uniformly random subsets of a fixed size tau: chunked sampling over
+    n chunks of one example (the partition :func:`naive_chunks` makes of
+    unit loads), whose chunk ids are its example ids."""
+
+    def __init__(self, norms, tau):
+        n = np.size(norms)
+        ones = np.ones(n, dtype=np.int64)
+        super().__init__(norms, ChunkPartition(ones, ones, 1), tau)
+        self.name = f"nice:{self.tau}"
+
+    def eso(self, dataset):
+        """v_i = ||A_i||^2 + (tau - 1)/max(n - 1, 1) * overlap_i, with the
+        per-row overlap of :meth:`Dataset.overlap`: a pair of distinct rows
+        shares a draw with probability (tau - 1)/(n - 1), so only features
+        that rows share add to ||A_i||^2. O(n) once the overlap is built.
+
+        The sum meets the cardinality bound tau ||A_i||^2 when every
+        feature of row i lies in every row, and rounding can then put it an
+        ulp above, so the result is capped at that bound. At tau = 1 it is
+        ||A_i||^2 bitwise. A term past the largest double is inf, without a
+        warning: the cap or the stepsize check takes it."""
+        norms_sq = self._norms_sq(dataset)
+        c = (self.tau - 1) / max(self.n - 1, 1)
+        with np.errstate(over="ignore"):
+            return np.minimum(norms_sq + c * dataset.overlap(), self.tau * norms_sq)
+
+    def _examples(self, ids: np.ndarray):
+        # the identity map: the general expansion would slow every draw
+        return ids.ravel(), np.arange(0, ids.size + 1, self.tau, dtype=np.int64)
 
 
 def serial_uniform(norms) -> SerialSampling:

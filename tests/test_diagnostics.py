@@ -118,6 +118,37 @@ class TestReferenceSolution:
         )
         assert np.linalg.norm(res.x - ref.w) <= 1e-6
 
+    def test_line_search_halves_and_agrees_with_bfgs(self, monkeypatch):
+        # the full Newton step from w = 0 overshoots here, so the Armijo
+        # test rejects it once: each iterate, and each rejected trial
+        # point, builds one PrimalPoint
+        ds = from_rows([([0, 1], [3.44, 2.425]), ([0, 1], [4.036, 3.362])],
+                       [1.0, -1.0], 2)
+        prob = make_problem(ds, logistic_loss(ds.labels), 1e-3)
+        calls = {"points": 0, "cg": 0}
+        point, cg = diagnostics.PrimalPoint, diagnostics._newton_cg
+
+        def counting_point(*args):
+            calls["points"] += 1
+            return point(*args)
+
+        def counting_cg(*args):
+            calls["cg"] += 1
+            return cg(*args)
+
+        monkeypatch.setattr(diagnostics, "PrimalPoint", counting_point)
+        monkeypatch.setattr(diagnostics, "_newton_cg", counting_cg)
+        ref = reference_solution(prob)
+        # the start, one accepted point per Newton step, and the halvings
+        assert calls["points"] > calls["cg"] + 1
+        res = minimize(
+            lambda w: primal_value(prob, w), np.zeros(ds.d),
+            jac=lambda w: primal_gradient(prob, w), method="BFGS",
+            options={"gtol": 1e-12},
+        )
+        assert np.max(np.abs(res.x - ref.w)) <= 1e-7
+        assert abs(ref.P_star - res.fun) <= 4 * np.spacing(ref.P_star)
+
     def test_unreachable_tolerance_reports_progress(self):
         with pytest.raises(ReferenceError) as info:
             reference_solution(logistic_problem(), tol=1e-30)

@@ -1,6 +1,7 @@
 """Code outside the package that calls into it: the benchmark script and
 README's library example. A renamed or deleted name breaks them here."""
 
+import dataclasses
 import importlib.util
 import math
 import re
@@ -65,6 +66,20 @@ def test_benchmark_replay_equals_run(monkeypatch, scheme):
     got, _ = tracing.replay(problem, build(), 30, 6, ref, tracing.NullTracer())
     assert np.array_equal(got.w, want.w)
     assert np.array_equal(got.alpha, want.alpha)
+
+
+@pytest.mark.parametrize("name", ["serial-ridge", "nice-logistic", "chunked-logistic"])
+def test_benchmark_traced_round(monkeypatch, tmp_path, name):
+    # the traced round also calls the schemes' core loads, the validator
+    # suites and the CLI; at the toy sizes of the benchmark's own smoke
+    # test (whose end-to-end cases are too slow for this suite), no
+    # operation may fail
+    bench = load_benchmark_module(monkeypatch, "run")
+    monkeypatch.setitem(sys.modules, "run", bench)  # as test_smoke imports it
+    toy = load_benchmark_module(monkeypatch, "test_smoke").TOY[name]
+    wl = dataclasses.replace(bench.WORKLOADS[name], draws=50, **toy)
+    result = bench.run_workload(wl, seed=3, seconds=0.0, trace=True, out_dir=tmp_path)
+    assert result["attempted"] >= 1 and result["failed"] == 0
 
 
 def test_readme_library_example(capsys):

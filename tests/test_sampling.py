@@ -7,6 +7,7 @@ from scipy import stats
 
 from dfsdca.dataset import gen_synthetic
 from dfsdca.sampling import (
+    ChunkPartition,
     _tau_subsets,
     chunked_sampling,
     importance_probabilities,
@@ -158,6 +159,11 @@ class TestTauIsAnInteger:
         with pytest.raises(ValueError, match=f"tau must be an integer, got {tau}"):
             make(tau)
 
+    @pytest.mark.parametrize("tau", [True, np.True_])
+    def test_bool_is_rejected(self, make, tau):
+        with pytest.raises(ValueError, match="tau must be an integer, got True"):
+            make(tau)
+
     def test_numpy_integer_is_taken(self, make):
         sc, want = make(np.int64(2)), make(2)
         assert type(sc.tau) is int and sc.tau == 2 and sc.name == want.name
@@ -244,11 +250,12 @@ class TestChunkedSampling:
     def test_core_loads_are_chunk_sums(self):
         # one core per chunk: each row holds the nnz sums of the tau distinct
         # chunks whose union the same block of draw_block returns
-        part = naive_chunks([3, 1, 2, 5, 4, 1, 1])
+        u = [3, 1, 2, 5, 4, 1, 1]
+        part = naive_chunks(u)
         assert part.s.tolist() == [4, 2, 5, 5, 1]
         sc = chunked_sampling(np.ones(part.n), part, 2)
         a, b = np.random.default_rng(5), np.random.default_rng(5)
-        loads = sc.core_loads(a, np.zeros(part.n), 200)
+        loads = sc.core_loads(a, np.array(u), 200)
         idx, offsets = sc.draw_block(b, 200)
         chunk = np.repeat(np.arange(part.k), part.g)
         assert loads.shape == (200, 2) and loads.dtype == np.float64
@@ -257,6 +264,51 @@ class TestChunkedSampling:
             assert ids.size == 2
             assert np.array_equal(row, part.s[ids])
         assert a.random() == b.random()
+
+    def test_core_loads_follow_u(self):
+        # a core's load is its chunk's sum of the u passed in, not of the
+        # loads the partition was built from
+        part = naive_chunks([3, 1, 2, 5, 4, 1, 1])
+        sc = chunked_sampling(np.ones(part.n), part, 2)
+        u = np.array([0.5, 10.0, 0.25, 7.0, 1.0, 2.0, 4.0])
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        loads = sc.core_loads(a, u, 50)
+        idx, offsets = sc.draw_block(b, 50)
+        chunk = np.repeat(np.arange(part.k), part.g)
+        sums = np.bincount(chunk, u)
+        assert sums.tolist() == [10.5, 0.25, 7.0, 3.0, 4.0]
+        for row, ex in zip(loads, np.split(idx, offsets[1:-1])):
+            assert np.array_equal(row, sums[np.unique(chunk[ex])])
+
+    @pytest.mark.parametrize("g, c", [([3, -1, 3], 1), ([2, 0], 1), ([0, 4], 0)])
+    def test_chunk_below_one_example_is_rejected(self, g, c):
+        with pytest.raises(ValueError, match=rf"^chunk {c} has size {g[c]}, below 1$"):
+            ChunkPartition(np.array(g), np.ones(len(g)), 1.0)
+
+
+class TestNiceIsChunksOfOne:
+    """tau-nice sampling is chunked sampling over n chunks of one example:
+    the same draws, support, marginals, E|S|, core loads and stream."""
+
+    @pytest.mark.parametrize("tau", [1, 3, 7])
+    def test_same_scheme(self, tau):
+        ds = gen_synthetic(7, 5, 0.5, "skewed-nnz", 4)
+        nice = tau_nice(ds.norms, tau)
+        chunked = chunked_sampling(ds.norms, naive_chunks([1] * ds.n), tau)
+        assert chunked.partition.k == ds.n
+        assert (nice.name, chunked.name) == (f"nice:{tau}", f"chunked:{tau}")
+        assert np.array_equal(nice.p, chunked.p) and nice.max_card == chunked.max_card
+        assert nice.expected_size == chunked.expected_size == tau
+        for x, y in zip(nice.atoms(), chunked.atoms()):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        a, b = np.random.default_rng(tau), np.random.default_rng(tau)
+        for k in (1, 40):
+            for x, y in zip(nice.draw_block(a, k), chunked.draw_block(b, k)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert np.array_equal(nice.core_loads(a, ds.nnz, k),
+                                  chunked.core_loads(b, ds.nnz, k))
+        assert a.random() == b.random()
+        assert np.all(nice.eso(ds) <= chunked.eso(ds))
 
 
 class TestRandomC:
