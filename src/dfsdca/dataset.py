@@ -307,9 +307,14 @@ def gen_synthetic(
     for bit (``tests/test_gen_fuzz.py`` keeps the loop as its reference).
     The first call builds the compiled library (gcc). Sizes above 2**31 - 1
     raise ValueError: n and d before any draw, nnz before any row's draws.
+    So does a ``density`` outside (0, 1] or a ``tail_exponent`` that is not
+    a finite number above 0, before any draw, for every label model.
     """
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must be in (0, 1], got {density}")
+    if not (0.0 < tail_exponent < np.inf):
+        raise ValueError(
+            f"tail_exponent must be a finite number above 0, got {tail_exponent}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     check_csr_size(n, d)

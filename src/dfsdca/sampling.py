@@ -17,16 +17,17 @@ A scheme holds no state that a draw changes: every draw is a function of
 the caller-owned numpy Generator alone, so one instance serves any number
 of runs. Its one draw rule, ``draw_block(rng, k)``, makes k draws and
 takes from the generator exactly what k blocks of one take. ``draw`` is
-the block of one, and ``core_loads`` gives a block's per-core workloads, so
-all share one stream, and a solver can draw every iteration between two
-checkpoints in one call. ``atoms`` gives a small scheme's exact support in
-the same block layout, with one probability per subset.
+the block of one, so both share one stream, and a solver can draw every
+iteration between two checkpoints in one call. Each concrete scheme's
+``atoms`` gives its exact support in the same block layout, with one
+probability per subset, or None when that is too large to enumerate.
 
 Chunked sampling draws a uniform tau-subset of a partition's chunks, in
 one compiled pass of Floyd's algorithm per block (``_tau_subsets``), and
-takes their union; each core gets one drawn chunk, loaded with the chunk's
-sum of u. tau-nice sampling is chunked sampling over n chunks of one
-example.
+takes their union. Only it has per-core workloads: ``core_loads`` gives
+each core one drawn chunk of a block, loaded with the chunk's sum of u,
+from the stream ``draw_block`` takes. tau-nice sampling is chunked
+sampling over n chunks of one example, whose chunk sums are u itself.
 """
 
 from __future__ import annotations
@@ -85,23 +86,6 @@ class SamplingScheme:
         """One subset of [n] as a sorted index array: a block of one."""
         return self.draw_block(rng, 1)[0]
 
-    def core_loads(self, rng: np.random.Generator, u, k: int) -> np.ndarray:
-        """Per-core workloads of a block of k draws, as a (k, cores) array:
-        one drawn example per core, loaded with its entry of ``u``. Holds
-        for schemes whose every draw has max_card examples."""
-        idx, _ = self.draw_block(rng, k)
-        return np.asarray(u)[idx].reshape(k, self.max_card)
-
-    def sample_core_loads(self, rng: np.random.Generator, u) -> np.ndarray:
-        """Per-core workloads of one draw: a block of one."""
-        return self.core_loads(rng, u, 1)[0]
-
-    def atoms(self):
-        """The exact support, as a block ``(idx, offsets)`` in the layout
-        of :meth:`draw_block` holding every outcome once, plus the array
-        ``prob`` of their probabilities; None past ATOM_LIMIT outcomes."""
-        return None
-
 
 class SerialSampling(SamplingScheme):
     """Singleton subsets: {i} with probability p_i."""
@@ -154,7 +138,8 @@ def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class ChunkPartition:
-    """Consecutive chunks of [n] with per-chunk sizes g and nnz sums s."""
+    """Consecutive chunks of [n] with per-chunk sizes g and nnz sums s; a
+    size that is not an integer of at least 1 is a ValueError."""
 
     g: np.ndarray
     s: np.ndarray
@@ -162,10 +147,13 @@ class ChunkPartition:
     boundaries: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=np.int64)
-        self.s = np.asarray(self.s)
-        if self.g.size == 0 or self.g.shape != self.s.shape:
+        g, self.s = np.asarray(self.g), np.asarray(self.s)
+        if g.size == 0 or g.shape != self.s.shape:
             raise ValueError("g and s must be nonempty and equally long")
+        # a fractional size would be truncated; a bool is an int, but names no size
+        if g.dtype.kind not in "iu":
+            raise ValueError(f"chunk 0 has size {g.flat[0]}, not an integer")
+        self.g = g.astype(np.int64)
         if self.g.min() < 1:
             c = int(np.flatnonzero(self.g < 1)[0])
             raise ValueError(f"chunk {c} has size {self.g[c]}, below 1")
@@ -253,10 +241,20 @@ class ChunkedSampling(SamplingScheme):
     def draw_block(self, rng, k):
         return self._examples(_tau_subsets(rng, self.partition.k, self.tau, k))
 
-    def core_loads(self, rng, u, k):
-        # one drawn chunk per core, loaded with its sum of u
-        sums = np.add.reduceat(np.asarray(u, dtype=np.float64), self.partition.boundaries[:-1])
-        return sums[_tau_subsets(rng, self.partition.k, self.tau, k)]
+    def core_loads(self, rng: np.random.Generator, u, k: int) -> np.ndarray:
+        """Per-core workloads of a block of k draws, as a (k, tau) array:
+        one drawn chunk per core, loaded with its float64 sum of ``u``."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (self.n,):
+            raise ValueError(f"{self.name} samples {self.n} examples, u has shape {u.shape}")
+        # k == n only for chunks of one example (tau-nice): their sums are u
+        part = self.partition
+        sums = u if part.k == self.n else np.add.reduceat(u, part.boundaries[:-1])
+        return sums[_tau_subsets(rng, part.k, self.tau, k)]
+
+    def sample_core_loads(self, rng: np.random.Generator, u) -> np.ndarray:
+        """Per-core workloads of one draw: a block of one."""
+        return self.core_loads(rng, u, 1)[0]
 
     def atoms(self):
         units = self.partition.k

@@ -391,6 +391,20 @@ class TestChunkStats:
         assert side["k"] >= 8
         assert sum(side["g"]) == 500
 
+    def test_without_out_writes_csv_then_partition_to_stdout(self, tmp_path, capsys):
+        data = tmp_path / "five.libsvm"
+        data.write_text("1 1:1 2:1 3:1\n-1 1:1\n1 2:1\n-1 1:1 3:1\n1 3:1\n")
+        assert main(["chunk-stats", "--data", str(data), "--tau", "2",
+                     "--draws", "3", "--seed", "1"]) == 0
+        assert capsys.readouterr() == (
+            "row,standard,chunked\n"
+            "0,0.0,0.5\n"
+            "1,0.5,0.0\n"
+            "2,1.0,0.5\n"
+            "mean,0.5,0.3333333333333333\n"
+            '{"boundaries": [0, 1, 3, 5], "g": [1, 2, 2], "k": 3, "m_cap": 3.0, '
+            '"s": [3.0, 2.0, 3.0]}\n', "")
+
     def test_index_beyond_int32_exits_3(self, tmp_path, capsys):
         # a Dataset is int32 CSR, whichever command reads it
         data = tmp_path / "wide.libsvm"
@@ -565,6 +579,14 @@ class TestReference:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_missing_reference_is_data_error(self, tmp_path, capsys):
+        ref = tmp_path / "missing.json"
+        assert main(["run", "--synthetic", "10,4,0.8,linear-sign",
+                     "--reference", str(ref)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"dfsdca: data error: cannot read {ref}: "
+            f"[Errno 2] No such file or directory: '{ref}'\n"))
 
     @pytest.mark.parametrize("text", [
         "{", "[1]", '{"w": "abc", "alpha": [1.0], "P_star": 1.0, "grad_norm": 0.0}',

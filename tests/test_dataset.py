@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dfsdca import _kernel
 from dfsdca.dataset import (
+    LABEL_MODELS,
     Dataset,
     NonFiniteError,
     ParseError,
@@ -236,6 +237,15 @@ class TestSynthetic:
             gen_synthetic(4, 3, 0.0, "linear-sign", 0)
         with pytest.raises(ValueError, match="density"):
             gen_synthetic(4, 3, 1.5, "linear-sign", 0)
+
+    @pytest.mark.parametrize("model", LABEL_MODELS)
+    @pytest.mark.parametrize("tail", [0, -1, 0.0, float("nan"), float("inf")])
+    def test_invalid_tail_exponent(self, model, tail):
+        # unchecked: 0 divided by zero, -1 failed in numpy's pareto, and nan
+        # gave one entry per row with a RuntimeWarning
+        with pytest.raises(ValueError, match=rf"^tail_exponent must be a finite number "
+                                             rf"above 0, got {tail}$"):
+            gen_synthetic(4, 3, 0.5, model, 0, tail_exponent=tail)
 
     def test_label_models(self):
         signs = gen_synthetic(50, 10, 0.5, "linear-sign", 0)

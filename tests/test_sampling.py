@@ -8,6 +8,9 @@ from scipy import stats
 from dfsdca.dataset import gen_synthetic
 from dfsdca.sampling import (
     ChunkPartition,
+    ChunkedSampling,
+    SamplingScheme,
+    TauNiceSampling,
     _tau_subsets,
     chunked_sampling,
     importance_probabilities,
@@ -285,6 +288,14 @@ class TestChunkedSampling:
         with pytest.raises(ValueError, match=rf"^chunk {c} has size {g[c]}, below 1$"):
             ChunkPartition(np.array(g), np.ones(len(g)), 1.0)
 
+    @pytest.mark.parametrize("g, shown", [
+        ([3.9, 3.0], "3.9"), ([2.0, 1.0], "2.0"), ([True, True], "True"),
+    ])
+    def test_size_that_is_not_an_integer_is_rejected(self, g, shown):
+        # truncated to int, [3.9, 3.0] became two chunks of 3 examples
+        with pytest.raises(ValueError, match=rf"^chunk 0 has size {shown}, not an integer$"):
+            ChunkPartition(np.array(g), np.ones(2), 1.0)
+
 
 class TestNiceIsChunksOfOne:
     """tau-nice sampling is chunked sampling over n chunks of one example:
@@ -309,6 +320,49 @@ class TestNiceIsChunksOfOne:
                                   chunked.core_loads(b, ds.nnz, k))
         assert a.random() == b.random()
         assert np.all(nice.eso(ds) <= chunked.eso(ds))
+
+
+def reduceat_loads(scheme, rng, u, k):
+    """The reference rule for core loads: u as float64 summed over every
+    chunk by np.add.reduceat, indexed by the drawn chunk ids."""
+    sums = np.add.reduceat(np.asarray(u, dtype=np.float64), scheme.partition.boundaries[:-1])
+    return sums[_tau_subsets(rng, scheme.partition.k, scheme.tau, k)]
+
+
+class TestCoreLoads:
+    """Only the tau-subset schemes have core loads, one drawn chunk per core;
+    tau-nice takes its chunk sums as u itself, with no reduction over n."""
+
+    def test_only_chunked_sampling_defines_them(self):
+        for name in ("core_loads", "sample_core_loads", "atoms"):
+            assert not hasattr(SamplingScheme, name)
+        assert {"core_loads", "sample_core_loads"} <= vars(ChunkedSampling).keys()
+        assert not {"core_loads", "sample_core_loads"} & vars(TauNiceSampling).keys()
+        ds = gen_synthetic(20, 8, 0.5, "skewed-nnz", 2)
+        for sc in (serial_uniform(ds.norms), serial_weighted(ds.norms, np.full(20, 0.05)),
+                   serial_importance(ds.norms, np.ones(20), 0.1),
+                   random_c_sampling(ds.norms, 3.0, 1)):
+            assert not hasattr(sc, "core_loads") and not hasattr(sc, "sample_core_loads")
+
+    @pytest.mark.parametrize("k", [1, 7, 2000])
+    def test_loads_equal_the_reduceat_rule_bitwise(self, k):
+        ds = gen_synthetic(300, 40, 0.1, "skewed-nnz", 6)
+        u_float = np.random.default_rng(k).standard_normal(ds.n) * 1e3
+        u_float[::37] = -0.0
+        part = naive_chunks(ds.nnz.tolist())
+        schemes = [tau_nice(ds.norms, 1), tau_nice(ds.norms, 16), tau_nice(ds.norms, ds.n),
+                   chunked_sampling(ds.norms, part, 1), chunked_sampling(ds.norms, part, 5),
+                   chunked_sampling(ds.norms, naive_chunks([1] * ds.n), 16)]
+        assert part.k < ds.n
+        for sc in schemes:
+            for u in (ds.nnz, u_float):
+                a, b = np.random.default_rng(k + 1), np.random.default_rng(k + 1)
+                loads = sc.core_loads(a, u, k)
+                want = reduceat_loads(sc, b, u, k)
+                assert loads.dtype == want.dtype == np.float64
+                assert loads.shape == want.shape == (k, sc.tau)
+                assert loads.tobytes() == want.tobytes()
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestRandomC:
@@ -555,8 +609,9 @@ class TestDeterminism:
             sc.eso(ds)
             for _ in range(20):
                 sc.draw(rng)
-                sc.sample_core_loads(rng, ds.nnz)
-                sc.core_loads(rng, ds.nnz, 3)
+                if isinstance(sc, ChunkedSampling):
+                    sc.sample_core_loads(rng, ds.nnz)
+                    sc.core_loads(rng, ds.nnz, 3)
             assert pickle.dumps(sc) == before
 
 
@@ -596,10 +651,7 @@ class TestDrawBlock:
                 assert np.array_equal(idx[offsets[j]:offsets[j + 1]], x)
             assert a.random() == b.random()
 
-    @pytest.mark.parametrize("name", [
-        "serial-uniform", "serial-weighted", "nice:1", "nice:7", "nice:n",
-        "chunked:1", "chunked:3",
-    ])
+    @pytest.mark.parametrize("name", ["nice:1", "nice:7", "nice:n", "chunked:1", "chunked:3"])
     def test_core_loads_equal_single_draws(self, name):
         ds = gen_synthetic(41, 10, 0.3, "skewed-nnz", 2)
         sc = self.scheme(name, ds)
