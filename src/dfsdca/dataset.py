@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+# the compiled routines behind scipy's ``A @ x`` and ``A.T.tocsr()``
+from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
 from . import _kernel
 
@@ -39,6 +41,26 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _matvec(indptr, indices, data, rows: int, cols: int, x, name: str) -> np.ndarray:
+    """The CSR product A @ x by scipy's ``csr_matvec``, which copies a
+    strided x but reads it without checking its length: so x, as float64,
+    must be 1-d and cols long first."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (cols,):
+        raise ValueError(f"{name} must be a 1-d vector of length {cols}, "
+                         f"got shape {x.shape}")
+    out = np.zeros(rows)
+    csr_matvec(rows, cols, indptr, indices, data, x, out)
+    return out
+
+
+def _csr_matrix(indptr, indices, data, shape: tuple) -> sp.csr_matrix:
+    """A scipy matrix around canonical CSR arrays, with no copy."""
+    A = sp.csr_matrix((data, indices, indptr), shape=shape)
+    A.has_canonical_format = True
+    return A
 
 
 def check_csr_size(n: int, d: int, nnz: int | None = None) -> None:
@@ -66,8 +88,15 @@ class Dataset:
     counts and measures the rows and writes the index arrays as int32, so
     building a Dataset by hand also loads the compiled library (gcc on
     first use). A row's norm is the square root of its squares summed left
-    to right from 0.0. The scipy matrix behind :meth:`csr`, :meth:`margins`
-    and :meth:`combine` is wrapped around the checked arrays, with no copy."""
+    to right from 0.0.
+
+    :meth:`margins` and :meth:`combine` call scipy's compiled CSR matvec
+    (``csr_matvec``) on the arrays directly, the second on a transpose that
+    ``csr_tocsc`` builds once, on first use: the routines behind ``@`` and
+    ``.T.tocsr()``, so their bits are those of ``csr() @ w`` and
+    ``csr_t() @ alpha``. No scipy matrix is built for them. :meth:`csr` and
+    :meth:`csr_t` wrap scipy matrices around those same arrays, with no
+    copy, when first called."""
 
     def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
@@ -111,19 +140,16 @@ class Dataset:
         self.data = _freeze(data)
         self.nnz = _freeze(nnz)
         self.norms = _freeze(norms)
-        self._csr = sp.csr_matrix((self.data, self.indices, self.indptr),
-                                  shape=(n, self.d))
-        self._csr.has_canonical_format = True  # checked above
-        self._csr_t = None
-        self._overlap = None
+        self._csr = self._csr_t = self._t_arrays = self._overlap = None
 
     @property
     def n(self) -> int:
         return self.labels.size
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        """All inner products A_i^T w at once (CSR matvec)."""
-        return self._csr @ w
+        """All inner products A_i^T w at once (CSR matvec); w is 1-d of
+        length d, else ValueError."""
+        return _matvec(self.indptr, self.indices, self.data, self.n, self.d, w, "w")
 
     def gather(self, subset: np.ndarray):
         """Nonzeros of the rows in ``subset``, row after row, as
@@ -144,17 +170,30 @@ class Dataset:
         return seg, self.indices[pos], self.data[pos]
 
     def csr(self) -> sp.csr_matrix:
+        if self._csr is None:
+            self._csr = _csr_matrix(self.indptr, self.indices, self.data, (self.n, self.d))
         return self._csr
+
+    def _transpose(self) -> tuple:
+        """The frozen CSR arrays ``(indptr, indices, data)`` of the d x n
+        transpose, built by ``csr_tocsc`` on first use."""
+        if self._t_arrays is None:
+            nnz = self.data.size
+            arrays = (np.empty(self.d + 1, self.indptr.dtype),
+                      np.empty(nnz, self.indices.dtype), np.empty(nnz))
+            csr_tocsc(self.n, self.d, self.indptr, self.indices, self.data, *arrays)
+            self._t_arrays = tuple(map(_freeze, arrays))
+        return self._t_arrays
 
     def csr_t(self) -> sp.csr_matrix:
         if self._csr_t is None:
-            self._csr_t = self.csr().T.tocsr()
+            self._csr_t = _csr_matrix(*self._transpose(), (self.d, self.n))
         return self._csr_t
 
     def overlap(self) -> np.ndarray:
         """Per-row sums sum_j (omega_j - 1) A_ij^2, where omega_j counts
         the rows with a nonzero in column j: the data term of the tau-nice
-        ESO bound. Built on first use, like :meth:`csr_t`, and frozen."""
+        ESO bound. Built on first use, like the transpose, and frozen."""
         if self._overlap is None:
             omega = np.bincount(self.indices, minlength=self.d)
             rows = np.repeat(np.arange(self.n), self.nnz)
@@ -163,8 +202,9 @@ class Dataset:
         return self._overlap
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
-        """Dense vector sum_i alpha_i A_i."""
-        return self.csr_t() @ alpha
+        """Dense vector sum_i alpha_i A_i (CSR matvec over the transpose);
+        alpha is 1-d of length n, else ValueError."""
+        return _matvec(*self._transpose(), self.d, self.n, alpha, "alpha")
 
 
 def libsvm_arrays(text) -> tuple:

@@ -138,8 +138,8 @@ def _tau_subsets(rng, units: int, tau: int, k: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class ChunkPartition:
-    """Consecutive chunks of [n] with per-chunk sizes g and nnz sums s; a
-    size that is not an integer of at least 1 is a ValueError."""
+    """Consecutive chunks of [n] with per-chunk sizes g and nnz sums s, both
+    1-d; a size that is not an integer of at least 1 is a ValueError."""
 
     g: np.ndarray
     s: np.ndarray
@@ -148,11 +148,18 @@ class ChunkPartition:
 
     def __post_init__(self):
         g, self.s = np.asarray(self.g), np.asarray(self.s)
+        if g.ndim != 1 or self.s.ndim != 1:
+            raise ValueError(f"g and s must be 1-d, got shapes {g.shape} and {self.s.shape}")
         if g.size == 0 or g.shape != self.s.shape:
             raise ValueError("g and s must be nonempty and equally long")
-        # a fractional size would be truncated; a bool is an int, but names no size
+        # a fractional size would be truncated; a bool is an int, but names no
+        # size, and numpy reads a list of ints and bools as ints
         if g.dtype.kind not in "iu":
             raise ValueError(f"chunk 0 has size {g.flat[0]}, not an integer")
+        if not isinstance(self.g, np.ndarray):
+            for c, size in enumerate(self.g):
+                if isinstance(size, (bool, np.bool_)):
+                    raise ValueError(f"chunk {c} has size {size}, not an integer")
         self.g = g.astype(np.int64)
         if self.g.min() < 1:
             c = int(np.flatnonzero(self.g < 1)[0])

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.sparse._compressed as compressed
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dfsdca.dataset as dataset_module
 from dfsdca import _kernel
 from dfsdca.dataset import (
     LABEL_MODELS,
@@ -20,7 +22,10 @@ from dfsdca.dataset import (
     parse_libsvm,
     serialize_libsvm,
 )
-from dfsdca.losses import build_nonconvex_instance
+from dfsdca.diagnostics import ALL_SUITES, reference_solution, run_suites
+from dfsdca.losses import build_nonconvex_instance, logistic_loss
+from dfsdca.sampling import tau_nice
+from dfsdca.solver import SolverConfig, make_problem, run
 
 from csr_rows import from_rows, row
 
@@ -470,6 +475,10 @@ def csr_inputs(draw):
     return indptr, indices, data, labels, d
 
 
+def pointers(*arrays) -> list:
+    return [a.ctypes.data for a in arrays]
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(args=csr_inputs())
 def test_compiled_pass_equals_scipy_construction(args):
@@ -480,10 +489,82 @@ def test_compiled_pass_equals_scipy_construction(args):
 
     def dataset(*call):
         ds = Dataset(*call)
-        A = ds.csr()  # wrapped around the checked arrays, not a copy
-        for name in ("indptr", "indices", "data"):
-            assert getattr(A, name).ctypes.data == getattr(ds, name).ctypes.data
-        assert A.has_canonical_format
+        # wrapped around the checked arrays and the transpose, not copies
+        A, T = ds.csr(), ds.csr_t()
+        assert pointers(A.indptr, A.indices, A.data) == pointers(ds.indptr, ds.indices, ds.data)
+        assert A.has_canonical_format and T.has_canonical_format
+        # the products read those same arrays
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset_module, "csr_matvec", lambda *a: calls.append(a[2:5]))
+            ds.margins(np.zeros(ds.d))
+            ds.combine(np.zeros(ds.n))
+        assert [pointers(*arrays) for arrays in calls] == [
+            pointers(M.indptr, M.indices, M.data) for M in (A, T)]
         return ds.indptr, ds.indices, ds.data, ds.labels, ds.nnz, ds.norms
 
     assert built(dataset, copies()) == built(reference_dataset, copies())
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.int64)
+
+
+def no_call(*args):
+    raise AssertionError("csr_matvec called")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(args=csr_inputs(), seed=st.integers(0, 2**32 - 1))
+# n = 1 and d = 1, full and empty; empty rows and empty columns
+@example(args=([0, 1], [0], [2.5], [-1.0], 1), seed=0)
+@example(args=([0, 0], [], [], [1.0], 1), seed=0)
+@example(args=([0, 2, 2, 3], [0, 2, 2], [1.0, -3.0, 0.5], [1.0, -1.0, 1.0], 4), seed=0)
+def test_products_equal_scipy_products(args, seed):
+    try:
+        ds = Dataset(*args)
+    except ValueError:
+        return
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(ds.d) * 10.0 ** rng.integers(-20, 21, ds.d)
+    alpha = rng.standard_normal(ds.n) * 10.0 ** rng.integers(-20, 21, ds.n)
+    assert np.array_equal(bits(ds.margins(w)), bits(ds.csr() @ w))
+    assert np.array_equal(bits(ds.combine(alpha)), bits(ds.csr_t() @ alpha))
+    # a strided vector is read as its contiguous copy
+    assert np.array_equal(bits(ds.margins(np.repeat(w, 2)[::2])), bits(ds.margins(w)))
+    T, ref = ds.csr_t(), ds.csr().T.tocsr()
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(T, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    # csr_matvec does not check lengths: a vector of the wrong shape is
+    # rejected before it is called
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "csr_matvec", no_call)
+        for product, name, size in ((ds.margins, "w", ds.d), (ds.combine, "alpha", ds.n)):
+            shapes = [(size + 1,), (size, 1), (1, size), ()] + [(size - 1,)] * (size > 0)
+            for shape in shapes:
+                with pytest.raises(ValueError, match=rf"^{name} must be a 1-d vector of "
+                                                     rf"length {size}, got shape "):
+                    product(np.ones(shape))
+
+
+def test_no_scipy_matrix_on_the_run_oracle_and_validate_paths(monkeypatch):
+    constructed = []
+    init = compressed._cs_matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        constructed.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(compressed._cs_matrix, "__init__", spy)
+    # one CPU: every suite runs in this process, where the spy sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_suites(list(ALL_SUITES), 0)
+    assert constructed == []
+    ds = gen_synthetic(200, 30, 0.2, "skewed-nnz", 0, tail_exponent=1.5)
+    problem = make_problem(ds, logistic_loss(ds.labels), 1.0 / ds.n)
+    run(problem, tau_nice(ds.norms, 4), SolverConfig(epochs=3),
+        reference=reference_solution(problem))
+    assert constructed == []
+    ds.csr_t()  # the spy sees the wrapper that is built on first use
+    assert constructed == ["csr_matrix"]

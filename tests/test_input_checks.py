@@ -101,6 +101,10 @@ CHECKS = {
                         "g and s must be nonempty and equally long"),
     "partition-unequal": (lambda: ChunkPartition([1, 2], [1], 1.0),
                           "g and s must be nonempty and equally long"),
+    "partition-2d": (lambda: ChunkPartition(np.ones((2, 2), int), np.ones((2, 2)), 1.0),
+                     "g and s must be 1-d, got shapes (2, 2) and (2, 2)"),
+    "partition-bool-size": (lambda: ChunkPartition([3, True], [3, 1], 1.0),
+                            "chunk 1 has size True, not an integer"),
     "negative-nnz": (lambda: naive_chunks([1, -1]), "nnz entries must be nonnegative"),
     "partition-cover": (lambda: chunked_sampling(np.ones(3), naive_chunks([1, 1]), 1),
                         "partition does not cover this dataset"),
