@@ -159,10 +159,9 @@ class Dataset:
         every row left to right, like the CSR matvec of :meth:`margins`, and
         equals ``margins(w)[subset]`` bitwise.
 
-        The ESO validator builds its aggregated rows from it. The solver
-        does not use it: its compiled kernel reads the CSR arrays directly,
-        in the same order, and the numpy kernel over ``gather`` in
-        ``tests/test_kernel.py`` is its bitwise reference."""
+        The solver does not use it: its compiled kernel reads the CSR
+        arrays directly, in the same order, and the numpy kernel over
+        ``gather`` in ``tests/test_kernel.py`` is its bitwise reference."""
         starts = self.indptr[subset]
         counts = self.indptr[1:][subset] - starts
         pos = concat_ranges(starts, counts)

@@ -21,6 +21,9 @@ the block of one, so both share one stream, and a solver can draw every
 iteration between two checkpoints in one call. Each concrete scheme's
 ``atoms`` gives its exact support in the same block layout, with one
 probability per subset, or None when that is too large to enumerate.
+``validate_eso`` checks v against that support exactly: its worst ratio
+over every h is the top eigenvalue of D^{-1/2} (P o A A^T) D^{-1/2}, with
+P_ik = Pr(i, k in S) and D = diag(p o v).
 
 Chunked sampling draws a uniform tau-subset of a partition's chunks, in
 one compiled pass of Floyd's algorithm per block (``_tau_subsets``), and
@@ -43,6 +46,8 @@ from .dataset import Dataset, concat_ranges
 
 #: enumeration cutoff for exact expectations over a scheme's support
 ATOM_LIMIT = 10_000
+#: largest n whose n x n matrices the exact ESO check builds
+ESO_LIMIT = 2_000
 
 
 @dataclass(eq=False)
@@ -56,7 +61,7 @@ class SamplingScheme:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
-        if np.any(self.p <= 0.0) or np.any(self.p > 1.0):
+        if not np.all((self.p > 0.0) & (self.p <= 1.0)):
             raise ValueError("marginals must satisfy 0 < p_i <= 1")
 
     def _norms_sq(self, dataset: Dataset) -> np.ndarray:
@@ -368,72 +373,50 @@ def waiting_time(core_loads) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class EsoReport:
-    """Worst observed LHS/RHS ratios of the overapproximation inequality."""
-
-    ratios: np.ndarray
-    stderrs: np.ndarray
-    exact: bool
-
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratios))
-
-
-def validate_eso(
-    scheme: SamplingScheme,
-    dataset: Dataset,
-    trials: int,
-    seed: int,
-    mc_draws: int = 10_000,
-) -> EsoReport:
-    """Estimate max_h E[||sum_{i in S} A_i h_i||^2] / sum_i p_i v_i h_i^2.
-
-    The expectation is exact over the scheme's :meth:`~SamplingScheme.atoms`
-    whenever it has them (at most ATOM_LIMIT outcomes), otherwise Monte
-    Carlo over a block of ``mc_draws`` draws per trial, with the standard
-    error reported per trial.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    weights = scheme.p * scheme.eso(dataset)
+def exact_atoms(scheme: SamplingScheme):
+    """The scheme's :meth:`atoms`; a ValueError if it has none to give."""
     atoms = scheme.atoms()
-    ratios = np.empty(trials)
-    stderrs = np.zeros(trials)
+    if atoms is None:
+        raise ValueError("scheme support too large for exact enumeration")
+    return atoms
 
-    d = dataset.d
-    block = max(1, 2**18 // d)  # subsets per block: dense rows of <= 2 MiB
 
-    def agg_norms_sq(idx, offsets, h):
-        """||sum_{i in S} A_i h_i||^2 for each subset S of the block
-        ``(idx, offsets)``. One bincount per part of ``block`` subsets
-        builds the rows z_S, each adding its terms in subset order and in
-        CSR order within an example."""
-        out = np.empty(offsets.size - 1)
-        for k in range(0, out.size, block):
-            bounds = offsets[k:k + block + 1]
-            flat = idx[bounds[0]:bounds[-1]]
-            seg, cols, vals = dataset.gather(flat)
-            rows = bounds.size - 1
-            row = np.repeat(np.arange(rows), np.diff(bounds))[seg]
-            z = np.bincount(row * d + cols, vals * h[flat][seg], minlength=rows * d)
-            zr = z.reshape(rows, d)
-            out[k:k + rows] = np.vecdot(zr, zr)
-        return out
+def validate_eso(scheme: SamplingScheme, dataset: Dataset) -> float:
+    """The worst ratio max_h E[||sum_{i in S} A_i h_i||^2] / sum_i p_i v_i h_i^2
+    over every h, which is at most 1 iff the ESO holds.
 
-    for trial in range(trials):
-        h = rng.standard_normal(scheme.n)
-        rhs = float(np.sum(weights * h**2))
-        if atoms is not None:
-            idx, offsets, prob = atoms
-            # Python's sum adds in subset order, one atom after another;
-            # np.dot would add in another order and round differently
-            lhs = float(sum(prob * agg_norms_sq(idx, offsets, h)))
-        else:
-            vals = agg_norms_sq(*scheme.draw_block(rng, mc_draws), h)
-            lhs = float(vals.mean())
-            stderrs[trial] = float(vals.std(ddof=1) / np.sqrt(mc_draws)) / rhs
-        ratios[trial] = lhs / rhs
-    return EsoReport(ratios, stderrs, atoms is not None)
+    It is the largest eigenvalue of D^{-1/2} M D^{-1/2}, where
+    M = P o A A^T, P_ik = Pr(i, k in S) and D = diag(p o v) (Qu and
+    Richtarik, arXiv:1412.8063). P is one bincount of the atoms' (i, k)
+    pairs, and A A^T a product of the dense block of the columns that hold
+    a nonzero. A row whose p_i v_i is not positive counts as weight 0,
+    unless M_ii > 0, where no v bounds the ratio: it is inf. A NaN in v
+    gives NaN.
+
+    Raises ValueError if the scheme has no atoms, or if n exceeds ESO_LIMIT,
+    before building the n x n matrices.
+    """
+    n = scheme.n
+    if n > ESO_LIMIT:
+        raise ValueError(f"the exact ESO check builds n x n matrices: n = {n} "
+                         f"exceeds the limit {ESO_LIMIT}")
+    idx, offsets, prob = exact_atoms(scheme)
+    weights = scheme.p * scheme.eso(dataset)
+    if np.isnan(weights).any():
+        return math.nan
+    sizes = np.diff(offsets)
+    reps = np.repeat(sizes, sizes)  # each member pairs with its atom's members
+    first = np.repeat(idx, reps)
+    second = idx[concat_ranges(np.repeat(offsets[:-1], sizes), reps)]
+    pair_prob = np.bincount(first * n + second, np.repeat(prob, sizes**2),
+                            minlength=n * n).reshape(n, n)
+    cols, col_of = np.unique(dataset.indices, return_inverse=True)
+    block = np.zeros((n, cols.size))
+    block[np.repeat(np.arange(n), dataset.nnz), col_of] = dataset.data
+    m = pair_prob * (block @ block.T)
+    positive = weights > 0
+    if np.any(np.diag(m)[~positive] > 0):
+        return math.inf
+    scale = np.zeros(n)
+    scale[positive] = weights[positive] ** -0.5
+    return float(np.linalg.eigvalsh(scale[:, None] * m * scale)[-1])

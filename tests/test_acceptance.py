@@ -16,6 +16,7 @@ from dfsdca.diagnostics import (
     convergence_report,
     random_relation_state,
     reference_solution,
+    suite_eso,
     verify_contraction,
     verify_lemma1,
     verify_lemma2,
@@ -28,6 +29,7 @@ from dfsdca.losses import (
     squared_loss,
 )
 from dfsdca.sampling import (
+    TauNiceSampling,
     chunked_sampling,
     naive_chunks,
     random_c_sampling,
@@ -230,32 +232,45 @@ def test_criterion_06_one_step_contraction():
             assert verify_contraction(prob, state, scheme, ref, "D") >= -1e-10
 
 
+def eso_certificate_holds() -> bool:
+    """Criterion 7's check: the exact worst ratio is at most 1 for the
+    built-in schemes on 10 random datasets, and above 1 for an undersized v."""
+    rng = np.random.default_rng(400)
+    ratios = []
+    for _ in range(10):
+        ds = gen_synthetic(
+            int(rng.integers(6, 25)), int(rng.integers(4, 10)), 0.6,
+            "linear-sign", int(rng.integers(0, 2**31)),
+        )
+        part = naive_chunks(ds.nnz.tolist())
+        p = rng.dirichlet(np.full(ds.n, 4.0))
+        schemes = [
+            serial_uniform(ds.norms),
+            serial_weighted(ds.norms, p / p.sum()),
+            random_c_sampling(ds.norms, 4.0, int(rng.integers(0, 2**31))),
+            tau_nice(ds.norms, min(3, ds.n)),
+            chunked_sampling(ds.norms, part, min(2, part.k)),
+        ]
+        ratios.extend(validate_eso(sc, ds) for sc in schemes)
+    corr = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
+    sc = tau_nice(corr.norms, 3)
+    sc.eso = lambda dataset: dataset.norms**2 / 3.0
+    return bool(np.max(ratios) <= 1.0 + 1e-12) and validate_eso(sc, corr) > 1.0
+
+
 def test_criterion_07_eso_certificate():
     with criterion(7, "overapproximation ratio <= 1 for built-ins; "
                       "undersized v detected"):
-        rng = np.random.default_rng(400)
-        for _ in range(10):
-            ds = gen_synthetic(
-                int(rng.integers(6, 25)), int(rng.integers(4, 10)), 0.6,
-                "linear-sign", int(rng.integers(0, 2**31)),
-            )
-            part = naive_chunks(ds.nnz.tolist())
-            p = rng.dirichlet(np.full(ds.n, 4.0))
-            schemes = [
-                serial_uniform(ds.norms),
-                serial_weighted(ds.norms, p / p.sum()),
-                random_c_sampling(ds.norms, 4.0, int(rng.integers(0, 2**31))),
-                tau_nice(ds.norms, min(3, ds.n)),
-                chunked_sampling(ds.norms, part, min(2, part.k)),
-            ]
-            for sc in schemes:
-                rep = validate_eso(sc, ds, trials=3,
-                                   seed=int(rng.integers(0, 2**31)))
-                assert np.all(rep.ratios <= 1.0 + 3.0 * rep.stderrs + 1e-12), sc.name
-        corr = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
-        sc = tau_nice(corr.norms, 3)
-        sc.eso = lambda dataset: dataset.norms**2 / 3.0
-        assert validate_eso(sc, corr, trials=5, seed=0).max_ratio > 1.0
+        assert eso_certificate_holds()
+
+
+def test_criterion_07_rejects_undersized_tau_nice_v(monkeypatch):
+    # 0.7 v breaks the ESO on these datasets: its worst ratio is 1.17 here
+    # and 1.20-1.24 in the eso suite at seeds 0-2
+    eso = TauNiceSampling.eso
+    monkeypatch.setattr(TauNiceSampling, "eso", lambda self, ds: 0.7 * eso(self, ds))
+    assert not eso_certificate_holds()
+    assert not suite_eso(0)["pass"]
 
 
 def test_criterion_08_primal_dual_relation(envelope_runs):

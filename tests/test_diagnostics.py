@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import pickle
@@ -533,6 +532,15 @@ class TestConvergenceReport:
         assert not rep.all_passed
         assert [r.passed for r in rep.rows] == [True, True, True, False, True]
 
+    def test_nan_mean_fails_its_checkpoint(self):
+        # a NaN mean compares False both ways; a mean of 0 passes
+        theta = 0.1
+        traces = [_fake_trace(theta, [0, 1, 2, 3], [1.0, math.nan, 0.1, 0.0])
+                  for _ in range(2)]
+        rep = convergence_report(traces, theta, potential="E")
+        assert [r.passed for r in rep.rows] == [True, False, True, True]
+        assert not rep.all_passed
+
     def test_ridge_first_passage_within_theory(self):
         prob = ridge_problem()
         theta = theta_convex([0.5, 0.5], prob.dataset.norms**2,
@@ -562,9 +570,7 @@ def _nan_like(value, part):
         return tuple(math.nan if k == int(part) else v for k, v in enumerate(value))
     if isinstance(value, np.ndarray):
         return np.full_like(value, math.nan)
-    if isinstance(value, float):
-        return math.nan
-    return dataclasses.replace(value, ratios=np.full_like(value.ratios, math.nan))
+    return math.nan
 
 
 class TestSuites:

@@ -25,6 +25,7 @@ from dfsdca.losses import (
     squared_loss,
 )
 from dfsdca.sampling import (
+    ESO_LIMIT,
     ChunkPartition,
     chunked_sampling,
     importance_probabilities,
@@ -65,6 +66,11 @@ def verify_lemma1_past_the_atom_limit():
                   reference_solution(problem))
 
 
+def one_hot_rows(n):
+    """n rows with one entry each, in feature 0."""
+    return from_rows([([0], [1.0])] * n, np.ones(n), 1)
+
+
 def verify_contraction_with(potential):
     problem = tiny_problem()
     verify_contraction(problem, init_state(problem), serial_uniform(problem.dataset.norms),
@@ -97,6 +103,8 @@ CHECKS = {
     # sampling
     "p-norms-lengths": (lambda: serial_weighted(np.ones(2), [1.0]),
                         "p and norms must have the same length"),
+    "nan-marginal": (lambda: serial_weighted(np.ones(3), [np.nan, 0.5, 0.5]),
+                     "marginals must satisfy 0 < p_i <= 1"),
     "partition-empty": (lambda: ChunkPartition([], [], 1.0),
                         "g and s must be nonempty and equally long"),
     "partition-unequal": (lambda: ChunkPartition([1, 2], [1], 1.0),
@@ -112,8 +120,12 @@ CHECKS = {
                        "l and lam must be positive"),
     "importance-l": (lambda: importance_probabilities([0.0], [1.0], 1.0),
                      "l and lam must be positive"),
-    "eso-trials": (lambda: validate_eso(serial_uniform(np.ones(3)), tiny_dataset(), 0, 0),
-                   "trials must be >= 1"),
+    "eso-atom-limit": (lambda: validate_eso(tau_nice(np.ones(25), 5), one_hot_rows(25)),
+                       "scheme support too large for exact enumeration"),
+    "eso-n-limit": (lambda: validate_eso(serial_uniform(np.ones(ESO_LIMIT + 1)),
+                                         one_hot_rows(ESO_LIMIT + 1)),
+                    f"the exact ESO check builds n x n matrices: n = {ESO_LIMIT + 1} "
+                    f"exceeds the limit {ESO_LIMIT}"),
     "core-loads-u": (lambda: tau_nice(np.ones(3), 2).core_loads(
                          np.random.default_rng(0), np.ones(2), 1),
                      "nice:2 samples 3 examples, u has shape (2,)"),

@@ -392,53 +392,48 @@ class TestRandomC:
 class TestEso:
     def test_serial_is_tight(self):
         ds = gen_synthetic(10, 5, 0.7, "linear-sign", 1)
-        rep = validate_eso(serial_uniform(ds.norms), ds, trials=10, seed=2)
-        assert rep.exact
-        assert rep.max_ratio <= 1.0 + 1e-12
         # singleton expectations make the bound an equality
-        assert rep.max_ratio >= 1.0 - 1e-12
+        assert validate_eso(serial_uniform(ds.norms), ds) == pytest.approx(1.0, abs=1e-12)
 
     def test_tau_nice_exact_enumeration(self):
         ds = gen_synthetic(8, 5, 0.8, "linear-sign", 3)
-        rep = validate_eso(tau_nice(ds.norms, 3), ds, trials=10, seed=4)
-        assert rep.exact and rep.max_ratio <= 1.0 + 1e-12
+        assert validate_eso(tau_nice(ds.norms, 3), ds) <= 1.0 + 1e-12
 
     def test_chunked_exact_enumeration(self):
         ds = gen_synthetic(10, 6, 0.6, "linear-sign", 5)
         part = naive_chunks(ds.nnz.tolist())
-        rep = validate_eso(chunked_sampling(ds.norms, part, 2), ds, trials=8, seed=6)
-        assert rep.exact and rep.max_ratio <= 1.0 + 1e-12
+        assert validate_eso(chunked_sampling(ds.norms, part, 2), ds) <= 1.0 + 1e-12
 
-    def test_monte_carlo_path(self):
-        ds = gen_synthetic(25, 8, 0.5, "linear-sign", 7)
-        sc = tau_nice(ds.norms, 5)  # C(25,5) outcomes: too many to enumerate
-        rep = validate_eso(sc, ds, trials=3, seed=8)
-        assert not rep.exact
-        assert np.all(rep.stderrs > 0)
-        assert np.all(rep.ratios <= 1.0 + 3.0 * rep.stderrs + 1e-12)
-
-    @pytest.mark.parametrize("kind,n,tau,exact", [
-        ("nice", 12, 3, True), ("nice", 41, 3, False),
-        ("chunked", 12, 2, True), ("chunked", 60, 5, False),
-    ], ids=["nice-exact", "nice-monte-carlo", "chunked-exact", "chunked-monte-carlo"])
-    def test_matches_per_subset_loop(self, kind, n, tau, exact):
-        # d = 600 splits the 1000 Monte Carlo draws into three blocks. The
-        # Monte Carlo cases have more than ATOM_LIMIT outcomes: C(41, 3) =
-        # 10660 for nice:3, and C(19, 5) = 11628 for chunked:5 over the 19
-        # chunks of n = 60
-        ds = gen_synthetic(n, 600, 0.01, "skewed-nnz", 11)
+    @pytest.mark.parametrize("kind,tau", [("nice", 3), ("chunked", 2)],
+                             ids=["nice-exact", "chunked-exact"])
+    def test_matches_per_subset_loop(self, kind, tau):
+        # 104 of the 132 ordered pairs of rows share a feature, and the
+        # skewed row sizes make chunks of one to three examples
+        ds = gen_synthetic(12, 20, 0.3, "skewed-nnz", 11)
         part = naive_chunks(ds.nnz.tolist())
+        sc = tau_nice(ds.norms, tau) if kind == "nice" else chunked_sampling(ds.norms, part, tau)
+        m, weights, lhs = reference_eso(sc, ds)
+        scale = weights**-0.5
+        eigvals, eigvecs = np.linalg.eigh(scale[:, None] * m * scale)
+        worst = validate_eso(sc, ds)
+        assert abs(worst - eigvals[-1]) <= 1e-12
+        # no h exceeds the worst ratio, and the top eigenvector attains it
+        h = np.random.default_rng(12).standard_normal((200, ds.n))
+        assert np.all(lhs(h) / (h**2 @ weights) <= worst * (1.0 + 1e-12))
+        top = scale * eigvecs[:, -1]
+        assert lhs(top[None])[0] / (top**2 @ weights) == pytest.approx(worst, rel=1e-12)
 
-        def scheme():
-            if kind == "nice":
-                return tau_nice(ds.norms, tau)
-            return chunked_sampling(ds.norms, part, tau)
-
-        rep = validate_eso(scheme(), ds, 3, 12, mc_draws=1000)
-        ratios, stderrs = reference_eso(scheme(), ds, 3, 12, 1000)
-        assert rep.exact == exact
-        assert np.array_equal(rep.ratios, ratios)
-        assert np.array_equal(rep.stderrs, stderrs)
+    def test_zero_and_nan_weights(self):
+        ds = from_rows([([0], [1.0]), ([], []), ([0], [2.0])], np.ones(3), 1)
+        sc = serial_uniform(ds.norms)
+        # the empty row has v = 0 and nothing to bound: it is left out
+        assert sc.eso(ds)[1] == 0.0
+        assert validate_eso(sc, ds) == pytest.approx(1.0, abs=1e-12)
+        # no v_2 = 0 bounds row 2's own term
+        sc.eso = lambda dataset: np.array([1.0, 0.0, 0.0])
+        assert validate_eso(sc, ds) == math.inf
+        sc.eso = lambda dataset: np.array([1.0, math.nan, 4.0])
+        assert math.isnan(validate_eso(sc, ds))
 
     def test_tau_nice_bound_exact_on_tiny_data(self):
         # every tau of 200 tiny datasets, by exact enumeration; a feature in
@@ -451,9 +446,7 @@ class TestEso:
             for tau in range(1, ds.n + 1):
                 sc = tau_nice(ds.norms, tau)
                 v = sc.eso(ds)
-                rep = validate_eso(sc, ds, trials=2, seed=k)
-                assert rep.exact
-                worst = max(worst, rep.max_ratio)
+                worst = max(worst, validate_eso(sc, ds))
                 assert np.all(v <= tau * norms_sq), (k, tau)
             assert np.array_equal(tau_nice(ds.norms, 1).eso(ds), norms_sq)
         assert worst <= 1.0 + 1e-12
@@ -490,8 +483,8 @@ class TestEso:
         ds = from_rows([(np.arange(4), np.ones(4))] * 6, np.ones(6), 4)
         sc = tau_nice(ds.norms, 3)
         sc.eso = lambda dataset: dataset.norms**2 / 3.0
-        rep = validate_eso(sc, ds, trials=5, seed=9)
-        assert rep.max_ratio > 1.0
+        # M = 4 (0.3 I + 0.2 J) has top eigenvalue 6 on D = 2/3 I
+        assert validate_eso(sc, ds) == pytest.approx(9.0, rel=1e-12)
 
 
 def tiny_dataset(rng, full_column: bool, empty_row: bool):
@@ -509,35 +502,25 @@ def tiny_dataset(rng, full_column: bool, empty_row: bool):
     return from_rows(rows, np.ones(n), d)
 
 
-def reference_eso(scheme, ds, trials, seed, mc_draws):
-    """validate_eso's ratios and standard errors from a per-subset,
-    per-example loop."""
-    rng = np.random.default_rng(seed)
-    atoms = scheme.atoms()
-    if atoms is not None:
-        idx, offsets, probs = atoms
-        atoms = [(idx[offsets[j]:offsets[j + 1]], pr) for j, pr in enumerate(probs)]
+def reference_eso(scheme, ds):
+    """The ESO's M = sum_S Pr(S) A_S A_S^T, each term on the rows and
+    columns of S, from a per-subset loop over the atoms; the weights p o v;
+    and h -> E[||sum_{i in S} A_i h_i||^2] for each row of a (k, n) array."""
+    a = np.zeros((ds.n, ds.d))
+    for i in range(ds.n):
+        cols, vals = row(ds, i)
+        a[i, cols] = vals
+    idx, offsets, probs = scheme.atoms()
+    atoms = [(idx[offsets[j]:offsets[j + 1]], pr) for j, pr in enumerate(probs)]
+    m = np.zeros((ds.n, ds.n))
+    for subset, pr in atoms:
+        m[np.ix_(subset, subset)] += pr * (a[subset] @ a[subset].T)
 
-    def agg(subset, h):
-        z = np.zeros(ds.d)
-        for i in subset:
-            idx, val = row(ds, i)
-            z[idx] += val * h[i]
-        return float(np.dot(z, z))
+    def lhs(h):
+        return sum(pr * np.sum((h[:, subset] @ a[subset]) ** 2, axis=1)
+                   for subset, pr in atoms)
 
-    ratios, stderrs = np.empty(trials), np.zeros(trials)
-    v = scheme.eso(ds)
-    for t in range(trials):
-        h = rng.standard_normal(scheme.n)
-        rhs = float(np.sum(scheme.p * v * h**2))
-        if atoms is not None:
-            lhs = sum(prob * agg(subset, h) for subset, prob in atoms)
-        else:
-            vals = np.array([agg(scheme.draw(rng), h) for _ in range(mc_draws)])
-            lhs = float(vals.mean())
-            stderrs[t] = float(vals.std(ddof=1) / np.sqrt(mc_draws)) / rhs
-        ratios[t] = lhs / rhs
-    return ratios, stderrs
+    return m, scheme.p * scheme.eso(ds), lhs
 
 
 class TestWaitingTime:
