@@ -4,9 +4,8 @@ A :class:`Dataset` stores its rows once, as frozen CSR arrays
 (``indptr``/``indices``/``data``), with the labels, the dimension d, and
 the per-row norms and nonzero counts derived from them. Every numerical
 kernel reads those arrays: full margins and combinations for objective
-values and gradients, :meth:`Dataset.gather` for vectorized work on a
-subset of rows, and the solver's compiled step kernel, which is handed
-pointers to them.
+values and gradients, and the solver's compiled step kernel, which is
+handed pointers to them.
 
 ``Dataset(indptr, indices, data, labels, d)`` is the one constructor; the
 LIBSVM parser, the synthetic generators and the normalizers all build
@@ -150,23 +149,6 @@ class Dataset:
         """All inner products A_i^T w at once (CSR matvec); w is 1-d of
         length d, else ValueError."""
         return _matvec(self.indptr, self.indices, self.data, self.n, self.d, w, "w")
-
-    def gather(self, subset: np.ndarray):
-        """Nonzeros of the rows in ``subset``, row after row, as
-        ``(seg, cols, vals)``: entry k lies in row ``subset[seg[k]]`` at
-        column ``cols[k]``. Each row keeps its CSR order, so
-        ``np.bincount(seg, vals * w[cols], minlength=len(subset))`` sums
-        every row left to right, like the CSR matvec of :meth:`margins`, and
-        equals ``margins(w)[subset]`` bitwise.
-
-        The solver does not use it: its compiled kernel reads the CSR
-        arrays directly, in the same order, and the numpy kernel over
-        ``gather`` in ``tests/test_kernel.py`` is its bitwise reference."""
-        starts = self.indptr[subset]
-        counts = self.indptr[1:][subset] - starts
-        pos = concat_ranges(starts, counts)
-        seg = np.repeat(np.arange(subset.size), counts)
-        return seg, self.indices[pos], self.data[pos]
 
     def csr(self) -> sp.csr_matrix:
         if self._csr is None:

@@ -157,7 +157,7 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
     reason = f"reached the cap of {_MAX_NEWTON} iterations"
     for it in range(1, _MAX_NEWTON + 1):
         grad = at.gradient
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad.dot(grad))
         if gnorm <= target:
             return ReferenceSolution(at.w, at.alpha, at.value, gnorm)
         if best is None or gnorm < best.grad_norm:
@@ -230,7 +230,7 @@ def _newton_cg(
         a = rz / pHp
         x += a * p
         r -= a * Hp
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r.dot(r))
         if rnorm <= rtol:
             return x
         z = r / diag

@@ -9,12 +9,17 @@ matching sparse correction to w so the tie-in survives the update.
 The iterations run in one compiled kernel (``_kernel.c``, built with gcc on
 first use): :func:`run` makes one call per stretch of iterations between
 two checkpoints or resyncs, through :func:`steps`, which runs a block of
-subsets, and :func:`step` is its block of one.
+subsets, and :func:`step` is its block of one. With a second CPU, a
+checkpoint record off the resync grid is computed on a worker thread while
+the next block runs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,7 +74,8 @@ class PrimalPoint:
 
     def __init__(self, problem: ProblemSpec, w: np.ndarray):
         self.problem, self.w, self.margins = problem, w, problem.dataset.margins(w)
-        self.idx = np.arange(problem.dataset.n)
+        # every example: a full slice reads the per-example arrays uncopied
+        self.idx = slice(None)
 
     @cached_property
     def value(self) -> float:
@@ -153,7 +159,9 @@ def resync(problem: ProblemSpec, state: SolverState) -> float:
     of a checkpoint that falls there."""
     w = state.w
     state.w = w_of(problem, state.alpha)
-    return float(np.linalg.norm(w - state.w) / (1.0 + np.linalg.norm(w)))
+    dw = w - state.w
+    # math.sqrt(x.dot(x)) is np.linalg.norm(x) of a 1-d float vector, bitwise
+    return math.sqrt(dw.dot(dw)) / (1.0 + math.sqrt(w.dot(w)))
 
 
 def relation_residual(problem: ProblemSpec, state: SolverState) -> float:
@@ -316,17 +324,29 @@ def run(
     longer one's. w is resynced from alpha every n iterations; a record
     there keeps that resync's drift as its ``residual``, the record at the
     start takes 0 and any other takes :func:`relation_residual`, so no
-    record makes two ``combine`` calls. The iterations between two resyncs or records are drawn as one
-    block (:meth:`SamplingScheme.draw_block`, the same generator stream as
-    one ``draw`` per iteration) and run by one kernel call, so the iterates
-    equal a loop of :func:`step` over ``draw`` bitwise. With a reference
-    solution each record carries the suboptimality and the distance
-    potentials. Deterministic for a fixed seed. Raises DivergenceError if
-    the objective runs away.
+    record makes two ``combine`` calls. The iterations between two resyncs
+    or records are drawn as one block (:meth:`SamplingScheme.draw_block`,
+    the same generator stream as one ``draw`` per iteration) and run by one
+    kernel call, so the iterates equal a loop of :func:`step` over ``draw``
+    bitwise. With a reference solution each record carries the
+    suboptimality and the distance potentials. Deterministic for a fixed
+    seed. Raises DivergenceError if the objective runs away.
+
+    A record reads only (w, alpha). So a record off the resync grid with
+    iterations after it is computed on a copy of them, in one worker thread
+    and in the caller's context (numpy's ``errstate`` too), while the next
+    block is drawn and run; it is taken in, and checked for divergence,
+    right after that block's kernel call, before any resync. The start
+    record, the last, every record on a resync (every record of a serial
+    scheme) and every record of a process that may use one CPU are computed
+    inline. The thread starts on the first hand-off and is joined before
+    ``run`` returns or raises. The records equal the inline ones bitwise.
     """
     theta = resolve_theta(problem, scheme, config.theta)
     n = problem.dataset.n
     e_size = scheme.expected_size
+    # a record can overlap the next block only on a second CPU
+    overlap = len(os.sched_getaffinity(0)) > 1
 
     def checkpoint(k):
         """Iteration of the k-th checkpoint after the start."""
@@ -335,39 +355,52 @@ def run(
     total = checkpoint(config.epochs)
     rng = np.random.default_rng(config.seed)
     state = init_state(problem)
-    trace = Trace(theta=theta, expected_size=e_size, records=[])
 
-    def record(residual):
-        primal = primal_value(problem, state.w)
-        rec = TraceRecord(state.t, state.t * e_size / n, primal, residual)
+    def record(at: SolverState, residual) -> TraceRecord:
+        """The record of ``at``; a residual of None is measured here."""
+        if residual is None:
+            residual = relation_residual(problem, at)
+        primal = primal_value(problem, at.w)
+        rec = TraceRecord(at.t, at.t * e_size / n, primal, residual)
         if reference is not None:
-            pot = potentials(state, reference, problem.smoothness, problem.lam)
+            pot = potentials(at, reference, problem.smoothness, problem.lam)
             rec.subopt = primal - reference.P_star
             rec.B, rec.D, rec.E = pot.B, pot.D, pot.E
-        trace.records.append(rec)
-        return primal
+        return rec
 
     # init_state just computed w from alpha, so there is no drift to measure
-    runaway = 1e6 * abs(record(0.0)) + 1e6
+    records = [record(state, 0.0)]
+    runaway = 1e6 * abs(records[0].primal) + 1e6
+
+    def collect(rec: TraceRecord) -> None:
+        records.append(rec)
+        if not math.isfinite(rec.primal) or abs(rec.primal) > runaway:
+            raise DivergenceError(
+                f"P(w)={rec.primal:.3e} left the runaway bound {runaway:.3e} "
+                f"at iteration {rec.t}: stepsize inconsistent with the theory "
+                "or average loss not convex"
+            )
+
     # draws per kernel call, capped so that one block of indices stays small
     block = max(1, _BLOCK_EXAMPLES // scheme.max_card)
-    t, k = 0, 1
-    while t < total:
-        # the next resync or checkpoint ends the block
-        stop = min(t + block, (t // n + 1) * n, checkpoint(k))
-        idx, offsets = scheme.draw_block(rng, stop - t)
-        steps(problem, state, idx, offsets, scheme.p, theta)
-        t = stop
-        drift = resync(problem, state) if t % n == 0 else None
-        if t == checkpoint(k):
-            k += 1
-            if drift is None:  # not on a resync
-                drift = relation_residual(problem, state)
-            primal = record(drift)
-            if not math.isfinite(primal) or abs(primal) > runaway:
-                raise DivergenceError(
-                    f"P(w)={primal:.3e} left the runaway bound {runaway:.3e} "
-                    f"at iteration {t}: stepsize inconsistent with the theory "
-                    "or average loss not convex"
-                )
-    return state, trace
+    t, k, pending = 0, 1, None
+    with ThreadPoolExecutor(1) as worker:
+        while t < total:
+            # the next resync or checkpoint ends the block
+            stop = min(t + block, (t // n + 1) * n, checkpoint(k))
+            idx, offsets = scheme.draw_block(rng, stop - t)
+            steps(problem, state, idx, offsets, scheme.p, theta)
+            t = stop
+            if pending is not None:
+                collect(pending.result())
+                pending = None
+            drift = resync(problem, state) if t % n == 0 else None
+            if t == checkpoint(k):
+                k += 1
+                if drift is None and t < total and overlap:
+                    # a copy, because the next block moves w and alpha in place
+                    pending = worker.submit(contextvars.copy_context().run,
+                                            record, state.copy(), None)
+                else:
+                    collect(record(state, drift))
+    return state, Trace(theta, e_size, records)

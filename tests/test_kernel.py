@@ -16,7 +16,7 @@ import pytest
 
 from dfsdca import _kernel
 from dfsdca.cli import main
-from dfsdca.dataset import Dataset, gen_synthetic
+from dfsdca.dataset import Dataset, concat_ranges, gen_synthetic
 from dfsdca.diagnostics import reference_solution
 from dfsdca.losses import logistic_loss, quadratic_family, squared_loss
 from dfsdca.sampling import chunked_sampling, naive_chunks, serial_uniform, tau_nice
@@ -40,6 +40,20 @@ RTOL = 1e-13
 ATOL = 1e-15
 
 
+def gather(ds, subset):
+    """Nonzeros of the rows in ``subset``, row after row, as
+    ``(seg, cols, vals)``: entry k lies in row ``subset[seg[k]]`` at column
+    ``cols[k]``. Each row keeps its CSR order, so
+    ``np.bincount(seg, vals * w[cols], minlength=len(subset))`` sums every
+    row left to right, like the CSR matvec of ``Dataset.margins``, and
+    equals ``margins(w)[subset]`` bitwise."""
+    starts = ds.indptr[subset]
+    counts = ds.indptr[1:][subset] - starts
+    pos = concat_ranges(starts, counts)
+    seg = np.repeat(np.arange(subset.size), counts)
+    return seg, ds.indices[pos], ds.data[pos]
+
+
 def numpy_update(problem, state, subset, p, theta):
     """The numpy step kernel, the bitwise oracle of the compiled one: every
     margin by one bincount over the gathered nonzeros (CSR order within a
@@ -47,7 +61,7 @@ def numpy_update(problem, state, subset, p, theta):
     scatter, so each coordinate takes its rows' corrections in subset order."""
     ds = problem.dataset
     w, alpha = state.w, state.alpha
-    seg, cols, vals = ds.gather(subset)
+    seg, cols, vals = gather(ds, subset)
     margins = np.bincount(seg, vals * w[cols], minlength=subset.size)
     delta = problem.loss.gradients(subset, margins) + alpha[subset]
     p_s = p[subset]
@@ -120,14 +134,14 @@ def test_subset_margins_bitwise(k):
     for _ in range(50):
         w = rng.standard_normal(ds.d)
         subset = sc.draw(rng)
-        seg, cols, vals = ds.gather(subset)
+        seg, cols, vals = gather(ds, subset)
         margins = np.bincount(seg, vals * w[cols], minlength=subset.size)
         assert np.array_equal(margins, ds.margins(w)[subset])
 
 
 def test_gather_empty_row_alone():
     ds = awkward_dataset()
-    seg, cols, vals = ds.gather(np.array([10]))
+    seg, cols, vals = gather(ds, np.array([10]))
     assert seg.size == cols.size == vals.size == 0
 
 

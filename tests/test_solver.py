@@ -1,7 +1,13 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+import dfsdca.solver
+from dfsdca.cli import main
 from dfsdca.dataset import Dataset, gen_synthetic
+from dfsdca.diagnostics import ReferenceSolution, reference_solution
 from dfsdca.losses import (
     logistic_loss,
     quadratic_family,
@@ -11,6 +17,7 @@ from dfsdca.losses import (
 from dfsdca.sampling import (
     chunked_sampling,
     naive_chunks,
+    random_c_sampling,
     serial_uniform,
     tau_nice,
 )
@@ -296,6 +303,140 @@ class TestRun:
         ds, loss = build_nonconvex_instance(30, 6, 8)
         prob = make_problem(ds, loss, 1.0)
         self._mean_potential_nonincreasing(prob, "auto-nonconvex", "D")
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started while the test runs."""
+    names = []
+    real = threading.Thread.start
+
+    def start(thread):
+        names.append(thread.name)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return names
+
+
+def _cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _concave_problem():
+    """Three copies of one 1-d row under a concave quadratic family: runs
+    diverge, and nice:2 puts checkpoints off the resync grid."""
+    ds = from_rows([([0], [1.0])] * 3, np.zeros(3), 1)
+    return make_problem(ds, quadratic_family([-5.0] * 3, [1.0, -2.0, 0.5]), 0.1)
+
+
+class TestOverlappedRecords:
+    """With two CPUs, ``run`` computes each record off the resync grid with
+    iterations after it on a worker thread; nothing it returns or raises may
+    tell the two paths apart."""
+
+    SCHEMES = {
+        "nice": lambda ds: tau_nice(ds.norms, 3),
+        "chunked": lambda ds: chunked_sampling(ds.norms, naive_chunks(ds.nnz.tolist()), 2),
+        "serial-random": lambda ds: random_c_sampling(ds.norms, 3.0, 1),
+    }
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    @pytest.mark.parametrize("kind", SCHEMES)
+    def test_records_and_state_bitwise(self, monkeypatch, thread_starts, kind,
+                                       with_reference, block):
+        prob = logistic_problem(n=40, d=8, lam=0.05)
+        ref = reference_solution(prob) if with_reference else None
+        if block is not None:
+            monkeypatch.setattr(dfsdca.solver, "_BLOCK_EXAMPLES", block)
+        out = {}
+        for k in (1, 2):
+            _cpus(monkeypatch, k)
+            scheme = self.SCHEMES[kind](prob.dataset)
+            st, tr = run(prob, scheme, SolverConfig(epochs=5, seed=2), reference=ref)
+            out[k] = ([repr(r) for r in tr.records],
+                      st.w.tobytes(), st.alpha.tobytes(), st.t, st.grad_evals)
+            # one CPU computes every record inline; a serial scheme records
+            # on resyncs only
+            assert len(thread_starts) == (k == 2 and kind != "serial-random")
+        assert out[1] == out[2]
+        assert len(out[1][0]) == 6
+
+    def test_no_thread_outlives_run(self, monkeypatch, thread_starts):
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        prob = logistic_problem(n=40, d=8)
+        run(prob, tau_nice(prob.dataset.norms, 3), SolverConfig(epochs=3))
+        assert len(thread_starts) == 1
+        assert threading.active_count() == threads
+        prob = _concave_problem()
+        with pytest.raises(DivergenceError):
+            run(prob, tau_nice(prob.dataset.norms, 2), SolverConfig(epochs=400))
+        assert len(thread_starts) == 2
+        assert threading.active_count() == threads
+
+    def test_validate_forks_after_an_overlapped_run(self, monkeypatch, thread_starts):
+        _cpus(monkeypatch, 2)
+        prob = logistic_problem(n=40, d=8)
+        run(prob, tau_nice(prob.dataset.norms, 3), SolverConfig(epochs=3))
+        assert thread_starts
+        forks, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["validate", "--suite", "gradcheck,fixedpoint"]) == 0
+        assert len(forks) == 1
+
+    def test_serial_and_one_epoch_runs_start_no_thread(self, monkeypatch, thread_starts):
+        _cpus(monkeypatch, 2)
+        prob = logistic_problem(n=40, d=8)
+        st, tr = run(prob, serial_uniform(prob.dataset.norms), SolverConfig(epochs=4))
+        assert len(tr.records) == 5
+        st, tr = run(prob, tau_nice(prob.dataset.norms, 3), SolverConfig(epochs=1))
+        assert [r.t for r in tr.records] == [0, 14]
+        assert thread_starts == []
+
+    def test_overflow_in_a_record_keeps_the_callers_errstate(self, monkeypatch):
+        # rows so short that L_i^2 is subnormal: the potentials' C_i / L_i^2
+        # overflows as soon as alpha moves, at the first checkpoint, t = 3,
+        # which is off the resync grid of n = 5
+        ds = from_rows([([0], [1e-155])] * 5, [1.0, -1.0, 1.0, 1.0, -1.0], 1)
+        prob = make_problem(ds, logistic_loss(ds.labels), 0.1)
+        ref = ReferenceSolution(np.zeros(1), np.zeros(5), 0.0, 0.0)
+        real, seen = dfsdca.solver.potentials, {}
+
+        def potentials(state, *args):
+            seen[k].append(state.t)
+            return real(state, *args)
+
+        monkeypatch.setattr(dfsdca.solver, "potentials", potentials)
+        errors = {}
+        for k in (1, 2):
+            _cpus(monkeypatch, k)
+            seen[k] = []
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+                run(prob, tau_nice(ds.norms, 2), SolverConfig(epochs=2), reference=ref)
+            errors[k] = str(info.value)
+        assert errors[1] == errors[2] == "overflow encountered in divide"
+        assert seen[1] == seen[2] == [0, 3]
+
+    def test_divergence_found_on_the_worker(self, monkeypatch, thread_starts):
+        prob = _concave_problem()
+        messages = {}
+        for k in (1, 2):
+            _cpus(monkeypatch, k)
+            with pytest.raises(DivergenceError) as info:
+                run(prob, tau_nice(prob.dataset.norms, 2), SolverConfig(epochs=400))
+            messages[k] = str(info.value)
+        assert messages[1] == messages[2]
+        # iteration 14 is off the resync grid, so the worker computed it
+        assert "at iteration 14:" in messages[2] and len(thread_starts) == 1
 
 
 class TestGradientIdentity:
