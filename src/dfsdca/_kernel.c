@@ -40,9 +40,14 @@
  * after each subset, since an index may recur in the next one.
  *
  * The LIBSVM parser (dfsdca_parse_libsvm) reads `label idx:val ...` lines
- * from a byte buffer in one pass, every scan bounded by the buffer's
- * length, into arrays sized by a counting pass (dfsdca_libsvm_bounds) that
- * bounds the rows by the line breaks and the entries by the colons. Lines
+ * from a byte buffer in pieces of whole lines, cut right after a \n, one
+ * thread per piece, each piece in one pass with every scan bounded by the
+ * piece's length. A counting pass (dfsdca_libsvm_bounds) cuts the pieces
+ * and bounds each one's rows by its line breaks and its entries by its
+ * colons, which places each piece's rows in the caller's arrays; after the
+ * threads are joined the pieces are moved together. So the arrays, and the
+ * first error in reading order, are the same whatever the number of
+ * pieces. Lines
  * break as Python's str.splitlines() breaks ASCII text: at \n, \r\n, \r,
  * \v, \f and \x1c-\x1e. Tokens are split at space, \t and \x1f, the
  * other ASCII whitespace of str.split(), and '#' starts a comment that runs
@@ -74,13 +79,14 @@
  * first row at fault for each kind of fault, and the caller raises them in
  * a fixed order.
  *
- * Build: gcc -O2 -ffp-contract=off -shared -fPIC -I <numpy include> -x c -
- *        -x none <numpy>/random/lib/libnpyrandom.a -lm
+ * Build: gcc -O2 -ffp-contract=off -shared -fPIC -pthread -I <numpy include>
+ *        -x c - -x none <numpy>/random/lib/libnpyrandom.a -lm
  *        -Wl,--exclude-libs,ALL
  */
 #define _GNU_SOURCE  /* strtod_l, the parser's fallback */
 #include <locale.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -320,11 +326,11 @@ static inline int in_token(unsigned char ch)
 
 typedef unsigned char bytes16 __attribute__((vector_size(16)));
 
-/* Upper bounds for the parser's arrays: bounds[0] = rows (line breaks + 1),
+/* Upper bounds for a piece's arrays: bounds[0] = rows (line breaks + 1),
  * bounds[1] = entries (colons). Counted 16 bytes at a time in byte-wide
  * lanes, which are summed before they can wrap, every 255 blocks; the
  * lanes test the bytes of BREAKS as two ranges, \n-\r and \x1c-\x1e. */
-void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t *bounds)
+static void count_bounds(const unsigned char *buf, int64_t len, int64_t *bounds)
 {
     int64_t k = 0, breaks = 0, colons = 0;
     int i;
@@ -349,6 +355,35 @@ void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t *bounds
     }
     bounds[0] = breaks + 1;
     bounds[1] = colons;
+}
+
+/* Cuts buf into `pieces` pieces and bounds each one's arrays: piece p is
+ * bounds[4p] .. bounds[4p + 1] - 1, with at most bounds[4p + 2] rows and
+ * bounds[4p + 3] entries. Piece p > 0 starts right after the first \n at
+ * or past p * len / pieces, or where piece p - 1 ends if that is later, or
+ * at len if there is none. A \n always ends a line and never sits inside a
+ * token or splits a \r\n, so every piece but the last is whole lines; a
+ * piece may be empty. */
+void dfsdca_libsvm_bounds(const unsigned char *buf, int64_t len, int64_t pieces,
+                          int64_t *bounds)
+{
+    int64_t p, cut = 0;
+    for (p = 0; p < pieces; p++) {
+        int64_t *b = bounds + 4 * p, end = len;
+        if (p + 1 < pieces) {
+            int64_t near = (int64_t)((__int128)len * (p + 1) / pieces);
+            const unsigned char *nl;
+            if (near < cut)
+                near = cut;
+            nl = memchr(buf + near, '\n', (size_t)(len - near));
+            if (nl != NULL)
+                end = nl - buf + 1;
+        }
+        b[0] = cut;
+        b[1] = end;
+        count_bounds(buf + cut, end - cut, b + 2);
+        cut = end;
+    }
 }
 
 static int64_t skip_sign(const unsigned char *s, int64_t k, int64_t len)
@@ -637,9 +672,10 @@ static int to_real(const unsigned char *s, int64_t a, int64_t b,
 
 /* One row per line with a label: labels[r] and the 0-based entries
  * idx/vals[indptr[r] .. indptr[r + 1] - 1], explicit zeros dropped.
- * info[0..2] = rows, entries and the largest index; on an error
- * info[3..5] = line number (from 1) and the span [start, end) at fault.
- * More rows than max_rows or entries than max_nnz return OUT_OF_RANGE.
+ * info[0..2] = rows, entries and the largest index, and info[3] = the
+ * number of lines; on an error info[3..5] = line number (from 1) and the
+ * span [start, end) at fault. More rows than max_rows or entries than
+ * max_nnz return OUT_OF_RANGE.
  *
  * A token is read in one forward scan: a label by scan_real, an entry by
  * scan_index up to its ':' and scan_real after it. Only a malformed token
@@ -731,6 +767,7 @@ static int parse(const unsigned char *s, int64_t len, int64_t max_rows,
     info[0] = rows;
     info[1] = nnz;
     info[2] = max_index;
+    info[3] = line;
     return OK;
 bad_token:
     for (pos = start; pos < len && in_token(s[pos]); pos++)
@@ -748,18 +785,103 @@ fail:
     return rc;
 }
 
-int dfsdca_parse_libsvm(const unsigned char *buf, int64_t len, int64_t max_rows,
-                        int64_t max_nnz, double *labels, int64_t *indptr,
+/* A piece of the buffer and where its rows go: parse()'s arguments, its
+ * return code and its info. */
+struct piece {
+    const unsigned char *s;
+    int64_t len, max_rows, max_nnz;
+    double *labels, *vals;
+    int64_t *indptr, *idx;
+    const uint64_t *pow5;
+    locale_t c_locale;
+    int64_t info[6];
+    int rc;
+    pthread_t thread;
+    bool threaded;
+};
+
+static void *parse_piece(void *arg)
+{
+    struct piece *t = arg;
+    t->rc = parse(t->s, t->len, t->max_rows, t->max_nnz, t->labels, t->indptr,
+                  t->idx, t->vals, t->info, t->pow5, t->c_locale);
+    return NULL;
+}
+
+/* Parses the pieces that dfsdca_libsvm_bounds cut, at once: piece 0 on the
+ * caller's thread, each other piece on a thread of its own (or after piece
+ * 0 on the caller's, if no thread can be started), all joined before the
+ * call returns. Piece p writes its rows at the sum of the earlier pieces'
+ * bounds, its indptr one slot further per earlier piece, so indptr holds
+ * max_rows + pieces slots. Then each piece's arrays are moved down to
+ * close the gaps and its indptr shifted by the entries before it, so the
+ * arrays and info[0..2] are those of parse() over the whole buffer. The
+ * first piece that fails, in reading order, gives the error: its line
+ * number counts the earlier pieces' lines and its span their bytes, as in
+ * a parse of the whole buffer, since each piece starts a line. The threads
+ * share the "C" locale made here, read-only; none of them allocates, but
+ * for to_real's copy of a long number. */
+int dfsdca_parse_libsvm(const unsigned char *buf, int64_t pieces,
+                        const int64_t *bounds, double *labels, int64_t *indptr,
                         int64_t *idx, double *vals, int64_t *info,
                         const uint64_t *pow5)
 {
-    int rc;
+    int64_t p, r, rows = 0, nnz = 0, line = 0, max_index = 0;
+    int rc = OK;
+    struct piece *t = calloc((size_t)pieces, sizeof *t);
     locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
+    if (t == NULL || c_locale == (locale_t)0) {
+        free(t);
+        if (c_locale != (locale_t)0)
+            freelocale(c_locale);
         return NO_MEMORY;
-    rc = parse(buf, len, max_rows, max_nnz, labels, indptr, idx, vals, info,
-               pow5, c_locale);
+    }
+    for (p = 0; p < pieces; p++) {
+        const int64_t *b = bounds + 4 * p;
+        t[p] = (struct piece){
+            .s = buf + b[0], .len = b[1] - b[0], .max_rows = b[2], .max_nnz = b[3],
+            .labels = labels + rows, .vals = vals + nnz, .indptr = indptr + rows + p,
+            .idx = idx + nnz, .pow5 = pow5, .c_locale = c_locale,
+        };
+        rows += b[2];
+        nnz += b[3];
+    }
+    for (p = 1; p < pieces; p++)
+        t[p].threaded = pthread_create(&t[p].thread, NULL, parse_piece, &t[p]) == 0;
+    parse_piece(&t[0]);
+    for (p = 1; p < pieces; p++) {
+        if (t[p].threaded)
+            pthread_join(t[p].thread, NULL);
+        else
+            parse_piece(&t[p]);
+    }
+    rows = nnz = 0;
+    for (p = 0; p < pieces; p++) {
+        int64_t *ti = t[p].info, start = t[p].s - buf;
+        if ((rc = t[p].rc) != OK) {
+            info[3] = line + ti[3];
+            info[4] = start + ti[4];
+            info[5] = start + ti[5];
+            break;
+        }
+        if (p > 0) {  /* piece 0 is in place */
+            memmove(labels + rows, t[p].labels, (size_t)ti[0] * sizeof *labels);
+            memmove(idx + nnz, t[p].idx, (size_t)ti[1] * sizeof *idx);
+            memmove(vals + nnz, t[p].vals, (size_t)ti[1] * sizeof *vals);
+            for (r = 1; r <= ti[0]; r++)  /* never past the slot it reads */
+                indptr[rows + r] = t[p].indptr[r] + nnz;
+        }
+        rows += ti[0];
+        nnz += ti[1];
+        if (ti[2] > max_index)
+            max_index = ti[2];
+        line += ti[3];
+    }
+    info[0] = rows;
+    info[1] = nnz;
+    info[2] = max_index;
     freelocale(c_locale);
+    free(t);
     return rc;
 }
 

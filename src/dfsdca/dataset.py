@@ -221,10 +221,12 @@ def libsvm_arrays(text) -> tuple:
 def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LIBSVM/SVMlight text: ``label idx:val idx:val ...`` per line.
 
-    ``source`` is the text as ``str`` or ``bytes``, or a file object to read
-    it from, in text or binary mode. It must be ASCII: any other byte (or
-    character) is an error that names its line. The compiled parser in
-    ``_kernel.c`` reads it, so the first call builds that library (gcc).
+    ``source`` is the text as ``str`` or as any bytes-like buffer
+    (``bytes``, ``bytearray``, ``memoryview``, ``mmap``, a uint8 array),
+    which is read in place, or a file object to read it from, in text or
+    binary mode. It must be ASCII: any other byte (or character) is an
+    error that names its line. The compiled parser in ``_kernel.c`` reads
+    it, so the first call builds that library (gcc).
 
     Lines break where ``str.splitlines()`` breaks them (``\\n``, ``\\r\\n``,
     ``\\r``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``), tokens are separated by
@@ -248,7 +250,13 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     them rejects them: a label that is not finite, or a row whose norm is
     not finite, raises :class:`NonFiniteError` naming the row.
     """
-    text = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(source, str):
+        text = source
+    else:
+        try:
+            text = memoryview(source)
+        except TypeError:  # no buffer: a file object
+            text = source.read()
     if isinstance(text, str):
         # any non-ASCII character becomes bytes >= 0x80, which the parser rejects
         text = text.encode("utf-8", "surrogatepass")

@@ -704,7 +704,9 @@ def run_suites(names, seed: int, theta_override=None) -> list[dict]:
     longer than all six suites. A worker that dies raises WorkerError naming
     its suite; an error raised in a worker has the worker's traceback as its
     cause. Nothing is forked with one CPU or one suite, nor beside Python
-    threads of the caller's, which a fork can deadlock.
+    threads of the caller's, which a fork can deadlock. The compiled
+    kernels' threads (the LIBSVM parser's) are all joined before the call
+    that starts them returns, so none is running at a fork.
     """
     options = {"lemma1": {"theta_override": theta_override}}
     calls = [partial(ALL_SUITES[name], seed, **options.get(name, {})) for name in names]

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import re
 
@@ -155,6 +156,18 @@ class TestGrammar:
             from_file = parse_libsvm(fh)
         assert datasets_equal(parse_libsvm(text), parse_libsvm(text.encode()))
         assert datasets_equal(parse_libsvm(text), from_file)
+
+    def test_any_bytes_like_buffer(self, tmp_path):
+        text = b"+1 1:0.5 3:2.0\r\n-1 2:1.0 # c\n"
+        want = parse_libsvm(text)
+        path = tmp_path / "d.libsvm"
+        path.write_bytes(text)
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            assert datasets_equal(parse_libsvm(mm), want)
+        for buf in (bytearray(text), memoryview(text), np.frombuffer(text, np.uint8)):
+            assert datasets_equal(parse_libsvm(buf), want)
+        with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte 0xff$"):
+            parse_libsvm(bytearray(b"1\n\xff"))
 
 
 class TestNorms:

@@ -431,8 +431,9 @@ def test_source_compiles_without_warnings():
 # out-of-bounds access, a use after free or undefined behaviour aborts it.
 # Each parser input is copied into a buffer of exactly its length, so a
 # read past the end trips ASan, the 8-byte reads of digits too. Every parser
-# return code is driven except NO_MEMORY, and the Dataset pass on valid,
-# empty and faulty arrays. Leaks are not checked: the interpreter itself
+# return code is driven except NO_MEMORY, each input also in 2 to 4 pieces
+# (so on threads), with a fault in each piece and OUT_OF_RANGE in each
+# piece, and the Dataset pass on valid, empty and faulty arrays. Leaks are not checked: the interpreter itself
 # never frees everything.
 SANITIZED = """
 import sys
@@ -479,6 +480,22 @@ for subset in ([4, 2, 4], [3, ds.n], [-1]):
     except ValueError:
         continue
     raise AssertionError(f"{subset} was accepted")
+
+
+def outcome(text, pieces):
+    arrays, fault = _kernel.parse_libsvm(np.frombuffer(text, np.uint8).copy(),
+                                         pieces=pieces)
+    return fault or [a.tobytes() if isinstance(a, np.ndarray) else a for a in arrays]
+
+
+# 2 to 4 pieces parse text as one does; the one piece's outcome
+def same_in_pieces(text):
+    want = outcome(text, 1)
+    for pieces in (2, 3, 4):
+        assert outcome(text, pieces) == want, (text[:20], pieces)
+    return want
+
+
 long_line = b"1 " + b" ".join(b"%d:0.5" % j for j in range(1, 120_000))
 for text, want in [
     (b"1 2:3.5", None), (b"+1\\r\\n-1\\x1f", None), (b"1 1:1." + b"0" * 2**20, None),
@@ -506,6 +523,7 @@ for text, want in [
         assert want is not None and want in str(exc), (text[:20], exc)
     else:
         assert want is None, text[:20]
+    same_in_pieces(text + b"\\n" + text + b"\\r\\n\\n" + text)
 # the value reader: a zero, Eisel-Lemire (its second product and a tie
 # rounded to even among the random reprs and the listed numbers) and each
 # fallback: 20 digits, an exponent outside the table, a subnormal, an
@@ -521,13 +539,27 @@ labels, indptr, _, vals, _ = libsvm_arrays(np.frombuffer(text, np.uint8).copy())
 want = np.array([float(w) for w in words])
 assert np.array_equal(labels.view(np.int64), want.view(np.int64))
 assert np.array_equal(vals.view(np.int64), want[want != 0].view(np.int64))
-# the counting pass: 16-byte blocks, 255 of them between sums, and a tail
-lib, bounds = _kernel._load(), np.zeros(2, np.int64)
+# a fault in each piece, alone and after a fault in an earlier piece
+lines = [b"%d 1:%d 7:0.5" % (r % 3 - 1, r) for r in range(60)]
+for line in range(0, 60, 7):
+    bad = lines.copy()
+    bad[line] = b"1 2:1 1:1"
+    assert same_in_pieces(b"\\n".join(bad))[1] == line + 1, line
+    bad[-1] = b"x"
+    assert same_in_pieces(b"\\n".join(bad))[1] == line + 1, line
+# the counting pass: 16-byte blocks, 255 of them between sums, and a tail,
+# cut into 1 to 4 pieces right after a newline
+lib = _kernel._load()
 for size in (0, 15, 16, 17, 16 * 255, 16 * 255 * 2 + 17):
     buf = np.frombuffer(bytes(range(256)) * 130, np.uint8)[:size].copy()
-    lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, bounds.ctypes.data)
-    assert bounds[0] == 1 + np.isin(buf, [10, 11, 12, 13, 28, 29, 30]).sum()
-    assert bounds[1] == (buf == ord(":")).sum()
+    for pieces in (1, 2, 3, 4):
+        bounds = np.zeros((pieces, 4), np.int64)
+        lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, pieces, bounds.ctypes.data)
+        starts, ends = bounds[:, 0], bounds[:, 1]
+        assert starts[0] == 0 and ends[-1] == size and np.all(starts[1:] == ends[:-1])
+        assert np.all(buf[starts[1:][(starts[1:] > 0) & (starts[1:] < size)] - 1] == 10)
+        assert bounds[:, 2].sum() == pieces + np.isin(buf, [10, 11, 12, 13, 28, 29, 30]).sum()
+        assert bounds[:, 3].sum() == (buf == ord(":")).sum()
 # the Dataset pass: valid, empty, and each fault; d past int32 never reaches it
 try:
     Dataset([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10)
@@ -545,16 +577,24 @@ for args in [([0, 2, 2, 3], [0, 5, 1], [1.0, -2.0, 3.0], [1.0, 2.0, 3.0], 6),
         Dataset(*args)
     except ValueError:
         pass
-# arrays smaller than the sizing pass counted
+# a piece's arrays smaller than the counting pass bounds them, in each piece
 info = np.zeros(6, np.int64)
-for text, rows, nnz in [(b"1\\n2", 1, 0), (b"1 1:1 2:1", 1, 1)]:
-    buf = np.frombuffer(text, np.uint8).copy()
-    out = [np.empty(rows), np.empty(rows + 1, np.int64), np.empty(nnz, np.int64),
-           np.empty(nnz)]
-    code = lib.dfsdca_parse_libsvm(buf.ctypes.data, buf.size, rows, nnz,
-                                   *(a.ctypes.data for a in out), info.ctypes.data,
-                                   _kernel.pow5_table().ctypes.data)
-    assert code == _kernel.OUT_OF_RANGE, code
+text = b"1 1:1 2:1\\n" * 6
+buf = np.frombuffer(text, np.uint8).copy()
+for pieces in (1, 2, 3):
+    for piece in range(pieces):
+        for column in (2, 3):
+            bounds = np.zeros((pieces, 4), np.int64)
+            lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, pieces, bounds.ctypes.data)
+            bounds[piece, column] -= 1 + (column == 2)  # the rows' bound has a spare
+            assert bounds[piece, column] >= 0
+            rows, nnz = bounds[:, 2].sum(), bounds[:, 3].sum()
+            out = [np.empty(rows), np.empty(rows + pieces, np.int64),
+                   np.empty(nnz, np.int64), np.empty(nnz)]
+            code = lib.dfsdca_parse_libsvm(buf.ctypes.data, pieces, bounds.ctypes.data,
+                                           *(a.ctypes.data for a in out), info.ctypes.data,
+                                           _kernel.pow5_table().ctypes.data)
+            assert code == _kernel.OUT_OF_RANGE, (pieces, piece, column, code)
 assert list(cache.glob("_kernel-*.so"))
 print("clean")
 """

@@ -9,20 +9,26 @@ Lines mix all eight line breaks, comments (also inside a token), blank and
 label-only lines, explicit zeros, signs, leading zeros, exponents,
 ``inf``/``infinity``/``nan`` in any case, every kind of malformed token,
 raw ASCII noise, digit runs of 7 to 20 digits (around the compiled
-parser's 8-digit blocks) and indices of 18 and 19 digits. Both parsers
-must give the same ``Dataset`` bit for bit or the same error: a
-``ParseError``, or the ``NonFiniteError`` that both ``Dataset``s raise for
-a NaN or infinite label or row norm, or the ``ValueError`` that both raise
-for a d above 2**31 - 1. The examples are derandomized, so a run is
-reproducible.
+parser's 8-digit blocks) and indices of 18 and 19 digits. Both parsers,
+the compiled one with its text cut into 1 to 4 pieces, must give the
+same ``Dataset`` bit for bit or the same error: a ``ParseError``, or the
+``NonFiniteError`` that both ``Dataset``s raise for a NaN or infinite
+label or row norm, or the ``ValueError`` that both raise for a d above
+2**31 - 1. The examples are derandomized, so a run is reproducible.
 """
+
+import functools
+import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsdca.dataset import Dataset, ParseError, parse_libsvm
+from dfsdca import _kernel
+from dfsdca.cli import main
+from dfsdca.dataset import Dataset, ParseError, gen_synthetic, parse_libsvm, serialize_libsvm
 
 BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
 BLANKS = [" ", "\t", "\x1f"]
@@ -177,10 +183,39 @@ def texts(draw):
     return text if draw(st.booleans()) else text.rstrip("".join(BREAKS))
 
 
+def in_pieces(pieces):
+    """``parse_libsvm`` with the compiled parser's text cut into ``pieces``
+    pieces, however many CPUs there are."""
+    def parse(text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "parse_libsvm",
+                       functools.partial(_kernel.parse_libsvm, pieces=pieces))
+            return parse_libsvm(text)
+    return parse
+
+
+def same_in_pieces(text):
+    """The outcome of ``text``, checked to be the same for the Python parser
+    and for the compiled one in 1 to 4 pieces."""
+    want = outcome(python_parse, text)
+    for pieces in (1, 2, 3, 4):
+        assert outcome(in_pieces(pieces), text) == want, pieces
+    return want
+
+
+def cuts(text: bytes, pieces: int) -> list:
+    """The byte spans of the pieces the compiled parser cuts ``text`` into."""
+    buf = np.frombuffer(text, np.uint8)
+    bounds = np.empty((pieces, 4), np.int64)
+    _kernel._load().dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, pieces,
+                                         bounds.ctypes.data)
+    return [text[a:b] for a, b in bounds[:, :2].tolist()]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(text=texts())
 def test_compiled_parser_equals_python_parser(text):
-    assert outcome(parse_libsvm, text) == outcome(python_parse, text)
+    same_in_pieces(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -192,4 +227,100 @@ def test_compiled_parser_equals_python_parser(text):
 def test_compiled_parser_equals_python_parser_on_hard_values(text):
     # NaN and infinities (which the Dataset rejects), subnormals, halfway
     # cases and long mantissas
-    assert outcome(parse_libsvm, text) == outcome(python_parse, text)
+    same_in_pieces(text)
+    same_in_pieces(text * 3)
+
+
+# -- the compiled parser in pieces -------------------------------------------
+
+def test_pieces_cut_right_after_crlf():
+    lines = ["1 1:1", "-1 2:2.5"] * 6
+    text = "\r\n".join(lines) + "\r\n"
+    for pieces in (2, 3, 4):
+        parts = cuts(text.encode(), pieces)
+        assert all(part.endswith(b"\r\n") for part in parts if part)
+    assert isinstance(same_in_pieces(text), tuple)
+    lines[9] = "-1 2:x"
+    assert (same_in_pieces("\r\n".join(lines))
+            == "ParseError: line 10: non-numeric token '2:x'")
+
+
+def test_pieces_cut_inside_blank_and_comment_runs():
+    # the middle pieces hold no row, and the last one starts within a run
+    text = "1 1:1\n" + "\n" * 20 + "# only a comment\n" * 4 + "\v\f" * 6 + "-1 2:1\n"
+    parts = cuts(text.encode(), 4)
+    bare = [re.sub(rb"#[^\n]*", b"", part).split() for part in parts]
+    assert bare[0] == [b"1", b"1:1"] and bare[1] == bare[2] == []
+    assert parts[3] and not parts[3].startswith(b"-1")
+    assert isinstance(same_in_pieces(text), tuple)
+    assert same_in_pieces(text + "x\n") == "ParseError: line 39: non-numeric label 'x'"
+
+
+def test_fault_in_a_later_piece_and_the_earlier_of_two():
+    lines = [f"{r % 2} {r + 1}:{r}.5" for r in range(40)]
+    late = lines.copy()
+    late[35] = "1 3:1 2:1"
+    assert same_in_pieces("\n".join(late)) == "ParseError: line 36: non-increasing indices"
+    both = late.copy()
+    both[4] = "1 0:1"
+    assert same_in_pieces("\n".join(both)) == "ParseError: line 5: index 0 is not 1-based"
+    parts = cuts("\n".join(both).encode(), 4)
+    assert b"1 0:1" in parts[0] and b"1 3:1 2:1" in parts[3]
+
+
+# -- above the piece size ----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def big_text():
+    """About 1.3 MB: the serial-ridge benchmark's 5000 x 1000 rows."""
+    text = serialize_libsvm(gen_synthetic(5000, 1000, 0.01, "linear-noise", 11)).encode()
+    assert len(text) > 4 * _kernel.MIN_PIECE
+    return text
+
+
+@pytest.fixture
+def pieces_seen(monkeypatch):
+    """The piece counts of the compiled parser's calls, in order."""
+    lib, seen = _kernel._load(), []
+    count = lib.dfsdca_libsvm_bounds
+
+    def spy(buf, size, pieces, bounds):
+        seen.append(pieces)
+        return count(buf, size, pieces, bounds)
+
+    monkeypatch.setattr(lib, "dfsdca_libsvm_bounds", spy)
+    return seen
+
+
+def test_derived_pieces_keep_the_dataset_and_leave_no_thread(big_text, pieces_seen):
+    want = outcome(in_pieces(1), big_text)
+    threads = len(os.listdir("/proc/self/task"))
+    assert outcome(parse_libsvm, big_text) == want
+    assert outcome(in_pieces(3), big_text) == want
+    assert len(os.listdir("/proc/self/task")) == threads
+    _kernel.parse_libsvm(big_text[:_kernel.MIN_PIECE * 2 - 1])
+    cpus = len(os.sched_getaffinity(0))
+    assert pieces_seen == [1, min(cpus, 4), 3, 1]
+
+
+def test_one_cpu_gets_one_piece(big_text, pieces_seen):
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        parse_libsvm(big_text)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    parse_libsvm(big_text)
+    assert pieces_seen == [1, min(len(cpus), 4)]
+
+
+def test_run_csv_keeps_its_bytes_in_pieces(big_text, tmp_path):
+    data = tmp_path / "ridge.libsvm"
+    data.write_bytes(big_text)
+    args = ["run", "--data", str(data), "--loss", "squared", "--lambda", "1/n",
+            "--normalize", "--sampling", "nice:8", "--epochs", "2", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "derived.csv")]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "parse_libsvm", functools.partial(_kernel.parse_libsvm, pieces=1))
+        assert main(args + ["--out", str(tmp_path / "one.csv")]) == 0
+    assert (tmp_path / "derived.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
