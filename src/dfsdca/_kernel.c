@@ -1,7 +1,7 @@
 /* dfSDCA kernels: a block of iterations over flat subsets plus offsets, a
  * block of uniform tau-subset draws, the synthetic generator's row draws,
- * a LIBSVM parser, and the pass that checks a Dataset's CSR arrays and
- * takes its row norms.
+ * a LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes
+ * its row norms, and the reference oracle's Hessian products.
  *
  * Subset s is idx[off[s]] .. idx[off[s+1] - 1]. Each iteration computes
  * every drawn margin A_i^T w against the pre-update w, summing the row's
@@ -79,6 +79,14 @@
  * first row at fault for each kind of fault, and the caller raises them in
  * a fixed order.
  *
+ * The oracle's Hessian products (dfsdca_hessian_*) fuse numpy's two CSR
+ * matvecs and its vector arithmetic into a row pass and a column pass,
+ * summing each output in the same order as numpy and scipy, so with the
+ * same bits. A helper thread, started once per oracle call and joined
+ * before it returns, may take the second half of either pass; the caller
+ * runs any half the helper has not claimed, so it never waits for a helper
+ * that is not running. The comment above dfsdca_hessian_open has the rest.
+ *
  * Build: gcc -O2 -ffp-contract=off -shared -fPIC -pthread -I <numpy include>
  *        -x c - -x none <numpy>/random/lib/libnpyrandom.a -lm
  *        -Wl,--exclude-libs,ALL
@@ -87,10 +95,13 @@
 #include <locale.h>
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -885,6 +896,24 @@ int dfsdca_parse_libsvm(const unsigned char *buf, int64_t pieces,
     return rc;
 }
 
+/* OK if indptr (rows + 1 entries) delimits rows of the nnz entries, from
+ * indptr[0] = 0 up to indptr[rows] = nnz, and every index lies in
+ * [0, cols); else BAD_OFFSETS for indptr or OUT_OF_RANGE for an index.
+ * So a kernel reads the int32 CSR arrays in bounds. */
+int dfsdca_csr_check(int64_t rows, int64_t cols, int64_t nnz, const int32_t *indptr,
+                     const int32_t *indices)
+{
+    if (rows < 0 || indptr[0] != 0 || indptr[rows] != nnz)
+        return BAD_OFFSETS;
+    for (int64_t r = 0; r < rows; r++)
+        if (indptr[r + 1] < indptr[r])
+            return BAD_OFFSETS;
+    for (int64_t k = 0; k < nnz; k++)
+        if (indices[k] < 0 || indices[k] >= cols)
+            return OUT_OF_RANGE;
+    return OK;
+}
+
 /* A Dataset's CSR arrays, checked and measured in one pass over its n rows.
  * Row r is entries indptr[r] .. indptr[r + 1] - 1 of indices and data, of
  * nnz in all. bad[0..3] get the first row, or -1 for none, where:
@@ -933,4 +962,293 @@ void dfsdca_csr_pass(int64_t n, int64_t d, int64_t nnz, const int64_t *indptr,
         if (bad[3] < 0 && !(isfinite(labels[r]) && isfinite(norms[r])))
             bad[3] = r;
     }
+}
+
+/* The reference oracle's Hessian products, out = A^T (c o A p) / n + lam p,
+ * and the Jacobi diagonal out_j = sum_i c_i A_ij^2 / n + lam, over a
+ * Dataset's int32 CSR arrays and their transpose (Dataset._transpose). A
+ * product is a row pass, m_i = c_i (A_i . p), then a column pass,
+ * out_j = (sum_i At_ji m_i) / n + lam p_j; the diagonal is the column pass
+ * alone. Every sum runs in CSR order from 0.0, so a product has the bits of
+ * numpy's ds.combine(c * ds.margins(p)) / ds.n + lam * p, whose matvecs
+ * (scipy's csr_matvec) sum the same way, and the diagonal those of
+ * np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz)) / ds.n
+ * + lam, which adds column j's terms in increasing row order from 0.0.
+ *
+ * With a helper thread, each pass is cut in two at row_cut or col_cut. The
+ * caller runs the first half of a pass, and the second half goes to
+ * whichever of the two threads claims it first (a compare-and-swap on
+ * `taken`): the caller waits only for a half the helper is running, never
+ * for a helper that is late, asleep or sharing its CPU. Each output is
+ * still summed by one thread, so the bits do not depend on the cuts or on
+ * who ran which half. The column pass starts once every row is done
+ * (`rows_ready`). The caller posts a job by bumping `posted`; the helper
+ * spins on it for at most SPIN_NS, or until it finds itself on the
+ * caller's CPU, then sleeps on a condition variable until the next post.
+ * Results are published with release stores and read after acquire loads. */
+#if defined(__x86_64__) || defined(__i386__)
+#define RELAX() __builtin_ia32_pause()
+#else
+#define RELAX() ((void)0)
+#endif
+
+enum { PRODUCT = 0, DIAGONAL = 1 };
+enum { ROWS = 0, COLUMNS = 1 };  /* the second halves of the two passes */
+/* how long an idle helper spins before it sleeps: longer than the oracle
+ * takes between two Newton iterations on the benchmark's 50 000-entry
+ * problems, so the helper sleeps there only between oracle calls */
+#define SPIN_NS 1000000
+
+struct hessian {
+    int64_t n, d;
+    const int32_t *indptr, *indices, *t_indptr, *t_indices;
+    const double *data, *t_data;
+    double lam, *m;
+    /* the caller's vectors: p and out of length d, c of length n */
+    const double *p, *c;
+    double *out;
+    /* the job, written by the caller before it bumps `posted` and read by
+     * the helper only once it has claimed a half of it */
+    int kind;
+    int64_t row_cut, col_cut;
+    uint64_t jobs;  /* the caller's count of posted jobs */
+    int64_t helped;  /* the halves the helper ran, which only it writes */
+    /* job numbers: the last posted, the last whose second halves were
+     * claimed and done, the last whose rows are all done */
+    atomic_uint_fast64_t posted, taken[2], done[2], rows_ready;
+    atomic_int caller_cpu;
+    atomic_bool sleeping, stop;
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+    pthread_t thread;
+    bool threaded;
+};
+
+static void row_pass(const struct hessian *h, int64_t lo, int64_t hi)
+{
+    const int32_t *indptr = h->indptr, *indices = h->indices;
+    const double *data = h->data, *p = h->p, *c = h->c;
+    double *m = h->m;
+    for (int64_t i = lo; i < hi; i++) {
+        double s = 0.0;
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++)
+            s += data[k] * p[indices[k]];
+        m[i] = c[i] * s;
+    }
+}
+
+static void column_pass(const struct hessian *h, int64_t lo, int64_t hi)
+{
+    const int32_t *indptr = h->t_indptr, *indices = h->t_indices;
+    const double *data = h->t_data, *p = h->p, *c = h->c, *m = h->m;
+    double *out = h->out, n = (double)h->n, lam = h->lam;
+    if (h->kind == PRODUCT) {
+        for (int64_t j = lo; j < hi; j++) {
+            double s = 0.0;
+            for (int32_t k = indptr[j]; k < indptr[j + 1]; k++)
+                s += data[k] * m[indices[k]];
+            out[j] = s / n + lam * p[j];
+        }
+    } else {
+        for (int64_t j = lo; j < hi; j++) {
+            double s = 0.0;
+            for (int32_t k = indptr[j]; k < indptr[j + 1]; k++)
+                s += data[k] * data[k] * c[indices[k]];
+            out[j] = s / n + lam;
+        }
+    }
+}
+
+static void second_half(const struct hessian *h, int half)
+{
+    if (half == ROWS)
+        row_pass(h, h->row_cut, h->n);
+    else
+        column_pass(h, h->col_cut, h->d);
+}
+
+/* Claims the second half of a pass of job for the calling thread: false if
+ * it is claimed already, for this job or (a late helper's) a later one. */
+static bool claim(struct hessian *h, int half, uint64_t job)
+{
+    uint64_t old = atomic_load(&h->taken[half]);
+    while (old < job)
+        if (atomic_compare_exchange_weak(&h->taken[half], &old, job))
+            return true;
+    return false;
+}
+
+static int64_t since(const struct timespec *t0)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)(t.tv_sec - t0->tv_sec) * 1000000000 + (t.tv_nsec - t0->tv_nsec);
+}
+
+/* The helper's spin: true once *word reaches job, false once *other does,
+ * SPIN_NS have passed or the helper runs on the caller's CPU. */
+static bool spin(struct hessian *h, atomic_uint_fast64_t *word,
+                 atomic_uint_fast64_t *other, uint64_t job)
+{
+    struct timespec t0;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (int k = 1; atomic_load_explicit(word, memory_order_acquire) < job; k++) {
+        if (other != NULL && atomic_load_explicit(other, memory_order_relaxed) >= job)
+            return false;
+        RELAX();
+        if (k % 64 == 0 && (since(&t0) > SPIN_NS
+                            || sched_getcpu() == atomic_load(&h->caller_cpu)))
+            return false;
+    }
+    return true;
+}
+
+/* The helper's wait for the job after `seen`: spin, then sleep. Sleeping is
+ * announced before `posted` is read again and the caller reads `sleeping`
+ * after its post (both sequentially consistent), so one of them sees the
+ * other and no post is missed. */
+static uint64_t await_job(struct hessian *h, uint64_t seen)
+{
+    uint64_t job;
+    if (spin(h, &h->posted, NULL, seen + 1))
+        return atomic_load_explicit(&h->posted, memory_order_acquire);
+    pthread_mutex_lock(&h->lock);
+    atomic_store(&h->sleeping, true);
+    while ((job = atomic_load(&h->posted)) == seen)
+        pthread_cond_wait(&h->wake, &h->lock);
+    atomic_store(&h->sleeping, false);
+    pthread_mutex_unlock(&h->lock);
+    return job;
+}
+
+static void post(struct hessian *h)
+{
+    atomic_store_explicit(&h->caller_cpu, sched_getcpu(), memory_order_relaxed);
+    atomic_store(&h->posted, h->jobs);
+    if (atomic_load(&h->sleeping)) {
+        pthread_mutex_lock(&h->lock);
+        pthread_cond_signal(&h->wake);
+        pthread_mutex_unlock(&h->lock);
+    }
+}
+
+/* The caller's end of a pass: its second half, unless the helper claimed
+ * it, in which case the caller waits for it (spinning: the helper is at
+ * work on it, but it yields now and then in case the two share a CPU). */
+static void finish(struct hessian *h, int half, uint64_t job)
+{
+    if (claim(h, half, job)) {
+        second_half(h, half);
+        return;
+    }
+    for (int k = 1; atomic_load_explicit(&h->done[half], memory_order_acquire) < job; k++) {
+        RELAX();
+        if (k % 64 == 0)
+            sched_yield();
+    }
+}
+
+static void *helper(void *arg)
+{
+    struct hessian *h = arg;
+    uint64_t job = 0;
+    for (;;) {
+        job = await_job(h, job);
+        if (atomic_load(&h->stop))
+            return NULL;
+        if (claim(h, ROWS, job)) {
+            second_half(h, ROWS);
+            h->helped++;
+            atomic_store_explicit(&h->done[ROWS], job, memory_order_release);
+        }
+        if (spin(h, &h->rows_ready, &h->taken[COLUMNS], job) && claim(h, COLUMNS, job)) {
+            second_half(h, COLUMNS);
+            h->helped++;
+            atomic_store_explicit(&h->done[COLUMNS], job, memory_order_release);
+        }
+    }
+}
+
+/* A handle on the n x d CSR arrays, their d x n transpose and the vectors
+ * p, out and c, laid end to end from `vectors`, which the caller keeps
+ * alive until dfsdca_hessian_close, with a helper thread if threads > 1
+ * and one can be started (else every pass runs on the caller's thread).
+ * NULL if out of memory. */
+struct hessian *dfsdca_hessian_open(int64_t n, int64_t d, const int32_t *indptr,
+                                    const int32_t *indices, const double *data,
+                                    const int32_t *t_indptr, const int32_t *t_indices,
+                                    const double *t_data, double lam, double *vectors,
+                                    int64_t threads)
+{
+    struct hessian *h = calloc(1, sizeof *h);
+    if (h == NULL)
+        return NULL;
+    *h = (struct hessian){
+        .n = n, .d = d, .indptr = indptr, .indices = indices, .data = data,
+        .t_indptr = t_indptr, .t_indices = t_indices, .t_data = t_data, .lam = lam,
+        .p = vectors, .out = vectors + d, .c = vectors + 2 * d, .m = malloc((size_t)(n + 1) * sizeof *h->m),
+    };
+    if (h->m == NULL) {
+        free(h);
+        return NULL;
+    }
+    if (threads > 1 && pthread_mutex_init(&h->lock, NULL) == 0) {
+        if (pthread_cond_init(&h->wake, NULL) == 0) {
+            h->threaded = pthread_create(&h->thread, NULL, helper, h) == 0;
+            if (!h->threaded)
+                pthread_cond_destroy(&h->wake);
+        }
+        if (!h->threaded)
+            pthread_mutex_destroy(&h->lock);
+    }
+    return h;
+}
+
+/* Writes the product (kind PRODUCT) or the diagonal (kind DIAGONAL; p
+ * unread) into out. With a helper, the passes are cut at row_cut and
+ * col_cut, in [0, n] and [0, d]. */
+void dfsdca_hessian_apply(struct hessian *h, int64_t kind, int64_t row_cut,
+                          int64_t col_cut)
+{
+    h->kind = (int)kind;
+    if (!h->threaded) {
+        if (kind == PRODUCT)
+            row_pass(h, 0, h->n);
+        column_pass(h, 0, h->d);
+        return;
+    }
+    h->row_cut = row_cut;
+    h->col_cut = col_cut;
+    uint64_t job = ++h->jobs;
+    if (kind == DIAGONAL) {  /* no row pass: its half is nobody's to claim */
+        atomic_store(&h->taken[ROWS], job);
+        atomic_store(&h->rows_ready, job);
+    }
+    post(h);
+    if (kind == PRODUCT) {
+        row_pass(h, 0, row_cut);
+        finish(h, ROWS, job);
+        atomic_store_explicit(&h->rows_ready, job, memory_order_release);
+    }
+    column_pass(h, 0, col_cut);
+    finish(h, COLUMNS, job);
+}
+
+/* Stops and joins the helper, if any, and frees the handle. Returns the
+ * number of pass halves the helper ran. */
+int64_t dfsdca_hessian_close(struct hessian *h)
+{
+    int64_t helped;
+    if (h->threaded) {
+        atomic_store(&h->stop, true);
+        h->jobs++;
+        post(h);
+        pthread_join(h->thread, NULL);
+        pthread_cond_destroy(&h->wake);
+        pthread_mutex_destroy(&h->lock);
+    }
+    helped = h->helped;
+    free(h->m);
+    free(h);
+    return helped;
 }

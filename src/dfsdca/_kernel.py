@@ -1,7 +1,7 @@
 """Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
 step kernel, the tau-subset draws, the synthetic generator's row draws, the
-LIBSVM parser and the pass that checks a Dataset's CSR arrays and takes its
-row norms.
+LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes its
+row norms, and the reference oracle's Hessian products.
 
 This module imports nothing from the package: the dataset and solver
 modules call it, and turn what it reports into their own errors.
@@ -45,12 +45,20 @@ BAD_LABEL, NO_COLON, BAD_TOKEN, NOT_ONE_BASED = 6, 7, 8, 9
 INDEX_TOO_LARGE, NOT_INCREASING, NON_ASCII = 10, 11, 12
 #: the step kernel's loss-kind codes, in the order of ``losses.KINDS``
 LOGISTIC, SQUARED, QUADFAM = 0, 1, 2
+#: the Hessian kernel's pass kinds
+PRODUCT, DIAGONAL = 0, 1
 #: the largest n, d and nnz whose CSR index arrays the step kernel reads
 INT32_MAX = 2**31 - 1
 #: the fewest bytes per parser piece: starting and joining a thread takes
 #: about 50 us on 2 cores, what parsing some 15 KB takes, and a piece this
 #: size about 1 ms
 MIN_PIECE = 256 * 1024
+
+#: the fewest CSR entries for which the oracle's Hessian products take a
+#: helper thread: on 2 cores a thread start and join costs 40-120 us, and
+#: the helper saved nothing in oracle calls on 4000-7000 entries, 0-13 %
+#: at 10 000 and 10-22 % from 15 000 on
+MIN_HESSIAN_NNZ = 10_000
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
@@ -155,6 +163,15 @@ def _load():
         lib.dfsdca_csr_pass.argtypes = [i64, i64, i64, vp, vp, vp, vp, vp, vp, vp,
                                         vp, vp]
         lib.dfsdca_csr_pass.restype = None
+        lib.dfsdca_csr_check.argtypes = [i64, i64, i64, vp, vp]
+        lib.dfsdca_csr_check.restype = ctypes.c_int
+        lib.dfsdca_hessian_open.argtypes = [i64, i64, vp, vp, vp, vp, vp, vp, dbl,
+                                            vp, i64]
+        lib.dfsdca_hessian_open.restype = vp
+        lib.dfsdca_hessian_apply.argtypes = [vp, i64, i64, i64]
+        lib.dfsdca_hessian_apply.restype = None
+        lib.dfsdca_hessian_close.argtypes = [vp]
+        lib.dfsdca_hessian_close.restype = i64
         for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_choice_rows,
                    lib.dfsdca_parse_libsvm):
             fn.restype = ctypes.c_int
@@ -175,6 +192,23 @@ def _check(name: str, a, dtype, size: int | None = None, write: bool = False,
         got = (f"{a.dtype} shape {a.shape}" if isinstance(a, np.ndarray)
                else type(a).__name__)
         raise ValueError(f"{kernel} kernel: {name} must be a {want}, got {got}")
+
+
+def _check_csr(indptr, indices, data, cols: int, name: str, kernel: str) -> tuple:
+    """The addresses of ``indptr``, ``indices`` and ``data``, once they are
+    checked to be int32 CSR arrays whose rows ``indptr`` delimits, with
+    indices in [0, cols), where ``name`` names cols: what a kernel needs to
+    read them in bounds. Else ValueError."""
+    _check("indptr", indptr, _I32, kernel=kernel)
+    _check("indices", indices, _I32, kernel=kernel)
+    _check("data", data, _F64, indices.size, kernel=kernel)
+    ptrs = indptr.ctypes.data, indices.ctypes.data, data.ctypes.data
+    code = _load().dfsdca_csr_check(indptr.size - 1, cols, indices.size, *ptrs[:2])
+    if code == OUT_OF_RANGE:
+        raise ValueError(f"{kernel} kernel: CSR index outside [0, {name}={cols})")
+    if code:
+        raise ValueError(f"{kernel} kernel: indptr does not delimit the rows")
+    return ptrs
 
 
 def _draw(rng: np.random.Generator, fn, *args) -> int:
@@ -253,7 +287,8 @@ def pow5_table() -> np.ndarray:
 
 
 def parse_libsvm(text, *, pieces: int | None = None) -> tuple:
-    """Parse LIBSVM bytes (any buffer: ``bytes``, a uint8 array, ...) into
+    """Parse LIBSVM bytes (any buffer: ``bytes``, a uint8 array, ...; one that
+    is not C-contiguous is read as its contiguous copy) into
     ``(arrays, fault)``. ``arrays`` is ``(labels, indptr, indices, data,
     max_index)``: one label per line that has one, CSR arrays with 0-based
     int64 indices and explicit zeros dropped, and the largest 1-based index
@@ -269,7 +304,8 @@ def parse_libsvm(text, *, pieces: int | None = None) -> tuple:
     same bits whatever the number of pieces. ``pieces`` forces that
     number, for tests.
     """
-    buf = np.frombuffer(text, np.uint8)
+    view = memoryview(text)
+    buf = np.frombuffer(view if view.c_contiguous else view.tobytes(), np.uint8)
     if pieces is None:
         pieces = max(1, min(len(os.sched_getaffinity(0)), buf.size // MIN_PIECE))
     if pieces < 1:
@@ -344,15 +380,8 @@ class Kernel:
         if kind not in (LOGISTIC, SQUARED, QUADFAM):
             raise ValueError(f"step kernel: unknown loss kind code {kind!r}")
         indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
-        _check("indptr", indptr, _I32)
-        _check("indices", indices, _I32)
+        csr = _check_csr(indptr, indices, data, dataset.d, "d", "step")
         n = indptr.size - 1
-        _check("data", data, _F64, indices.size)
-        if (indptr[0] != 0 or indptr[-1] != indices.size
-                or np.any(indptr[1:] < indptr[:-1])):
-            raise ValueError("step kernel: indptr does not delimit the rows")
-        if indices.size and (indices.min() < 0 or indices.max() >= dataset.d):
-            raise ValueError(f"step kernel: CSR index outside [0, d={dataset.d})")
         params = {"y": loss.y} if kind != QUADFAM else {"c": loss.c, "b": loss.b}
         for name, arr in params.items():
             _check(name, arr, _F64, n)
@@ -360,11 +389,7 @@ class Kernel:
         # held so that the pointers below stay valid
         self._arrays = (indptr, indices, data, *params.values())
         ptr = {name: arr.ctypes.data for name, arr in params.items()}
-        self._fixed = (
-            indptr.ctypes.data, indices.ctypes.data,
-            data.ctypes.data, n, kind,
-            ptr.get("y"), ptr.get("c"), ptr.get("b"),
-        )
+        self._fixed = (*csr, n, kind, ptr.get("y"), ptr.get("c"), ptr.get("b"))
         self._fn = _load().dfsdca_steps
 
     def steps(self, w, alpha, p, theta: float, guard: float, n_lam: float,
@@ -406,3 +431,92 @@ class Kernel:
                     f"(entry {i})"
                 )
             raise MemoryError("step kernel: out of memory")
+
+
+class Hessian:
+    """The reference oracle's Hessian products ``A^T (c o A p) / n + lam p``
+    and Jacobi diagonals ``sum_i c_i A_ij^2 / n + lam`` on one Dataset's CSR
+    arrays and their transpose, by one compiled pass each, as a context
+    manager: use it only inside its ``with`` block. :meth:`at` takes the
+    curvatures c, :meth:`product` then multiplies by them.
+
+    The bits are those of numpy's ``ds.combine(c * ds.margins(p)) / ds.n +
+    lam * p`` and ``np.bincount(ds.indices, ds.data * ds.data *
+    np.repeat(c, ds.nnz), minlength=ds.d) / ds.n + lam``, whatever the
+    thread count. With ``threads`` = 2 (by default: when this process may
+    use more than one CPU and the dataset has at least ``MIN_HESSIAN_NNZ``
+    entries) a helper thread, started on entry and joined on exit, may take
+    the second half of each pass: the rows from ``cuts[0]`` on, the columns
+    from ``cuts[1]`` on, cut where half of the entries lie (tests may set
+    ``cuts``). The caller runs any half the helper has not claimed by the
+    time it gets there, and on exit ``helped`` holds the number of halves
+    the helper ran. With ``threads`` = 1 every pass runs on the caller's
+    thread and no thread is started.
+    """
+
+    def __init__(self, dataset, lam: float, *, threads: int | None = None):
+        n, d = dataset.n, dataset.d
+        rows, cols = (dataset.indptr, dataset.indices, dataset.data), dataset._transpose()
+        if cols[0].size != d + 1:
+            raise ValueError(f"hessian kernel: the transpose has {cols[0].size - 1} "
+                             f"rows, not d={d}")
+        ptrs = (*_check_csr(*rows, d, "d", "hessian"), *_check_csr(*cols, n, "n", "hessian"))
+        if threads is None:
+            threads = 2 if (len(os.sched_getaffinity(0)) > 1
+                            and rows[1].size >= MIN_HESSIAN_NNZ) else 1
+        if threads not in (1, 2):
+            raise ValueError(f"hessian kernel: threads={threads} is not 1 or 2")
+        self.n, self.d, self.lam, self.threads = n, d, float(lam), threads
+        # one thread runs all of each pass
+        self.cuts = (n, d)
+        if threads == 2:
+            half = rows[1].size / 2
+            self.cuts = (int(np.searchsorted(rows[0], half)),
+                         int(np.searchsorted(cols[0], half)))
+        # the vectors the kernel reads and writes, p, out and c, in one
+        # buffer; held, with the CSR arrays, so that the pointers stay valid
+        vectors = np.empty(2 * d + n)
+        self._p, self._out, self._c = vectors[:d], vectors[d:2 * d], vectors[2 * d:]
+        self._arrays = (*rows, *cols, vectors)
+        self._open = (n, d, *ptrs, self.lam, vectors.ctypes.data, threads)
+        self._handle = None
+
+    def __enter__(self):
+        self._lib = _load()
+        self._handle = self._lib.dfsdca_hessian_open(*self._open)
+        if not self._handle:
+            raise MemoryError("hessian kernel: out of memory")
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.helped = self._lib.dfsdca_hessian_close(self._handle)
+        self._handle = None
+
+    def _apply(self, kind: int) -> np.ndarray:
+        if self._handle is None:
+            raise RuntimeError("hessian kernel: used outside its with block")
+        row_cut, col_cut = self.cuts
+        if not (0 <= row_cut <= self.n and 0 <= col_cut <= self.d):
+            raise ValueError(f"hessian kernel: cuts {self.cuts} outside "
+                             f"[0, {self.n}] x [0, {self.d}]")
+        self._lib.dfsdca_hessian_apply(self._handle, kind, row_cut, col_cut)
+        return self._out.copy()
+
+    def at(self, c) -> np.ndarray:
+        """Take the curvatures ``c``, n floats, for the products that follow,
+        and return the diagonal ``sum_i c_i A_ij^2 / n + lam`` as a new array."""
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != (self.n,):
+            raise ValueError(f"hessian kernel: c must have shape ({self.n},), "
+                             f"got {c.shape}")
+        self._c[:] = c
+        return self._apply(DIAGONAL)
+
+    def product(self, p) -> np.ndarray:
+        """``A^T (c o A p) / n + lam p`` as a new array, for ``p`` of d floats."""
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape != (self.d,):
+            raise ValueError(f"hessian kernel: p must have shape ({self.d},), "
+                             f"got {p.shape}")
+        self._p[:] = p
+        return self._apply(PRODUCT)

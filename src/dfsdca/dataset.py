@@ -223,7 +223,8 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
 
     ``source`` is the text as ``str`` or as any bytes-like buffer
     (``bytes``, ``bytearray``, ``memoryview``, ``mmap``, a uint8 array),
-    which is read in place, or a file object to read it from, in text or
+    which is read in place (one that is not C-contiguous, as its contiguous
+    copy), or a file object to read it from, in text or
     binary mode. It must be ASCII: any other byte (or character) is an
     error that names its line. The compiled parser in ``_kernel.c`` reads
     it, so the first call builds that library (gcc).

@@ -108,8 +108,14 @@ def reference_solution(
     Damped inexact Newton from w = 0 runs until ||grad P|| <=
     min(tol, lam * 1e-11). Each step solves H delta = -grad P by
     Jacobi-preconditioned conjugate gradients on the Hessian-vector product
-    H v = A^T (phi''(A w) o A v) / n + lam v, two CSR matvecs, so no d x d
-    array is ever built. The default tolerance is 1e-12 * (1 + |P(0)|).
+    H v = A^T (phi''(A w) o A v) / n + lam v, so no d x d array is ever
+    built. Each product, and each diagonal, is one compiled pass of
+    ``_kernel.Hessian`` over the CSR arrays and their transpose, with the
+    bits of numpy's ``ds.combine(c * ds.margins(v)) / ds.n + lam * v``.
+    With more than one CPU and at least ``_kernel.MIN_HESSIAN_NNZ`` entries
+    a helper thread shares each pass; it starts once per call and is joined
+    before the call returns or raises, and the results keep their bits. The
+    default tolerance is 1e-12 * (1 + |P(0)|).
     The lam * 1e-11 cap, which keeps the recovered relation
     w* = (1/(lam n)) sum_i alpha_i* A_i to 1e-11, is best effort: for small
     lam it can lie below the float resolution of grad P, so when the norm
@@ -125,7 +131,8 @@ def reference_solution(
         tol = 1e-12 * (1.0 + abs(p0))
     elif not tol >= 0.0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
-    return _newton(problem, tol)
+    with _kernel.Hessian(problem.dataset, problem.lam) as hessian:
+        return _newton(problem, tol, hessian)
 
 
 #: Newton iterations before giving up; quadratics need a few, logistic ~10
@@ -148,7 +155,8 @@ _ARMIJO = 1e-4
 _SLACK_ULPS = 4
 
 
-def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
+def _newton(problem: ProblemSpec, tol: float, hessian: _kernel.Hessian
+            ) -> ReferenceSolution:
     ds = problem.dataset
     target = min(tol, problem.lam * 1e-11)
     # one margins pass per iterate serves P, grad P and alpha*
@@ -167,7 +175,8 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
             if stalled == _STALL:
                 reason = f"no smaller gradient norm in {_STALL} iterations"
                 break
-        delta = _newton_cg(problem, at, grad, _FORCING * gnorm, it, best.grad_norm)
+        delta = _newton_cg(problem, hessian, at, grad, _FORCING * gnorm, it,
+                           best.grad_norm)
         slope = float(np.dot(grad, delta))
         slack = _SLACK_ULPS * np.spacing(abs(at.value))
         s = 1.0
@@ -191,6 +200,7 @@ def _newton(problem: ProblemSpec, tol: float) -> ReferenceSolution:
 
 def _newton_cg(
     problem: ProblemSpec,
+    hessian: _kernel.Hessian,
     at: PrimalPoint,
     grad: np.ndarray,
     rtol: float,
@@ -201,7 +211,7 @@ def _newton_cg(
     H of P at ``at``, by Jacobi-preconditioned conjugate gradients from 0.
     Raises ReferenceError, carrying and naming the gradient norm ``reached``,
     at p^T H p <= 0 or when the iteration cap is hit."""
-    ds, lam = problem.dataset, problem.lam
+    ds = problem.dataset
     c = problem.loss.curvatures(at.idx, at.margins)
     stopped = f"; the oracle stopped at ||grad|| = {reached:.3e}"
 
@@ -211,8 +221,7 @@ def _newton_cg(
             f"average loss is not convex here{stopped}", reached)
 
     # the diagonal of H, sum_i c_i A_ij^2 / n + lam, is e_j^T H e_j
-    diag = np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz),
-                       minlength=ds.d) / ds.n + lam
+    diag = hessian.at(c)
     j = int(np.argmin(diag))
     if not diag[j] > 0.0:
         raise not_convex(diag[j], f"along coordinate {j}")
@@ -223,7 +232,7 @@ def _newton_cg(
     p, rz = z, float(np.dot(r, z))
     cap = _CG_PER_DIM * ds.d + _CG_EXTRA
     for k in range(1, cap + 1):
-        Hp = ds.combine(c * ds.margins(p)) / ds.n + lam * p
+        Hp = hessian.product(p)
         pHp = float(np.dot(p, Hp))
         if not pHp > 0.0:
             raise not_convex(pHp, f"at CG iteration {k}")
@@ -705,8 +714,10 @@ def run_suites(names, seed: int, theta_override=None) -> list[dict]:
     its suite; an error raised in a worker has the worker's traceback as its
     cause. Nothing is forked with one CPU or one suite, nor beside Python
     threads of the caller's, which a fork can deadlock. The compiled
-    kernels' threads (the LIBSVM parser's) are all joined before the call
-    that starts them returns, so none is running at a fork.
+    kernels' threads (the LIBSVM parser's pieces, the oracle's Hessian
+    helper) are all joined before the call that starts them
+    (``_kernel.parse_libsvm``, ``reference_solution``) returns, so none is
+    running at a fork.
     """
     options = {"lemma1": {"theta_override": theta_override}}
     calls = [partial(ALL_SUITES[name], seed, **options.get(name, {})) for name in names]

@@ -8,10 +8,11 @@ import threading
 import numpy as np
 import pytest
 
+import dfsdca._kernel as _kernel
 import dfsdca.cli as cli
 import dfsdca.diagnostics as diagnostics
 from dfsdca.cli import TRACE_COLUMNS, build_parser, main
-from dfsdca.dataset import LABEL_MODELS, gen_synthetic
+from dfsdca.dataset import LABEL_MODELS, gen_synthetic, serialize_libsvm
 from dfsdca.losses import quadratic_family
 from dfsdca.solver import run as solver_run
 
@@ -519,6 +520,29 @@ class TestReference:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_or_two_cpus_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # enough entries that two CPUs give the oracle a helper thread
+        ds = gen_synthetic(1500, 100, 0.1, "linear-sign", 3)
+        assert ds.indices.size >= _kernel.MIN_HESSIAN_NNZ
+        data = tmp_path / "big.libsvm"
+        data.write_text(serialize_libsvm(ds))
+        threads, init = [], _kernel.Hessian.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            threads.append(self.threads)
+
+        monkeypatch.setattr(_kernel.Hessian, "__init__", record)
+        out = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out[len(cpus)] = tmp_path / f"ref{len(cpus)}.json"
+            assert main(["reference", "--data", str(data), "--loss", "logistic",
+                         "--lambda", "1/n", "--normalize",
+                         "--out", str(out[len(cpus)])]) == 0
+        assert threads == [1, 2]
+        assert out[1].read_bytes() == out[2].read_bytes()
 
     def test_unreachable_tol_exits_3(self, capsys):
         # the gradient norm stalls near 4e-17 here, far above the target

@@ -166,6 +166,12 @@ class TestGrammar:
             assert datasets_equal(parse_libsvm(mm), want)
         for buf in (bytearray(text), memoryview(text), np.frombuffer(text, np.uint8)):
             assert datasets_equal(parse_libsvm(buf), want)
+        # a buffer that is not C-contiguous is read as its contiguous copy
+        spread = bytes(b for ch in text for b in (ch, 0x80))
+        for buf in (memoryview(spread)[::2], np.frombuffer(spread, np.uint8)[::2]):
+            assert datasets_equal(parse_libsvm(buf), want)
+        assert datasets_equal(parse_libsvm(memoryview(b"1 1:1\n")[::2]),
+                              parse_libsvm(b"111"))
         with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte 0xff$"):
             parse_libsvm(bytearray(b"1\n\xff"))
 

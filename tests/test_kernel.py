@@ -422,8 +422,9 @@ def test_source_compiles_without_warnings():
     assert proc.returncode == 0, proc.stderr
     source = _kernel.SOURCE.read_text()
     for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_choice_rows",
-                 "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm", "dfsdca_csr_pass"):
-        assert f" {name}(" in source
+                 "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm", "dfsdca_csr_pass",
+                 "dfsdca_hessian_open", "dfsdca_hessian_apply", "dfsdca_hessian_close"):
+        assert re.search(rf"[ *]{name}\(", source), name
 
 
 # A script for a python under AddressSanitizer: it builds the kernels with
@@ -433,8 +434,10 @@ def test_source_compiles_without_warnings():
 # read past the end trips ASan, the 8-byte reads of digits too. Every parser
 # return code is driven except NO_MEMORY, each input also in 2 to 4 pieces
 # (so on threads), with a fault in each piece and OUT_OF_RANGE in each
-# piece, and the Dataset pass on valid, empty and faulty arrays. Leaks are not checked: the interpreter itself
-# never frees everything.
+# piece, the Dataset pass on valid, empty and faulty arrays, and the
+# oracle's Hessian products on one thread and on two, at every cut of a small
+# problem. Leaks are not checked: the interpreter itself never frees
+# everything.
 SANITIZED = """
 import sys
 from pathlib import Path
@@ -442,10 +445,11 @@ from pathlib import Path
 import numpy as np
 
 from dfsdca import _kernel
-from dfsdca.dataset import Dataset, ParseError, libsvm_arrays
+from dfsdca.dataset import Dataset, ParseError, gen_synthetic, libsvm_arrays
+from dfsdca.diagnostics import reference_solution
 from dfsdca.sampling import _tau_subsets
 from dfsdca.solver import SolverConfig, init_state, make_problem, run, step
-from dfsdca.losses import logistic_loss
+from dfsdca.losses import logistic_loss, squared_loss
 from test_kernel import awkward_dataset, schemes
 
 cache = Path(sys.argv[1])
@@ -595,6 +599,42 @@ for pieces in (1, 2, 3):
                                            *(a.ctypes.data for a in out), info.ctypes.data,
                                            _kernel.pow5_table().ctypes.data)
             assert code == _kernel.OUT_OF_RANGE, (pieces, piece, column, code)
+# the oracle's Hessian products and diagonals, on one thread and on two,
+# against numpy's expressions: at every pair of cuts on the awkward dataset
+# (its empty row and an empty column included) and, many times over, on one
+# large enough that the helper runs halves; then threaded oracle calls
+def same_hessian_bits(ds, lam, all_cuts, repeats=1):
+    rng = np.random.default_rng(ds.n)
+    c, p = rng.uniform(-1.0, 1.0, ds.n), rng.standard_normal(ds.d)
+    want = [np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz),
+                        minlength=ds.d) / ds.n + lam,
+            ds.combine(c * ds.margins(p)) / ds.n + lam * p]
+    for threads in (1, 2):
+        with _kernel.Hessian(ds, lam, threads=threads) as hessian:
+            for cuts in all_cuts or [hessian.cuts]:
+                hessian.cuts = cuts
+                for _ in range(repeats):
+                    got = [hessian.at(c), hessian.product(p)]
+                    assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                               for a, b in zip(got, want)), (threads, cuts)
+
+
+wide = Dataset(ds.indptr, ds.indices, ds.data, ds.labels, ds.d + 1)
+same_hessian_bits(wide, 0.3, [(r, j) for r in range(wide.n + 1) for j in range(wide.d + 1)])
+big = gen_synthetic(1500, 100, 0.1, "linear-sign", 0)
+same_hessian_bits(big, 0.01, None, repeats=50)
+_kernel.MIN_HESSIAN_NNZ = 0
+for loss in (logistic_loss, squared_loss):
+    reference_solution(make_problem(big, loss(big.labels), 0.01))
+# the kernels' CSR check on each fault, an empty indptr included
+for indptr, indices in [([], []), ([1, 1], [0]), ([0, 2, 1], [0]), ([0, 1], [3]),
+                        ([0, 1], [-1]), ([0, 1], [2])]:
+    arrays = np.array(indptr, np.int32), np.array(indices, np.int32)
+    try:
+        _kernel._check_csr(*arrays, np.ones(len(indices)), 2, "d", "step")
+    except ValueError:
+        continue
+    raise AssertionError(f"{indptr}, {indices} passed the CSR check")
 assert list(cache.glob("_kernel-*.so"))
 print("clean")
 """
