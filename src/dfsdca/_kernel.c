@@ -1,14 +1,23 @@
 /* dfSDCA kernels: a block of iterations over flat subsets plus offsets, a
  * block of uniform tau-subset draws, the synthetic generator's row draws,
  * a LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes
- * its row norms, and the reference oracle's Hessian products.
+ * its row norms, the row pass with its loss epilogue, the transpose, and
+ * the reference oracle's Hessian products.
+ *
+ * Every product of a CSR matrix with a vector sums each row's entries left
+ * to right from 0.0, the order of scipy's csr_matvec: row_sum does it for
+ * the row pass behind Dataset.margins and combine (the latter over the
+ * transpose) and for both passes of the Hessian products, each with an
+ * epilogue of its own, and the step kernel's margins sum the same way. The
+ * losses follow numpy's and scipy's operation order, with libm's exp and
+ * log1p, as they call them (loss_at).
  *
  * Subset s is idx[off[s]] .. idx[off[s+1] - 1]. Each iteration computes
  * every drawn margin A_i^T w against the pre-update w, summing the row's
  * CSR nonzeros left to right from 0.0, then moves each alpha_i by
- * theta / p_i times delta_i = phi_i'(A_i^T w) + alpha_i and subtracts
- * delta_i theta / (n lam p_i) A_i from w, row after row in subset order.
- * That is the operation order of the numpy reference kernel in
+ * theta / p_i times delta_i = phi_i'(A_i^T w) + alpha_i and
+ * subtracts delta_i theta / (n lam p_i) A_i from w, row after row in subset
+ * order. That is the operation order of the numpy reference kernel in
  * tests/test_kernel.py, so with -ffp-contract=off the iterates match it
  * bitwise. The CSR index arrays are int32: a Dataset is int32 CSR.
  *
@@ -32,8 +41,8 @@
  * tau-subset of range(units) draws t uniform in [0, units - tau + c] and
  * keeps t, or units - tau + c if t is already in the subset. The row pass
  * (dfsdca_choice_rows) replays all of rng.choice(d, k, replace=False) per
- * row, in both of numpy's regimes, then rng.standard_normal(k). Rows are
- * written unsorted: the caller sorts them, with numpy's vectorized sort.
+ * row, in both of numpy's regimes, then rng.standard_normal(k). Each row's
+ * columns are written sorted.
  *
  * Both membership tests (a repeat within a subset, a draw already taken)
  * use a byte marker over the index range, allocated per call and cleared
@@ -79,10 +88,16 @@
  * first row at fault for each kind of fault, and the caller raises them in
  * a fixed order.
  *
- * The oracle's Hessian products (dfsdca_hessian_*) fuse numpy's two CSR
- * matvecs and its vector arithmetic into a row pass and a column pass,
- * summing each output in the same order as numpy and scipy, so with the
- * same bits. A helper thread, started once per oracle call and joined
+ * The row pass (dfsdca_rows) gives the margins A x and, for each loss
+ * kind, on request the losses phi_i, the matched duals -phi_i' and the
+ * curvatures phi_i'' at them; run on given margins it is the loss pass
+ * alone. The transpose (dfsdca_transpose) is a stable counting pass, so
+ * unique: the arrays of scipy's csr_tocsc.
+ *
+ * The oracle's Hessian products (dfsdca_hessian_*) fuse the row pass and
+ * the row pass over the transpose (the column pass) with the vector
+ * arithmetic of numpy's expressions, each with its own epilogue, so with
+ * their bits. A helper thread, started once per oracle call and joined
  * before it returns, may take the second half of either pass; the caller
  * runs any half the helper has not claimed, so it never waits for a helper
  * that is not running. The comment above dfsdca_hessian_open has the rest.
@@ -157,27 +172,108 @@ done:
     return rc;
 }
 
-/* phi_i'(x); the logistic form is -y * expit(-y x), expit(z) = 1/(1+e^-z) */
-static inline double gradient(int kind, int64_t i, double x, const double *y,
-                              const double *c, const double *b)
+/* A rows x cols matrix as int32 CSR arrays: row i is entries indptr[i] ..
+ * indptr[i + 1] - 1 of indices and data. */
+struct csr {
+    int64_t rows;
+    const int32_t *indptr, *indices;
+    const double *data;
+};
+
+/* sum_k A_ik x_k over row i's entries (A_ik A_ik x_k if squared), left to
+ * right from 0.0: the order of scipy's csr_matvec */
+static inline double row_sum(const struct csr *A, int64_t i, const double *x,
+                             bool squared)
 {
-    if (kind == LOGISTIC) {
-        double ny = -y[i];
-        return ny * (1.0 / (1.0 + exp(-(ny * x))));
-    }
-    if (kind == SQUARED)
-        return x - y[i];
-    return c[i] * x + b[i];
+    const int32_t *indices = A->indices;
+    const double *data = A->data;
+    double s = 0.0;
+    /* unrolled, the loop keeps its order of additions; on rows of some 17
+     * entries it took 70 us where csr_matvec took 80 (85 000 entries, 2
+     * cores). The step kernel, which reads rows in random order, keeps a
+     * plain loop: there the remainder's dispatch costs more than it saves */
+#pragma GCC unroll 8
+    for (int32_t k = A->indptr[i]; k < A->indptr[i + 1]; k++)
+        s += (squared ? data[k] * data[k] : data[k]) * x[indices[k]];
+    return s;
 }
 
-int dfsdca_steps(const int32_t *indptr, const int32_t *indices,
-                 const double *data, int64_t n, int kind, const double *y,
-                 const double *c, const double *b, const double *p,
+/* A loss kind and its per-example parameters: y for LOGISTIC and SQUARED,
+ * c and b for QUADFAM; the others are not read. */
+struct loss {
+    int64_t kind;
+    const double *y, *c, *b;
+};
+
+/* scipy.special.expit's form, 1 / (1 + exp(-z)) */
+static inline double expit(double z)
+{
+    return 1.0 / (1.0 + exp(-z));
+}
+
+#define LOGE2 0.693147180559945309417232121458176568
+
+/* log(1 + exp(t)) as numpy's npy_logaddexp(0, t) computes it */
+static inline double logaddexp0(double t)
+{
+    const double x = 0.0, tmp = x - t;
+    if (x == t)
+        return x + LOGE2;
+    if (tmp > 0)
+        return x + log1p(exp(-tmp));
+    if (tmp <= 0)
+        return t + log1p(exp(tmp));
+    return tmp;  /* NaN */
+}
+
+/* phi_e(m), -phi_e'(m) and phi_e''(m) into *value, *alpha and *curv, each
+ * only where it is not NULL, in the operation order of the numpy and scipy
+ * forms they replaced (tests/test_row_pass.py keeps them): with
+ * t = (-y) m, the logistic value is np.logaddexp(0.0, t),
+ * phi' = (-y) expit(t) and phi'' = s (1 - s) for s = expit(t); the squared
+ * loss takes r = m - y, 0.5 r r, r and 1; the quadratic family
+ * 0.5 c m m + b m, c m + b and c. */
+static inline void loss_at(const struct loss *L, int64_t e, double m, double *value,
+                           double *alpha, double *curv)
+{
+    if (L->kind == LOGISTIC) {
+        double ny = -L->y[e], t = ny * m;
+        if (value != NULL)
+            *value = logaddexp0(t);
+        if (alpha != NULL || curv != NULL) {
+            double s = expit(t);
+            if (alpha != NULL)
+                *alpha = -(ny * s);
+            if (curv != NULL)
+                *curv = s * (1.0 - s);
+        }
+    } else if (L->kind == SQUARED) {
+        double r = m - L->y[e];
+        if (value != NULL)
+            *value = 0.5 * r * r;
+        if (alpha != NULL)
+            *alpha = -r;
+        if (curv != NULL)
+            *curv = 1.0;
+    } else {
+        double c = L->c[e], b = L->b[e];
+        if (value != NULL)
+            *value = 0.5 * c * m * m + b * m;
+        if (alpha != NULL)
+            *alpha = -(c * m + b);
+        if (curv != NULL)
+            *curv = c;
+    }
+}
+
+int dfsdca_steps(const struct csr *A, const struct loss *L, const double *p,
                  double theta, double guard, double n_lam, int64_t n_sub,
                  const int64_t *off, const int64_t *idx, int64_t n_idx,
                  double *w, double *alpha, int64_t *bad)
 {
-    int64_t s, r, k, max_m = 0;
+    const int32_t *indptr = A->indptr, *indices = A->indices;
+    const double *data = A->data;
+    int64_t s, r, k, n = A->rows, max_m = 0;
     double *margin;
     int rc = check(n, p, theta, guard, n_sub, off, idx, n_idx, &max_m, bad);
     if (rc != OK)
@@ -197,8 +293,11 @@ int dfsdca_steps(const int32_t *indptr, const int32_t *indices,
         }
         for (r = 0; r < m; r++) {
             int64_t i = sub[r], hi = indptr[i + 1];
-            double delta = gradient(kind, i, margin[r], y, c, b) + alpha[i];
-            double coef = delta * theta / (n_lam * p[i]);
+            double neg, delta, coef;
+            loss_at(L, i, margin[r], NULL, &neg, NULL);
+            /* -neg is phi_i' exactly: a negation only flips the sign */
+            delta = -neg + alpha[i];
+            coef = delta * theta / (n_lam * p[i]);
             alpha[i] -= theta / p[i] * delta;
             for (k = indptr[i]; k < hi; k++)
                 w[indices[k]] -= coef * data[k];
@@ -253,6 +352,30 @@ int dfsdca_tau_subsets(bitgen_t *bg, int64_t units, int64_t tau, int64_t k,
     return OK;
 }
 
+/* Sorts the k distinct columns in [0, d) of a row in place: by insertion,
+ * or where 4 k k > d, by marking them in taken[] (all zero on entry and on
+ * return) and scanning range(d) for the marks, without a branch per mark. */
+static void sort_row(int64_t *row, int64_t k, int64_t d, unsigned char *taken)
+{
+    int64_t i, j;
+    if (4 * k * k > d) {
+        for (i = 0; i < k; i++)
+            taken[row[i]] = 1;
+        for (i = j = 0; i < k; j++) {
+            row[i] = j;
+            i += taken[j];
+            taken[j] = 0;
+        }
+        return;
+    }
+    for (i = 1; i < k; i++) {
+        int64_t v = row[i];
+        for (j = i; j > 0 && row[j - 1] > v; j--)
+            row[j] = row[j - 1];
+        row[j] = v;
+    }
+}
+
 /* Draws n sparse rows of dimension d, row r holding k = counts[r] entries,
  * laid end to end in cols and vals. Each row makes the draws of
  * rng.choice(d, k, replace=False) then rng.standard_normal(k), so the
@@ -260,9 +383,9 @@ int dfsdca_tau_subsets(bitgen_t *bg, int64_t units, int64_t tau, int64_t k,
  * shuffle of the k kept (bounds k - 1 down to 1) where d <= 10000 or
  * k <= d / 50, else numpy's shuffle of the tail of range(d) from position
  * d - 1 down to max(d - k, 1), keeping the last k. The shuffle's own order
- * is not kept: a row's columns are choice's set, unsorted. A value of 0.0
- * becomes 1.0. A count outside [0, d] returns OUT_OF_RANGE with its row in
- * *bad, before any draw. */
+ * is not kept: a row's columns are choice's set, sorted (sort_row). A value
+ * of 0.0 becomes 1.0. A count outside [0, d] returns OUT_OF_RANGE with its
+ * row in *bad, before any draw. */
 int dfsdca_choice_rows(bitgen_t *bg, int64_t d, int64_t n,
                        const int64_t *counts, int64_t *cols, double *vals,
                        int64_t *bad)
@@ -299,6 +422,7 @@ int dfsdca_choice_rows(bitgen_t *bg, int64_t d, int64_t n,
             }
             memcpy(row, pool + d - k, (size_t)k * sizeof *row);
         }
+        sort_row(row, k, d, taken);
         random_standard_normal_fill(bg, k, vals + pos);
         for (i = 0; i < k; i++)
             if (vals[pos + i] == 0.0)
@@ -964,16 +1088,93 @@ void dfsdca_csr_pass(int64_t n, int64_t d, int64_t nnz, const int64_t *indptr,
     }
 }
 
+/* The row pass: for each of count examples, the margin m[i] = A_i . x by
+ * row_sum, or, where A is NULL, m[i] as given; then, where L is not NULL,
+ * the loss of example e = idx[i] (i where idx is NULL) at m[i]: its value,
+ * -phi_e'(m[i]) and phi_e''(m[i]) into values[i], alpha[i] and curv[i],
+ * each only where that array is not NULL (loss_at). With A, count is
+ * A->rows. */
+/* The loss half of dfsdca_rows for one kind: called with a constant kind
+ * and a copy of the loss that libm's calls cannot reach, so that the kind
+ * and the parameter arrays are tested and loaded once, not per example */
+static inline __attribute__((always_inline)) void
+loss_loop(struct loss L, int64_t kind, int64_t count, const int64_t *idx,
+          const double *m, double *values, double *alpha, double *curv)
+{
+    L.kind = kind;
+    for (int64_t i = 0; i < count; i++)
+        loss_at(&L, idx != NULL ? idx[i] : i, m[i], values ? values + i : NULL,
+                alpha ? alpha + i : NULL, curv ? curv + i : NULL);
+}
+
+void dfsdca_rows(const struct csr *A, const double *x, const struct loss *L,
+                 int64_t count, const int64_t *idx, double *m, double *values,
+                 double *alpha, double *curv)
+{
+    /* two loops: libm's calls in the second would keep A's arrays from
+     * being hoisted out of the first */
+    if (A != NULL)
+        for (int64_t i = 0; i < count; i++)
+            m[i] = row_sum(A, i, x, false);
+    if (L == NULL)
+        return;
+    if (L->kind == LOGISTIC)
+        loss_loop(*L, LOGISTIC, count, idx, m, values, alpha, curv);
+    else if (L->kind == SQUARED)
+        loss_loop(*L, SQUARED, count, idx, m, values, alpha, curv);
+    else
+        loss_loop(*L, QUADFAM, count, idx, m, values, alpha, curv);
+}
+
+/* One example's loss_at: phi_e(m), -phi_e'(m) or phi_e''(m) for which = 0,
+ * 1 or 2 */
+double dfsdca_loss_at(const struct loss *L, int64_t e, double m, int64_t which)
+{
+    double out = 0.0;
+    loss_at(L, e, m, which == 0 ? &out : NULL, which == 1 ? &out : NULL,
+            which == 2 ? &out : NULL);
+    return out;
+}
+
+/* The CSR arrays of the transpose of A, whose indices lie in [0, cols):
+ * t_indptr (cols + 1 entries), t_indices and t_data. A counting pass
+ * places the entries of each column in A's row order, so the transpose is
+ * stable, hence unique: the arrays scipy's csr_tocsc writes. */
+void dfsdca_transpose(const struct csr *A, int64_t cols, int32_t *restrict t_indptr,
+                      int32_t *restrict t_indices, double *restrict t_data)
+{
+    const int32_t *restrict indptr = A->indptr, *restrict indices = A->indices;
+    const double *restrict data = A->data;
+    int64_t nnz = indptr[A->rows], i, j;
+    memset(t_indptr, 0, (size_t)(cols + 1) * sizeof *t_indptr);
+    for (int64_t k = 0; k < nnz; k++)
+        t_indptr[indices[k] + 1]++;
+    for (j = 0; j < cols; j++)
+        t_indptr[j + 1] += t_indptr[j];
+    /* t_indptr[j] is where column j's next entry goes */
+    for (i = 0; i < A->rows; i++)
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++) {
+            int32_t at = t_indptr[indices[k]]++;
+            t_indices[at] = (int32_t)i;
+            t_data[at] = data[k];
+        }
+    /* each column's cursor has reached the next one's start */
+    for (j = cols; j > 0; j--)
+        t_indptr[j] = t_indptr[j - 1];
+    t_indptr[0] = 0;
+}
+
 /* The reference oracle's Hessian products, out = A^T (c o A p) / n + lam p,
  * and the Jacobi diagonal out_j = sum_i c_i A_ij^2 / n + lam, over a
  * Dataset's int32 CSR arrays and their transpose (Dataset._transpose). A
- * product is a row pass, m_i = c_i (A_i . p), then a column pass,
- * out_j = (sum_i At_ji m_i) / n + lam p_j; the diagonal is the column pass
- * alone. Every sum runs in CSR order from 0.0, so a product has the bits of
- * numpy's ds.combine(c * ds.margins(p)) / ds.n + lam * p, whose matvecs
- * (scipy's csr_matvec) sum the same way, and the diagonal those of
- * np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz)) / ds.n
- * + lam, which adds column j's terms in increasing row order from 0.0.
+ * product is the row pass with the epilogue m_i = c_i (A_i . p), then the
+ * column pass (the row pass over the transpose) with the epilogue
+ * out_j = (At_j . m) / n + lam p_j; the diagonal is the column pass over
+ * the squared entries, At_j^2 . c / n + lam. Every sum is row_sum's, so a
+ * product has the bits of numpy's ds.combine(c * ds.margins(p)) / ds.n +
+ * lam * p, and the diagonal those of np.bincount(ds.indices, ds.data *
+ * ds.data * np.repeat(c, ds.nnz)) / ds.n + lam, which adds column j's
+ * terms in increasing row order from 0.0.
  *
  * With a helper thread, each pass is cut in two at row_cut or col_cut. The
  * caller runs the first half of a pass, and the second half goes to
@@ -1001,8 +1202,7 @@ enum { ROWS = 0, COLUMNS = 1 };  /* the second halves of the two passes */
 
 struct hessian {
     int64_t n, d;
-    const int32_t *indptr, *indices, *t_indptr, *t_indices;
-    const double *data, *t_data;
+    struct csr rows, cols;  /* the n x d matrix and its transpose */
     double lam, *m;
     /* the caller's vectors: p and out of length d, c of length n */
     const double *p, *c;
@@ -1026,36 +1226,19 @@ struct hessian {
 
 static void row_pass(const struct hessian *h, int64_t lo, int64_t hi)
 {
-    const int32_t *indptr = h->indptr, *indices = h->indices;
-    const double *data = h->data, *p = h->p, *c = h->c;
-    double *m = h->m;
-    for (int64_t i = lo; i < hi; i++) {
-        double s = 0.0;
-        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++)
-            s += data[k] * p[indices[k]];
-        m[i] = c[i] * s;
-    }
+    for (int64_t i = lo; i < hi; i++)
+        h->m[i] = h->c[i] * row_sum(&h->rows, i, h->p, false);
 }
 
 static void column_pass(const struct hessian *h, int64_t lo, int64_t hi)
 {
-    const int32_t *indptr = h->t_indptr, *indices = h->t_indices;
-    const double *data = h->t_data, *p = h->p, *c = h->c, *m = h->m;
-    double *out = h->out, n = (double)h->n, lam = h->lam;
+    double n = (double)h->n, lam = h->lam;
     if (h->kind == PRODUCT) {
-        for (int64_t j = lo; j < hi; j++) {
-            double s = 0.0;
-            for (int32_t k = indptr[j]; k < indptr[j + 1]; k++)
-                s += data[k] * m[indices[k]];
-            out[j] = s / n + lam * p[j];
-        }
+        for (int64_t j = lo; j < hi; j++)
+            h->out[j] = row_sum(&h->cols, j, h->m, false) / n + lam * h->p[j];
     } else {
-        for (int64_t j = lo; j < hi; j++) {
-            double s = 0.0;
-            for (int32_t k = indptr[j]; k < indptr[j + 1]; k++)
-                s += data[k] * data[k] * c[indices[k]];
-            out[j] = s / n + lam;
-        }
+        for (int64_t j = lo; j < hi; j++)
+            h->out[j] = row_sum(&h->cols, j, h->c, true) / n + lam;
     }
 }
 
@@ -1184,9 +1367,10 @@ struct hessian *dfsdca_hessian_open(int64_t n, int64_t d, const int32_t *indptr,
     if (h == NULL)
         return NULL;
     *h = (struct hessian){
-        .n = n, .d = d, .indptr = indptr, .indices = indices, .data = data,
-        .t_indptr = t_indptr, .t_indices = t_indices, .t_data = t_data, .lam = lam,
-        .p = vectors, .out = vectors + d, .c = vectors + 2 * d, .m = malloc((size_t)(n + 1) * sizeof *h->m),
+        .n = n, .d = d, .rows = {n, indptr, indices, data},
+        .cols = {d, t_indptr, t_indices, t_data}, .lam = lam, .p = vectors,
+        .out = vectors + d, .c = vectors + 2 * d,
+        .m = malloc((size_t)(n + 1) * sizeof *h->m),
     };
     if (h->m == NULL) {
         free(h);

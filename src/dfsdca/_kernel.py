@@ -1,7 +1,8 @@
 """Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
 step kernel, the tau-subset draws, the synthetic generator's row draws, the
 LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes its
-row norms, and the reference oracle's Hessian products.
+row norms, the row pass with its loss epilogue (:class:`Csr`,
+:class:`Loss`), the transpose, and the reference oracle's Hessian products.
 
 This module imports nothing from the package: the dataset and solver
 modules call it, and turn what it reports into their own errors.
@@ -47,6 +48,8 @@ INDEX_TOO_LARGE, NOT_INCREASING, NON_ASCII = 10, 11, 12
 LOGISTIC, SQUARED, QUADFAM = 0, 1, 2
 #: the Hessian kernel's pass kinds
 PRODUCT, DIAGONAL = 0, 1
+#: what ``Loss.at`` gives for one example: phi_i or -phi_i'
+VALUE, ALPHA = 0, 1
 #: the largest n, d and nnz whose CSR index arrays the step kernel reads
 INT32_MAX = 2**31 - 1
 #: the fewest bytes per parser piece: starting and joining a thread takes
@@ -63,6 +66,7 @@ MIN_HESSIAN_NNZ = 10_000
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _I32 = np.dtype(np.int32)
+_BYTE = ctypes.c_char
 
 #: the loaded library, once the first kernel call needs it
 _lib = None
@@ -149,32 +153,25 @@ def _load():
             lib = ctypes.CDLL(str(path))
         except OSError as exc:
             raise KernelBuildError(f"cannot load {path}: {exc}") from exc
-        vp, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.dfsdca_steps.argtypes = [
-            vp, vp, vp, i64, ctypes.c_int, vp, vp, vp, vp,
-            dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, ctypes.POINTER(i64),
-        ]
-        lib.dfsdca_tau_subsets.argtypes = [vp, i64, i64, i64, vp]
-        lib.dfsdca_choice_rows.argtypes = [vp, i64, i64, vp, vp, vp,
-                                           ctypes.POINTER(i64)]
-        lib.dfsdca_libsvm_bounds.argtypes = [vp, i64, i64, vp]
-        lib.dfsdca_libsvm_bounds.restype = None
-        lib.dfsdca_parse_libsvm.argtypes = [vp, i64, vp, vp, vp, vp, vp, vp, vp]
-        lib.dfsdca_csr_pass.argtypes = [i64, i64, i64, vp, vp, vp, vp, vp, vp, vp,
-                                        vp, vp]
-        lib.dfsdca_csr_pass.restype = None
-        lib.dfsdca_csr_check.argtypes = [i64, i64, i64, vp, vp]
-        lib.dfsdca_csr_check.restype = ctypes.c_int
-        lib.dfsdca_hessian_open.argtypes = [i64, i64, vp, vp, vp, vp, vp, vp, dbl,
-                                            vp, i64]
-        lib.dfsdca_hessian_open.restype = vp
-        lib.dfsdca_hessian_apply.argtypes = [vp, i64, i64, i64]
-        lib.dfsdca_hessian_apply.restype = None
-        lib.dfsdca_hessian_close.argtypes = [vp]
-        lib.dfsdca_hessian_close.restype = i64
-        for fn in (lib.dfsdca_steps, lib.dfsdca_tau_subsets, lib.dfsdca_choice_rows,
-                   lib.dfsdca_parse_libsvm):
-            fn.restype = ctypes.c_int
+        vp, i64, dbl, cint = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
+        bad = ctypes.POINTER(i64)
+        for name, restype, *argtypes in (
+            ("steps", cint, vp, vp, vp, dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, bad),
+            ("tau_subsets", cint, vp, i64, i64, i64, vp),
+            ("choice_rows", cint, vp, i64, i64, vp, vp, vp, bad),
+            ("libsvm_bounds", None, vp, i64, i64, vp),
+            ("parse_libsvm", cint, vp, i64, vp, vp, vp, vp, vp, vp, vp),
+            ("csr_pass", None, i64, i64, i64, vp, vp, vp, vp, vp, vp, vp, vp, vp),
+            ("rows", None, vp, vp, vp, i64, vp, vp, vp, vp, vp),
+            ("loss_at", dbl, vp, i64, dbl, i64),
+            ("transpose", None, vp, i64, vp, vp, vp),
+            ("csr_check", cint, i64, i64, i64, vp, vp),
+            ("hessian_open", vp, i64, i64, vp, vp, vp, vp, vp, vp, dbl, vp, i64),
+            ("hessian_apply", None, vp, i64, i64, i64),
+            ("hessian_close", i64, vp),
+        ):
+            fn = getattr(lib, "dfsdca_" + name)
+            fn.restype, fn.argtypes = restype, argtypes
         _lib = lib
     return _lib
 
@@ -209,6 +206,105 @@ def _check_csr(indptr, indices, data, cols: int, name: str, kernel: str) -> tupl
     if code:
         raise ValueError(f"{kernel} kernel: indptr does not delimit the rows")
     return ptrs
+
+
+def _address(a: np.ndarray) -> int:
+    """A C-contiguous array's address; ctypes' view of a writeable buffer
+    gives it three times faster than ``a.ctypes.data``."""
+    if a.flags.writeable and a.size:
+        return ctypes.addressof(_BYTE.from_buffer(a))
+    return a.ctypes.data
+
+
+class _Struct(ctypes.Structure):
+    """``struct csr`` or ``struct loss`` in ``_kernel.c``: rows or a loss
+    kind's code, then three arrays."""
+    _fields_ = [("head", ctypes.c_int64), ("a", ctypes.c_void_p),
+                ("b", ctypes.c_void_p), ("c", ctypes.c_void_p)]
+
+
+class Csr:
+    """The int32 CSR ``arrays`` of a rows x cols matrix, bound for the row
+    pass: built by :func:`csr_pass`, which checks them, or :meth:`transpose`.
+    Each call allocates its outputs, so threads may share a Csr."""
+
+    def __init__(self, arrays: tuple, cols: int, ptrs: tuple):
+        self.arrays, self.rows, self.cols = arrays, arrays[0].size - 1, cols
+        self._struct = _Struct(self.rows, *ptrs)
+        self._ptr, self._lib = ctypes.addressof(self._struct), _load()
+
+    def product(self, x, name: str, loss: "Loss | None" = None) -> np.ndarray:
+        """``A @ x`` as row 0 of a new array, rows summed left to right from
+        0.0, as (so with the bits of) scipy's ``csr_matvec``, for ``x`` of
+        cols floats (else ValueError naming ``name``); with a :class:`Loss`
+        of the rows' examples, their losses at it as row 1."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.cols,):
+            raise ValueError(f"{name} must be a 1-d vector of length {self.cols}, "
+                             f"got shape {x.shape}")
+        if loss is not None and loss.n != self.rows:
+            raise ValueError(f"row pass: {loss.n} losses for {self.rows} rows")
+        x, out = np.ascontiguousarray(x), np.empty((1 + (loss is not None), self.rows))
+        at = _address(out)
+        with_loss = (None, None) if loss is None else (loss._ptr, at + 8 * self.rows)
+        self._lib.dfsdca_rows(self._ptr, _address(x), with_loss[0], self.rows, None, at,
+                              with_loss[1], None, None)
+        return out
+
+    def transpose(self) -> "Csr":
+        """The transpose, by one stable counting pass, so with the arrays
+        (frozen) of scipy's ``csr_tocsc``."""
+        nnz = self.arrays[1].size
+        arrays = np.empty(self.cols + 1, _I32), np.empty(nnz, _I32), np.empty(nnz)
+        ptrs = tuple(map(_address, arrays))
+        self._lib.dfsdca_transpose(self._ptr, self.cols, *ptrs)
+        for a in arrays:
+            a.flags.writeable = False
+        return Csr(arrays, self.rows, ptrs)
+
+
+class Loss:
+    """A loss kind's code (``LOGISTIC``, ``SQUARED`` or ``QUADFAM``) and the
+    parameters of its n examples, ``y``, or ``c`` and ``b``, checked and
+    bound for the loss pass. Threads may share a Loss."""
+
+    def __init__(self, kind: int, n: int, y=None, c=None, b=None, kernel="loss"):
+        if kind not in (LOGISTIC, SQUARED, QUADFAM):
+            raise ValueError(f"{kernel} kernel: unknown loss kind code {kind!r}")
+        params = {"y": y} if kind != QUADFAM else {"c": c, "b": b}
+        for name, arr in params.items():
+            _check(name, arr, _F64, n, kernel=kernel)
+        # held so that the pointers stay valid
+        self.n, self._arrays = n, tuple(params.values())
+        ptrs = {name: _address(arr) for name, arr in params.items()}
+        self._struct = _Struct(kind, ptrs.get("y"), ptrs.get("c"), ptrs.get("b"))
+        self._ptr, self._lib = ctypes.addressof(self._struct), _load()
+
+    def __call__(self, x, idx=None, *, values: bool = False, alpha: bool = False,
+                 curvatures: bool = False) -> np.ndarray:
+        """Those asked for of phi_i, -phi_i' and phi_i'', as the rows of a
+        new array, at the margins ``x`` of the examples ``np.arange(n)[idx]``
+        (all if idx is None), one each (else ValueError)."""
+        shape, at_idx = (self.n,), None
+        if idx is not None:
+            idx = np.arange(self.n)[idx]
+            shape, at_idx = idx.shape, _address(idx)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != shape or len(shape) != 1:
+            raise ValueError(f"loss kernel: margins of shape {x.shape} for examples "
+                             f"of shape {shape}")
+        x, out = np.ascontiguousarray(x), np.empty((values + alpha + curvatures, x.size))
+        at, ptrs = _address(out), []
+        for want in (values, alpha, curvatures):
+            ptrs.append(at if want else None)
+            at += 8 * x.size * want
+        self._lib.dfsdca_rows(None, None, self._ptr, x.size, at_idx, _address(x), *ptrs)
+        return out
+
+    def at(self, i: int, x: float, which: int) -> float:
+        """The ``VALUE`` or ``ALPHA`` (-phi_i') of example ``range(n)[i]`` at
+        the margin ``x``, by one call with no array."""
+        return self._lib.dfsdca_loss_at(self._ptr, range(self.n)[i], x, which)
 
 
 def _draw(rng: np.random.Generator, fn, *args) -> int:
@@ -246,8 +342,8 @@ def choice_rows(rng: np.random.Generator, d: int, counts) -> tuple:
 
     Each row takes what ``rng.choice(d, k, replace=False)`` and
     ``rng.standard_normal(k)`` take, in that order. Its columns are that
-    choice's set, unsorted (``np.sort`` of them equals ``np.sort`` of the
-    choice), and its values are that normal draw with 0.0 mapped to 1.0.
+    choice's set, sorted (``np.sort`` of the choice), and its values are
+    that normal draw with 0.0 mapped to 1.0.
     Raises ValueError, before any draw, if a count lies outside [0, d].
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
@@ -337,18 +433,19 @@ def parse_libsvm(text, *, pieces: int | None = None) -> tuple:
 
 def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
     """Check a Dataset's CSR arrays and take its row norms, in one compiled
-    pass over the rows: ``(indptr, indices, counts, norms, bad)``.
+    pass over the rows: ``(rows, counts, norms, bad)``.
 
     ``indptr`` and ``indices`` are C-contiguous int64 arrays, ``data`` and
     ``labels`` float64 ones, with ``indptr[-1] == indices.size`` and n, d
-    and nnz at most ``INT32_MAX``, as the caller checks. The index arrays
-    come back as new int32 arrays, which the step kernel reads. ``counts``
-    holds each row's number of entries, and ``norms`` the square root of its
-    squares summed left to right from 0.0. ``bad[k]`` is the first row at
-    fault, or -1, where k is 0 for rows that are not canonical (``indptr``
-    does not delimit them, or indices do not increase strictly; the pass
-    stops at the first), 1 for an index outside [0, d), 2 for an explicit
-    zero value and 3 for a label or a norm that is not finite.
+    and nnz at most ``INT32_MAX``, as the caller checks. ``rows`` is the
+    :class:`Csr` over new int32 index arrays, which the kernels read, and
+    ``data``: use it only if no row is at fault. ``counts`` holds each
+    row's number of entries, and ``norms`` the square root of its squares
+    summed left to right from 0.0. ``bad[k]`` is the first row at fault, or
+    -1, where k is 0 for rows that are not canonical (``indptr`` does not
+    delimit them, or indices do not increase strictly; the pass stops at
+    the first), 1 for an index outside [0, d), 2 for an explicit zero value
+    and 3 for a label or a norm that is not finite.
     """
     n = indptr.size - 1
     _check("indptr", indptr, _I64, kernel="dataset")
@@ -356,13 +453,14 @@ def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
     _check("data", data, _F64, indices.size, kernel="dataset")
     _check("labels", labels, _F64, n, kernel="dataset")
     counts, norms, bad = np.empty(n, np.int64), np.empty(n), np.empty(4, np.int64)
-    out = np.empty(n + 1, np.int32), np.empty(indices.size, np.int32)
+    arrays = np.empty(n + 1, np.int32), np.empty(indices.size, np.int32), data
+    ptrs = tuple(a.ctypes.data for a in arrays)
     _load().dfsdca_csr_pass(
-        n, d, indices.size, indptr.ctypes.data, indices.ctypes.data, data.ctypes.data,
-        labels.ctypes.data, *(a.ctypes.data for a in out),
-        counts.ctypes.data, norms.ctypes.data, bad.ctypes.data,
+        n, d, indices.size, indptr.ctypes.data, indices.ctypes.data, ptrs[2],
+        labels.ctypes.data, *ptrs[:2], counts.ctypes.data, norms.ctypes.data,
+        bad.ctypes.data,
     )
-    return *out, counts, norms, bad
+    return Csr(arrays, d, ptrs), counts, norms, bad
 
 
 class Kernel:
@@ -371,25 +469,20 @@ class Kernel:
 
     ``kind`` is the loss kind's code (``LOGISTIC``, ``SQUARED`` or
     ``QUADFAM``), which selects the parameters read from ``loss``: ``y``, or
-    ``c`` and ``b`` for the quadratic family. The CSR index arrays must be
-    int32: a Dataset is int32 CSR. Every array is checked for dtype, shape
-    and C-contiguity before its pointer reaches C.
+    ``c`` and ``b`` for the quadratic family, bound as a :class:`Loss`. The
+    CSR index arrays must be int32: a Dataset is int32 CSR. Every array is
+    checked for dtype, shape and C-contiguity before its pointer reaches C.
     """
 
     def __init__(self, dataset, loss, kind: int):
-        if kind not in (LOGISTIC, SQUARED, QUADFAM):
-            raise ValueError(f"step kernel: unknown loss kind code {kind!r}")
         indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
-        csr = _check_csr(indptr, indices, data, dataset.d, "d", "step")
         n = indptr.size - 1
-        params = {"y": loss.y} if kind != QUADFAM else {"c": loss.c, "b": loss.b}
-        for name, arr in params.items():
-            _check(name, arr, _F64, n)
+        self._csr = _Struct(n, *_check_csr(indptr, indices, data, dataset.d, "d", "step"))
+        self._loss = Loss(kind, n, loss.y, loss.c, loss.b, kernel="step")
         self.n, self.d = n, int(dataset.d)
         # held so that the pointers below stay valid
-        self._arrays = (indptr, indices, data, *params.values())
-        ptr = {name: arr.ctypes.data for name, arr in params.items()}
-        self._fixed = (*csr, n, kind, ptr.get("y"), ptr.get("c"), ptr.get("b"))
+        self._arrays = (indptr, indices, data)
+        self._fixed = (ctypes.addressof(self._csr), self._loss._ptr)
         self._fn = _load().dfsdca_steps
 
     def steps(self, w, alpha, p, theta: float, guard: float, n_lam: float,

@@ -3,9 +3,9 @@
 A :class:`Dataset` stores its rows once, as frozen CSR arrays
 (``indptr``/``indices``/``data``), with the labels, the dimension d, and
 the per-row norms and nonzero counts derived from them. Every numerical
-kernel reads those arrays: full margins and combinations for objective
-values and gradients, and the solver's compiled step kernel, which is
-handed pointers to them.
+kernel reads those arrays: the row pass for full margins, losses and
+combinations, for objective values and gradients, and the solver's
+compiled step kernel, which is handed pointers to them.
 
 ``Dataset(indptr, indices, data, labels, d)`` is the one constructor; the
 LIBSVM parser, the synthetic generators and the normalizers all build
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-# the compiled routines behind scipy's ``A @ x`` and ``A.T.tocsr()``
-from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
 from . import _kernel
 
@@ -40,19 +38,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _matvec(indptr, indices, data, rows: int, cols: int, x, name: str) -> np.ndarray:
-    """The CSR product A @ x by scipy's ``csr_matvec``, which copies a
-    strided x but reads it without checking its length: so x, as float64,
-    must be 1-d and cols long first."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cols,):
-        raise ValueError(f"{name} must be a 1-d vector of length {cols}, "
-                         f"got shape {x.shape}")
-    out = np.zeros(rows)
-    csr_matvec(rows, cols, indptr, indices, data, x, out)
-    return out
 
 
 def _csr_matrix(indptr, indices, data, shape: tuple) -> sp.csr_matrix:
@@ -89,11 +74,10 @@ class Dataset:
     first use). A row's norm is the square root of its squares summed left
     to right from 0.0.
 
-    :meth:`margins` and :meth:`combine` call scipy's compiled CSR matvec
-    (``csr_matvec``) on the arrays directly, the second on a transpose that
-    ``csr_tocsc`` builds once, on first use: the routines behind ``@`` and
-    ``.T.tocsr()``, so their bits are those of ``csr() @ w`` and
-    ``csr_t() @ alpha``. No scipy matrix is built for them. :meth:`csr` and
+    :meth:`margins`, :meth:`losses` and :meth:`combine` are the compiled
+    row pass (``_kernel.Csr``), the last over a transpose built on first
+    use by a stable counting pass: so their bits are those of ``csr() @ w``
+    and ``csr_t() @ alpha``. :meth:`csr` and
     :meth:`csr_t` wrap scipy matrices around those same arrays, with no
     copy, when first called."""
 
@@ -117,7 +101,7 @@ class Dataset:
         if indptr[-1] != indices.size:
             raise ValueError("Last value of index pointer should equal "
                              "the size of index and data arrays")
-        indptr, indices, nnz, norms, bad = _kernel.csr_pass(
+        rows, nnz, norms, bad = _kernel.csr_pass(
             *map(np.ascontiguousarray, (indptr, indices, data)), self.labels, self.d)
         if bad[0] >= 0:
             raise ValueError("indices must be strictly increasing within each row")
@@ -134,21 +118,25 @@ class Dataset:
                 f"row {i} (0-based): norm {norms[i]} is not finite: a value "
                 "is NaN or infinite, or so large that its square overflows"
             )
-        self.indptr = _freeze(indptr)
-        self.indices = _freeze(indices)
-        self.data = _freeze(data)
+        self.indptr, self.indices, self.data = map(_freeze, rows.arrays)
         self.nnz = _freeze(nnz)
         self.norms = _freeze(norms)
-        self._csr = self._csr_t = self._t_arrays = self._overlap = None
+        self._rows = rows
+        self._csr = self._csr_t = self._columns = self._overlap = None
 
     @property
     def n(self) -> int:
         return self.labels.size
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        """All inner products A_i^T w at once (CSR matvec); w is 1-d of
+        """All inner products A_i^T w at once (the row pass); w is 1-d of
         length d, else ValueError."""
-        return _matvec(self.indptr, self.indices, self.data, self.n, self.d, w, "w")
+        return self._rows.product(w, "w")[0]
+
+    def losses(self, w: np.ndarray, loss: _kernel.Loss) -> np.ndarray:
+        """``margins(w)`` and the losses of a ``LossSpec.kernel`` at them, as
+        the rows of one array, from one row pass."""
+        return self._rows.product(w, "w", loss)
 
     def csr(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -157,14 +145,10 @@ class Dataset:
 
     def _transpose(self) -> tuple:
         """The frozen CSR arrays ``(indptr, indices, data)`` of the d x n
-        transpose, built by ``csr_tocsc`` on first use."""
-        if self._t_arrays is None:
-            nnz = self.data.size
-            arrays = (np.empty(self.d + 1, self.indptr.dtype),
-                      np.empty(nnz, self.indices.dtype), np.empty(nnz))
-            csr_tocsc(self.n, self.d, self.indptr, self.indices, self.data, *arrays)
-            self._t_arrays = tuple(map(_freeze, arrays))
-        return self._t_arrays
+        transpose, built on first use."""
+        if self._columns is None:
+            self._columns = self._rows.transpose()
+        return self._columns.arrays
 
     def csr_t(self) -> sp.csr_matrix:
         if self._csr_t is None:
@@ -183,9 +167,10 @@ class Dataset:
         return self._overlap
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
-        """Dense vector sum_i alpha_i A_i (CSR matvec over the transpose);
+        """Dense vector sum_i alpha_i A_i (the row pass over the transpose);
         alpha is 1-d of length n, else ValueError."""
-        return _matvec(*self._transpose(), self.d, self.n, alpha, "alpha")
+        self._transpose()
+        return self._columns.product(alpha, "alpha")[0]
 
 
 def libsvm_arrays(text) -> tuple:
@@ -331,10 +316,11 @@ def gen_synthetic(
     ``linear-noise``, ``standard_normal(n)`` for the noise. A label margin
     is the ``np.dot`` of a row's values with the weights at its columns.
     The compiled row pass ``_kernel.choice_rows`` makes those choice draws
-    through numpy's own C code in both of numpy's regimes: Floyd's
+    through numpy's own C code in both of numpy's regimes (Floyd's
     algorithm where d <= 10000 or k <= d // 50, and otherwise a shuffle of
-    the tail of ``range(d)``. So a dataset equals that per-row loop's bit
-    for bit (``tests/test_gen_fuzz.py`` keeps the loop as its reference).
+    the tail of ``range(d)``) and sorts each row's columns. So a dataset
+    equals that per-row loop's bit for bit (``tests/test_gen_fuzz.py``
+    keeps the loop as its reference).
     The first call builds the compiled library (gcc). Sizes above 2**31 - 1
     raise ValueError: n and d before any draw, nnz before any row's draws.
     So does a ``density`` outside (0, 1] or a ``tail_exponent`` that is not
@@ -364,17 +350,15 @@ def gen_synthetic(
     cols, vals = _kernel.choice_rows(rng, d, counts)
     w_true = rng.standard_normal(d)
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    # Rows of one length at a time, as a (rows, k) block: sort each row's
-    # columns, then take the label margins, which are part of the data, by
-    # one np.vecdot, the cblas ddot per row that np.dot makes. A CSR matvec,
-    # or a dot in C, would round them differently.
+    # Rows of one length at a time, as a (rows, k) block: the label margins,
+    # which are part of the data, by one np.vecdot, the cblas ddot per row
+    # that np.dot makes. A CSR matvec, or a dot in C, would round them
+    # differently.
     margins = np.empty(n)
     order = np.argsort(counts, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         pos = indptr[rows, None] + np.arange(counts[rows[0]])
-        block = np.sort(cols[pos], axis=1)
-        cols[pos] = block
-        margins[rows] = np.vecdot(vals[pos], w_true[block])
+        margins[rows] = np.vecdot(vals[pos], w_true[cols[pos]])
     if label_model == "linear-noise":
         labels = margins + 0.1 * rng.standard_normal(n)
     else:

@@ -212,7 +212,6 @@ def _newton_cg(
     Raises ReferenceError, carrying and naming the gradient norm ``reached``,
     at p^T H p <= 0 or when the iteration cap is hit."""
     ds = problem.dataset
-    c = problem.loss.curvatures(at.idx, at.margins)
     stopped = f"; the oracle stopped at ||grad|| = {reached:.3e}"
 
     def not_convex(pHp, where):
@@ -220,8 +219,9 @@ def _newton_cg(
             f"Newton iteration {it}: p^T H p = {pHp:.3e} <= 0 {where}, so the "
             f"average loss is not convex here{stopped}", reached)
 
-    # the diagonal of H, sum_i c_i A_ij^2 / n + lam, is e_j^T H e_j
-    diag = hessian.at(c)
+    # the diagonal of H, sum_i c_i A_ij^2 / n + lam for the curvatures c,
+    # is e_j^T H e_j
+    diag = hessian.at(at.curvatures)
     j = int(np.argmin(diag))
     if not diag[j] > 0.0:
         raise not_convex(diag[j], f"along coordinate {j}")

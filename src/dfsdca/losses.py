@@ -4,6 +4,10 @@ Three families are supported: logistic ``log(1 + exp(-y x))``, squared
 ``(x - y)^2 / 2``, and a quadratic family ``c x^2/2 + b x`` whose curvature
 may be negative per example (used to exercise the non-convex regime while
 the averaged, data-composed loss stays convex).
+
+The compiled loss pass (``_kernel.Loss``) evaluates them in the order, and
+on the libm calls, of the numpy and scipy forms it replaced, so with their
+bits: for t = -y x, ``np.logaddexp(0.0, t)`` and scipy's sigmoid.
 """
 
 from __future__ import annotations
@@ -11,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
+from . import _kernel
 from .dataset import Dataset, check_csr_size
 
 LOGISTIC = "logistic"
@@ -25,13 +28,15 @@ KINDS = (LOGISTIC, SQUARED, QUADFAM)
 
 @dataclass(eq=False)
 class LossSpec:
-    """Per-example losses of one kind plus their smoothness constants l_i."""
+    """Per-example losses of one kind plus their smoothness constants l_i,
+    and the loss pass bound to the (then fixed) parameters."""
 
     kind: str
     y: np.ndarray | None = None
     c: np.ndarray | None = None
     b: np.ndarray | None = None
     l: np.ndarray = field(init=False)
+    kernel: _kernel.Loss = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -50,6 +55,10 @@ class LossSpec:
                 raise ValueError("labels must be 1-d")
             base = 0.25 if self.kind == LOGISTIC else 1.0
             self.l = np.full(self.y.shape, base)
+        # the kernel's loss-kind codes are the positions in KINDS
+        params = (None if a is None else np.ascontiguousarray(a)
+                  for a in (self.y, self.c, self.b))
+        self.kernel = _kernel.Loss(KINDS.index(self.kind), self.l.size, *params)
 
     @property
     def n(self) -> int:
@@ -60,41 +69,23 @@ class LossSpec:
         """Whether every individual loss is convex."""
         return self.kind != QUADFAM or bool(np.all(self.c > 0.0))
 
-    def values(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == LOGISTIC:
-            y = self.y[idx]
-            return np.logaddexp(0.0, -y * x)
-        if self.kind == SQUARED:
-            r = x - self.y[idx]
-            return 0.5 * r * r
-        return 0.5 * self.c[idx] * x * x + self.b[idx] * x
+    def values(self, idx, x: np.ndarray) -> np.ndarray:
+        """phi_i(x_i) for the examples ``idx``, any index of ``range(n)``."""
+        return self.kernel(x, idx, values=True)[0]
 
-    def gradients(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == LOGISTIC:
-            y = self.y[idx]
-            # -y * sigmoid(-y x); expit saturates instead of overflowing
-            return -y * expit(-y * x)
-        if self.kind == SQUARED:
-            return x - self.y[idx]
-        return self.c[idx] * x + self.b[idx]
+    def gradients(self, idx, x: np.ndarray) -> np.ndarray:
+        """First derivatives phi_i'(x_i), saturated for the logistic loss."""
+        return -self.kernel(x, idx, alpha=True)[0]
 
-    def curvatures(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def curvatures(self, idx, x: np.ndarray) -> np.ndarray:
         """Second derivatives phi_i''(x_i)."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == LOGISTIC:
-            s = expit(-self.y[idx] * x)
-            return s * (1.0 - s)
-        if self.kind == SQUARED:
-            return np.ones_like(x)
-        return self.c[idx]
+        return self.kernel(x, idx, curvatures=True)[0]
 
     def value(self, i: int, x: float) -> float:
-        return float(self.values(np.array([i]), np.array([x]))[0])
+        return self.kernel.at(i, x, _kernel.VALUE)
 
     def gradient(self, i: int, x: float) -> float:
-        return float(self.gradients(np.array([i]), np.array([x]))[0])
+        return -self.kernel.at(i, x, _kernel.ALPHA)
 
 
 def logistic_loss(labels) -> LossSpec:
@@ -127,26 +118,6 @@ def smoothness_constants(loss: LossSpec, dataset: Dataset) -> SmoothnessConstant
         raise ValueError("loss and dataset sizes disagree")
     L_per = loss.l * dataset.norms
     return SmoothnessConstants(l=loss.l.copy(), L_per=L_per, L=float(np.max(L_per)))
-
-
-def average_curvature_matrix(dataset: Dataset, c: np.ndarray) -> np.ndarray:
-    """Dense Hessian of w -> (1/n) sum_i c_i/2 (A_i^T w)^2, i.e.
-    (1/n) sum_i c_i A_i A_i^T, as one sparse product A^T (c o A) / n.
-
-    With c = phi''(A w) it is the loss part of the objective's Hessian at w.
-    It is d x d and dense, so only small problems use it: it serves
-    :func:`min_curvature_eig` and the tests' dense reference solves, while
-    the reference oracle applies the same Hessian matrix-free.
-    """
-    A = dataset.csr()
-    scaled = sp.csr_matrix(
-        (A.data * np.repeat(c, dataset.nnz), A.indices, A.indptr), shape=A.shape
-    )
-    return (dataset.csr_t() @ scaled).toarray() / dataset.n
-
-
-def min_curvature_eig(dataset: Dataset, c: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(average_curvature_matrix(dataset, c))[0])
 
 
 def build_nonconvex_instance(n: int, d: int, seed: int) -> tuple[Dataset, LossSpec]:

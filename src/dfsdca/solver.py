@@ -69,22 +69,30 @@ def make_problem(dataset: Dataset, loss: LossSpec, lam: float) -> ProblemSpec:
 
 
 class PrimalPoint:
-    """P(w), grad P(w) and the matched duals alpha*(w) = -phi'(A w) at one
-    w, from one margins pass A w; each is computed on first use."""
+    """P(w), grad P(w), the matched duals alpha*(w) = -phi'(A w) and the
+    curvatures phi''(A w) at one w: the row pass gives A w and the losses,
+    one loss pass on them alpha* and the curvatures, on first use."""
 
     def __init__(self, problem: ProblemSpec, w: np.ndarray):
-        self.problem, self.w, self.margins = problem, w, problem.dataset.margins(w)
-        # every example: a full slice reads the per-example arrays uncopied
-        self.idx = slice(None)
+        self.problem, self.w = problem, w
+        rows = problem.dataset.losses(w, problem.loss.kernel)
+        self.margins, self.losses = rows[0], rows[1]
 
     @cached_property
     def value(self) -> float:
-        losses = self.problem.loss.values(self.idx, self.margins)
-        return float(losses.mean() + 0.5 * self.problem.lam * np.dot(self.w, self.w))
+        return float(self.losses.mean() + 0.5 * self.problem.lam * np.dot(self.w, self.w))
 
     @cached_property
+    def _derivatives(self) -> np.ndarray:
+        return self.problem.loss.kernel(self.margins, alpha=True, curvatures=True)
+
+    @property
     def alpha(self) -> np.ndarray:
-        return -self.problem.loss.gradients(self.idx, self.margins)
+        return self._derivatives[0]
+
+    @property
+    def curvatures(self) -> np.ndarray:
+        return self._derivatives[1]
 
     @cached_property
     def gradient(self) -> np.ndarray:

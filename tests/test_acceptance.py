@@ -24,7 +24,6 @@ from dfsdca.diagnostics import (
 from dfsdca.losses import (
     build_nonconvex_instance,
     logistic_loss,
-    min_curvature_eig,
     quadratic_family,
     squared_loss,
 )
@@ -51,6 +50,7 @@ from dfsdca.solver import (
     theta_nonconvex,
 )
 
+from curvature import min_curvature_eig
 from csr_rows import from_rows
 
 

@@ -2,6 +2,7 @@ import math
 import mmap
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import scipy.sparse._compressed as compressed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dfsdca.dataset as dataset_module
 from dfsdca import _kernel
 from dfsdca.dataset import (
     LABEL_MODELS,
@@ -512,10 +512,11 @@ def test_compiled_pass_equals_scipy_construction(args):
         A, T = ds.csr(), ds.csr_t()
         assert pointers(A.indptr, A.indices, A.data) == pointers(ds.indptr, ds.indices, ds.data)
         assert A.has_canonical_format and T.has_canonical_format
-        # the products read those same arrays
-        calls = []
+        # the row pass reads those same arrays
+        calls, product = [], _kernel.Csr.product
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dataset_module, "csr_matvec", lambda *a: calls.append(a[2:5]))
+            mp.setattr(_kernel.Csr, "product",
+                       lambda self, *a: calls.append(self.arrays) or product(self, *a))
             ds.margins(np.zeros(ds.d))
             ds.combine(np.zeros(ds.n))
         assert [pointers(*arrays) for arrays in calls] == [
@@ -530,7 +531,7 @@ def bits(x: np.ndarray) -> np.ndarray:
 
 
 def no_call(*args):
-    raise AssertionError("csr_matvec called")
+    raise AssertionError("row pass called")
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -555,10 +556,12 @@ def test_products_equal_scipy_products(args, seed):
     for name in ("indptr", "indices", "data"):
         mine, theirs = getattr(T, name), getattr(ref, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-    # csr_matvec does not check lengths: a vector of the wrong shape is
+    # the row pass does not check lengths: a vector of the wrong shape is
     # rejected before it is called
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset_module, "csr_matvec", no_call)
+        ds._transpose()
+        for csr in (ds._rows, ds._columns):
+            mp.setattr(csr, "_lib", SimpleNamespace(dfsdca_rows=no_call))
         for product, name, size in ((ds.margins, "w", ds.d), (ds.combine, "alpha", ds.n)):
             shapes = [(size + 1,), (size, 1), (1, size), ()] + [(size - 1,)] * (size > 0)
             for shape in shapes:

@@ -29,7 +29,6 @@ from dfsdca.diagnostics import (
     verify_lemma2,
 )
 from dfsdca.losses import (
-    average_curvature_matrix,
     build_nonconvex_instance,
     logistic_loss,
     quadratic_family,
@@ -56,6 +55,7 @@ from dfsdca.solver import (
     theta_convex,
 )
 
+from curvature import average_curvature_matrix
 from csr_rows import from_rows, row
 
 
@@ -77,7 +77,7 @@ def dense_newton(prob):
     ds, w = prob.dataset, np.zeros(prob.dataset.d)
     for _ in range(30):
         at = PrimalPoint(prob, w)
-        H = average_curvature_matrix(ds, prob.loss.curvatures(at.idx, at.margins))
+        H = average_curvature_matrix(ds, at.curvatures)
         w = w - np.linalg.solve(H + prob.lam * np.eye(ds.d), at.gradient)
     return w, primal_value(prob, w)
 

@@ -423,6 +423,7 @@ def test_source_compiles_without_warnings():
     source = _kernel.SOURCE.read_text()
     for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_choice_rows",
                  "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm", "dfsdca_csr_pass",
+                 "dfsdca_rows", "dfsdca_loss_at", "dfsdca_transpose",
                  "dfsdca_hessian_open", "dfsdca_hessian_apply", "dfsdca_hessian_close"):
         assert re.search(rf"[ *]{name}\(", source), name
 
@@ -434,10 +435,11 @@ def test_source_compiles_without_warnings():
 # read past the end trips ASan, the 8-byte reads of digits too. Every parser
 # return code is driven except NO_MEMORY, each input also in 2 to 4 pieces
 # (so on threads), with a fault in each piece and OUT_OF_RANGE in each
-# piece, the Dataset pass on valid, empty and faulty arrays, and the
-# oracle's Hessian products on one thread and on two, at every cut of a small
-# problem. Leaks are not checked: the interpreter itself never frees
-# everything.
+# piece, the Dataset pass on valid, empty and faulty arrays, the oracle's
+# Hessian products on one thread and on two, at every cut of a small
+# problem, and the row pass with each loss epilogue and the transpose, with
+# an empty row, an empty column, no rows and n = d = 1. Leaks are not
+# checked: the interpreter itself never frees everything.
 SANITIZED = """
 import sys
 from pathlib import Path
@@ -449,7 +451,7 @@ from dfsdca.dataset import Dataset, ParseError, gen_synthetic, libsvm_arrays
 from dfsdca.diagnostics import reference_solution
 from dfsdca.sampling import _tau_subsets
 from dfsdca.solver import SolverConfig, init_state, make_problem, run, step
-from dfsdca.losses import logistic_loss, squared_loss
+from dfsdca.losses import LossSpec, logistic_loss, squared_loss
 from test_kernel import awkward_dataset, schemes
 
 cache = Path(sys.argv[1])
@@ -465,7 +467,7 @@ for d, counts in [(1, [1, 0, 1]), (10_000, [10_000, 17, 1]),
                   (10_001, [201, 10_001, 200, 9000])]:
     cols, vals = _kernel.choice_rows(rng, d, np.array(counts))
     for part in np.split(cols, np.cumsum(counts)[:-1]):
-        assert np.unique(part).size == part.size and np.all((0 <= part) & (part < d))
+        assert np.all(np.diff(part) > 0) and np.all((0 <= part) & (part < d))
     assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
 try:
     _kernel.choice_rows(rng, 5, np.array([2, 6]))
@@ -626,6 +628,17 @@ same_hessian_bits(big, 0.01, None, repeats=50)
 _kernel.MIN_HESSIAN_NNZ = 0
 for loss in (logistic_loss, squared_loss):
     reference_solution(make_problem(big, loss(big.labels), 0.01))
+# the row pass, each loss epilogue, the loss pass alone (on all examples
+# and on an index array) and the transpose
+for data in (ds, wide, Dataset([0], [], [], [], 1), Dataset([0, 1], [0], [2.0], [1.0], 1)):
+    w, alpha = rng.standard_normal(data.d), rng.standard_normal(data.n)
+    data.combine(alpha)
+    for spec in (LossSpec("logistic", y=np.ones(data.n)), LossSpec("squared", y=alpha),
+                 LossSpec("quadfam", c=np.full(data.n, -2.0), b=alpha)):
+        margins, values = data.losses(w, spec.kernel)
+        assert np.array_equal(margins, data.margins(w))
+        spec.kernel(margins, values=True, alpha=True, curvatures=True)
+        spec.kernel(margins[::-1].copy(), np.arange(data.n)[::-1], alpha=True)
 # the kernels' CSR check on each fault, an empty indptr included
 for indptr, indices in [([], []), ([1, 1], [0]), ([0, 2, 1], [0]), ([0, 1], [3]),
                         ([0, 1], [-1]), ([0, 1], [2])]:

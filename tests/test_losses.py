@@ -5,15 +5,14 @@ import pytest
 
 from dfsdca.dataset import gen_synthetic
 from dfsdca.losses import (
-    average_curvature_matrix,
     build_nonconvex_instance,
     logistic_loss,
-    min_curvature_eig,
     quadratic_family,
     smoothness_constants,
     squared_loss,
 )
 
+from curvature import average_curvature_matrix, min_curvature_eig
 from csr_rows import from_rows, row
 
 
