@@ -5,8 +5,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 divergence or validation
 failure, 4 the compiled kernels could not be built or loaded. All
 subcommands are deterministic under a fixed seed; CSV and JSON outputs
 carry no timestamps so reruns are byte-identical. ``validate`` runs its
-suites in forked processes, one per CPU this process may use; its report
-and exit code are those of running them one after another.
+suites one after another in this process.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .diagnostics import (
     ALL_SUITES,
     ReferenceError,
     ReferenceSolution,
-    WorkerError,
     decay_envelope,
     reference_solution,
     run_suites,
@@ -469,7 +467,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"dfsdca: data error: {exc}", file=sys.stderr)
         return 2
-    except (ReferenceError, DivergenceError, WorkerError, ValueError) as exc:
+    except (ReferenceError, DivergenceError, ValueError) as exc:
         print(f"dfsdca: {exc}", file=sys.stderr)
         return 3
     except KernelBuildError as exc:

@@ -9,15 +9,7 @@ of statistically.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import pickle
-import threading
-import traceback
-import warnings
 from dataclasses import dataclass, field
-from functools import partial
-from multiprocessing import connection
 
 import numpy as np
 
@@ -65,11 +57,6 @@ class ReferenceError(RuntimeError):
     def __init__(self, message: str, grad_norm: float):
         super().__init__(message)
         self.grad_norm = grad_norm
-
-    def __reduce__(self):
-        # the default rebuilds from self.args, the message alone; a worker
-        # process of run_suites pickles the error to its parent
-        return type(self), (self.args[0], self.grad_norm)
 
 
 @dataclass(eq=False)
@@ -648,134 +635,9 @@ ALL_SUITES = {
 }
 
 
-class WorkerError(RuntimeError):
-    """A worker process of :func:`run_suites` died before it sent the
-    report of the suite it was running."""
-
-
-class _RemoteTraceback(Exception):
-    """The traceback of an error raised in a worker process, which pickling
-    drops; run_suites attaches it to the error as its cause."""
-
-    def __str__(self) -> str:
-        return "\n" + self.args[0]
-
-
-def _outcomes(calls):
-    """(True, result) for each of ``calls`` in turn, up to a last
-    (False, exception) from the first that raises."""
-    for call in calls:
-        try:
-            yield True, call()
-        except Exception as exc:
-            yield False, exc
-            return
-
-
-def _send_outcomes(calls, conn) -> None:
-    """A worker process: send each of the outcomes of ``calls`` down ``conn``
-    with, for an error, its traceback as text."""
-    for ok, value in _outcomes(calls):
-        if ok:
-            conn.send((True, value, None))
-            continue
-        text = "".join(traceback.format_exception(value))
-        try:
-            pickle.loads(pickle.dumps(value))
-        except Exception:  # an error that does not survive pickling
-            value = RuntimeError(repr(value))
-        conn.send((False, value, text))
-
-
-def _decided(outcomes) -> bool:
-    """Whether every outcome up to the first error, or all of them, is in."""
-    for outcome in outcomes:
-        if outcome is None:
-            return False
-        if not outcome[0]:
-            return True
-    return True
-
-
 def run_suites(names, seed: int, theta_override=None) -> list[dict]:
     """The reports of the suites ``names`` (keys of ALL_SUITES) at ``seed``,
-    in that order; ``theta_override`` goes to the lemma1 suite. The first
-    suite in that order that raises raises here, as if the suites ran one
-    after another, so the reports and errors do not depend on the CPUs.
-
-    The suites share nothing, so they run at once in ``shares``, one per CPU
-    this process may use and at most one per suite: share k is
-    ``names[k::shares]``. This process runs share 0 and a forked worker
-    process each other share, which sends each outcome down a pipe as it
-    comes. Between its own suites this process takes in what has come, and
-    it stops the workers once the first error in order is known. Fork, not
-    spawn: a spawned worker imports numpy and scipy again, which takes
-    longer than all six suites. A worker that dies raises WorkerError naming
-    its suite; an error raised in a worker has the worker's traceback as its
-    cause. Nothing is forked with one CPU or one suite, nor beside Python
-    threads of the caller's, which a fork can deadlock. The compiled
-    kernels' threads (the LIBSVM parser's pieces, the oracle's Hessian
-    helper) are all joined before the call that starts them
-    (``_kernel.parse_libsvm``, ``reference_solution``) returns, so none is
-    running at a fork.
-    """
+    run one after another in this process; ``theta_override`` goes to the
+    lemma1 suite. The first suite that raises raises here."""
     options = {"lemma1": {"theta_override": theta_override}}
-    calls = [partial(ALL_SUITES[name], seed, **options.get(name, {})) for name in names]
-    shares = max(1, min(len(os.sched_getaffinity(0)), len(calls)))
-    if threading.active_count() > 1:
-        shares = 1
-    # a cold cache builds once, and KernelBuildError comes before any fork
-    _kernel._load()
-    fork = multiprocessing.get_context("fork")
-    outcomes = [None] * len(calls)
-    workers = []
-    waiting = {}  # the read end of a running share's pipe -> its worker, suites left
-    try:
-        for k in range(1, shares):
-            recv, send = fork.Pipe(duplex=False)
-            with send, warnings.catch_warnings():
-                # Python 3.12 warns of a fork in a process with threads, and
-                # OpenBLAS's native threads count, though OpenBLAS stops them
-                # for a fork (pthread_atfork); that one warning is ignored,
-                # here only
-                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
-                                        r"multi-threaded, use of fork\(\)",
-                                        DeprecationWarning)
-                worker = fork.Process(target=_send_outcomes, args=(calls[k::shares], send))
-                worker.start()
-            workers.append((worker, recv))
-            waiting[recv] = worker, iter(range(k, len(calls), shares))
-        own = zip(range(0, len(calls), shares), _outcomes(calls[0::shares]))
-        while not _decided(outcomes):
-            i, outcome = next(own, (None, None))
-            if i is not None:
-                outcomes[i] = outcome
-            # block on the workers only once this process has no suite left
-            for recv in connection.wait(list(waiting), None if i is None else 0):
-                worker, left = waiting[recv]
-                j = next(left)
-                try:
-                    ok, value, text = recv.recv()
-                except EOFError:
-                    worker.join()
-                    ok, value, text = False, WorkerError(
-                        f"suite {names[j]}: its worker process died "
-                        f"(exit code {worker.exitcode})"), None
-                if text is not None:
-                    value.__cause__ = _RemoteTraceback(text)
-                outcomes[j] = ok, value
-                if not ok or j + shares >= len(calls):
-                    del waiting[recv]
-    finally:
-        for worker, recv in workers:
-            worker.terminate()  # a no-op on a worker that has exited
-            worker.join()
-            recv.close()
-    # a share stops at its first error, so every suite before the first
-    # error in request order has a report
-    reports = []
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-        reports.append(value)
-    return reports
+    return [ALL_SUITES[name](seed, **options.get(name, {})) for name in names]

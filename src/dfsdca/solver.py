@@ -9,17 +9,13 @@ matching sparse correction to w so the tie-in survives the update.
 The iterations run in one compiled kernel (``_kernel.c``, built with gcc on
 first use): :func:`run` makes one call per stretch of iterations between
 two checkpoints or resyncs, through :func:`steps`, which runs a block of
-subsets, and :func:`step` is its block of one. With a second CPU, a
-checkpoint record off the resync grid is computed on a worker thread while
-the next block runs.
+subsets, and :func:`step` is its block of one. Each checkpoint record is
+computed right after the block that reaches it.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -340,21 +336,13 @@ def run(
     suboptimality and the distance potentials. Deterministic for a fixed
     seed. Raises DivergenceError if the objective runs away.
 
-    A record reads only (w, alpha). So a record off the resync grid with
-    iterations after it is computed on a copy of them, in one worker thread
-    and in the caller's context (numpy's ``errstate`` too), while the next
-    block is drawn and run; it is taken in, and checked for divergence,
-    right after that block's kernel call, before any resync. The start
-    record, the last, every record on a resync (every record of a serial
-    scheme) and every record of a process that may use one CPU are computed
-    inline. The thread starts on the first hand-off and is joined before
-    ``run`` returns or raises. The records equal the inline ones bitwise.
+    Each record is computed, and checked for divergence, right after the
+    block that reaches its checkpoint and that block's resync, if any,
+    before the next block is drawn.
     """
     theta = resolve_theta(problem, scheme, config.theta)
     n = problem.dataset.n
     e_size = scheme.expected_size
-    # a record can overlap the next block only on a second CPU
-    overlap = len(os.sched_getaffinity(0)) > 1
 
     def checkpoint(k):
         """Iteration of the k-th checkpoint after the start."""
@@ -364,51 +352,39 @@ def run(
     rng = np.random.default_rng(config.seed)
     state = init_state(problem)
 
-    def record(at: SolverState, residual) -> TraceRecord:
-        """The record of ``at``; a residual of None is measured here."""
+    def record(residual) -> TraceRecord:
+        """The record of ``state``; a residual of None is measured here."""
         if residual is None:
-            residual = relation_residual(problem, at)
-        primal = primal_value(problem, at.w)
-        rec = TraceRecord(at.t, at.t * e_size / n, primal, residual)
+            residual = relation_residual(problem, state)
+        primal = primal_value(problem, state.w)
+        rec = TraceRecord(state.t, state.t * e_size / n, primal, residual)
         if reference is not None:
-            pot = potentials(at, reference, problem.smoothness, problem.lam)
+            pot = potentials(state, reference, problem.smoothness, problem.lam)
             rec.subopt = primal - reference.P_star
             rec.B, rec.D, rec.E = pot.B, pot.D, pot.E
         return rec
 
     # init_state just computed w from alpha, so there is no drift to measure
-    records = [record(state, 0.0)]
+    records = [record(0.0)]
     runaway = 1e6 * abs(records[0].primal) + 1e6
-
-    def collect(rec: TraceRecord) -> None:
-        records.append(rec)
-        if not math.isfinite(rec.primal) or abs(rec.primal) > runaway:
-            raise DivergenceError(
-                f"P(w)={rec.primal:.3e} left the runaway bound {runaway:.3e} "
-                f"at iteration {rec.t}: stepsize inconsistent with the theory "
-                "or average loss not convex"
-            )
-
     # draws per kernel call, capped so that one block of indices stays small
     block = max(1, _BLOCK_EXAMPLES // scheme.max_card)
-    t, k, pending = 0, 1, None
-    with ThreadPoolExecutor(1) as worker:
-        while t < total:
-            # the next resync or checkpoint ends the block
-            stop = min(t + block, (t // n + 1) * n, checkpoint(k))
-            idx, offsets = scheme.draw_block(rng, stop - t)
-            steps(problem, state, idx, offsets, scheme.p, theta)
-            t = stop
-            if pending is not None:
-                collect(pending.result())
-                pending = None
-            drift = resync(problem, state) if t % n == 0 else None
-            if t == checkpoint(k):
-                k += 1
-                if drift is None and t < total and overlap:
-                    # a copy, because the next block moves w and alpha in place
-                    pending = worker.submit(contextvars.copy_context().run,
-                                            record, state.copy(), None)
-                else:
-                    collect(record(state, drift))
+    t, k = 0, 1
+    while t < total:
+        # the next resync or checkpoint ends the block
+        stop = min(t + block, (t // n + 1) * n, checkpoint(k))
+        idx, offsets = scheme.draw_block(rng, stop - t)
+        steps(problem, state, idx, offsets, scheme.p, theta)
+        t = stop
+        drift = resync(problem, state) if t % n == 0 else None
+        if t == checkpoint(k):
+            k += 1
+            rec = record(drift)
+            records.append(rec)
+            if not math.isfinite(rec.primal) or abs(rec.primal) > runaway:
+                raise DivergenceError(
+                    f"P(w)={rec.primal:.3e} left the runaway bound {runaway:.3e} "
+                    f"at iteration {rec.t}: stepsize inconsistent with the theory "
+                    "or average loss not convex"
+                )
     return state, Trace(theta, e_size, records)

@@ -1,9 +1,7 @@
 import argparse
 import json
-import multiprocessing
 import os
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -462,54 +460,21 @@ class TestValidate:
         assert main(["validate", "--suite", "nope"]) == 1
         capsys.readouterr()
 
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        # two shares on any machine: the second suite named runs in a worker
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-    def test_report_does_not_depend_on_the_cpus(self, two_cpus, monkeypatch, tmp_path):
-        def no_fork():
-            raise AssertionError("a worker process was forked")
-
-        pooled, alone = tmp_path / "pooled.json", tmp_path / "alone.json"
-        assert main(["validate", "--out", str(pooled)]) == 0
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert main(["validate", "--out", str(alone)]) == 0
-        assert pooled.read_bytes() == alone.read_bytes()
-
     @pytest.mark.parametrize("suites", ["lemma1,gradcheck", "gradcheck,lemma1"])
-    def test_bad_theta_in_either_share_is_one_line(self, two_cpus, suites, capsys):
+    def test_bad_theta_in_either_position_is_one_line(self, suites, capsys):
         assert main(["validate", "--suite", suites, "--theta", "0.9"]) == 3
         captured = capsys.readouterr()
         assert re.fullmatch(r"dfsdca: theta=0\.9 exceeds p_0=\S+: alpha update "
                             r"would leave the convex combination\n", captured.err)
         assert captured.out == ""
 
-    def test_oracle_give_up_in_a_worker_exits_3(self, two_cpus, monkeypatch, capsys):
+    def test_oracle_give_up_in_a_later_suite_exits_3(self, monkeypatch, capsys):
         def give_up(seed, theta_override=None):
             raise diagnostics.ReferenceError("the oracle stopped short", 1.5)
 
         monkeypatch.setitem(diagnostics.ALL_SUITES, "lemma1", give_up)
         assert main(["validate", "--suite", "gradcheck,lemma1"]) == 3
         assert capsys.readouterr().err == "dfsdca: the oracle stopped short\n"
-
-    def test_dead_worker_names_its_suite(self, two_cpus, monkeypatch, capsys):
-        parent = os.getpid()
-        threads = threading.active_count()
-
-        def die(seed, theta_override=None):
-            assert os.getpid() != parent, "the suite ran in the test's process"
-            os._exit(7)
-
-        monkeypatch.setitem(diagnostics.ALL_SUITES, "lemma1", die)
-        assert main(["validate", "--suite", "gradcheck,lemma1,fixedpoint"]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == ("dfsdca: suite lemma1: its worker process died "
-                                "(exit code 7)\n")
-        assert captured.out == ""
-        assert multiprocessing.active_children() == []
-        assert threading.active_count() == threads
 
 
 class TestReference:

@@ -579,8 +579,6 @@ def test_no_scipy_matrix_on_the_run_oracle_and_validate_paths(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(compressed._cs_matrix, "__init__", spy)
-    # one CPU: every suite runs in this process, where the spy sees it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_suites(list(ALL_SUITES), 0)
     assert constructed == []
     ds = gen_synthetic(200, 30, 0.2, "skewed-nnz", 0, tail_exponent=1.5)

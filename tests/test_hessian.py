@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import dfsdca._kernel as _kernel
 import dfsdca.diagnostics as diagnostics
-from dfsdca.cli import main
 from dfsdca.dataset import Dataset, gen_synthetic
 from dfsdca.diagnostics import ReferenceError, reference_solution
 from dfsdca.losses import logistic_loss, quadratic_family
@@ -120,10 +119,17 @@ def test_helper_runs_halves_of_large_products():
     c, p = rng.uniform(0.1, 1.0, ds.n), rng.standard_normal(ds.d)
     want = numpy_product(ds, c, 0.01, p)
     for threads in (1, 2):
-        with _kernel.Hessian(ds, 0.01, threads=threads) as hessian:
-            hessian.at(c)
-            for _ in range(50):
-                assert same_bits(hessian.product(p), want)
+        # the scheduler may keep a helper off the CPUs for a while, so the
+        # products go in rounds of 50, each with a new Hessian, until its
+        # helper has run a half or a deadline passes
+        deadline = time.monotonic() + 5
+        while True:
+            with _kernel.Hessian(ds, 0.01, threads=threads) as hessian:
+                hessian.at(c)
+                for _ in range(50):
+                    assert same_bits(hessian.product(p), want)
+            if threads == 1 or hessian.helped or time.monotonic() > deadline:
+                break
         # the helper claims the second halves it reaches first; the caller
         # runs the rest, and all of them without a helper
         assert (hessian.helped > 0) == (threads == 2)
@@ -266,19 +272,3 @@ def test_small_problems_and_one_cpu_start_no_thread(threads_started, monkeypatch
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     reference_solution(logistic_above_threshold())
     assert threads_started == [1, 1]
-
-
-def test_validate_forks_after_a_threaded_oracle(threads_started, monkeypatch):
-    reference_solution(logistic_above_threshold())
-    assert threads_started == [2]
-    forks, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    assert main(["validate", "--suite", "gradcheck,fixedpoint"]) == 0
-    assert len(forks) == 1

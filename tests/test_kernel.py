@@ -780,6 +780,14 @@ def test_cli_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
     assert "gcc" in capsys.readouterr().err
 
 
+def test_validate_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
+    # the first suite that needs the kernels raises the build error
+    no_compiler(tmp_path, monkeypatch)
+    assert main(["validate", "--suite", "gradcheck,lemma1"]) == 4
+    captured = capsys.readouterr()
+    assert "gcc" in captured.err and captured.out == ""
+
+
 def test_reference_data_exits_4_without_compiler(tmp_path, monkeypatch, capsys):
     # --data goes through the compiled parser, even where nothing is stepped
     data = tmp_path / "two.libsvm"

@@ -164,13 +164,11 @@ def test_loss_pass_rejects_mismatched_margins():
 
 
 def test_commands_import_no_scipy_special(tmp_path):
-    # run, reference and validate (its suites in this process: one CPU) on
-    # a tiny problem, then which modules came in, and the threads after
-    # importing the CLI alone
+    # run, reference and validate on a tiny problem, then which modules
+    # came in
     script = f"""
-import os, sys
+import sys
 from dfsdca.cli import main
-os.sched_getaffinity = lambda pid: {{0}}
 ref = {str(tmp_path / "ref.json")!r}
 problem = ["--synthetic", "40,6,0.4,skewed-nnz", "--loss", "logistic", "--seed", "3"]
 assert main(["reference", *problem, "--out", ref]) == 0

@@ -17,7 +17,6 @@ from dfsdca.losses import (
 from dfsdca.sampling import (
     chunked_sampling,
     naive_chunks,
-    random_c_sampling,
     serial_uniform,
     tau_nice,
 )
@@ -319,10 +318,6 @@ def thread_starts(monkeypatch):
     return names
 
 
-def _cpus(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
 def _concave_problem():
     """Three copies of one 1-d row under a concave quadratic family: runs
     diverge, and nice:2 puts checkpoints off the resync grid."""
@@ -330,77 +325,32 @@ def _concave_problem():
     return make_problem(ds, quadratic_family([-5.0] * 3, [1.0, -2.0, 0.5]), 0.1)
 
 
-class TestOverlappedRecords:
-    """With two CPUs, ``run`` computes each record off the resync grid with
-    iterations after it on a worker thread; nothing it returns or raises may
-    tell the two paths apart."""
+class TestInlineRecords:
+    """``run`` computes each record in the caller's thread, right after the
+    block that reaches its checkpoint."""
 
-    SCHEMES = {
-        "nice": lambda ds: tau_nice(ds.norms, 3),
-        "chunked": lambda ds: chunked_sampling(ds.norms, naive_chunks(ds.nnz.tolist()), 2),
-        "serial-random": lambda ds: random_c_sampling(ds.norms, 3.0, 1),
-    }
-
-    @pytest.mark.parametrize("block", [None, 7])
-    @pytest.mark.parametrize("with_reference", [False, True])
-    @pytest.mark.parametrize("kind", SCHEMES)
-    def test_records_and_state_bitwise(self, monkeypatch, thread_starts, kind,
-                                       with_reference, block):
+    def test_two_cpus_start_no_thread_and_no_fork(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         prob = logistic_problem(n=40, d=8, lam=0.05)
-        ref = reference_solution(prob) if with_reference else None
-        if block is not None:
-            monkeypatch.setattr(dfsdca.solver, "_BLOCK_EXAMPLES", block)
-        out = {}
-        for k in (1, 2):
-            _cpus(monkeypatch, k)
-            scheme = self.SCHEMES[kind](prob.dataset)
-            st, tr = run(prob, scheme, SolverConfig(epochs=5, seed=2), reference=ref)
-            out[k] = ([repr(r) for r in tr.records],
-                      st.w.tobytes(), st.alpha.tobytes(), st.t, st.grad_evals)
-            # one CPU computes every record inline; a serial scheme records
-            # on resyncs only
-            assert len(thread_starts) == (k == 2 and kind != "serial-random")
-        assert out[1] == out[2]
-        assert len(out[1][0]) == 6
-
-    def test_no_thread_outlives_run(self, monkeypatch, thread_starts):
-        _cpus(monkeypatch, 2)
-        threads = threading.active_count()
-        prob = logistic_problem(n=40, d=8)
-        run(prob, tau_nice(prob.dataset.norms, 3), SolverConfig(epochs=3))
-        assert len(thread_starts) == 1
-        assert threading.active_count() == threads
-        prob = _concave_problem()
-        with pytest.raises(DivergenceError):
-            run(prob, tau_nice(prob.dataset.norms, 2), SolverConfig(epochs=400))
-        assert len(thread_starts) == 2
-        assert threading.active_count() == threads
-
-    def test_validate_forks_after_an_overlapped_run(self, monkeypatch, thread_starts):
-        _cpus(monkeypatch, 2)
-        prob = logistic_problem(n=40, d=8)
-        run(prob, tau_nice(prob.dataset.norms, 3), SolverConfig(epochs=3))
-        assert thread_starts
-        forks, real_fork = [], os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert main(["validate", "--suite", "gradcheck,fixedpoint"]) == 0
-        assert len(forks) == 1
-
-    def test_serial_and_one_epoch_runs_start_no_thread(self, monkeypatch, thread_starts):
-        _cpus(monkeypatch, 2)
-        prob = logistic_problem(n=40, d=8)
-        st, tr = run(prob, serial_uniform(prob.dataset.norms), SolverConfig(epochs=4))
+        ref = reference_solution(prob)
+        ds = prob.dataset
+        st, tr = run(prob, serial_uniform(ds.norms), SolverConfig(epochs=4))
         assert len(tr.records) == 5
-        st, tr = run(prob, tau_nice(prob.dataset.norms, 3), SolverConfig(epochs=1))
+        st, tr = run(prob, tau_nice(ds.norms, 3), SolverConfig(epochs=1))
         assert [r.t for r in tr.records] == [0, 14]
+        for scheme in (tau_nice(ds.norms, 3),
+                       chunked_sampling(ds.norms, naive_chunks(ds.nnz.tolist()), 2)):
+            for reference in (None, ref):
+                st, tr = run(prob, scheme, SolverConfig(epochs=5, seed=2),
+                             reference=reference)
+                assert len(tr.records) == 6
         assert thread_starts == []
+
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["validate", "--suite", "gradcheck,fixedpoint"]) == 0
 
     def test_overflow_in_a_record_keeps_the_callers_errstate(self, monkeypatch):
         # rows so short that L_i^2 is subnormal: the potentials' C_i / L_i^2
@@ -409,34 +359,24 @@ class TestOverlappedRecords:
         ds = from_rows([([0], [1e-155])] * 5, [1.0, -1.0, 1.0, 1.0, -1.0], 1)
         prob = make_problem(ds, logistic_loss(ds.labels), 0.1)
         ref = ReferenceSolution(np.zeros(1), np.zeros(5), 0.0, 0.0)
-        real, seen = dfsdca.solver.potentials, {}
+        real, seen = dfsdca.solver.potentials, []
 
         def potentials(state, *args):
-            seen[k].append(state.t)
+            seen.append(state.t)
             return real(state, *args)
 
         monkeypatch.setattr(dfsdca.solver, "potentials", potentials)
-        errors = {}
-        for k in (1, 2):
-            _cpus(monkeypatch, k)
-            seen[k] = []
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
-                run(prob, tau_nice(ds.norms, 2), SolverConfig(epochs=2), reference=ref)
-            errors[k] = str(info.value)
-        assert errors[1] == errors[2] == "overflow encountered in divide"
-        assert seen[1] == seen[2] == [0, 3]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+            run(prob, tau_nice(ds.norms, 2), SolverConfig(epochs=2), reference=ref)
+        assert str(info.value) == "overflow encountered in divide"
+        assert seen == [0, 3]
 
-    def test_divergence_found_on_the_worker(self, monkeypatch, thread_starts):
+    def test_divergence_found_off_the_resync_grid(self):
         prob = _concave_problem()
-        messages = {}
-        for k in (1, 2):
-            _cpus(monkeypatch, k)
-            with pytest.raises(DivergenceError) as info:
-                run(prob, tau_nice(prob.dataset.norms, 2), SolverConfig(epochs=400))
-            messages[k] = str(info.value)
-        assert messages[1] == messages[2]
-        # iteration 14 is off the resync grid, so the worker computed it
-        assert "at iteration 14:" in messages[2] and len(thread_starts) == 1
+        with pytest.raises(DivergenceError) as info:
+            run(prob, tau_nice(prob.dataset.norms, 2), SolverConfig(epochs=400))
+        # iteration 14 is off the resync grid of n = 3
+        assert "at iteration 14:" in str(info.value)
 
 
 class TestGradientIdentity:
