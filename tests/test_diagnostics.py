@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -631,7 +632,9 @@ class TestRunSuites:
         with pytest.raises(_kernel.KernelBuildError, match="no gcc"):
             run_suites(self.NAMES, 0)
 
-    def test_suites_after_the_first_error_do_not_run(self, monkeypatch):
+    def test_error_in_a_worker_stops_this_process_early(self, monkeypatch):
+        # the suites run in this process, in request order; lemma1's error
+        # ends the call, so lemma2 and contraction never run
         ran = []
 
         def give_up(seed, theta_override=None):
@@ -643,3 +646,15 @@ class TestRunSuites:
         with pytest.raises(ReferenceError, match="the oracle stopped"):
             run_suites(["eso", "lemma1", "lemma2", "contraction"], 0)
         assert ran == ["eso"]
+
+    def test_error_here_stops_the_workers(self, monkeypatch):
+        # a slow suite after the failing one is never started
+        def bad_theta(seed, theta_override=None):
+            raise ValueError("theta exceeds p")
+
+        monkeypatch.setitem(ALL_SUITES, "lemma1", bad_theta)
+        monkeypatch.setitem(ALL_SUITES, "lemma2", lambda seed: time.sleep(60))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="theta exceeds p"):
+            run_suites(["lemma1", "lemma2"], 0)
+        assert time.perf_counter() - start < 10
