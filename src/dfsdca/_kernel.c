@@ -19,7 +19,7 @@
  * subtracts delta_i theta / (n lam p_i) A_i from w, row after row in subset
  * order. That is the operation order of the numpy reference kernel in
  * tests/test_kernel.py, so with -ffp-contract=off the iterates match it
- * bitwise. The CSR index arrays are int32: a Dataset is int32 CSR.
+ * bitwise. It reads a Dataset's own int32 CSR binding (struct csr).
  *
  * Every subset is checked before any state changes: offsets that partition
  * idx first, then indices in [0, n) and theta / p_i <= guard over the whole
@@ -173,7 +173,9 @@ done:
 }
 
 /* A rows x cols matrix as int32 CSR arrays: row i is entries indptr[i] ..
- * indptr[i + 1] - 1 of indices and data. */
+ * indptr[i + 1] - 1 of indices and data. The kernels read it unchecked:
+ * one is bound only over arrays that dfsdca_csr_pass has checked or that
+ * dfsdca_transpose wrote (_kernel.Csr). */
 struct csr {
     int64_t rows;
     const int32_t *indptr, *indices;
@@ -1020,24 +1022,6 @@ int dfsdca_parse_libsvm(const unsigned char *buf, int64_t pieces,
     return rc;
 }
 
-/* OK if indptr (rows + 1 entries) delimits rows of the nnz entries, from
- * indptr[0] = 0 up to indptr[rows] = nnz, and every index lies in
- * [0, cols); else BAD_OFFSETS for indptr or OUT_OF_RANGE for an index.
- * So a kernel reads the int32 CSR arrays in bounds. */
-int dfsdca_csr_check(int64_t rows, int64_t cols, int64_t nnz, const int32_t *indptr,
-                     const int32_t *indices)
-{
-    if (rows < 0 || indptr[0] != 0 || indptr[rows] != nnz)
-        return BAD_OFFSETS;
-    for (int64_t r = 0; r < rows; r++)
-        if (indptr[r + 1] < indptr[r])
-            return BAD_OFFSETS;
-    for (int64_t k = 0; k < nnz; k++)
-        if (indices[k] < 0 || indices[k] >= cols)
-            return OUT_OF_RANGE;
-    return OK;
-}
-
 /* A Dataset's CSR arrays, checked and measured in one pass over its n rows.
  * Row r is entries indptr[r] .. indptr[r + 1] - 1 of indices and data, of
  * nnz in all. bad[0..3] get the first row, or -1 for none, where:
@@ -1166,7 +1150,7 @@ void dfsdca_transpose(const struct csr *A, int64_t cols, int32_t *restrict t_ind
 
 /* The reference oracle's Hessian products, out = A^T (c o A p) / n + lam p,
  * and the Jacobi diagonal out_j = sum_i c_i A_ij^2 / n + lam, over a
- * Dataset's int32 CSR arrays and their transpose (Dataset._transpose). A
+ * Dataset's int32 CSR binding and its transpose's (Dataset._transpose). A
  * product is the row pass with the epilogue m_i = c_i (A_i . p), then the
  * column pass (the row pass over the transpose) with the epilogue
  * out_j = (At_j . m) / n + lam p_j; the diagonal is the column pass over
@@ -1352,23 +1336,21 @@ static void *helper(void *arg)
     }
 }
 
-/* A handle on the n x d CSR arrays, their d x n transpose and the vectors
- * p, out and c, laid end to end from `vectors`, which the caller keeps
- * alive until dfsdca_hessian_close, with a helper thread if threads > 1
- * and one can be started (else every pass runs on the caller's thread).
- * NULL if out of memory. */
-struct hessian *dfsdca_hessian_open(int64_t n, int64_t d, const int32_t *indptr,
-                                    const int32_t *indices, const double *data,
-                                    const int32_t *t_indptr, const int32_t *t_indices,
-                                    const double *t_data, double lam, double *vectors,
-                                    int64_t threads)
+/* A handle on an n x d matrix, its d x n transpose (copies of both
+ * structs; the caller keeps their arrays alive) and the vectors p, out and
+ * c, laid end to end from `vectors`, which the caller keeps alive until
+ * dfsdca_hessian_close, with a helper thread if threads > 1 and one can be
+ * started (else every pass runs on the caller's thread). NULL if out of
+ * memory. */
+struct hessian *dfsdca_hessian_open(const struct csr *rows, const struct csr *cols,
+                                    double lam, double *vectors, int64_t threads)
 {
+    int64_t n = rows->rows, d = cols->rows;
     struct hessian *h = calloc(1, sizeof *h);
     if (h == NULL)
         return NULL;
     *h = (struct hessian){
-        .n = n, .d = d, .rows = {n, indptr, indices, data},
-        .cols = {d, t_indptr, t_indices, t_data}, .lam = lam, .p = vectors,
+        .n = n, .d = d, .rows = *rows, .cols = *cols, .lam = lam, .p = vectors,
         .out = vectors + d, .c = vectors + 2 * d,
         .m = malloc((size_t)(n + 1) * sizeof *h->m),
     };

@@ -1,8 +1,13 @@
 """Build, load and call the compiled kernels in ``_kernel.c``: the dfSDCA
 step kernel, the tau-subset draws, the synthetic generator's row draws, the
 LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes its
-row norms, the row pass with its loss epilogue (:class:`Csr`,
-:class:`Loss`), the transpose, and the reference oracle's Hessian products.
+row norms, the row pass with its loss epilogue, the transpose, and the
+reference oracle's Hessian products.
+
+A matrix is bound for C once, as a :class:`Csr` (a Dataset holds its
+rows' and its transpose's), and a loss as a :class:`Loss` (a ``LossSpec``
+holds one): the row pass, the step kernel (:func:`steps`) and the Hessian
+products read those bindings, so each array is checked once.
 
 This module imports nothing from the package: the dataset and solver
 modules call it, and turn what it reports into their own errors.
@@ -67,6 +72,25 @@ _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _I32 = np.dtype(np.int32)
 _BYTE = ctypes.c_char
+_vp, _i64, _dbl, _int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
+_bad = ctypes.POINTER(_i64)
+
+#: the dfsdca_* functions of ``_kernel.c``, each name without that prefix:
+#: the return type, then the argument types, as :func:`_load` binds them
+SIGNATURES = {
+    "steps": (_int, _vp, _vp, _vp, _dbl, _dbl, _dbl, _i64, _vp, _vp, _i64, _vp, _vp, _bad),
+    "tau_subsets": (_int, _vp, _i64, _i64, _i64, _vp),
+    "choice_rows": (_int, _vp, _i64, _i64, _vp, _vp, _vp, _bad),
+    "libsvm_bounds": (None, _vp, _i64, _i64, _vp),
+    "parse_libsvm": (_int, _vp, _i64, _vp, _vp, _vp, _vp, _vp, _vp, _vp),
+    "csr_pass": (None, _i64, _i64, _i64, _vp, _vp, _vp, _vp, _vp, _vp, _vp, _vp, _vp),
+    "rows": (None, _vp, _vp, _vp, _i64, _vp, _vp, _vp, _vp, _vp),
+    "loss_at": (_dbl, _vp, _i64, _dbl, _i64),
+    "transpose": (None, _vp, _i64, _vp, _vp, _vp),
+    "hessian_open": (_vp, _vp, _vp, _dbl, _vp, _i64),
+    "hessian_apply": (None, _vp, _i64, _i64, _i64),
+    "hessian_close": (_i64, _vp),
+}
 
 #: the loaded library, once the first kernel call needs it
 _lib = None
@@ -153,23 +177,7 @@ def _load():
             lib = ctypes.CDLL(str(path))
         except OSError as exc:
             raise KernelBuildError(f"cannot load {path}: {exc}") from exc
-        vp, i64, dbl, cint = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
-        bad = ctypes.POINTER(i64)
-        for name, restype, *argtypes in (
-            ("steps", cint, vp, vp, vp, dbl, dbl, dbl, i64, vp, vp, i64, vp, vp, bad),
-            ("tau_subsets", cint, vp, i64, i64, i64, vp),
-            ("choice_rows", cint, vp, i64, i64, vp, vp, vp, bad),
-            ("libsvm_bounds", None, vp, i64, i64, vp),
-            ("parse_libsvm", cint, vp, i64, vp, vp, vp, vp, vp, vp, vp),
-            ("csr_pass", None, i64, i64, i64, vp, vp, vp, vp, vp, vp, vp, vp, vp),
-            ("rows", None, vp, vp, vp, i64, vp, vp, vp, vp, vp),
-            ("loss_at", dbl, vp, i64, dbl, i64),
-            ("transpose", None, vp, i64, vp, vp, vp),
-            ("csr_check", cint, i64, i64, i64, vp, vp),
-            ("hessian_open", vp, i64, i64, vp, vp, vp, vp, vp, vp, dbl, vp, i64),
-            ("hessian_apply", None, vp, i64, i64, i64),
-            ("hessian_close", i64, vp),
-        ):
+        for name, (restype, *argtypes) in SIGNATURES.items():
             fn = getattr(lib, "dfsdca_" + name)
             fn.restype, fn.argtypes = restype, argtypes
         _lib = lib
@@ -191,23 +199,6 @@ def _check(name: str, a, dtype, size: int | None = None, write: bool = False,
         raise ValueError(f"{kernel} kernel: {name} must be a {want}, got {got}")
 
 
-def _check_csr(indptr, indices, data, cols: int, name: str, kernel: str) -> tuple:
-    """The addresses of ``indptr``, ``indices`` and ``data``, once they are
-    checked to be int32 CSR arrays whose rows ``indptr`` delimits, with
-    indices in [0, cols), where ``name`` names cols: what a kernel needs to
-    read them in bounds. Else ValueError."""
-    _check("indptr", indptr, _I32, kernel=kernel)
-    _check("indices", indices, _I32, kernel=kernel)
-    _check("data", data, _F64, indices.size, kernel=kernel)
-    ptrs = indptr.ctypes.data, indices.ctypes.data, data.ctypes.data
-    code = _load().dfsdca_csr_check(indptr.size - 1, cols, indices.size, *ptrs[:2])
-    if code == OUT_OF_RANGE:
-        raise ValueError(f"{kernel} kernel: CSR index outside [0, {name}={cols})")
-    if code:
-        raise ValueError(f"{kernel} kernel: indptr does not delimit the rows")
-    return ptrs
-
-
 def _address(a: np.ndarray) -> int:
     """A C-contiguous array's address; ctypes' view of a writeable buffer
     gives it three times faster than ``a.ctypes.data``."""
@@ -225,8 +216,9 @@ class _Struct(ctypes.Structure):
 
 class Csr:
     """The int32 CSR ``arrays`` of a rows x cols matrix, bound for the row
-    pass: built by :func:`csr_pass`, which checks them, or :meth:`transpose`.
-    Each call allocates its outputs, so threads may share a Csr."""
+    pass, the step kernel and the Hessian, which read them unchecked: made
+    only by :func:`csr_pass`, which checks them, or :meth:`transpose`. Each
+    call allocates its outputs, so threads may share a Csr."""
 
     def __init__(self, arrays: tuple, cols: int, ptrs: tuple):
         self.arrays, self.rows, self.cols = arrays, arrays[0].size - 1, cols
@@ -266,14 +258,14 @@ class Csr:
 class Loss:
     """A loss kind's code (``LOGISTIC``, ``SQUARED`` or ``QUADFAM``) and the
     parameters of its n examples, ``y``, or ``c`` and ``b``, checked and
-    bound for the loss pass. Threads may share a Loss."""
+    bound for the loss pass and the step kernel. Threads may share a Loss."""
 
-    def __init__(self, kind: int, n: int, y=None, c=None, b=None, kernel="loss"):
+    def __init__(self, kind: int, n: int, y=None, c=None, b=None):
         if kind not in (LOGISTIC, SQUARED, QUADFAM):
-            raise ValueError(f"{kernel} kernel: unknown loss kind code {kind!r}")
+            raise ValueError(f"loss kernel: unknown loss kind code {kind!r}")
         params = {"y": y} if kind != QUADFAM else {"c": c, "b": b}
         for name, arr in params.items():
-            _check(name, arr, _F64, n, kernel=kernel)
+            _check(name, arr, _F64, n, kernel="loss")
         # held so that the pointers stay valid
         self.n, self._arrays = n, tuple(params.values())
         ptrs = {name: _address(arr) for name, arr in params.items()}
@@ -463,75 +455,57 @@ def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
     return Csr(arrays, d, ptrs), counts, norms, bad
 
 
-class Kernel:
-    """The compiled step kernel bound to one problem's CSR arrays and loss
-    parameters, which it keeps alive and points at for every call.
-
-    ``kind`` is the loss kind's code (``LOGISTIC``, ``SQUARED`` or
-    ``QUADFAM``), which selects the parameters read from ``loss``: ``y``, or
-    ``c`` and ``b`` for the quadratic family, bound as a :class:`Loss`. The
-    CSR index arrays must be int32: a Dataset is int32 CSR. Every array is
-    checked for dtype, shape and C-contiguity before its pointer reaches C.
-    """
-
-    def __init__(self, dataset, loss, kind: int):
-        indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
-        n = indptr.size - 1
-        self._csr = _Struct(n, *_check_csr(indptr, indices, data, dataset.d, "d", "step"))
-        self._loss = Loss(kind, n, loss.y, loss.c, loss.b, kernel="step")
-        self.n, self.d = n, int(dataset.d)
-        # held so that the pointers below stay valid
-        self._arrays = (indptr, indices, data)
-        self._fixed = (ctypes.addressof(self._csr), self._loss._ptr)
-        self._fn = _load().dfsdca_steps
-
-    def steps(self, w, alpha, p, theta: float, guard: float, n_lam: float,
-              idx, offsets) -> None:
-        """Run one iteration per subset ``idx[offsets[s]:offsets[s + 1]]``,
-        updating ``w`` and ``alpha`` in place. Raises ValueError, before
-        anything changes, if the offsets do not partition ``idx``, else if
-        an index lies outside [0, n) or theta / p_i exceeds ``guard`` for
-        it, else if a subset holds an index twice (the first repeat)."""
-        _check("p", p, _F64, self.n)
-        _check("w", w, _F64, self.d, write=True)
-        _check("alpha", alpha, _F64, self.n, write=True)
-        _check("subset indices", idx, _I64)
-        _check("subset offsets", offsets, _I64)
-        if offsets.size < 1:
-            raise ValueError("step kernel: offsets must hold at least one entry")
-        bad = ctypes.c_int64(0)
-        code = self._fn(
-            *self._fixed,
-            p.ctypes.data, theta, guard, n_lam,
-            offsets.size - 1, offsets.ctypes.data, idx.ctypes.data, idx.size,
-            w.ctypes.data, alpha.ctypes.data,
-            ctypes.byref(bad),
-        )
-        if code:
-            i = bad.value
-            if code == OUT_OF_RANGE:
-                raise ValueError(f"subset index {i} is outside [0, {self.n})")
-            if code == REPEATED:
-                raise ValueError(f"subset holds index {i} more than once")
-            if code == GUARD:
-                raise ValueError(
-                    f"theta={theta} exceeds p_{i}={p[i]}: alpha update would "
-                    "leave the convex combination"
-                )
-            if code == BAD_OFFSETS:
-                raise ValueError(
-                    f"subset offsets do not partition the {idx.size} indices "
-                    f"(entry {i})"
-                )
-            raise MemoryError("step kernel: out of memory")
+def steps(rows: Csr, loss: Loss, w, alpha, p, theta: float, guard: float,
+          n_lam: float, idx, offsets) -> None:
+    """The step kernel on a Dataset's and a LossSpec's own bindings, ``rows``
+    and the ``loss`` of its examples: one iteration per subset
+    ``idx[offsets[s]:offsets[s + 1]]``, updating ``w`` and ``alpha`` in
+    place. Each array is checked for dtype, shape and C-contiguity before C
+    reads it. Raises ValueError, before anything changes, if ``loss`` has
+    not n examples or the offsets do not partition ``idx``, else if an
+    index lies outside [0, n) or theta / p_i exceeds ``guard`` for it, else
+    if a subset holds an index twice (the first repeat)."""
+    n = rows.rows
+    if loss.n != n:
+        raise ValueError(f"step kernel: {loss.n} losses for {n} rows")
+    _check("p", p, _F64, n)
+    _check("w", w, _F64, rows.cols, write=True)
+    _check("alpha", alpha, _F64, n, write=True)
+    _check("subset indices", idx, _I64)
+    _check("subset offsets", offsets, _I64)
+    if offsets.size < 1:
+        raise ValueError("step kernel: offsets must hold at least one entry")
+    bad = ctypes.c_int64(0)
+    code = rows._lib.dfsdca_steps(
+        rows._ptr, loss._ptr, p.ctypes.data, theta, guard, n_lam,
+        offsets.size - 1, offsets.ctypes.data, idx.ctypes.data, idx.size,
+        w.ctypes.data, alpha.ctypes.data, ctypes.byref(bad),
+    )
+    if code:
+        i = bad.value
+        if code == OUT_OF_RANGE:
+            raise ValueError(f"subset index {i} is outside [0, {n})")
+        if code == REPEATED:
+            raise ValueError(f"subset holds index {i} more than once")
+        if code == GUARD:
+            raise ValueError(
+                f"theta={theta} exceeds p_{i}={p[i]}: alpha update would "
+                "leave the convex combination"
+            )
+        if code == BAD_OFFSETS:
+            raise ValueError(
+                f"subset offsets do not partition the {idx.size} indices "
+                f"(entry {i})"
+            )
+        raise MemoryError("step kernel: out of memory")
 
 
 class Hessian:
     """The reference oracle's Hessian products ``A^T (c o A p) / n + lam p``
-    and Jacobi diagonals ``sum_i c_i A_ij^2 / n + lam`` on one Dataset's CSR
-    arrays and their transpose, by one compiled pass each, as a context
-    manager: use it only inside its ``with`` block. :meth:`at` takes the
-    curvatures c, :meth:`product` then multiplies by them.
+    and Jacobi diagonals ``sum_i c_i A_ij^2 / n + lam`` on one Dataset's own
+    bindings of its rows and their transpose (:class:`Csr`), by one compiled
+    pass each, as a context manager: use it only inside its ``with`` block.
+    :meth:`at` takes the curvatures c, :meth:`product` then multiplies by them.
 
     The bits are those of numpy's ``ds.combine(c * ds.margins(p)) / ds.n +
     lam * p`` and ``np.bincount(ds.indices, ds.data * ds.data *
@@ -548,30 +522,24 @@ class Hessian:
     """
 
     def __init__(self, dataset, lam: float, *, threads: int | None = None):
-        n, d = dataset.n, dataset.d
-        rows, cols = (dataset.indptr, dataset.indices, dataset.data), dataset._transpose()
-        if cols[0].size != d + 1:
-            raise ValueError(f"hessian kernel: the transpose has {cols[0].size - 1} "
-                             f"rows, not d={d}")
-        ptrs = (*_check_csr(*rows, d, "d", "hessian"), *_check_csr(*cols, n, "n", "hessian"))
+        rows, cols = dataset._rows, dataset._transpose()
+        n, d, nnz = rows.rows, cols.rows, rows.arrays[1].size
         if threads is None:
-            threads = 2 if (len(os.sched_getaffinity(0)) > 1
-                            and rows[1].size >= MIN_HESSIAN_NNZ) else 1
+            threads = 2 if len(os.sched_getaffinity(0)) > 1 and nnz >= MIN_HESSIAN_NNZ else 1
         if threads not in (1, 2):
             raise ValueError(f"hessian kernel: threads={threads} is not 1 or 2")
         self.n, self.d, self.lam, self.threads = n, d, float(lam), threads
         # one thread runs all of each pass
         self.cuts = (n, d)
         if threads == 2:
-            half = rows[1].size / 2
-            self.cuts = (int(np.searchsorted(rows[0], half)),
-                         int(np.searchsorted(cols[0], half)))
+            self.cuts = (int(np.searchsorted(rows.arrays[0], nnz / 2)),
+                         int(np.searchsorted(cols.arrays[0], nnz / 2)))
         # the vectors the kernel reads and writes, p, out and c, in one
-        # buffer; held, with the CSR arrays, so that the pointers stay valid
+        # buffer; held, with the bindings, so that the pointers stay valid
         vectors = np.empty(2 * d + n)
         self._p, self._out, self._c = vectors[:d], vectors[d:2 * d], vectors[2 * d:]
-        self._arrays = (*rows, *cols, vectors)
-        self._open = (n, d, *ptrs, self.lam, vectors.ctypes.data, threads)
+        self._held = (rows, cols, vectors)
+        self._open = (rows._ptr, cols._ptr, self.lam, vectors.ctypes.data, threads)
         self._handle = None
 
     def __enter__(self):

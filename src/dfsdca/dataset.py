@@ -2,10 +2,10 @@
 
 A :class:`Dataset` stores its rows once, as frozen CSR arrays
 (``indptr``/``indices``/``data``), with the labels, the dimension d, and
-the per-row norms and nonzero counts derived from them. Every numerical
-kernel reads those arrays: the row pass for full margins, losses and
-combinations, for objective values and gradients, and the solver's
-compiled step kernel, which is handed pointers to them.
+the per-row norms and nonzero counts derived from them. Every compiled
+kernel reads one binding of those arrays (``_kernel.Csr``): the row pass
+for margins, losses and combinations, the solver's step kernel and the
+reference oracle's Hessian products.
 
 ``Dataset(indptr, indices, data, labels, d)`` is the one constructor; the
 LIBSVM parser, the synthetic generators and the normalizers all build
@@ -75,11 +75,12 @@ class Dataset:
     to right from 0.0.
 
     :meth:`margins`, :meth:`losses` and :meth:`combine` are the compiled
-    row pass (``_kernel.Csr``), the last over a transpose built on first
-    use by a stable counting pass: so their bits are those of ``csr() @ w``
-    and ``csr_t() @ alpha``. :meth:`csr` and
-    :meth:`csr_t` wrap scipy matrices around those same arrays, with no
-    copy, when first called."""
+    row pass on the Dataset's one binding of its rows (the pass's
+    ``_kernel.Csr``) and of their transpose (:meth:`_transpose`), which the
+    step kernel and the oracle's Hessian read too: so their bits are those
+    of ``csr() @ w`` and ``csr_t() @ alpha``. :meth:`csr` and :meth:`csr_t`
+    wrap scipy matrices around those same arrays, with no copy, when first
+    called."""
 
     def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
@@ -143,16 +144,15 @@ class Dataset:
             self._csr = _csr_matrix(self.indptr, self.indices, self.data, (self.n, self.d))
         return self._csr
 
-    def _transpose(self) -> tuple:
-        """The frozen CSR arrays ``(indptr, indices, data)`` of the d x n
-        transpose, built on first use."""
+    def _transpose(self) -> _kernel.Csr:
+        """The d x n transpose's binding, over frozen arrays, built on first use."""
         if self._columns is None:
             self._columns = self._rows.transpose()
-        return self._columns.arrays
+        return self._columns
 
     def csr_t(self) -> sp.csr_matrix:
         if self._csr_t is None:
-            self._csr_t = _csr_matrix(*self._transpose(), (self.d, self.n))
+            self._csr_t = _csr_matrix(*self._transpose().arrays, (self.d, self.n))
         return self._csr_t
 
     def overlap(self) -> np.ndarray:
@@ -169,8 +169,7 @@ class Dataset:
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         """Dense vector sum_i alpha_i A_i (the row pass over the transpose);
         alpha is 1-d of length n, else ValueError."""
-        self._transpose()
-        return self._columns.product(alpha, "alpha")[0]
+        return self._transpose().product(alpha, "alpha")[0]
 
 
 def libsvm_arrays(text) -> tuple:

@@ -97,8 +97,8 @@ def reference_solution(
     Jacobi-preconditioned conjugate gradients on the Hessian-vector product
     H v = A^T (phi''(A w) o A v) / n + lam v, so no d x d array is ever
     built. Each product, and each diagonal, is one compiled pass of
-    ``_kernel.Hessian`` over the CSR arrays and their transpose, with the
-    bits of numpy's ``ds.combine(c * ds.margins(v)) / ds.n + lam * v``.
+    ``_kernel.Hessian`` over the Dataset's own row and transpose bindings,
+    with the bits of numpy's ``ds.combine(c * ds.margins(v)) / ds.n + lam * v``.
     With more than one CPU and at least ``_kernel.MIN_HESSIAN_NNZ`` entries
     a helper thread shares each pass; it starts once per call and is joined
     before the call returns or raises, and the results keep their bits. The

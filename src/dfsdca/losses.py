@@ -29,7 +29,8 @@ KINDS = (LOGISTIC, SQUARED, QUADFAM)
 @dataclass(eq=False)
 class LossSpec:
     """Per-example losses of one kind plus their smoothness constants l_i,
-    and the loss pass bound to the (then fixed) parameters."""
+    and the parameters' one binding for C (``kernel``), which the loss
+    pass and the solver's step kernel read."""
 
     kind: str
     y: np.ndarray | None = None

@@ -6,11 +6,12 @@ draws a subset S of examples, moves every alpha_i (i in S) toward
 -phi_i'(A_i^T w) by the convex-combination weight theta/p_i, and applies the
 matching sparse correction to w so the tie-in survives the update.
 
-The iterations run in one compiled kernel (``_kernel.c``, built with gcc on
-first use): :func:`run` makes one call per stretch of iterations between
-two checkpoints or resyncs, through :func:`steps`, which runs a block of
-subsets, and :func:`step` is its block of one. Each checkpoint record is
-computed right after the block that reaches it.
+The iterations run in the compiled step kernel, ``_kernel.steps``, on the
+Dataset's and the LossSpec's own bindings: :func:`run` makes one call per
+stretch of iterations between two checkpoints or resyncs, through
+:func:`steps`, which runs a block of subsets, and :func:`step` is its
+block of one. Each checkpoint record is computed right after the block
+that reaches it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernel import Kernel
+from . import _kernel
 from .dataset import Dataset
-from .losses import KINDS, LossSpec, SmoothnessConstants, smoothness_constants
+from .losses import LossSpec, SmoothnessConstants, smoothness_constants
 from .sampling import SamplingScheme
 
 #: slack on the convex-combination guard theta/p_i <= 1
@@ -51,13 +52,6 @@ class ProblemSpec:
             )
         # raises ValueError if the loss and dataset sizes disagree
         self.smoothness = smoothness_constants(self.loss, self.dataset)
-
-    @cached_property
-    def kernel(self) -> Kernel:
-        """The compiled step kernel bound to this problem's arrays; the
-        first use in a process builds or loads the shared library."""
-        # the kernel's loss-kind codes are the positions in KINDS
-        return Kernel(self.dataset, self.loss, KINDS.index(self.loss.kind))
 
 
 def make_problem(dataset: Dataset, loss: LossSpec, lam: float) -> ProblemSpec:
@@ -187,10 +181,9 @@ def steps(
     :func:`step` over the subsets bitwise. Raises ValueError, and changes
     nothing, if the offsets do not partition ``idx`` or a subset fails the
     checks of :func:`step`."""
-    problem.kernel.steps(
-        state.w, state.alpha, p, theta, 1.0 + _GUARD_TOL,
-        problem.dataset.n * problem.lam, idx, offsets,
-    )
+    ds = problem.dataset
+    _kernel.steps(ds._rows, problem.loss.kernel, state.w, state.alpha, p, theta,
+                  1.0 + _GUARD_TOL, ds.n * problem.lam, idx, offsets)
     state.t += offsets.size - 1
     state.grad_evals += int(idx.size)
     return state
@@ -226,6 +219,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a fraction would run past ceil(epochs n / E|S|); a bool names no count
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError(f"epochs must be an integer, got {self.epochs}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

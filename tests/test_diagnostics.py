@@ -389,18 +389,18 @@ class TestLemma1:
         assert got == (float.fromhex(eq), float.fromhex(slack))
 
     def test_suite_steps_each_atom_once(self, monkeypatch):
-        real_steps, real_verify = _kernel.Kernel.steps, diagnostics.verify_lemma1
+        real_steps, real_verify = _kernel.steps, diagnostics.verify_lemma1
         calls, atoms = [], []
 
-        def counting_steps(self, *args):
+        def counting_steps(*args):
             calls.append(None)
-            return real_steps(self, *args)
+            return real_steps(*args)
 
         def counting_verify(problem, state, theta, scheme, ref):
             atoms.append(scheme.atoms()[2].size)
             return real_verify(problem, state, theta, scheme, ref)
 
-        monkeypatch.setattr(_kernel.Kernel, "steps", counting_steps)
+        monkeypatch.setattr(_kernel, "steps", counting_steps)
         monkeypatch.setattr(diagnostics, "verify_lemma1", counting_verify)
         assert diagnostics.suite_lemma1(0)["pass"]
         assert len(atoms) == diagnostics._TRIALS["lemma1"]

@@ -11,7 +11,6 @@ import itertools
 import os
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,17 +181,6 @@ def test_bad_arguments_raise_before_the_kernel_runs():
         hessian.cuts = (7, 0)
         with pytest.raises(ValueError, match=r"cuts \(7, 0\) outside \[0, 6\] x \[0, 4\]"):
             hessian.product(np.ones(4))
-    # a transpose whose arrays a kernel would read out of bounds
-    t_indptr, t_indices, t_data = ds._transpose()
-    for transpose, message in [
-        ((t_indptr[:-1], t_indices, t_data), "the transpose has 3 rows, not d=4"),
-        ((t_indptr[::-1].copy(), t_indices, t_data), "indptr does not delimit the rows"),
-        ((t_indptr, t_indices + 6, t_data), r"CSR index outside \[0, n=6\)"),
-    ]:
-        fake = SimpleNamespace(n=ds.n, d=ds.d, indptr=ds.indptr, indices=ds.indices,
-                               data=ds.data, _transpose=lambda t=transpose: t)
-        with pytest.raises(ValueError, match=f"^hessian kernel: {message}"):
-            _kernel.Hessian(fake, 0.1)
 
 
 # -- the oracle's helper thread ---------------------------------------------

@@ -4,8 +4,6 @@ own message.
 One row per check that no other test reaches: the call, and the exact
 message it must raise."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -37,6 +35,7 @@ from dfsdca.sampling import (
 )
 from dfsdca.solver import (
     ProblemSpec,
+    SolverConfig,
     Trace,
     TraceRecord,
     init_state,
@@ -80,12 +79,6 @@ def verify_contraction_with(potential):
 def traces_on_grids(*grids):
     return [Trace(0.1, 1.0, [TraceRecord(t, 0.0, 1.0, 0.0, E=1.0) for t in ts])
             for ts in grids]
-
-
-def kernel_on(indptr, kind=_kernel.SQUARED):
-    ds = types.SimpleNamespace(indptr=np.array(indptr, np.int32),
-                               indices=np.array([0], np.int32), data=np.array([1.0]), d=1)
-    _kernel.Kernel(ds, squared_loss([1.0, 1.0]), kind)
 
 
 CHECKS = {
@@ -136,6 +129,9 @@ CHECKS = {
                 "regularization lam must be positive and finite, got inf"),
     "lam-nan": (lambda: ProblemSpec(tiny_dataset(), squared_loss([1.0] * 3), np.nan),
                 "regularization lam must be positive and finite, got nan"),
+    "epochs-fraction": (lambda: SolverConfig(epochs=1.5),
+                        "epochs must be an integer, got 1.5"),
+    "epochs-bool": (lambda: SolverConfig(epochs=True), "epochs must be an integer, got True"),
     "theta-nonconvex": (lambda: theta_nonconvex([0.5], [1.0], [-1.0], 1.0, 1),
                         "p, lam and n must be positive and v, L_i nonnegative"),
     "subset-2d": (lambda: step(tiny_problem(), init_state(tiny_problem()),
@@ -156,11 +152,9 @@ CHECKS = {
     "potential-name": (lambda: verify_contraction_with("B"), "potential must be 'E' or 'D'"),
     "checkpoint-grids": (lambda: convergence_report(traces_on_grids([0, 3], [0, 4]), 0.1),
                          "traces must share their checkpoint grid"),
-    # the step kernel
-    "kernel-kind": (lambda: kernel_on([0, 1, 1], kind=7),
-                    "step kernel: unknown loss kind code 7"),
-    "kernel-indptr": (lambda: kernel_on([0, 2, 1]),
-                      "step kernel: indptr does not delimit the rows"),
+    # the loss binding
+    "kernel-kind": (lambda: _kernel.Loss(7, 1, y=np.ones(1)),
+                    "loss kernel: unknown loss kind code 7"),
 }
 
 

@@ -2,6 +2,7 @@
 it replaced and close to the per-example loop, the tau-subset draws against
 Floyd's rule, their input checks at the C boundary, and the build cache."""
 
+import ast
 import math
 import os
 import re
@@ -9,7 +10,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,7 +306,7 @@ def _call(problem, sc, **override):
         offsets=np.array([0, 1, 2], dtype=np.int64),
     )
     args.update(override)
-    problem.kernel.steps(**args)
+    _kernel.steps(problem.dataset._rows, problem.loss.kernel, **args)
 
 
 @pytest.mark.parametrize("override, match", [
@@ -337,17 +337,33 @@ def test_kernel_rejects_read_only_state():
         _call(problem, sc, w=w)
 
 
-@pytest.mark.parametrize("indptr_t, indices_t", [
-    (np.int16, np.int16), (np.uint32, np.uint32), (np.int64, np.int32),
-    (np.int32, np.int64), (np.int64, np.int64),
-])
-def test_kernel_rejects_csr_index_width(indptr_t, indices_t):
-    problem, _ = small_problem()
-    ds = problem.dataset
-    fake = SimpleNamespace(indptr=ds.indptr.astype(indptr_t),
-                           indices=ds.indices.astype(indices_t), data=ds.data, d=ds.d)
-    with pytest.raises(ValueError, match="(indptr|indices) must be .*int32"):
-        _kernel.Kernel(fake, problem.loss, _kernel.LOGISTIC)
+def test_kernel_rejects_a_loss_of_another_length():
+    # the rows of one Dataset and the losses of 21 examples: the one check
+    # that sharing the two bindings needs
+    problem, sc = small_problem()
+    state = init_state(problem, np.ones(problem.dataset.n))
+    before = state.copy()
+    with pytest.raises(ValueError, match="^step kernel: 21 losses for 20 rows$"):
+        _kernel.steps(problem.dataset._rows, logistic_loss(np.ones(21)).kernel,
+                      state.w, state.alpha, sc.p, 0.01, 1.0,
+                      problem.dataset.n * problem.lam,
+                      np.array([1, 2], dtype=np.int64), np.array([0, 2], dtype=np.int64))
+    assert np.array_equal(state.w, before.w)
+    assert np.array_equal(state.alpha, before.alpha)
+
+
+def test_csr_is_made_only_by_the_checking_pass_and_the_transpose():
+    # the kernels read a Csr unchecked: only csr_pass, which checks the
+    # arrays, and the transpose of a checked Csr may make one
+    makers = set()
+    for path in _kernel.SOURCE.parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                makers |= {f"{path.name}:{func.name}" for node in ast.walk(func)
+                           if isinstance(node, ast.Call)
+                           and "Csr" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))}
+    assert makers == {"_kernel.py:csr_pass", "_kernel.py:transpose"}
 
 
 def test_dataset_rejects_d_past_int32_before_allocating():
@@ -355,14 +371,6 @@ def test_dataset_rejects_d_past_int32_before_allocating():
     # so the Dataset itself refuses d >= 2**31
     with pytest.raises(ValueError, match=r"n=1, d=2147483658 and nnz=1 .*2147483647"):
         Dataset([0, 1], [2**31 + 5], [1.0], [1.0], 2**31 + 10)
-
-
-def test_kernel_rejects_csr_index_beyond_d():
-    problem, _ = small_problem()
-    ds = problem.dataset
-    fake = SimpleNamespace(indptr=ds.indptr, indices=ds.indices, data=ds.data, d=ds.d - 1)
-    with pytest.raises(ValueError, match="outside"):
-        _kernel.Kernel(fake, problem.loss, _kernel.LOGISTIC)
 
 
 def floyd_draws(units, tau, k, seed=0):
@@ -420,12 +428,10 @@ def test_source_compiles_without_warnings():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    source = _kernel.SOURCE.read_text()
-    for name in ("dfsdca_steps", "dfsdca_tau_subsets", "dfsdca_choice_rows",
-                 "dfsdca_libsvm_bounds", "dfsdca_parse_libsvm", "dfsdca_csr_pass",
-                 "dfsdca_rows", "dfsdca_loss_at", "dfsdca_transpose",
-                 "dfsdca_hessian_open", "dfsdca_hessian_apply", "dfsdca_hessian_close"):
-        assert re.search(rf"[ *]{name}\(", source), name
+    # every exported function is bound, and every binding names one
+    defined = re.findall(r"^\w[^(;]*[ *]dfsdca_(\w+)\(", _kernel.SOURCE.read_text(), re.M)
+    assert len(defined) == len(set(defined))
+    assert set(defined) == set(_kernel.SIGNATURES)
 
 
 # A script for a python under AddressSanitizer: it builds the kernels with
@@ -639,15 +645,6 @@ for data in (ds, wide, Dataset([0], [], [], [], 1), Dataset([0, 1], [0], [2.0], 
         assert np.array_equal(margins, data.margins(w))
         spec.kernel(margins, values=True, alpha=True, curvatures=True)
         spec.kernel(margins[::-1].copy(), np.arange(data.n)[::-1], alpha=True)
-# the kernels' CSR check on each fault, an empty indptr included
-for indptr, indices in [([], []), ([1, 1], [0]), ([0, 2, 1], [0]), ([0, 1], [3]),
-                        ([0, 1], [-1]), ([0, 1], [2])]:
-    arrays = np.array(indptr, np.int32), np.array(indices, np.int32)
-    try:
-        _kernel._check_csr(*arrays, np.ones(len(indices)), 2, "d", "step")
-    except ValueError:
-        continue
-    raise AssertionError(f"{indptr}, {indices} passed the CSR check")
 assert list(cache.glob("_kernel-*.so"))
 print("clean")
 """

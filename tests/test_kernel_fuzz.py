@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsdca import _kernel
 from dfsdca.dataset import gen_synthetic
 from dfsdca.losses import logistic_loss
 from dfsdca.solver import init_state, make_problem
@@ -71,14 +72,15 @@ def test_kernel_names_first_fault_and_changes_nothing(block, seed):
     offsets = np.cumsum([0] + [len(sub) for sub in subsets]).astype(np.int64)
     fault = expected_fault(n, subsets, guarded)
     if fault is None:
-        prob.kernel.steps(got.w, got.alpha, p, THETA, GUARD, n * prob.lam, idx, offsets)
+        _kernel.steps(prob.dataset._rows, prob.loss.kernel, got.w, got.alpha, p, THETA,
+                      GUARD, n * prob.lam, idx, offsets)
         want = start.copy()
         for sub in subsets:
             numpy_update(prob, want, np.array(sub, dtype=np.int64), p, THETA)
     else:
         with pytest.raises(ValueError, match=re.escape(fault)):
-            prob.kernel.steps(got.w, got.alpha, p, THETA, GUARD, n * prob.lam,
-                              idx, offsets)
+            _kernel.steps(prob.dataset._rows, prob.loss.kernel, got.w, got.alpha, p,
+                          THETA, GUARD, n * prob.lam, idx, offsets)
         want = start
     assert np.array_equal(got.w, want.w)
     assert np.array_equal(got.alpha, want.alpha)

@@ -88,7 +88,7 @@ def loss_spec(kind, n, draw):
 
 def check_passes(ds, w, alpha, specs):
     transpose = scipy_transpose(ds)
-    for mine, theirs in zip(ds._transpose(), transpose):
+    for mine, theirs in zip(ds._transpose().arrays, transpose):
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
     margins = scipy_product(ds.n, ds.d, (ds.indptr, ds.indices, ds.data), w)
     assert bits(ds.margins(w)) == bits(margins)
