@@ -1150,7 +1150,7 @@ void dfsdca_transpose(const struct csr *A, int64_t cols, int32_t *restrict t_ind
 
 /* The reference oracle's Hessian products, out = A^T (c o A p) / n + lam p,
  * and the Jacobi diagonal out_j = sum_i c_i A_ij^2 / n + lam, over a
- * Dataset's int32 CSR binding and its transpose's (Dataset._transpose). A
+ * Dataset's int32 CSR binding and its transpose's (Dataset.csr, csr_t). A
  * product is the row pass with the epilogue m_i = c_i (A_i . p), then the
  * column pass (the row pass over the transpose) with the epilogue
  * out_j = (At_j . m) / n + lam p_j; the diagonal is the column pass over

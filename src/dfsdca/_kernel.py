@@ -503,7 +503,8 @@ def steps(rows: Csr, loss: Loss, w, alpha, p, theta: float, guard: float,
 class Hessian:
     """The reference oracle's Hessian products ``A^T (c o A p) / n + lam p``
     and Jacobi diagonals ``sum_i c_i A_ij^2 / n + lam`` on one Dataset's own
-    bindings of its rows and their transpose (:class:`Csr`), by one compiled
+    bindings of its rows and their transpose (the :class:`Csr` that
+    ``dataset.csr()`` and ``dataset.csr_t()`` return), by one compiled
     pass each, as a context manager: use it only inside its ``with`` block.
     :meth:`at` takes the curvatures c, :meth:`product` then multiplies by them.
 
@@ -522,7 +523,7 @@ class Hessian:
     """
 
     def __init__(self, dataset, lam: float, *, threads: int | None = None):
-        rows, cols = dataset._rows, dataset._transpose()
+        rows, cols = dataset.csr(), dataset.csr_t()
         n, d, nnz = rows.rows, cols.rows, rows.arrays[1].size
         if threads is None:
             threads = 2 if len(os.sched_getaffinity(0)) > 1 and nnz >= MIN_HESSIAN_NNZ else 1

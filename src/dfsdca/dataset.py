@@ -3,9 +3,11 @@
 A :class:`Dataset` stores its rows once, as frozen CSR arrays
 (``indptr``/``indices``/``data``), with the labels, the dimension d, and
 the per-row norms and nonzero counts derived from them. Every compiled
-kernel reads one binding of those arrays (``_kernel.Csr``): the row pass
-for margins, losses and combinations, the solver's step kernel and the
-reference oracle's Hessian products.
+kernel reads one binding of those arrays (``_kernel.Csr``, which
+``Dataset.csr()`` returns) and one of their transpose (``csr_t()``): the
+row pass for margins, losses and combinations, the solver's step kernel
+and the reference oracle's Hessian products. The package needs numpy and
+gcc only; it builds no scipy matrix.
 
 ``Dataset(indptr, indices, data, labels, d)`` is the one constructor; the
 LIBSVM parser, the synthetic generators and the normalizers all build
@@ -15,7 +17,6 @@ their CSR arrays and pass them in.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernel
 
@@ -38,13 +39,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _csr_matrix(indptr, indices, data, shape: tuple) -> sp.csr_matrix:
-    """A scipy matrix around canonical CSR arrays, with no copy."""
-    A = sp.csr_matrix((data, indices, indptr), shape=shape)
-    A.has_canonical_format = True
-    return A
 
 
 def check_csr_size(n: int, d: int, nnz: int | None = None) -> None:
@@ -75,12 +69,12 @@ class Dataset:
     to right from 0.0.
 
     :meth:`margins`, :meth:`losses` and :meth:`combine` are the compiled
-    row pass on the Dataset's one binding of its rows (the pass's
-    ``_kernel.Csr``) and of their transpose (:meth:`_transpose`), which the
-    step kernel and the oracle's Hessian read too: so their bits are those
-    of ``csr() @ w`` and ``csr_t() @ alpha``. :meth:`csr` and :meth:`csr_t`
-    wrap scipy matrices around those same arrays, with no copy, when first
-    called."""
+    row pass on the Dataset's one binding of its rows (:meth:`csr`, the
+    pass's ``_kernel.Csr``) and of their transpose (:meth:`csr_t`, built
+    on first use), which the step kernel and the oracle's Hessian read
+    too. A row is summed left to right from 0.0, as scipy's ``csr_matvec``
+    sums it, so their bits are those of scipy's ``A @ w`` and ``A.T @
+    alpha`` on the same arrays."""
 
     def __init__(self, indptr, indices, data, labels, d: int):
         n = len(indptr) - 1
@@ -123,7 +117,7 @@ class Dataset:
         self.nnz = _freeze(nnz)
         self.norms = _freeze(norms)
         self._rows = rows
-        self._csr = self._csr_t = self._columns = self._overlap = None
+        self._columns = self._overlap = None
 
     @property
     def n(self) -> int:
@@ -139,21 +133,15 @@ class Dataset:
         the rows of one array, from one row pass."""
         return self._rows.product(w, "w", loss)
 
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = _csr_matrix(self.indptr, self.indices, self.data, (self.n, self.d))
-        return self._csr
+    def csr(self) -> _kernel.Csr:
+        """The n x d rows' binding, over the frozen arrays."""
+        return self._rows
 
-    def _transpose(self) -> _kernel.Csr:
+    def csr_t(self) -> _kernel.Csr:
         """The d x n transpose's binding, over frozen arrays, built on first use."""
         if self._columns is None:
             self._columns = self._rows.transpose()
         return self._columns
-
-    def csr_t(self) -> sp.csr_matrix:
-        if self._csr_t is None:
-            self._csr_t = _csr_matrix(*self._transpose().arrays, (self.d, self.n))
-        return self._csr_t
 
     def overlap(self) -> np.ndarray:
         """Per-row sums sum_j (omega_j - 1) A_ij^2, where omega_j counts
@@ -169,7 +157,7 @@ class Dataset:
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         """Dense vector sum_i alpha_i A_i (the row pass over the transpose);
         alpha is 1-d of length n, else ValueError."""
-        return self._transpose().product(alpha, "alpha")[0]
+        return self.csr_t().product(alpha, "alpha")[0]
 
 
 def libsvm_arrays(text) -> tuple:

@@ -182,7 +182,7 @@ def steps(
     nothing, if the offsets do not partition ``idx`` or a subset fails the
     checks of :func:`step`."""
     ds = problem.dataset
-    _kernel.steps(ds._rows, problem.loss.kernel, state.w, state.alpha, p, theta,
+    _kernel.steps(ds.csr(), problem.loss.kernel, state.w, state.alpha, p, theta,
                   1.0 + _GUARD_TOL, ds.n * problem.lam, idx, offsets)
     state.t += offsets.size - 1
     state.grad_evals += int(idx.size)
@@ -219,11 +219,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a fraction would run past ceil(epochs n / E|S|); a bool names no count
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError(f"epochs must be an integer, got {self.epochs}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        # a fraction of an epoch would run past ceil(epochs n / E|S|), and
+        # numpy seeds only with integers; a bool names no count and no seed
+        for name, least in (("epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def resolve_theta(problem: ProblemSpec, scheme: SamplingScheme, theta) -> float:

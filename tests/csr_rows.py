@@ -1,7 +1,9 @@
 """Hand-written rows for tests: build a CSR dataset from ``(indices,
-values)`` pairs, and read a row back as its CSR slices."""
+values)`` pairs, read a row back as its CSR slices, and wrap scipy
+matrices around a dataset's CSR arrays as a reference."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from dfsdca.dataset import Dataset
 
@@ -18,3 +20,12 @@ def row(ds: Dataset, i: int):
     """Row i as ``(indices, values)`` views into the CSR arrays."""
     lo, hi = ds.indptr[i], ds.indptr[i + 1]
     return ds.indices[lo:hi], ds.data[lo:hi]
+
+
+def scipy_matrices(ds: Dataset) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The n x d and d x n scipy matrices around the arrays of
+    ``ds.csr()`` and ``ds.csr_t()``, with no copy."""
+    def wrap(csr, shape):
+        indptr, indices, data = csr.arrays
+        return sp.csr_matrix((data, indices, indptr), shape=shape)
+    return wrap(ds.csr(), (ds.n, ds.d)), wrap(ds.csr_t(), (ds.d, ds.n))

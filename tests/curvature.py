@@ -4,6 +4,7 @@ Hessians that the matrix-free reference oracle never builds."""
 import numpy as np
 import scipy.sparse as sp
 
+from csr_rows import scipy_matrices
 from dfsdca.dataset import Dataset
 
 
@@ -13,11 +14,11 @@ def average_curvature_matrix(dataset: Dataset, c: np.ndarray) -> np.ndarray:
 
     With c = phi''(A w) it is the loss part of the objective's Hessian at w.
     """
-    A = dataset.csr()
+    A, T = scipy_matrices(dataset)
     scaled = sp.csr_matrix(
         (A.data * np.repeat(c, dataset.nnz), A.indices, A.indptr), shape=A.shape
     )
-    return (dataset.csr_t() @ scaled).toarray() / dataset.n
+    return (T @ scaled).toarray() / dataset.n
 
 
 def min_curvature_eig(dataset: Dataset, c: np.ndarray) -> float:

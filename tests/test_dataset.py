@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse._compressed as compressed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +22,9 @@ from dfsdca.dataset import (
     parse_libsvm,
     serialize_libsvm,
 )
-from dfsdca.diagnostics import ALL_SUITES, reference_solution, run_suites
-from dfsdca.losses import build_nonconvex_instance, logistic_loss
-from dfsdca.sampling import tau_nice
-from dfsdca.solver import SolverConfig, make_problem, run
+from dfsdca.losses import build_nonconvex_instance
 
-from csr_rows import from_rows, row
+from csr_rows import from_rows, row, scipy_matrices
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -509,7 +505,7 @@ def test_compiled_pass_equals_scipy_construction(args):
     def dataset(*call):
         ds = Dataset(*call)
         # wrapped around the checked arrays and the transpose, not copies
-        A, T = ds.csr(), ds.csr_t()
+        A, T = scipy_matrices(ds)
         assert pointers(A.indptr, A.indices, A.data) == pointers(ds.indptr, ds.indices, ds.data)
         assert A.has_canonical_format and T.has_canonical_format
         # the row pass reads those same arrays
@@ -548,19 +544,19 @@ def test_products_equal_scipy_products(args, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(ds.d) * 10.0 ** rng.integers(-20, 21, ds.d)
     alpha = rng.standard_normal(ds.n) * 10.0 ** rng.integers(-20, 21, ds.n)
-    assert np.array_equal(bits(ds.margins(w)), bits(ds.csr() @ w))
-    assert np.array_equal(bits(ds.combine(alpha)), bits(ds.csr_t() @ alpha))
+    A, T = scipy_matrices(ds)
+    assert np.array_equal(bits(ds.margins(w)), bits(A @ w))
+    assert np.array_equal(bits(ds.combine(alpha)), bits(T @ alpha))
     # a strided vector is read as its contiguous copy
     assert np.array_equal(bits(ds.margins(np.repeat(w, 2)[::2])), bits(ds.margins(w)))
-    T, ref = ds.csr_t(), ds.csr().T.tocsr()
+    ref = A.T.tocsr()
     for name in ("indptr", "indices", "data"):
         mine, theirs = getattr(T, name), getattr(ref, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
     # the row pass does not check lengths: a vector of the wrong shape is
     # rejected before it is called
     with pytest.MonkeyPatch.context() as mp:
-        ds._transpose()
-        for csr in (ds._rows, ds._columns):
+        for csr in (ds.csr(), ds.csr_t()):
             mp.setattr(csr, "_lib", SimpleNamespace(dfsdca_rows=no_call))
         for product, name, size in ((ds.margins, "w", ds.d), (ds.combine, "alpha", ds.n)):
             shapes = [(size + 1,), (size, 1), (1, size), ()] + [(size - 1,)] * (size > 0)
@@ -568,23 +564,3 @@ def test_products_equal_scipy_products(args, seed):
                 with pytest.raises(ValueError, match=rf"^{name} must be a 1-d vector of "
                                                      rf"length {size}, got shape "):
                     product(np.ones(shape))
-
-
-def test_no_scipy_matrix_on_the_run_oracle_and_validate_paths(monkeypatch):
-    constructed = []
-    init = compressed._cs_matrix.__init__
-
-    def spy(self, *args, **kwargs):
-        constructed.append(type(self).__name__)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(compressed._cs_matrix, "__init__", spy)
-    run_suites(list(ALL_SUITES), 0)
-    assert constructed == []
-    ds = gen_synthetic(200, 30, 0.2, "skewed-nnz", 0, tail_exponent=1.5)
-    problem = make_problem(ds, logistic_loss(ds.labels), 1.0 / ds.n)
-    run(problem, tau_nice(ds.norms, 4), SolverConfig(epochs=3),
-        reference=reference_solution(problem))
-    assert constructed == []
-    ds.csr_t()  # the spy sees the wrapper that is built on first use
-    assert constructed == ["csr_matrix"]

@@ -21,8 +21,10 @@ from dfsdca import (
     reference_solution,
     run,
     serial_uniform,
+    serialize_libsvm,
     tau_nice,
 )
+from dfsdca import _kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +45,26 @@ def load_benchmark_module(monkeypatch, name):
 
 def test_benchmark_imports(monkeypatch):
     assert callable(load_benchmark_module(monkeypatch, "run").main)
+
+
+@pytest.mark.parametrize("from_text", [True, False])
+def test_benchmark_setup_gets_the_bindings_the_row_pass_reads(monkeypatch, from_text):
+    # the benchmark's setup calls ds.csr() and ds.csr_t(): they are the
+    # Dataset's bindings of its rows and transpose, which margins and
+    # combine read
+    bench = load_benchmark_module(monkeypatch, "run")
+    wl = bench.Workload(name="tiny", why="", n=40, d=8, density=0.3, model="skewed-nnz",
+                        tail_exponent=None, from_text=from_text, loss="logistic",
+                        sampling="nice:4", eps=0.1, max_epochs=2)
+    text = serialize_libsvm(wl.generate(3)) if from_text else ""
+    problem, _ = bench.setup(wl, 3, text, bench.NullTracer())
+    read, product = [], _kernel.Csr.product
+    monkeypatch.setattr(_kernel.Csr, "product",
+                        lambda csr, *args: read.append(csr) or product(csr, *args))
+    ds = problem.dataset
+    ds.margins(np.zeros(ds.d))
+    ds.combine(np.zeros(ds.n))
+    assert len(read) == 2 and read[0] is ds.csr() and read[1] is ds.csr_t()
 
 
 @pytest.mark.parametrize("scheme", ["serial-uniform", "nice:4", "chunked:3"])

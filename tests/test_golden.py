@@ -102,8 +102,7 @@ GOLDEN_DATASETS = {
 @pytest.mark.parametrize("name", list(GOLDEN_DATASETS))
 def test_dataset_digest(name):
     ds, extra = build(name)
-    A = ds.csr()
-    got = digest(A.indptr, A.indices, A.data, ds.labels, ds.norms, [ds.d], *extra)
+    got = digest(*ds.csr().arrays, ds.labels, ds.norms, [ds.d], *extra)
     assert got == GOLDEN_DATASETS[name]
 
 

@@ -132,6 +132,9 @@ CHECKS = {
     "epochs-fraction": (lambda: SolverConfig(epochs=1.5),
                         "epochs must be an integer, got 1.5"),
     "epochs-bool": (lambda: SolverConfig(epochs=True), "epochs must be an integer, got True"),
+    "seed-fraction": (lambda: SolverConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    "seed-bool": (lambda: SolverConfig(seed=True), "seed must be an integer, got True"),
+    "seed-negative": (lambda: SolverConfig(seed=-1), "seed must be at least 0, got -1"),
     "theta-nonconvex": (lambda: theta_nonconvex([0.5], [1.0], [-1.0], 1.0, 1),
                         "p, lam and n must be positive and v, L_i nonnegative"),
     "subset-2d": (lambda: step(tiny_problem(), init_state(tiny_problem()),

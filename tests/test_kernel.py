@@ -306,7 +306,7 @@ def _call(problem, sc, **override):
         offsets=np.array([0, 1, 2], dtype=np.int64),
     )
     args.update(override)
-    _kernel.steps(problem.dataset._rows, problem.loss.kernel, **args)
+    _kernel.steps(problem.dataset.csr(), problem.loss.kernel, **args)
 
 
 @pytest.mark.parametrize("override, match", [
@@ -344,7 +344,7 @@ def test_kernel_rejects_a_loss_of_another_length():
     state = init_state(problem, np.ones(problem.dataset.n))
     before = state.copy()
     with pytest.raises(ValueError, match="^step kernel: 21 losses for 20 rows$"):
-        _kernel.steps(problem.dataset._rows, logistic_loss(np.ones(21)).kernel,
+        _kernel.steps(problem.dataset.csr(), logistic_loss(np.ones(21)).kernel,
                       state.w, state.alpha, sc.p, 0.01, 1.0,
                       problem.dataset.n * problem.lam,
                       np.array([1, 2], dtype=np.int64), np.array([0, 2], dtype=np.int64))

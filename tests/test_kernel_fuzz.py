@@ -72,14 +72,14 @@ def test_kernel_names_first_fault_and_changes_nothing(block, seed):
     offsets = np.cumsum([0] + [len(sub) for sub in subsets]).astype(np.int64)
     fault = expected_fault(n, subsets, guarded)
     if fault is None:
-        _kernel.steps(prob.dataset._rows, prob.loss.kernel, got.w, got.alpha, p, THETA,
+        _kernel.steps(prob.dataset.csr(), prob.loss.kernel, got.w, got.alpha, p, THETA,
                       GUARD, n * prob.lam, idx, offsets)
         want = start.copy()
         for sub in subsets:
             numpy_update(prob, want, np.array(sub, dtype=np.int64), p, THETA)
     else:
         with pytest.raises(ValueError, match=re.escape(fault)):
-            _kernel.steps(prob.dataset._rows, prob.loss.kernel, got.w, got.alpha, p,
+            _kernel.steps(prob.dataset.csr(), prob.loss.kernel, got.w, got.alpha, p,
                           THETA, GUARD, n * prob.lam, idx, offsets)
         want = start
     assert np.array_equal(got.w, want.w)

@@ -88,7 +88,7 @@ def loss_spec(kind, n, draw):
 
 def check_passes(ds, w, alpha, specs):
     transpose = scipy_transpose(ds)
-    for mine, theirs in zip(ds._transpose().arrays, transpose):
+    for mine, theirs in zip(ds.csr_t().arrays, transpose):
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
     margins = scipy_product(ds.n, ds.d, (ds.indptr, ds.indices, ds.data), w)
     assert bits(ds.margins(w)) == bits(margins)
@@ -163,11 +163,13 @@ def test_loss_pass_rejects_mismatched_margins():
         Dataset([0, 1, 2], [0, 1], [1.0, 1.0], [1.0, 1.0], 2).losses(np.zeros(2), spec.kernel)
 
 
-def test_commands_import_no_scipy_special(tmp_path):
-    # run, reference and validate on a tiny problem, then which modules
-    # came in
+def test_commands_import_no_scipy(tmp_path):
+    # the package, then reference, run, validate and chunk-stats on a tiny
+    # problem: the package needs numpy and gcc only, so no scipy module
+    # comes in
     script = f"""
 import sys
+import dfsdca
 from dfsdca.cli import main
 ref = {str(tmp_path / "ref.json")!r}
 problem = ["--synthetic", "40,6,0.4,skewed-nnz", "--loss", "logistic", "--seed", "3"]
@@ -176,7 +178,9 @@ assert main(["run", *problem, "--sampling", "nice:4", "--epochs", "2", "--refere
              "--out", {str(tmp_path / "run.csv")!r}]) == 0
 assert main(["validate", "--suite", "all", "--seed", "0",
              "--out", {str(tmp_path / "validate.json")!r}]) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+assert main(["chunk-stats", "--synthetic", "40,6,0.4,skewed-nnz", "--tau", "4",
+             "--draws", "50", "--out", {str(tmp_path / "chunks.csv")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     path = [str(_kernel.SOURCE.parents[1])]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
