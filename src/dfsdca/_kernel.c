@@ -2,7 +2,7 @@
  * block of uniform tau-subset draws, the synthetic generator's row draws,
  * a LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes
  * its row norms, the row pass with its loss epilogue, the transpose, and
- * the reference oracle's Hessian products.
+ * the reference oracle: its Hessian products and its Newton loop.
  *
  * Every product of a CSR matrix with a vector sums each row's entries left
  * to right from 0.0, the order of scipy's csr_matvec: row_sum does it for
@@ -101,6 +101,14 @@
  * before it returns, may take the second half of either pass; the caller
  * runs any half the helper has not claimed, so it never waits for a helper
  * that is not running. The comment above dfsdca_hessian_open has the rest.
+ *
+ * The oracle's Newton loop (dfsdca_newton) runs on such a handle: damped
+ * inexact Newton with Armijo backtracking, each step by Jacobi-
+ * preconditioned CG on the Hessian products, so that one oracle call is one
+ * call into C. Its iterates are the row pass and the loss pass, its
+ * gradients the column pass, as PrimalPoint computes them; its dot
+ * products, norms and the sums of P are pairwise in numpy's order (dot), so
+ * the same loop in numpy, with np.sum for each, has its bits.
  *
  * Build: gcc -O2 -ffp-contract=off -shared -fPIC -pthread -I <numpy include>
  *        -x c - -x none <numpy>/random/lib/libnpyrandom.a -lm
@@ -1189,8 +1197,7 @@ struct hessian {
     struct csr rows, cols;  /* the n x d matrix and its transpose */
     double lam, *m;
     /* the caller's vectors: p and out of length d, c of length n */
-    const double *p, *c;
-    double *out;
+    double *p, *c, *out;
     /* the job, written by the caller before it bumps `posted` and read by
      * the helper only once it has claimed a half of it */
     int kind;
@@ -1417,4 +1424,241 @@ int64_t dfsdca_hessian_close(struct hessian *h)
     free(h->m);
     free(h);
     return helped;
+}
+
+/* sum_i a_i b_i, or sum_i a_i where b is NULL, in numpy's pairwise order
+ * (pairwise_sum in numpy's loops_utils.h): below 8 terms left to right from
+ * 0.0; up to 128 terms in 8 running sums, one per residue mod 8, combined
+ * as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last
+ * n % 8 terms left to right; beyond that, two halves, the first one a
+ * multiple of 8 terms long. numpy adds the result to 0.0, so 0.0 +
+ * pairwise(a, b, n) has the bits of np.sum(a * b). Unlike a left-to-right
+ * sum, its rounding error grows with log n, not n. */
+static double pairwise(const double *a, const double *b, int64_t n)
+{
+#define TERM(i) (b != NULL ? a[i] * b[i] : a[i])
+    if (n < 8) {
+        double s = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            s += TERM(i);
+        return s;
+    }
+    if (n <= 128) {
+        double r[8], s;
+        int64_t i, j;
+        for (j = 0; j < 8; j++)
+            r[j] = TERM(j);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += TERM(i + j);
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += TERM(i);
+        return s;
+    }
+#undef TERM
+    int64_t half = n / 2 - n / 2 % 8;
+    return pairwise(a, b, half) + pairwise(a + half, b != NULL ? b + half : NULL, n - half);
+}
+
+/* np.sum(a * b), or np.sum(a) where b is NULL */
+static inline double dot(const double *a, const double *b, int64_t n)
+{
+    return 0.0 + pairwise(a, b, n);
+}
+
+/* The reference oracle's outcomes besides OK (converged) and NO_MEMORY:
+ * Newton stopped (no smaller gradient norm in `stall` iterations, the
+ * iteration cap, no decrease in the line search), or CG met p^T H p <= 0
+ * (on the diagonal, or along a CG direction) or its iteration cap. */
+enum { STALLED = 13, NEWTON_CAP = 14, NO_DECREASE = 15, CONCAVE_COORDINATE = 16,
+       CONCAVE_DIRECTION = 17, CG_CAP = 18 };
+
+/* P(w) = sum_i phi_i(A_i . w) / n + (lam / 2) |w|^2, both sums pairwise,
+ * with the margins into m and the losses into loss: the row pass of
+ * PrimalPoint, and the value of numpy's loss.sum() / n + 0.5 * lam *
+ * np.sum(w * w) */
+static double primal(const struct hessian *h, const struct loss *L, const double *w,
+                     double *m, double *loss)
+{
+    dfsdca_rows(&h->rows, w, L, h->n, NULL, m, loss, NULL, NULL);
+    return dot(loss, NULL, h->n) / (double)h->n + 0.5 * h->lam * dot(w, w, h->d);
+}
+
+/* grad P(w) = A^T phi'(m) / n + lam w into grad, at the margins m of w, and
+ * the curvatures phi''(m) into h->c: the loss pass, then the column pass of
+ * PrimalPoint.gradient, ds.combine(-alpha) / ds.n + lam * w. neg gets
+ * phi'(m), n floats. */
+static void gradient(struct hessian *h, const struct loss *L, const double *w,
+                     const double *m, double *neg, double *grad)
+{
+    dfsdca_rows(NULL, NULL, L, h->n, NULL, (double *)m, NULL, neg, h->c);
+    for (int64_t i = 0; i < h->n; i++)
+        neg[i] = -neg[i];
+    for (int64_t j = 0; j < h->d; j++)
+        grad[j] = row_sum(&h->cols, j, neg, false) / (double)h->n + h->lam * w[j];
+}
+
+/* The Newton step x with |H x + grad| <= rtol, for H the Hessian at the
+ * curvatures in h->c, by Jacobi-preconditioned conjugate gradients from 0,
+ * at most cap iterations. The directions p live in h->p and their products
+ * in h->out. r, z and diag are scratch vectors of d floats. Returns OK, or
+ * CONCAVE_COORDINATE with the first least diagonal entry (np.argmin's: a
+ * NaN first) in *quantity and its coordinate in *where, CONCAVE_DIRECTION
+ * with p^T H p and the CG iteration, or CG_CAP with the residual's norm and
+ * cap. */
+static int newton_cg(struct hessian *h, const double *grad, double rtol, int64_t cap,
+                     int64_t row_cut, int64_t col_cut, double *x, double *r, double *z,
+                     double *diag, int64_t *where, double *quantity)
+{
+    int64_t d = h->d, j, k, least = 0;
+    double *p = h->p, *Hp = h->out, rz, rnorm;
+    dfsdca_hessian_apply(h, DIAGONAL, row_cut, col_cut);
+    memcpy(diag, h->out, (size_t)d * sizeof *diag);
+    for (j = 0; j < d; j++) {
+        if (isnan(diag[j])) {
+            least = j;
+            break;
+        }
+        if (diag[j] < diag[least])
+            least = j;
+    }
+    if (d > 0 && !(diag[least] > 0.0)) {
+        *where = least;
+        *quantity = diag[least];
+        return CONCAVE_COORDINATE;
+    }
+    for (j = 0; j < d; j++) {
+        x[j] = 0.0;
+        r[j] = -grad[j];
+        p[j] = z[j] = r[j] / diag[j];
+    }
+    rz = dot(r, z, d);
+    rnorm = sqrt(dot(r, r, d));
+    for (k = 1; k <= cap; k++) {
+        double pHp, a, rz_old, beta;
+        dfsdca_hessian_apply(h, PRODUCT, row_cut, col_cut);
+        pHp = dot(p, Hp, d);
+        if (!(pHp > 0.0)) {
+            *where = k;
+            *quantity = pHp;
+            return CONCAVE_DIRECTION;
+        }
+        a = rz / pHp;
+        for (j = 0; j < d; j++) {
+            x[j] += a * p[j];
+            r[j] -= a * Hp[j];
+        }
+        rnorm = sqrt(dot(r, r, d));
+        if (rnorm <= rtol)
+            return OK;
+        for (j = 0; j < d; j++)
+            z[j] = r[j] / diag[j];
+        rz_old = rz;
+        rz = dot(r, z, d);
+        beta = rz / rz_old;
+        for (j = 0; j < d; j++)
+            p[j] = z[j] + beta * p[j];
+    }
+    *where = cap;
+    *quantity = rnorm;
+    return CG_CAP;
+}
+
+/* The reference oracle: damped inexact Newton from w on the handle's
+ * matrix and the loss L, in one call. reals = {target, forcing, armijo,
+ * slack_ulps} and ints = {max_newton, stall, max_halvings, cg_per_dim,
+ * cg_extra, row_cut, col_cut}, diagnostics' constants.
+ *
+ * Iteration it = 1, 2, ... at the iterate w_it: if |grad P| <= target,
+ * return OK with w_it in w. Otherwise keep w_it as the best iterate if its
+ * gradient norm is the smallest so far (the first always is), else count a
+ * stall and stop after `stall` in a row (STALLED). Then the Newton step
+ * delta, by newton_cg to rtol = forcing |grad P| in at most
+ * cg_per_dim d + cg_extra iterations, and a line search from s = 1,
+ * halving s at most max_halvings times, for the first trial point with
+ * P(w_it + s delta) <= P(w_it) + armijo s grad^T delta + slack, where
+ * slack is slack_ulps spacings of |P(w_it)| (np.spacing): near the optimum
+ * P cannot resolve a full step's decrease. NO_DECREASE if none passes,
+ * NEWTON_CAP after max_newton iterations; CG's own outcomes stop the loop
+ * too. On every outcome but OK, w gets the best iterate.
+ *
+ * Every dot product and norm, and the sums of P, are pairwise (dot), so the
+ * iterates have the bits of the same loop in numpy with np.sum for each.
+ * info = {the iteration it, CG's *where, the trial points evaluated (the
+ * start included), the CG solves begun}; quantities = {CG's *quantity, the
+ * last rtol}. */
+int dfsdca_newton(struct hessian *h, const struct loss *L, double *w,
+                  const double *reals, const int64_t *ints, int64_t *info,
+                  double *quantities)
+{
+    const double target = reals[0], forcing = reals[1], armijo = reals[2],
+                 slack_ulps = reals[3];
+    const int64_t max_newton = ints[0], stall = ints[1], max_halvings = ints[2],
+                  cap = ints[3] * h->d + ints[4], row_cut = ints[5], col_cut = ints[6];
+    int64_t n = h->n, d = h->d, it, k, stalled = 0, where = 0, points = 1, solves = 0;
+    double best_norm = 0.0, quantity = 0.0, rtol = 0.0, value, trial_value = 0.0;
+    bool have_best = false;
+    int rc = NEWTON_CAP;
+    double *block = malloc((size_t)(8 * d + 4 * n + 1) * sizeof *block);
+    if (block == NULL)
+        return NO_MEMORY;
+    double *cur = block, *trial = cur + d, *best = trial + d, *grad = best + d,
+           *x = grad + d, *r = x + d, *z = r + d, *diag = z + d, *m = diag + d,
+           *m_trial = m + n, *loss = m_trial + n, *neg = loss + n;
+    memcpy(cur, w, (size_t)d * sizeof *cur);
+    memcpy(best, w, (size_t)d * sizeof *best);
+    value = primal(h, L, cur, m, loss);
+    gradient(h, L, cur, m, neg, grad);
+    for (it = 1; it <= max_newton; it++) {
+        double gnorm = sqrt(dot(grad, grad, d)), slope, slack, s, *swap;
+        if (gnorm <= target) {
+            memcpy(best, cur, (size_t)d * sizeof *best);
+            rc = OK;
+            break;
+        }
+        if (!have_best || gnorm < best_norm) {
+            memcpy(best, cur, (size_t)d * sizeof *best);
+            best_norm = gnorm;
+            have_best = true;
+            stalled = 0;
+        } else if (++stalled == stall) {
+            rc = STALLED;
+            break;
+        }
+        solves++;
+        rtol = forcing * gnorm;
+        rc = newton_cg(h, grad, rtol, cap, row_cut, col_cut, x, r, z, diag, &where,
+                       &quantity);
+        if (rc != OK)
+            break;
+        slope = dot(grad, x, d);
+        slack = slack_ulps * (nextafter(fabs(value), INFINITY) - fabs(value));
+        for (k = 0, s = 1.0; k < max_halvings; k++, s *= 0.5) {
+            for (int64_t j = 0; j < d; j++)
+                trial[j] = cur[j] + s * x[j];
+            trial_value = primal(h, L, trial, m_trial, loss);
+            points++;
+            if (trial_value <= value + armijo * s * slope + slack)
+                break;
+        }
+        if (k == max_halvings) {
+            rc = NO_DECREASE;
+            break;
+        }
+        swap = cur, cur = trial, trial = swap;
+        swap = m, m = m_trial, m_trial = swap;
+        value = trial_value;
+        gradient(h, L, cur, m, neg, grad);
+        rc = NEWTON_CAP;
+    }
+    memcpy(w, best, (size_t)d * sizeof *w);
+    info[0] = it > max_newton ? max_newton : it;
+    info[1] = where;
+    info[2] = points;
+    info[3] = solves;
+    quantities[0] = quantity;
+    quantities[1] = rtol;
+    free(block);
+    return rc;
 }

@@ -2,12 +2,13 @@
 step kernel, the tau-subset draws, the synthetic generator's row draws, the
 LIBSVM parser, the pass that checks a Dataset's CSR arrays and takes its
 row norms, the row pass with its loss epilogue, the transpose, and the
-reference oracle's Hessian products.
+reference oracle: its Hessian products and its whole Newton loop.
 
 A matrix is bound for C once, as a :class:`Csr` (a Dataset holds its
 rows' and its transpose's), and a loss as a :class:`Loss` (a ``LossSpec``
 holds one): the row pass, the step kernel (:func:`steps`) and the Hessian
-products read those bindings, so each array is checked once.
+products read those bindings, so each array is checked once. Every array
+address goes to C through :func:`_address`.
 
 This module imports nothing from the package: the dataset and solver
 modules call it, and turn what it reports into their own errors.
@@ -35,6 +36,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +48,13 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 NPYRANDOM = Path(np.get_include()).parents[1] / "random" / "lib" / "libnpyrandom.a"
 
 # return codes of the dfsdca_* functions
-OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 1, 2, 3, 4, 5
+OK, OUT_OF_RANGE, REPEATED, GUARD, BAD_OFFSETS, NO_MEMORY = 0, 1, 2, 3, 4, 5
 BAD_LABEL, NO_COLON, BAD_TOKEN, NOT_ONE_BASED = 6, 7, 8, 9
 INDEX_TOO_LARGE, NOT_INCREASING, NON_ASCII = 10, 11, 12
+#: the oracle's outcomes besides OK (converged) and NO_MEMORY, as
+#: :meth:`Hessian.newton` reports them
+STALLED, NEWTON_CAP, NO_DECREASE = 13, 14, 15
+CONCAVE_COORDINATE, CONCAVE_DIRECTION, CG_CAP = 16, 17, 18
 #: the step kernel's loss-kind codes, in the order of ``losses.KINDS``
 LOGISTIC, SQUARED, QUADFAM = 0, 1, 2
 #: the Hessian kernel's pass kinds
@@ -90,6 +96,7 @@ SIGNATURES = {
     "hessian_open": (_vp, _vp, _vp, _dbl, _vp, _i64),
     "hessian_apply": (None, _vp, _i64, _i64, _i64),
     "hessian_close": (_i64, _vp),
+    "newton": (_int, _vp, _vp, _vp, _vp, _vp, _vp, _vp),
 }
 
 #: the loaded library, once the first kernel call needs it
@@ -323,7 +330,7 @@ def tau_subsets(rng: np.random.Generator, units: int, out) -> None:
     k, tau = out.shape
     if not 1 <= tau <= units:
         raise ValueError(f"subset kernel: tau={tau} is not in [1, units={units}]")
-    if _draw(rng, _load().dfsdca_tau_subsets, units, tau, k, out.ctypes.data):
+    if _draw(rng, _load().dfsdca_tau_subsets, units, tau, k, _address(out)):
         raise MemoryError("subset kernel: out of memory")
 
 
@@ -343,8 +350,8 @@ def choice_rows(rng: np.random.Generator, d: int, counts) -> tuple:
     nnz = int(counts.sum())
     cols, vals = np.empty(nnz, np.int64), np.empty(nnz)
     bad = ctypes.c_int64(0)
-    code = _draw(rng, _load().dfsdca_choice_rows, d, counts.size, counts.ctypes.data,
-                 cols.ctypes.data, vals.ctypes.data, ctypes.byref(bad))
+    code = _draw(rng, _load().dfsdca_choice_rows, d, counts.size, _address(counts),
+                 _address(cols), _address(vals), ctypes.byref(bad))
     if code == OUT_OF_RANGE:
         raise ValueError(f"generator kernel: row {bad.value} has "
                          f"{counts[bad.value]} entries, outside [0, d={d}]")
@@ -401,17 +408,15 @@ def parse_libsvm(text, *, pieces: int | None = None) -> tuple:
     lib = _load()
     pow5 = pow5_table()
     bounds = np.empty((pieces, 4), np.int64)
-    lib.dfsdca_libsvm_bounds(buf.ctypes.data, buf.size, pieces, bounds.ctypes.data)
+    at = _address(buf)
+    lib.dfsdca_libsvm_bounds(at, buf.size, pieces, _address(bounds))
     max_rows, max_nnz = (int(b) for b in bounds[:, 2:].sum(axis=0))
     labels, data = np.empty(max_rows), np.empty(max_nnz)
     indptr = np.empty(max_rows + pieces, np.int64)
     indices = np.empty(max_nnz, np.int64)
     info = np.zeros(6, np.int64)
     code = lib.dfsdca_parse_libsvm(
-        buf.ctypes.data, pieces, bounds.ctypes.data, labels.ctypes.data,
-        indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, info.ctypes.data,
-        pow5.ctypes.data,
-    )
+        at, pieces, *map(_address, (bounds, labels, indptr, indices, data, info, pow5)))
     rows, nnz, max_index, line, start, end = (int(v) for v in info)
     if code == NO_MEMORY:
         raise MemoryError("parse kernel: out of memory")
@@ -446,11 +451,10 @@ def csr_pass(indptr, indices, data, labels, d: int) -> tuple:
     _check("labels", labels, _F64, n, kernel="dataset")
     counts, norms, bad = np.empty(n, np.int64), np.empty(n), np.empty(4, np.int64)
     arrays = np.empty(n + 1, np.int32), np.empty(indices.size, np.int32), data
-    ptrs = tuple(a.ctypes.data for a in arrays)
+    ptrs = tuple(map(_address, arrays))
     _load().dfsdca_csr_pass(
-        n, d, indices.size, indptr.ctypes.data, indices.ctypes.data, ptrs[2],
-        labels.ctypes.data, *ptrs[:2], counts.ctypes.data, norms.ctypes.data,
-        bad.ctypes.data,
+        n, d, indices.size, _address(indptr), _address(indices), ptrs[2],
+        _address(labels), *ptrs[:2], *map(_address, (counts, norms, bad)),
     )
     return Csr(arrays, d, ptrs), counts, norms, bad
 
@@ -477,9 +481,9 @@ def steps(rows: Csr, loss: Loss, w, alpha, p, theta: float, guard: float,
         raise ValueError("step kernel: offsets must hold at least one entry")
     bad = ctypes.c_int64(0)
     code = rows._lib.dfsdca_steps(
-        rows._ptr, loss._ptr, p.ctypes.data, theta, guard, n_lam,
-        offsets.size - 1, offsets.ctypes.data, idx.ctypes.data, idx.size,
-        w.ctypes.data, alpha.ctypes.data, ctypes.byref(bad),
+        rows._ptr, loss._ptr, _address(p), theta, guard, n_lam,
+        offsets.size - 1, _address(offsets), _address(idx), idx.size,
+        _address(w), _address(alpha), ctypes.byref(bad),
     )
     if code:
         i = bad.value
@@ -500,13 +504,32 @@ def steps(rows: Csr, loss: Loss, w, alpha, p, theta: float, guard: float,
         raise MemoryError("step kernel: out of memory")
 
 
+class Newton(NamedTuple):
+    """What one :meth:`Hessian.newton` call reports: its ``status`` (OK for
+    converged, or ``STALLED`` ... ``CG_CAP``), the Newton ``iteration`` it
+    ended in, CG's ``where`` and ``quantity`` (the coordinate and diagonal
+    entry for ``CONCAVE_COORDINATE``, the CG iteration and p^T H p for
+    ``CONCAVE_DIRECTION``, the cap and the residual's norm for ``CG_CAP``),
+    the ``points`` at which P was evaluated (the start and every trial
+    point), the CG ``solves`` begun and the last CG tolerance ``rtol``."""
+    status: int
+    iteration: int
+    where: int
+    points: int
+    solves: int
+    quantity: float
+    rtol: float
+
+
 class Hessian:
-    """The reference oracle's Hessian products ``A^T (c o A p) / n + lam p``
-    and Jacobi diagonals ``sum_i c_i A_ij^2 / n + lam`` on one Dataset's own
-    bindings of its rows and their transpose (the :class:`Csr` that
-    ``dataset.csr()`` and ``dataset.csr_t()`` return), by one compiled
-    pass each, as a context manager: use it only inside its ``with`` block.
-    :meth:`at` takes the curvatures c, :meth:`product` then multiplies by them.
+    """The reference oracle on one Dataset's own bindings of its rows and
+    their transpose (the :class:`Csr` that ``dataset.csr()`` and
+    ``dataset.csr_t()`` return), as a context manager: use it only inside
+    its ``with`` block. :meth:`newton` runs the whole Newton loop in one
+    call; its Hessian products ``A^T (c o A p) / n + lam p`` and Jacobi
+    diagonals ``sum_i c_i A_ij^2 / n + lam`` are one compiled pass each,
+    and :meth:`at` and :meth:`product` run them one at a time: :meth:`at`
+    takes the curvatures c, :meth:`product` then multiplies by them.
 
     The bits are those of numpy's ``ds.combine(c * ds.margins(p)) / ds.n +
     lam * p`` and ``np.bincount(ds.indices, ds.data * ds.data *
@@ -540,7 +563,7 @@ class Hessian:
         vectors = np.empty(2 * d + n)
         self._p, self._out, self._c = vectors[:d], vectors[d:2 * d], vectors[2 * d:]
         self._held = (rows, cols, vectors)
-        self._open = (rows._ptr, cols._ptr, self.lam, vectors.ctypes.data, threads)
+        self._open = (rows._ptr, cols._ptr, self.lam, _address(vectors), threads)
         self._handle = None
 
     def __enter__(self):
@@ -554,14 +577,18 @@ class Hessian:
         self.helped = self._lib.dfsdca_hessian_close(self._handle)
         self._handle = None
 
-    def _apply(self, kind: int) -> np.ndarray:
+    def _cuts(self) -> tuple:
         if self._handle is None:
             raise RuntimeError("hessian kernel: used outside its with block")
         row_cut, col_cut = self.cuts
         if not (0 <= row_cut <= self.n and 0 <= col_cut <= self.d):
             raise ValueError(f"hessian kernel: cuts {self.cuts} outside "
                              f"[0, {self.n}] x [0, {self.d}]")
-        self._lib.dfsdca_hessian_apply(self._handle, kind, row_cut, col_cut)
+        return row_cut, col_cut
+
+    def _apply(self, kind: int) -> np.ndarray:
+        cuts = self._cuts()
+        self._lib.dfsdca_hessian_apply(self._handle, kind, *cuts)
         return self._out.copy()
 
     def at(self, c) -> np.ndarray:
@@ -582,3 +609,28 @@ class Hessian:
                              f"got {p.shape}")
         self._p[:] = p
         return self._apply(PRODUCT)
+
+    def newton(self, loss: Loss, w, *, target: float, forcing: float, armijo: float,
+               slack_ulps: int, max_newton: int, stall: int, max_halvings: int,
+               cg_per_dim: int, cg_extra: int) -> Newton:
+        """Damped inexact Newton on P(w) = sum_i phi_i(A_i . w) / n +
+        (lam / 2) |w|^2 for the ``loss`` of the rows' examples, from ``w``
+        (d floats, overwritten with the converged or best iterate), in one
+        compiled call; ``dfsdca_newton`` in ``_kernel.c`` says what the
+        options do. Every dot product, norm and sum in it is pairwise, as
+        ``np.sum`` adds, so its iterates have the bits of the same loop in
+        numpy. Raises ValueError for a loss of another length, MemoryError
+        if C runs out of memory."""
+        if loss.n != self.n:
+            raise ValueError(f"hessian kernel: {loss.n} losses for {self.n} rows")
+        _check("w", w, _F64, self.d, write=True, kernel="hessian")
+        cuts = self._cuts()
+        reals = np.array([target, forcing, armijo, slack_ulps], dtype=np.float64)
+        ints = np.array([max_newton, stall, max_halvings, cg_per_dim, cg_extra, *cuts],
+                        dtype=np.int64)
+        info, quantities = np.empty(4, np.int64), np.empty(2)
+        status = self._lib.dfsdca_newton(self._handle, loss._ptr, *map(
+            _address, (w, reals, ints, info, quantities)))
+        if status == NO_MEMORY:
+            raise MemoryError("hessian kernel: out of memory")
+        return Newton(status, *info.tolist(), *quantities.tolist())

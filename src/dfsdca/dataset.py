@@ -343,7 +343,9 @@ def gen_synthetic(
     # differently.
     margins = np.empty(n)
     order = np.argsort(counts, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+    ends = [0, *(np.flatnonzero(np.diff(counts[order])) + 1).tolist(), n]
+    for lo, hi in zip(ends, ends[1:]):
+        rows = order[lo:hi]
         pos = indptr[rows, None] + np.arange(counts[rows[0]])
         margins[rows] = np.vecdot(vals[pos], w_true[cols[pos]])
     if label_model == "linear-noise":

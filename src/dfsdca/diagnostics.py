@@ -96,13 +96,18 @@ def reference_solution(
     min(tol, lam * 1e-11). Each step solves H delta = -grad P by
     Jacobi-preconditioned conjugate gradients on the Hessian-vector product
     H v = A^T (phi''(A w) o A v) / n + lam v, so no d x d array is ever
-    built. Each product, and each diagonal, is one compiled pass of
-    ``_kernel.Hessian`` over the Dataset's own row and transpose bindings,
-    with the bits of numpy's ``ds.combine(c * ds.margins(v)) / ds.n + lam * v``.
+    built, and backtracks from the full step to an Armijo decrease. The
+    whole loop is one compiled call, ``_kernel.Hessian.newton``, over the
+    Dataset's own row and transpose bindings: each product, and each
+    diagonal, is one pass with the bits of numpy's
+    ``ds.combine(c * ds.margins(v)) / ds.n + lam * v``, and every dot
+    product, norm and sum of P inside it is pairwise, as ``np.sum`` adds.
     With more than one CPU and at least ``_kernel.MIN_HESSIAN_NNZ`` entries
-    a helper thread shares each pass; it starts once per call and is joined
-    before the call returns or raises, and the results keep their bits. The
-    default tolerance is 1e-12 * (1 + |P(0)|).
+    a helper thread shares each product; it starts once per call and is
+    joined before the call returns or raises, and the results keep their
+    bits. The returned P_star, alpha and grad_norm are those of
+    ``PrimalPoint`` at the returned w, so P_star == primal_value(problem, w).
+    The default tolerance is 1e-12 * (1 + |P(0)|).
     The lam * 1e-11 cap, which keeps the recovered relation
     w* = (1/(lam n)) sum_i alpha_i* A_i to 1e-11, is best effort: for small
     lam it can lie below the float resolution of grad P, so when the norm
@@ -118,8 +123,20 @@ def reference_solution(
         tol = 1e-12 * (1.0 + abs(p0))
     elif not tol >= 0.0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    w = np.zeros(problem.dataset.d)
     with _kernel.Hessian(problem.dataset, problem.lam) as hessian:
-        return _newton(problem, tol, hessian)
+        run = hessian.newton(
+            problem.loss.kernel, w, target=min(tol, problem.lam * 1e-11),
+            forcing=_FORCING, armijo=_ARMIJO, slack_ulps=_SLACK_ULPS,
+            max_newton=_MAX_NEWTON, stall=_STALL, max_halvings=_MAX_HALVINGS,
+            cg_per_dim=_CG_PER_DIM, cg_extra=_CG_EXTRA,
+        )
+    at = PrimalPoint(problem, w)
+    grad = at.gradient
+    ref = ReferenceSolution(w, at.alpha, at.value, math.sqrt(grad.dot(grad)))
+    if run.status == _kernel.OK or (run.status in _STOPPED and ref.grad_norm <= tol):
+        return ref
+    raise ReferenceError(_failure(run, ref.grad_norm, tol), ref.grad_norm)
 
 
 #: Newton iterations before giving up; quadratics need a few, logistic ~10
@@ -140,101 +157,29 @@ _ARMIJO = 1e-4
 #: ulps of |P| the Armijo test forgives, so that full steps near the optimum,
 #: whose decrease P cannot resolve, are still taken
 _SLACK_ULPS = 4
+#: the oracle's outcomes after which the best iterate is returned if it meets tol
+_STOPPED = (_kernel.STALLED, _kernel.NEWTON_CAP, _kernel.NO_DECREASE)
 
 
-def _newton(problem: ProblemSpec, tol: float, hessian: _kernel.Hessian
-            ) -> ReferenceSolution:
-    ds = problem.dataset
-    target = min(tol, problem.lam * 1e-11)
-    # one margins pass per iterate serves P, grad P and alpha*
-    at = PrimalPoint(problem, np.zeros(ds.d))
-    best, stalled = None, 0
-    reason = f"reached the cap of {_MAX_NEWTON} iterations"
-    for it in range(1, _MAX_NEWTON + 1):
-        grad = at.gradient
-        gnorm = math.sqrt(grad.dot(grad))
-        if gnorm <= target:
-            return ReferenceSolution(at.w, at.alpha, at.value, gnorm)
-        if best is None or gnorm < best.grad_norm:
-            best, stalled = ReferenceSolution(at.w, at.alpha, at.value, gnorm), 0
-        else:
-            stalled += 1
-            if stalled == _STALL:
-                reason = f"no smaller gradient norm in {_STALL} iterations"
-                break
-        delta = _newton_cg(problem, hessian, at, grad, _FORCING * gnorm, it,
-                           best.grad_norm)
-        slope = float(np.dot(grad, delta))
-        slack = _SLACK_ULPS * np.spacing(abs(at.value))
-        s = 1.0
-        for _ in range(_MAX_HALVINGS):
-            nxt = PrimalPoint(problem, at.w + s * delta)
-            if nxt.value <= at.value + _ARMIJO * s * slope + slack:
-                break
-            s *= 0.5
-        else:
-            reason = f"the line search found no decrease in {_MAX_HALVINGS} halvings"
-            break
-        at = nxt
-    if best.grad_norm <= tol:
-        return best
-    raise ReferenceError(
-        f"Newton iteration {it}: {reason}, so the oracle stopped at "
-        f"||grad|| = {best.grad_norm:.3e} > tol = {tol:.3e}",
-        best.grad_norm,
-    )
-
-
-def _newton_cg(
-    problem: ProblemSpec,
-    hessian: _kernel.Hessian,
-    at: PrimalPoint,
-    grad: np.ndarray,
-    rtol: float,
-    it: int,
-    reached: float,
-) -> np.ndarray:
-    """The Newton step delta with ||H delta + grad|| <= rtol, for the Hessian
-    H of P at ``at``, by Jacobi-preconditioned conjugate gradients from 0.
-    Raises ReferenceError, carrying and naming the gradient norm ``reached``,
-    at p^T H p <= 0 or when the iteration cap is hit."""
-    ds = problem.dataset
-    stopped = f"; the oracle stopped at ||grad|| = {reached:.3e}"
-
-    def not_convex(pHp, where):
-        return ReferenceError(
-            f"Newton iteration {it}: p^T H p = {pHp:.3e} <= 0 {where}, so the "
-            f"average loss is not convex here{stopped}", reached)
-
-    # the diagonal of H, sum_i c_i A_ij^2 / n + lam for the curvatures c,
-    # is e_j^T H e_j
-    diag = hessian.at(at.curvatures)
-    j = int(np.argmin(diag))
-    if not diag[j] > 0.0:
-        raise not_convex(diag[j], f"along coordinate {j}")
-    # from x = 0 the residual is -grad, whose norm rtol lies below
-    x = np.zeros(ds.d)
-    r = -grad
-    z = r / diag
-    p, rz = z, float(np.dot(r, z))
-    cap = _CG_PER_DIM * ds.d + _CG_EXTRA
-    for k in range(1, cap + 1):
-        Hp = hessian.product(p)
-        pHp = float(np.dot(p, Hp))
-        if not pHp > 0.0:
-            raise not_convex(pHp, f"at CG iteration {k}")
-        a = rz / pHp
-        x += a * p
-        r -= a * Hp
-        rnorm = math.sqrt(r.dot(r))
-        if rnorm <= rtol:
-            return x
-        z = r / diag
-        rz, rz_old = float(np.dot(r, z)), rz
-        p = z + (rz / rz_old) * p
-    raise ReferenceError(
-        f"Newton iteration {it}: CG hit its cap of {cap} iterations at residual "
-        f"||H delta + grad|| = {rnorm:.3e} > {rtol:.3e}{stopped}", reached)
+def _failure(run: _kernel.Newton, reached: float, tol: float) -> str:
+    """The ReferenceError message for the oracle's ``run``, which stopped at
+    the gradient norm ``reached``."""
+    it = f"Newton iteration {run.iteration}: "
+    stopped = f"the oracle stopped at ||grad|| = {reached:.3e}"
+    reasons = {
+        _kernel.STALLED: f"no smaller gradient norm in {_STALL} iterations",
+        _kernel.NEWTON_CAP: f"reached the cap of {_MAX_NEWTON} iterations",
+        _kernel.NO_DECREASE: f"the line search found no decrease in {_MAX_HALVINGS} halvings",
+    }
+    if run.status in reasons:
+        return f"{it}{reasons[run.status]}, so {stopped} > tol = {tol:.3e}"
+    if run.status == _kernel.CG_CAP:
+        return (f"{it}CG hit its cap of {run.where} iterations at residual "
+                f"||H delta + grad|| = {run.quantity:.3e} > {run.rtol:.3e}; {stopped}")
+    where = (f"along coordinate {run.where}" if run.status == _kernel.CONCAVE_COORDINATE
+             else f"at CG iteration {run.where}")
+    return (f"{it}p^T H p = {run.quantity:.3e} <= 0 {where}, so the average loss is "
+            f"not convex here; {stopped}")
 
 
 def decay_envelope(X0: float, theta: float, t) -> np.ndarray | float:

@@ -91,7 +91,7 @@ class LossSpec:
 
 def logistic_loss(labels) -> LossSpec:
     labels = np.asarray(labels, dtype=np.float64)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
+    if not ((labels == 1.0) | (labels == -1.0)).all():
         raise ValueError("logistic loss requires labels in {-1, +1}")
     return LossSpec(LOGISTIC, y=labels)
 

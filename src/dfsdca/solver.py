@@ -59,9 +59,9 @@ def make_problem(dataset: Dataset, loss: LossSpec, lam: float) -> ProblemSpec:
 
 
 class PrimalPoint:
-    """P(w), grad P(w), the matched duals alpha*(w) = -phi'(A w) and the
-    curvatures phi''(A w) at one w: the row pass gives A w and the losses,
-    one loss pass on them alpha* and the curvatures, on first use."""
+    """P(w), grad P(w) and the matched duals alpha*(w) = -phi'(A w) at one
+    w: the row pass gives A w and the losses, one loss pass on them alpha*,
+    on first use."""
 
     def __init__(self, problem: ProblemSpec, w: np.ndarray):
         self.problem, self.w = problem, w
@@ -70,19 +70,14 @@ class PrimalPoint:
 
     @cached_property
     def value(self) -> float:
-        return float(self.losses.mean() + 0.5 * self.problem.lam * np.dot(self.w, self.w))
+        # what losses.mean() computes, without its Python-level wrapper
+        losses = self.losses
+        return float(losses.sum() / losses.size
+                     + 0.5 * self.problem.lam * np.dot(self.w, self.w))
 
     @cached_property
-    def _derivatives(self) -> np.ndarray:
-        return self.problem.loss.kernel(self.margins, alpha=True, curvatures=True)
-
-    @property
     def alpha(self) -> np.ndarray:
-        return self._derivatives[0]
-
-    @property
-    def curvatures(self) -> np.ndarray:
-        return self._derivatives[1]
+        return self.problem.loss.kernel(self.margins, alpha=True)[0]
 
     @cached_property
     def gradient(self) -> np.ndarray:

@@ -52,6 +52,7 @@ from dfsdca.solver import (
 
 from curvature import average_curvature_matrix
 from csr_rows import from_rows, row
+from newton import agrees_with_numpy, record_newton
 
 
 def ridge_problem():
@@ -72,7 +73,7 @@ def dense_newton(prob):
     ds, w = prob.dataset, np.zeros(prob.dataset.d)
     for _ in range(30):
         at = PrimalPoint(prob, w)
-        H = average_curvature_matrix(ds, at.curvatures)
+        H = average_curvature_matrix(ds, prob.loss.curvatures(None, at.margins))
         w = w - np.linalg.solve(H + prob.lam * np.eye(ds.d), at.gradient)
     return w, primal_value(prob, w)
 
@@ -114,27 +115,17 @@ class TestReferenceSolution:
 
     def test_line_search_halves_and_agrees_with_bfgs(self, monkeypatch):
         # the full Newton step from w = 0 overshoots here, so the Armijo
-        # test rejects it once: each iterate, and each rejected trial
-        # point, builds one PrimalPoint
+        # test rejects it once: the compiled call evaluates P at the start,
+        # at each accepted point and at each rejected trial point
         ds = from_rows([([0, 1], [3.44, 2.425]), ([0, 1], [4.036, 3.362])],
                        [1.0, -1.0], 2)
         prob = make_problem(ds, logistic_loss(ds.labels), 1e-3)
-        calls = {"points": 0, "cg": 0}
-        point, cg = diagnostics.PrimalPoint, diagnostics._newton_cg
-
-        def counting_point(*args):
-            calls["points"] += 1
-            return point(*args)
-
-        def counting_cg(*args):
-            calls["cg"] += 1
-            return cg(*args)
-
-        monkeypatch.setattr(diagnostics, "PrimalPoint", counting_point)
-        monkeypatch.setattr(diagnostics, "_newton_cg", counting_cg)
+        calls = record_newton(monkeypatch)
         ref = reference_solution(prob)
-        # the start, one accepted point per Newton step, and the halvings
-        assert calls["points"] > calls["cg"] + 1
+        (_, _, run, _), = calls
+        # the start, one accepted point per CG solve, and the halvings
+        assert run.status == _kernel.OK
+        assert run.points > run.solves + 1
         res = minimize(
             lambda w: primal_value(prob, w), np.zeros(ds.d),
             jac=lambda w: primal_gradient(prob, w), method="BFGS",
@@ -206,6 +197,52 @@ class TestReferenceSolution:
         msg = str(info.value)
         assert "Newton iteration 1: CG hit its cap of 1 iterations" in msg
         assert "at residual ||H delta + grad|| = " in msg
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "quadfam"])
+    def test_reports_its_point_bitwise(self, kind, monkeypatch):
+        # the compiled loop keeps the bits of the numpy loop, and P_star,
+        # alpha and grad_norm are PrimalPoint's at the w it returns
+        prob = dense_case(kind)
+        calls = record_newton(monkeypatch)
+        ref = reference_solution(prob)
+        assert len(calls) == 1 and agrees_with_numpy(prob, calls[0])
+        assert ref.P_star == primal_value(prob, ref.w)
+        assert ref.grad_norm == np.linalg.norm(primal_gradient(prob, ref.w))
+        assert np.array_equal(ref.alpha, PrimalPoint(prob, ref.w).alpha)
+
+    @pytest.mark.parametrize("case", ["tol", "halvings", "newton-cap", "concave", "cg-cap"])
+    def test_every_outcome_keeps_the_numpy_bits(self, case, monkeypatch):
+        # each way the loop can end, against the numpy loop: the report,
+        # the best iterate it leaves and so the message's numbers
+        prob, tol = logistic_problem(), None
+        if case == "tol":
+            tol = 1e-30
+        elif case == "halvings":
+            monkeypatch.setattr(diagnostics, "_MAX_HALVINGS", 0)
+        elif case == "newton-cap":
+            monkeypatch.setattr(diagnostics, "_MAX_NEWTON", 2)
+        elif case == "concave":
+            ds = from_rows([([0, 1], [1.0, 1.0]), ([0, 1], [1.0, -1.0])], [0.0, 0.0], 2)
+            prob = make_problem(ds, quadratic_family([1.0, -1.0], [1.0, 1.0]), 0.5)
+        else:
+            monkeypatch.setattr(diagnostics, "_CG_PER_DIM", 0)
+            monkeypatch.setattr(diagnostics, "_CG_EXTRA", 2)
+        calls = record_newton(monkeypatch)
+        with pytest.raises(ReferenceError) as info:
+            reference_solution(prob, tol=tol)
+        assert len(calls) == 1 and agrees_with_numpy(prob, calls[0])
+        w = calls[0][3]
+        assert info.value.grad_norm == np.linalg.norm(primal_gradient(prob, w))
+
+    def test_validate_problems_keep_the_numpy_bits(self, monkeypatch):
+        # the validate suites' trial problems, of 3-6 rows and 2-5 columns
+        rng = np.random.default_rng(7)
+        problems = [diagnostics._small_problem(rng, kind) for _ in range(10)
+                    for kind in ("logistic", "squared", "quadfam")]
+        calls = record_newton(monkeypatch)
+        for prob in problems:
+            reference_solution(prob)
+        assert all(agrees_with_numpy(prob, call) for prob, call in zip(problems, calls))
 
     @pytest.mark.parametrize("kind", ["squared", "logistic", "quadfam"])
     def test_agrees_with_dense_newton(self, kind):

@@ -3,8 +3,9 @@
 The products and Jacobi diagonals must have the bits of the numpy
 expressions they replace, on one thread and on two, whatever the cuts
 between the threads' halves (hypothesis, derandomized). A threaded oracle
-call must leave no thread behind, whether it returns or raises, and raise
-the messages that the numpy expressions give.
+call must leave no thread behind, whether it returns or raises, and give
+the bits and the messages of the same Newton loop in numpy
+(``tests/newton.py``).
 """
 
 import itertools
@@ -24,34 +25,13 @@ from dfsdca.diagnostics import ReferenceError, reference_solution
 from dfsdca.losses import logistic_loss, quadratic_family
 from dfsdca.solver import make_problem
 
-
-def numpy_product(ds, c, lam, p):
-    return ds.combine(c * ds.margins(p)) / ds.n + lam * p
-
-
-def numpy_diagonal(ds, c, lam):
-    return np.bincount(ds.indices, ds.data * ds.data * np.repeat(c, ds.nnz),
-                       minlength=ds.d) / ds.n + lam
-
-
-class NumpyHessian:
-    """``_kernel.Hessian`` by the numpy expressions the oracle used before."""
-
-    def __init__(self, dataset, lam):
-        self.ds, self.lam = dataset, lam
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-    def at(self, c):
-        self.c = c
-        return numpy_diagonal(self.ds, c, self.lam)
-
-    def product(self, p):
-        return numpy_product(self.ds, self.c, self.lam, p)
+from newton import (
+    agrees_with_numpy,
+    numpy_diagonal,
+    numpy_newton,
+    numpy_product,
+    record_newton,
+)
 
 
 def same_bits(a, b):
@@ -110,6 +90,31 @@ def test_products_keep_the_numpy_bits_at_every_cut(problem):
                 hessian.cuts = cuts
                 assert same_bits(hessian.at(c), want_diagonal), (threads, cuts)
                 assert same_bits(hessian.product(p), want_product), (threads, cuts)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(problem=problems(), threads=st.sampled_from([1, 2]),
+       target=st.sampled_from([0.0, 1e-12]))
+def test_newton_keeps_the_numpy_bits(problem, threads, target):
+    # quadratic-family losses of either curvature sign on the products'
+    # cases, extreme values included: the loop converges, stalls or meets a
+    # concave coordinate or CG direction (test_diagnostics.py's
+    # test_every_outcome_keeps_the_numpy_bits drives the caps)
+    ds, c, lam, _ = problem
+    c = np.where(c == 0.0, 1.0, c)
+    prob = make_problem(ds, quadratic_family(c, np.roll(c, 1)), lam)
+    options = dict(target=target, forcing=diagnostics._FORCING,
+                   armijo=diagnostics._ARMIJO, slack_ulps=diagnostics._SLACK_ULPS,
+                   max_newton=diagnostics._MAX_NEWTON, stall=diagnostics._STALL,
+                   max_halvings=diagnostics._MAX_HALVINGS,
+                   cg_per_dim=diagnostics._CG_PER_DIM, cg_extra=diagnostics._CG_EXTRA)
+    w, mirror_w = np.zeros(ds.d), np.zeros(ds.d)
+    with _kernel.Hessian(ds, lam, threads=threads) as hessian:
+        run = hessian.newton(prob.loss.kernel, w, **options)
+    with np.errstate(all="ignore"):
+        mirror = numpy_newton(prob, mirror_w, **options)
+    assert repr(run) == repr(mirror)
+    assert w.tobytes() == mirror_w.tobytes()
 
 
 def test_helper_runs_halves_of_large_products():
@@ -209,14 +214,15 @@ def outcome(problem):
 
 
 def same_as_numpy(problem, monkeypatch):
-    """Runs the oracle threaded, then on the numpy expressions, and checks
-    that the outcomes and the thread count agree; returns the outcome."""
+    """Runs the oracle threaded, checks that it leaves the thread count as
+    it was and that its compiled Newton call has the bits of the numpy
+    loop's, and returns the outcome."""
     before = tasks()
-    got = outcome(problem)
-    assert tasks() == before
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "Hessian", lambda ds, lam: NumpyHessian(ds, lam))
-        assert outcome(problem) == got
+        calls = record_newton(m)
+        got = outcome(problem)
+    assert tasks() == before
+    assert len(calls) == 1 and agrees_with_numpy(problem, calls[0])
     return got
 
 

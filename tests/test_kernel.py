@@ -443,7 +443,7 @@ def test_source_compiles_without_warnings():
 # (so on threads), with a fault in each piece and OUT_OF_RANGE in each
 # piece, the Dataset pass on valid, empty and faulty arrays, the oracle's
 # Hessian products on one thread and on two, at every cut of a small
-# problem, and the row pass with each loss epilogue and the transpose, with
+# problem, its Newton loop to several of its outcomes, and the row pass with each loss epilogue and the transpose, with
 # an empty row, an empty column, no rows and n = d = 1. Leaks are not
 # checked: the interpreter itself never frees everything.
 SANITIZED = """
@@ -454,6 +454,7 @@ import numpy as np
 
 from dfsdca import _kernel
 from dfsdca.dataset import Dataset, ParseError, gen_synthetic, libsvm_arrays
+from dfsdca import diagnostics
 from dfsdca.diagnostics import reference_solution
 from dfsdca.sampling import _tau_subsets
 from dfsdca.solver import SolverConfig, init_state, make_problem, run, step
@@ -634,6 +635,16 @@ same_hessian_bits(big, 0.01, None, repeats=50)
 _kernel.MIN_HESSIAN_NNZ = 0
 for loss in (logistic_loss, squared_loss):
     reference_solution(make_problem(big, loss(big.labels), 0.01))
+# the oracle's other outcomes on the awkward dataset: a stall at tol 0, a
+# concave coordinate, a concave CG direction, the CG cap
+every_fifth = np.where(np.arange(wide.n) % 5 == 0, -2.0, 1.0)
+for c, cg_cap in [(1.0, (2, 20)), (-1.0, (2, 20)), (every_fifth, (2, 20)), (1.0, (0, 1))]:
+    diagnostics._CG_PER_DIM, diagnostics._CG_EXTRA = cg_cap
+    spec = LossSpec("quadfam", c=np.broadcast_to(c, wide.n), b=np.ones(wide.n))
+    try:
+        reference_solution(make_problem(wide, spec, 0.3), tol=0.0)
+    except diagnostics.ReferenceError:
+        pass
 # the row pass, each loss epilogue, the loss pass alone (on all examples
 # and on an index array) and the transpose
 for data in (ds, wide, Dataset([0], [], [], [], 1), Dataset([0, 1], [0], [2.0], [1.0], 1)):

@@ -35,3 +35,17 @@ def test_no_threads_or_processes_in_python(path):
     banned = {"concurrent", "contextvars", "multiprocessing", "pickle", "threading"}
     assert not {name.split(".")[0] for name in imported} & banned
     assert ("sched_getaffinity" in path.read_text()) == (path.name == "_kernel.py")
+
+
+def test_array_addresses_go_through_one_function():
+    # ``ndarray.ctypes.data`` costs about twice what ``_kernel._address``
+    # does, which falls back to it only for read-only or empty arrays
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {k for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_address"
+                  for k in range(func.lineno, func.end_lineno + 1)}
+        found += [f"{path.name}:{k}" for k, line in enumerate(path.read_text().splitlines(), 1)
+                  if ".ctypes.data" in line and k not in inside]
+    assert not found, found
